@@ -20,7 +20,6 @@ from .linalg import (
     choi_min_eigenvalue,
     devectorize,
     hermitize,
-    trace_norm,
     vectorize,
 )
 
@@ -182,16 +181,16 @@ class LimitCycle:
     _dmap: object
 
     def state_at(self, t):
-        t = float(t)
-        d = self._dmap.dim
-        base = np.zeros((d, d), dtype=complex)
-        for xi, c, phi in zip(self.exponents, self.coefficients, self.mode_matrices):
-            base += c * np.exp(xi * t) * phi
-        p = self._dmap.p_at(t)
-        return p @ base @ p.conj().T
+        return self.states_at([t])[0]
 
     def states_at(self, ts):
-        return np.stack([self.state_at(t) for t in np.asarray(ts, dtype=float)])
+        """Cycle states at every time of ``ts``, p evaluated once per grid."""
+        ts = np.asarray(ts, dtype=float).reshape(-1)
+        d = self._dmap.dim
+        weights = np.exp(np.outer(ts, self.exponents)) * self.coefficients
+        base = np.tensordot(weights, np.reshape(self.mode_matrices, (-1, d, d)), axes=1)
+        p = self._dmap.frames(ts)
+        return p @ base @ p.conj().transpose(0, 2, 1)
 
     def to_dict(self):
         return {
@@ -275,8 +274,8 @@ def decay_rate_fit(dmap, cycle, rho0, ts, weight_floor=1e-8):
     the state is already converged.
     """
     ts = np.asarray(ts, dtype=float).reshape(-1)
-    traj = dmap.evolve(rho0, ts)
-    dists = np.array([trace_norm(traj[i] - cycle.state_at(t)) for i, t in enumerate(ts)])
+    gaps = dmap.evolve(rho0, ts) - cycle.states_at(ts)
+    dists = np.sum(np.linalg.svd(gaps, compute_uv=False), axis=1)  # trace norms
 
     if float(np.min(dists)) > 1e-3:
         raise InsufficientDecay(

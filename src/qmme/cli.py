@@ -376,8 +376,9 @@ def build_parser():
     _add_common(p)
     _add_tol(p, "--tol-psd", 1e-12, "bath positivity slack")
     _add_tol(p, "--tol-spectral", 1e-9, "spectral snapping tolerance")
-    p.add_argument("--grid", default="0:60:400", metavar="A:B:N",
-                   help="time grid for the decay fit (default 0:60:400)")
+    p.add_argument("--grid", default="0:120:500", metavar="A:B:N",
+                   help="time grid for the decay fit (default 0:120:500, long enough for "
+                        "the slowest decaying mode of the shipped models)")
     p.add_argument("--rho0", default="basis0", metavar="STATE",
                    help="initial state: mixed, basis0, plus, ground, or a JSON file")
     p.set_defaults(func=cmd_steady_state)

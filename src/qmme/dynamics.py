@@ -9,10 +9,25 @@ with X the constant generator. The equivalent time-local master equation uses
     L(t) = -i [H(t) + sigma_t(delta_h), . ] + sigma_t o dissipator o sigma_t^{-1},
 
 and ``integrate_direct`` solves it with classical fixed-step RK4 under step
-halving; it shares no exponentials with the product form, so agreement
-between the two paths is a meaningful check of the whole construction.
+halving; ``integrate_schrodinger_direct`` solves u' = -i H(t) u the same way.
+
+Both cross-checks take their substeps ``_STEP_BLOCK`` at a time and evaluate
+every series once per block, at all substep starts, midpoints and ends, in
+one batched call. The oracle is linear in a d x d state, y' = A(t) y with
+A = -i H(t), so one substep of size h is a step matrix
+R = I + h/6 (A1 + 2 B2 + 2 B3 + B4), with B2 = A2 (I + h/2 A1),
+B3 = A2 (I + h/2 B2), B4 = A4 (I + h B3) and A1, A2, A4 the generator at t,
+t + h/2 and t + h; a block's step matrices are formed with stacked products
+and applied in order. The master equation keeps its RK4 stages on the d x d
+density matrix, with p and H taken from the block's batched evaluation, so
+no d^2 x d^2 superoperator is formed per node. The product form likewise
+evaluates p once per time grid. What the cross-checks share with the product
+form is only the series evaluation and the constant dissipator matrix; no
+exponential of X enters them, so agreement between the paths is a
+meaningful check of the whole construction.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -32,10 +47,23 @@ __all__ = [
     "rk4_path",
 ]
 
+# RK4 substeps whose stage nodes are evaluated together
+_STEP_BLOCK = 64
+
 
 # ---------------------------------------------------------------------------
 # RK4 with step-halving convergence control
 # ---------------------------------------------------------------------------
+
+def _rk4_step(f, y, h, start, middle, end):
+    """One classical RK4 substep of size h for y' = f(node, y), where
+    ``start``, ``middle`` and ``end`` are the nodes passed to f."""
+    k1 = f(start, y)
+    k2 = f(middle, y + (0.5 * h) * k1)
+    k3 = f(middle, y + (0.5 * h) * k2)
+    k4 = f(end, y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
 
 def _rk4_fixed(f, y0, ts, h_target):
     """March y' = f(t, y) through the nodes ``ts`` with uniform substeps of
@@ -53,14 +81,91 @@ def _rk4_fixed(f, y0, ts, h_target):
         h = span / m
         t = float(a)
         for _ in range(m):
-            k1 = f(t, y)
-            k2 = f(t + 0.5 * h, y + (0.5 * h) * k1)
-            k3 = f(t + 0.5 * h, y + (0.5 * h) * k2)
-            k4 = f(t + h, y + h * k3)
-            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            y = _rk4_step(f, y, h, t, t + 0.5 * h, t + h)
             t += h
         out.append(y)
     return np.stack(out)
+
+
+def _substeps(ts, h_target):
+    """The substeps of ``_rk4_fixed`` as arrays: start time and size of each,
+    and for every node after the first the number of substeps that reach it."""
+    spans = np.diff(ts)
+    if np.any(spans < 0):
+        raise OrderViolation("sample times must be ascending")
+    counts = np.ceil(spans / h_target).astype(np.intp)  # 0 only for a repeated node
+    sizes = np.repeat(spans / np.maximum(counts, 1), counts)
+    reached = np.cumsum(counts)
+    k = np.arange(sizes.size) - np.repeat(reached - counts, counts)
+    return np.repeat(ts[:-1], counts) + k * sizes, sizes, reached
+
+
+def _rk4_step_matrices(a1, a2, a4, h):
+    """Stacked RK4 step matrices of y' = A y from A at t, t + h/2 and t + h."""
+    eye = np.eye(a1.shape[-1])
+    h = h[:, None, None]
+    b2 = a2 @ (eye + (0.5 * h) * a1)
+    b3 = a2 @ (eye + (0.5 * h) * b2)
+    b4 = a4 @ (eye + h * b3)
+    return eye + (h / 6.0) * (a1 + 2.0 * b2 + 2.0 * b3 + b4)
+
+
+def _stage_nodes(t, h):
+    """RK4 stage times of the substeps (t, h): all starts, midpoints, ends."""
+    return np.concatenate([t, t + 0.5 * h, t + h])
+
+
+def _rk4_blocked(advance, y0, ts, h_target):
+    """``_rk4_fixed`` with the substeps taken ``_STEP_BLOCK`` at a time.
+
+    ``advance(y, t, h)`` marches y through the substeps that start at the
+    times ``t`` with sizes ``h`` and returns the state after each of them.
+    """
+    starts, sizes, reached = _substeps(ts, h_target)
+    out = np.empty((ts.size,) + y0.shape, dtype=complex)
+    out[0] = y0
+    out[1:][reached == 0] = y0
+    y = y0
+    for lo in range(0, starts.size, _STEP_BLOCK):
+        path = advance(y, starts[lo : lo + _STEP_BLOCK], sizes[lo : lo + _STEP_BLOCK])
+        y = path[-1]
+        i0, i1 = np.searchsorted(reached, [lo, lo + len(path)], side="right")
+        out[1 + i0 : 1 + i1] = path[reached[i0:i1] - lo - 1]
+    return out
+
+
+def _linear_advance(a_at):
+    """Block march of y' = A(t) y, where ``a_at(times)`` returns the stacked
+    generators A at an array of times: one step matrix per substep."""
+
+    def advance(y, t, h):
+        a1, a2, a4 = np.split(a_at(_stage_nodes(t, h)), 3)
+        path = np.empty((t.size,) + y.shape, dtype=complex)
+        for k, step in enumerate(_rk4_step_matrices(a1, a2, a4, h)):
+            y = step @ y
+            path[k] = y
+        return path
+
+    return advance
+
+
+def _refine(march, y0, ts, tol, norm, h_initial, max_refinements):
+    """Trajectory ``march(y0, ts, h)`` refined by step halving (see rk4_path)."""
+    ts = np.asarray(ts, dtype=float).reshape(-1)
+    y0 = np.array(y0, dtype=complex)
+    if ts.size < 2:
+        return np.stack([y0] * ts.size)
+    h = min(h_initial, max(float(ts[-1] - ts[0]), 1e-12) / 8.0)
+    prev = march(y0, ts, h)
+    for _ in range(max_refinements):
+        h *= 0.5
+        cur = march(y0, ts, h)
+        if norm(cur[-1] - prev[-1]) < tol:
+            return cur
+        prev = cur
+    raise NoConvergence(
+        f"RK4 did not reach tol={tol:.1e} within {max_refinements} step halvings"
+    )
 
 
 def rk4_path(f, y0, ts, tol=1e-8, norm=None, h_initial=0.05, max_refinements=12):
@@ -71,22 +176,14 @@ def rk4_path(f, y0, ts, tol=1e-8, norm=None, h_initial=0.05, max_refinements=12)
     finer trajectory is returned. Raises NoConvergence when the refinement
     budget is exhausted.
     """
-    ts = np.asarray(ts, dtype=float).reshape(-1)
-    if ts.size < 2:
-        return np.stack([np.array(y0, dtype=complex)] * ts.size)
-    if norm is None:
-        norm = trace_norm
-    h = min(h_initial, max(float(ts[-1] - ts[0]), 1e-12) / 8.0)
-    prev = _rk4_fixed(f, y0, ts, h)
-    for _ in range(max_refinements):
-        h *= 0.5
-        cur = _rk4_fixed(f, y0, ts, h)
-        if norm(cur[-1] - prev[-1]) < tol:
-            return cur
-        prev = cur
-    raise NoConvergence(
-        f"RK4 did not reach tol={tol:.1e} within {max_refinements} step halvings"
-    )
+    return _refine(functools.partial(_rk4_fixed, f), y0, ts, tol,
+                   trace_norm if norm is None else norm, h_initial, max_refinements)
+
+
+def _blocked_rk4_path(advance, y0, ts, tol, norm, max_refinements=12):
+    """rk4_path marched block by block with ``advance`` (see _rk4_blocked)."""
+    return _refine(functools.partial(_rk4_blocked, advance), y0, ts, tol, norm, 0.05,
+                   max_refinements)
 
 
 # ---------------------------------------------------------------------------
@@ -106,10 +203,8 @@ class DynamicalMap:
         self.bundle = bundle
         self.dim = model.dim
         self.tol_unitary = float(tol_unitary)
-        self._p_sampler = model.p_series.sampler(model.frequencies)
         self._x = bundle.x.matrix
         self._h_series = None
-        self._h_sampler = None
 
         w, v = np.linalg.eig(self._x)
         cond = float(np.linalg.cond(v))
@@ -130,13 +225,26 @@ class DynamicalMap:
             )
         return self._eig
 
+    def frames(self, ts):
+        """p(t) at every time of ``ts`` as a (len(ts), d, d) array.
+
+        Unitarity is enforced at every node; NotUnitary names the first
+        time whose residual exceeds ``tol_unitary``.
+        """
+        ts = np.asarray(ts, dtype=float).reshape(-1)
+        p = self.model.p_series.evaluate_many(self.model.frequencies, ts)
+        drift = np.linalg.norm(p @ p.conj().transpose(0, 2, 1) - np.eye(self.dim), 2, axis=(1, 2))
+        bad = np.flatnonzero(drift > self.tol_unitary)
+        if bad.size:
+            i = bad[0]
+            raise NotUnitary(
+                f"p({ts[i]}) unitarity residual {drift[i]:.3e} > {self.tol_unitary:.1e}"
+            )
+        return p
+
     def p_at(self, t):
         """Evaluate the unitary series at ``t`` (unitarity enforced)."""
-        p = self._p_sampler(float(t))
-        drift = float(np.linalg.norm(p @ p.conj().T - np.eye(self.dim), 2))
-        if drift > self.tol_unitary:
-            raise NotUnitary(f"p({t}) unitarity residual {drift:.3e} > {self.tol_unitary:.1e}")
-        return p
+        return self.frames([t])[0]
 
     def sigma(self, t):
         """Conjugation superoperator rho -> p(t) rho p(t)^dag."""
@@ -176,42 +284,64 @@ class DynamicalMap:
                 self.model.h_bar,
                 tol_unitary=self.tol_unitary,
             )
-            self._h_sampler = self._h_series.sampler(self.model.frequencies)
         return self._h_series
 
     def lindbladian(self, t):
         """Time-local generator L(t) as a superoperator."""
-        self.h_series()
         p = self.p_at(t)
         pd = p.conj().T
-        h_eff = self._h_sampler(float(t)) + p @ self.bundle.delta_h @ pd
+        h_eff = self.h_series().evaluate(self.model.frequencies, float(t))
+        h_eff = h_eff + p @ self.bundle.delta_h @ pd
         rotated = conjugation_superop(p) @ self.bundle.dissipator.matrix @ conjugation_superop(pd)
         return Superoperator(-1j * ad_superop(h_eff) + rotated)
+
+    def _master_advance(self, rho, t, h):
+        """Block march of the master equation through the substeps (t, h).
+
+        p and H are evaluated at every stage node of the block at once; the
+        RK4 stages act on the d x d state, O(d^4) per stage for the dissipator.
+        """
+        d = self.dim
+        omega = self.model.frequencies
+        nodes = _stage_nodes(t, h)
+        p = self.model.p_series.evaluate_many(omega, nodes)
+        pd = p.conj().transpose(0, 2, 1)
+        gen = -1j * (self.h_series().evaluate_many(omega, nodes) + p @ self.bundle.delta_h @ pd)
+        # the dissipator on row-major vectors: vec_F(X) = vec_C(X^T)
+        rows = np.arange(d * d).reshape(d, d).T.reshape(-1)
+        diss = self.bundle.dissipator.matrix[np.ix_(rows, rows)]
+
+        def rhs(i, rho):
+            dissipated = (diss @ (pd[i] @ rho @ p[i]).reshape(-1)).reshape(d, d)
+            return gen[i] @ rho - rho @ gen[i] + p[i] @ dissipated @ pd[i]
+
+        n = t.size
+        path = np.empty((n, d, d), dtype=complex)
+        for k in range(n):
+            rho = _rk4_step(rhs, rho, h[k], k, n + k, 2 * n + k)
+            path[k] = rho
+        return path
 
     # -- propagation ------------------------------------------------------
 
     def evolve(self, rho0, ts):
-        """Product-form trajectory at the sample times (closed form per node)."""
+        """Product-form trajectory at the sample times, p evaluated once per grid."""
         rho0 = np.asarray(rho0, dtype=complex)
         ts = np.asarray(ts, dtype=float).reshape(-1)
         if np.any(ts < 0):
             raise OrderViolation("sample times must be nonnegative")
         v0 = rho0.reshape(-1, order="F")
         d = self.dim
-        out = np.empty((ts.size, d, d), dtype=complex)
         if self._eig is not None:
             w, v, vinv = self._eig
-            y0 = vinv @ v0
-            for i, t in enumerate(ts):
-                u = (v @ (np.exp(w * t) * y0)).reshape((d, d), order="F")
-                p = self.p_at(t)
-                out[i] = p @ u @ p.conj().T
+            vecs = v @ (np.exp(np.outer(w, ts)) * (vinv @ v0)[:, None])
         else:
+            vecs = np.empty((d * d, ts.size), dtype=complex)
             for i, t in enumerate(ts):
-                u = (self.expm_x(t) @ v0).reshape((d, d), order="F")
-                p = self.p_at(t)
-                out[i] = p @ u @ p.conj().T
-        return out
+                vecs[:, i] = self.expm_x(t) @ v0
+        u = vecs.T.reshape(ts.size, d, d).transpose(0, 2, 1)  # un-stack the columns
+        p = self.frames(ts)
+        return p @ u @ p.conj().transpose(0, 2, 1)
 
     def integrate_direct(self, rho0, ts, tol=1e-8, max_refinements=12):
         """Trajectory from RK4 on the time-local master equation.
@@ -219,23 +349,8 @@ class DynamicalMap:
         Deliberately avoids the product form: the only shared ingredients are
         the series evaluations and the constant dissipator matrix.
         """
-        self.h_series()
-        d = self.dim
-        delta_h = self.bundle.delta_h
-        diss = self.bundle.dissipator.matrix
-        p_sampler = self._p_sampler
-        h_sampler = self._h_sampler
-
-        def rhs(t, rho):
-            p = p_sampler(t)
-            pd = p.conj().T
-            h_eff = h_sampler(t) + p @ delta_h @ pd
-            inner = pd @ rho @ p
-            dissipated = (diss @ inner.reshape(-1, order="F")).reshape((d, d), order="F")
-            return -1j * (h_eff @ rho - rho @ h_eff) + p @ dissipated @ pd
-
-        return rk4_path(rhs, np.asarray(rho0, dtype=complex), ts, tol=tol,
-                        max_refinements=max_refinements)
+        return _blocked_rk4_path(self._master_advance, np.asarray(rho0, dtype=complex), ts,
+                                 tol, trace_norm, max_refinements)
 
 
 # ---------------------------------------------------------------------------
@@ -283,10 +398,7 @@ def integrate_schrodinger_direct(model, ts, tol=1e-8):
     oracle used to confirm that p(t) exp(-i t h_bar) solves the same equation.
     """
     h_series = synthesize_hamiltonian(model.p_series, model.frequencies, model.h_bar)
-    sampler = h_series.sampler(model.frequencies)
-
-    def rhs(t, u):
-        return -1j * (sampler(t) @ u)
-
-    y0 = np.eye(model.dim, dtype=complex)
-    return rk4_path(rhs, y0, ts, tol=tol, norm=np.linalg.norm)
+    return _blocked_rk4_path(
+        _linear_advance(lambda times: -1j * h_series.evaluate_many(model.frequencies, times)),
+        np.eye(model.dim, dtype=complex), ts, tol, np.linalg.norm,
+    )

@@ -19,6 +19,9 @@ import numpy as np
 
 from .errors import DimensionMismatch, Overflow
 
+# largest (times x terms) phase block that evaluate_many holds at once
+_PHASE_CHUNK = 16384
+
 __all__ = [
     "FourierOperatorSeries",
     "frequency_vector",
@@ -119,16 +122,33 @@ class FourierOperatorSeries:
         return np.tensordot(phases, arr, axes=(0, 0))
 
     def evaluate_many(self, omega, ts):
-        """Vectorized evaluation; returns an array of shape (len(ts), d, d)."""
+        """Evaluate at every time of ``ts``; returns an array (len(ts), d, d).
+
+        The phases exp(i (n . omega) t) are products of per-axis factors
+        exp(i omega_j n_j t), gathered from one (times x (2 trunc + 1)) table
+        per axis, and are contracted with the stacked coefficients in one
+        matrix product. Times are taken in chunks of at most ``_PHASE_CHUNK``
+        phase entries (one time at least), so memory does not grow with the grid.
+        """
         omega = frequency_vector(omega)
         if omega.size != self.r:
             raise DimensionMismatch(f"frequency vector length {omega.size} != r = {self.r}")
         ts = np.asarray(ts, dtype=float).reshape(-1)
         idx, arr = self._stacked()
+        out = np.zeros((ts.size, self.d * self.d), dtype=complex)
         if arr.shape[0] == 0:
-            return np.zeros((ts.size, self.d, self.d), dtype=complex)
-        phases = np.exp(1j * np.outer(ts, idx @ omega))
-        return np.einsum("tm,mij->tij", phases, arr)
+            return out.reshape(ts.size, self.d, self.d)
+        slots = idx.T.astype(np.intp) + self.trunc  # column of each term in the axis tables
+        axis_freqs = omega[:, None] * np.arange(-self.trunc, self.trunc + 1)
+        flat = arr.reshape(arr.shape[0], -1)
+        rows = max(1, _PHASE_CHUNK // arr.shape[0])
+        for lo in range(0, ts.size, rows):
+            chunk = ts[lo : lo + rows, None]
+            phases = np.exp(1j * (chunk * axis_freqs[0]))[:, slots[0]]
+            for j in range(1, self.r):
+                phases *= np.exp(1j * (chunk * axis_freqs[j]))[:, slots[j]]
+            out[lo : lo + rows] = phases @ flat
+        return out.reshape(ts.size, self.d, self.d)
 
     def sampler(self, omega):
         """Return a fast closure t -> A(t) with frequencies bound."""

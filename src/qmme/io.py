@@ -137,7 +137,58 @@ def _matrix_from_json(v, where):
         raise ParseError(
             f"{where}: expected a square matrix of [re, im] pairs, got shape {arr.shape}"
         )
+    if not np.isfinite(arr).all():
+        raise ParseError(f"{where}: non-finite entry")
     return arr[..., 0] + 1j * arr[..., 1]
+
+
+def _matrices_from_json(values, where):
+    """:func:`_matrix_from_json` over a list of equal-shape matrices, converted
+    in one call; on failure the first bad entry is named."""
+    if not values:
+        return np.zeros((0, 0, 0), dtype=complex)
+    try:
+        arr = np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        arr = np.zeros(0)
+    if arr.ndim != 4 or arr.shape[3] != 2 or arr.shape[1] != arr.shape[2] or not np.isfinite(arr).all():
+        shapes = {_matrix_from_json(v, f"{where}[{i}]").shape for i, v in enumerate(values)}
+        raise ParseError(f"{where}: matrices of different shapes {sorted(shapes)}")
+    return arr[..., 0] + 1j * arr[..., 1]
+
+
+def _number(value, where, integer=False):
+    """A finite JSON number, or an integral one when ``integer`` is set.
+
+    Raises ParseError naming the JSON path ``where`` for anything else:
+    strings, booleans, non-integral counts, and values the JSON reader
+    turned into infinity (such as 1e400).
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ParseError(f"{where}: expected a number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise ParseError(f"{where}: non-finite value {value!r}")
+    if not integer:
+        return x
+    if x != int(x):
+        raise ParseError(f"{where}: expected an integer, got {value!r}")
+    return int(x)
+
+
+def _numbers(values, where, integer=False):
+    """A JSON list of numbers, each checked by :func:`_number`."""
+    if not isinstance(values, list):
+        raise ParseError(f"{where}: expected a list of numbers")
+    try:
+        return [_number(v, where, integer) for v in values]
+    except ParseError:  # name the failing element; its path is only built here
+        for i, v in enumerate(values):
+            _number(v, f"{where}[{i}]", integer)
+        raise
 
 
 def _require(d, key, where):
@@ -195,11 +246,7 @@ def model_from_dict(data):
             f"schema version {data.get('version')!r} is not supported "
             f"(this reader handles version {SCHEMA_VERSION})"
         )
-    freqs = _require(data, "frequencies", "model")
-    try:
-        omega = np.asarray(freqs, dtype=float).reshape(-1)
-    except (TypeError, ValueError):
-        raise ParseError("model.frequencies: not a numeric vector") from None
+    omega = np.array(_numbers(_require(data, "frequencies", "model"), "model.frequencies"))
     h_bar = _matrix_from_json(_require(data, "h_bar", "model"), "model.h_bar")
     raw_couplings = _require(data, "couplings", "model")
     if not isinstance(raw_couplings, list) or not raw_couplings:
@@ -209,9 +256,12 @@ def model_from_dict(data):
     ]
     bath_obj = _require(data, "bath", "model")
     family = _require(bath_obj, "family", "model.bath")
+    if not isinstance(family, str):
+        raise ParseError(f"model.bath.family: expected a family name, got {family!r}")
     params = bath_obj.get("params", {})
     if not isinstance(params, dict):
         raise ParseError("model.bath.params: expected an object")
+    params = {k: _number(v, f"model.bath.params.{k}") for k, v in params.items()}
     try:
         bath = bath_from_family(family, params, len(couplings))
     except KeyError as exc:
@@ -219,40 +269,42 @@ def model_from_dict(data):
 
     if "p_series" in data:
         ps = data["p_series"]
-        r = int(_require(ps, "r", "model.p_series"))
-        trunc = int(_require(ps, "trunc", "model.p_series"))
+        r = _number(_require(ps, "r", "model.p_series"), "model.p_series.r", integer=True)
+        trunc = _number(_require(ps, "trunc", "model.p_series"), "model.p_series.trunc", integer=True)
         coeff_list = _require(ps, "coefficients", "model.p_series")
         if not isinstance(coeff_list, list):
             raise ParseError("model.p_series.coefficients: expected a list")
-        coeffs = {}
+        positions, matrices = {}, []
         for i, entry in enumerate(coeff_list):
             where = f"model.p_series.coefficients[{i}]"
-            n = _require(entry, "n", where)
-            try:
-                idx = tuple(int(v) for v in n)
-            except (TypeError, ValueError):
-                raise ParseError(f"{where}.n: not an integer vector") from None
-            if idx in coeffs:
+            idx = tuple(_numbers(_require(entry, "n", where), f"{where}.n", integer=True))
+            if idx in positions:
                 raise ParseError(f"{where}: duplicate index {idx}")
-            coeffs[idx] = _matrix_from_json(_require(entry, "matrix", where), where)
-        dim = int(ps.get("dim", h_bar.shape[0]))
-        p_series = FourierOperatorSeries(
-            r, dim, trunc, coeffs, tail_norm=float(ps.get("tail_norm", 0.0))
-        )
+            positions[idx] = i
+            matrices.append(_require(entry, "matrix", where))
+        stacked = _matrices_from_json(matrices, "model.p_series.coefficients")
+        coeffs = {idx: stacked[i] for idx, i in positions.items()}
+        dim = _number(ps.get("dim", h_bar.shape[0]), "model.p_series.dim", integer=True)
+        tail = _number(ps.get("tail_norm", 0.0), "model.p_series.tail_norm")
+        p_series = FourierOperatorSeries(r, dim, trunc, coeffs, tail_norm=tail)
     elif "p_generator" in data:
         pg = data["p_generator"]
-        trunc = int(_require(pg, "trunc", "model.p_generator"))
+        trunc = _number(_require(pg, "trunc", "model.p_generator"), "model.p_generator.trunc",
+                        integer=True)
         raw_terms = _require(pg, "terms", "model.p_generator")
         if not isinstance(raw_terms, list) or not raw_terms:
             raise ParseError("model.p_generator.terms: expected a nonempty list")
         terms = []
         for i, td in enumerate(raw_terms):
             where = f"model.p_generator.terms[{i}]"
+            index = _numbers(_require(td, "index", where), f"{where}.index", integer=True)
+            if len(index) != omega.size:
+                raise ParseError(f"{where}.index: has {len(index)} entries, expected r = {omega.size}")
             terms.append(
                 {
                     "profile": _require(td, "profile", where),
-                    "index": _require(td, "index", where),
-                    "amplitude": float(_require(td, "amplitude", where)),
+                    "index": index,
+                    "amplitude": _number(_require(td, "amplitude", where), f"{where}.amplitude"),
                     "matrix": _matrix_from_json(_require(td, "matrix", where), where),
                 }
             )

@@ -160,6 +160,17 @@ class TestLimitCycle:
         late = dmap.evolve(rho0, [t_late])[0]
         assert trace_norm(late - cycle.state_at(t_late)) < 1e-8
 
+    def test_states_on_grid_match_mode_sum(self, q3, rng):
+        # reference: the per-time mode sum, conjugated by p(t) from evaluate
+        model, _, dmap = q3
+        cycle = limit_cycle(dmap, random_density(rng, 3))
+        ts = np.array([0.0, 1.3, 7.9, 60.0])
+        for t, rho in zip(ts, cycle.states_at(ts)):
+            base = sum(c * np.exp(xi * t) * phi for xi, c, phi in
+                       zip(cycle.exponents, cycle.coefficients, cycle.mode_matrices))
+            p = model.p_series.evaluate(model.frequencies, t)
+            assert np.allclose(rho, p @ base @ p.conj().T, atol=1e-12)
+
     def test_cycle_states_are_densities(self, q3, rng):
         _, _, dmap = q3
         cycle = limit_cycle(dmap, random_density(rng, 3))

@@ -1,13 +1,16 @@
 """Integrators, the product-form map, and its direct-integration oracles."""
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import random_density
+from conftest import random_density, random_hermitian
 
+from qmme import dynamics
 from qmme.dynamics import (
     DynamicalMap,
     integrate_mme_direct,
@@ -17,7 +20,14 @@ from qmme.dynamics import (
 )
 from qmme.errors import Defective, NoConvergence, NotUnitary, OrderViolation
 from qmme.fourier import FourierOperatorSeries
+from qmme.generator import build_generator
 from qmme.linalg import devectorize, trace_norm, vectorize
+from qmme.model import (
+    BathSpectrum,
+    ReducedModel,
+    p_series_from_profile_terms,
+    synthesize_hamiltonian,
+)
 
 
 class TestRk4:
@@ -61,6 +71,154 @@ class TestRk4:
         ts = [0.0, 1.0, 1.0, 2.0]
         path = rk4_path(lambda t, y: -y, np.array([1.0 + 0j]), ts, tol=1e-10, norm=np.linalg.norm)
         assert path[1, 0] == path[2, 0]
+
+
+def _constant(a):
+    """Generator callback of the linear path for a constant matrix."""
+    a = np.asarray(a, dtype=complex)
+    return lambda times: np.broadcast_to(a, (len(times),) + a.shape)
+
+
+def _rotation(times):
+    """A(t) = [[0, t], [-t, 0]]: y(t) rotates by the angle t^2 / 2."""
+    a = np.zeros((len(times), 2, 2), dtype=complex)
+    a[:, 0, 1], a[:, 1, 0] = times, -np.asarray(times)
+    return a
+
+
+class TestLinearRk4:
+    """The blocked step-matrix march against the callback integrator."""
+
+    def path(self, a_at, y0, ts, **kwargs):
+        kwargs.setdefault("tol", 1e-10)
+        kwargs.setdefault("norm", np.linalg.norm)
+        return dynamics._blocked_rk4_path(dynamics._linear_advance(a_at),
+                                          np.asarray(y0, dtype=complex), ts, **kwargs)
+
+    def test_matches_callback_scheme(self):
+        # uneven node spacing, so the substeps of several intervals share blocks
+        ts = np.concatenate([np.linspace(0.0, 1.0, 7), [1.3, 2.0, 2.05, 3.0]])
+        y0 = np.array([1.0, 0.5j])
+        linear = self.path(_rotation, y0, ts)
+        callback = rk4_path(lambda t, y: _rotation([t])[0] @ y, y0, ts, tol=1e-10,
+                            norm=np.linalg.norm)
+        assert np.max(np.abs(linear - callback)) < 1e-13
+        angle = 0.5 * ts[-1] ** 2
+        expect = np.array([[math.cos(angle), math.sin(angle)], [-math.sin(angle), math.cos(angle)]]) @ y0
+        assert np.allclose(linear[-1], expect, atol=1e-9)
+
+    def test_repeated_node(self):
+        path = self.path(_constant([[-1.0]]), [1.0], [0.0, 1.0, 1.0, 2.0])
+        assert path[1, 0] == path[2, 0]
+        assert abs(path[3, 0] - math.exp(-2.0)) < 1e-9
+
+    def test_repeated_first_node(self):
+        path = self.path(_constant([[-1.0]]), [1.0], [0.0, 0.0, 1.0])
+        assert path[0, 0] == path[1, 0] == 1.0
+
+    def test_descending_times_rejected(self):
+        with pytest.raises(OrderViolation):
+            self.path(_constant([[-1.0]]), [1.0], [0.0, 2.0, 1.0])
+
+
+def _master_rhs(model, bundle, dmap):
+    """The master equation's right-hand side, sampled point by point."""
+    d = dmap.dim
+    p_at = model.p_series.sampler(model.frequencies)
+    h_at = dmap.h_series().sampler(model.frequencies)
+    diss = bundle.dissipator.matrix
+
+    def rhs(t, rho):
+        p = p_at(t)
+        pd = p.conj().T
+        h_eff = h_at(t) + p @ bundle.delta_h @ pd
+        inner = (diss @ vectorize(pd @ rho @ p)).reshape((d, d), order="F")
+        return -1j * (h_eff @ rho - rho @ h_eff) + p @ inner @ pd
+
+    return rhs
+
+
+class TestBatchedIntegratorsMatchCallbacks:
+    """Both cross-checks against rk4_path driven by per-step right-hand sides."""
+
+    def halvings(self, monkeypatch, run):
+        marches = []
+        march = dynamics._rk4_blocked
+
+        def counted(*args):
+            marches.append(1)
+            return march(*args)
+
+        monkeypatch.setattr(dynamics, "_rk4_blocked", counted)
+        return run(), len(marches) - 1
+
+    def counted_norm(self, norm, calls):
+        def wrapped(a):
+            calls.append(1)
+            return norm(a)
+
+        return wrapped
+
+    @pytest.mark.parametrize("fixture", ["q2", "q3"])
+    def test_direct_master_equation(self, fixture, request, monkeypatch):
+        model, bundle, dmap = request.getfixturevalue(fixture)
+        d = dmap.dim
+        rho0 = np.full((d, d), 1.0 / d, dtype=complex)
+        ts = np.linspace(0.0, 4.0, 41)
+        rhs = _master_rhs(model, bundle, dmap)
+
+        calls = []
+        reference = rk4_path(rhs, rho0, ts, tol=1e-8, norm=self.counted_norm(trace_norm, calls))
+        batched, halvings = self.halvings(
+            monkeypatch, lambda: dmap.integrate_direct(rho0, ts, tol=1e-8))
+        assert np.max(np.abs(batched - reference)) <= 1e-12
+        assert halvings == len(calls)
+
+    @pytest.mark.parametrize("fixture", ["q2", "q3"])
+    def test_schrodinger_oracle(self, fixture, request, monkeypatch):
+        model, _, _ = request.getfixturevalue(fixture)
+        ts = np.linspace(0.0, 2.0, 9)
+        h_at = synthesize_hamiltonian(model.p_series, model.frequencies, model.h_bar).sampler(
+            model.frequencies)
+        calls = []
+        reference = rk4_path(lambda t, u: -1j * (h_at(t) @ u), np.eye(model.dim), ts, tol=1e-10,
+                             norm=self.counted_norm(np.linalg.norm, calls))
+        batched, halvings = self.halvings(
+            monkeypatch, lambda: integrate_schrodinger_direct(model, ts, tol=1e-10))
+        assert np.max(np.abs(batched - reference)) <= 1e-12
+        assert halvings == len(calls)
+
+
+class TestDirectIntegrationAtLargerDimension:
+    def test_working_memory_stays_on_the_state(self):
+        # d = 8: the batched master equation must keep its stages on d x d
+        # states; a d^2 x d^2 generator per stage node of the first march
+        # (60 nodes) would alone take 3.9 MB
+        d = 8
+        rng = np.random.default_rng(8)
+        terms = [{"profile": "sin", "index": (1,), "amplitude": 0.1,
+                  "matrix": random_hermitian(rng, d) / d}]
+        model = ReducedModel(
+            frequencies=np.array([1.0]),
+            p_series=p_series_from_profile_terms(terms, r=1, trunc=6),
+            h_bar=random_hermitian(rng, d) / d,
+            couplings=[random_hermitian(rng, d) / (2 * d)],
+            bath=BathSpectrum.ohmic_kms(kappa=0.1, cutoff=5.0, beta=1.0, n_couplings=1),
+        )
+        bundle = build_generator(model, validate=False)
+        dmap = DynamicalMap(model, bundle)
+        dmap.h_series()
+        rho0 = random_density(rng, d)
+        ts = np.linspace(0.0, 1.0, 3)
+        tracemalloc.start()
+        try:
+            direct = dmap.integrate_direct(rho0, ts, tol=1e-6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
+        reference = rk4_path(_master_rhs(model, bundle, dmap), rho0, ts, tol=1e-6)
+        assert np.max(np.abs(direct - reference)) <= 1e-12
 
 
 class TestMapBasics:
@@ -169,6 +327,17 @@ class TestTrajectories:
         _, _, dmap = q1
         with pytest.raises(OrderViolation):
             dmap.evolve(np.eye(2) / 2, [-1.0, 0.0])
+
+    def test_non_unitary_frame_names_first_bad_time(self, q1):
+        # p(t) = 1 + a (exp(i t) - 1) is unitary at t = 0 only; the residual
+        # a (1 - cos t) stays below 1e-9 at t = 1e-3 and exceeds it from t = 0.5
+        model, bundle, _ = q1
+        a = 1e-6
+        series = FourierOperatorSeries(2, 2, 1, {(0, 0): (1 - a) * np.eye(2), (1, 0): a * np.eye(2)})
+        dmap = DynamicalMap(dataclasses.replace(model, p_series=series), bundle)
+        with pytest.raises(NotUnitary, match=r"^p\(0\.5\) unitarity residual .* > 1\.0e-09$"):
+            dmap.evolve(np.eye(2) / 2, [0.0, 1e-3, 0.5, 1.0, 2.0])
+        assert dmap.evolve(np.eye(2) / 2, [0.0, 1e-3]).shape == (2, 2, 2)
 
     def test_direct_integration_matches_closed_form(self, q1):
         _, _, dmap = q1

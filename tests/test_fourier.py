@@ -57,11 +57,25 @@ class TestSeriesBasics:
         assert np.array_equal(s.coeff((2,)), np.zeros((2, 2)))
 
     def test_sampler_matches_evaluate(self, rng):
-        s = random_series(rng, 2, 3, 4, 9)
-        omega = np.array([1.0, math.sqrt(2)])
-        sampler = s.sampler(omega)
-        for t in [0.0, 0.31, 2.9, 17.3]:
-            assert np.allclose(sampler(t), s.evaluate(omega, t), atol=1e-13)
+        # sampler and evaluate_many against evaluate, out to t = 200; with
+        # 60 terms (r = 3) the grid spans three evaluate_many chunks
+        ts = np.concatenate([[0.0, 0.31, 2.9, 17.3], np.linspace(0.0, 200.0, 701)])
+        for omega, n_terms in (([1.0, math.sqrt(2)], 9), ([1.0, math.sqrt(2), math.sqrt(3)], 60)):
+            omega = np.array(omega)
+            s = random_series(rng, omega.size, 3, 4, n_terms)
+            sampler = s.sampler(omega)
+            many = s.evaluate_many(omega, ts)
+            assert many.shape == (ts.size, 3, 3)
+            bound = 1e-13 * s.l1_norm()
+            for t, value in zip(ts, many):
+                expect = s.evaluate(omega, t)
+                assert np.max(np.abs(sampler(t) - expect)) <= bound
+                assert np.max(np.abs(value - expect)) <= bound
+
+    def test_evaluate_many_empty(self):
+        s = FourierOperatorSeries(2, 2, 3, {})
+        assert np.array_equal(s.evaluate_many([1.0, 2.0], [0.0, 1.5]), np.zeros((2, 2, 2)))
+        assert s.evaluate_many([1.0, 2.0], []).shape == (0, 2, 2)
 
 
 class TestSeriesAlgebra:

@@ -296,6 +296,65 @@ class TestCliValidate:
         assert payload["congruence_freedom"]["passed"] is False
 
 
+def _mutated(doc, edit):
+    doc = json.loads(json.dumps(doc))
+    edit(doc)
+    return json.dumps(doc)
+
+
+def _generator_with_short_index(doc):
+    term = {"profile": "sin", "index": [1], "amplitude": 0.3, "matrix": doc["h_bar"]}
+    doc["p_generator"] = {"trunc": 4, "terms": [term]}
+    del doc["p_series"]
+
+
+MALFORMED = {
+    "family-not-a-name": lambda d: d["bath"].update(family=["flat"]),
+    "gamma-not-a-number": lambda d: d["bath"]["params"].update(gamma="abc"),
+    "trunc-not-a-number": lambda d: d["p_series"].update(trunc="x"),
+    "trunc-not-an-integer": lambda d: d["p_series"].update(trunc=1.5),
+    "index-wrong-length": lambda d: d["p_series"]["coefficients"][0].update(n=[0]),
+    "generator-index-wrong-length": _generator_with_short_index,
+}
+
+
+class TestCliMalformedInput:
+    @pytest.mark.parametrize("case", sorted(MALFORMED) + ["gamma-overflows"])
+    def test_usage_error_without_traceback(self, case, tmp_path):
+        doc = json.loads((MODELS_DIR / "qubit_dephasing.json").read_text())
+        if case == "gamma-overflows":  # the JSON reader turns 1e400 into inf
+            text = json.dumps(doc).replace('"gamma": 0.25', '"gamma": 1e400')
+            assert "1e400" in text
+        else:
+            text = _mutated(doc, MALFORMED[case])
+        path = tmp_path / "model.json"
+        path.write_text(text)
+        res = run_cli("build", str(path))
+        assert res.returncode == 2, res.stderr
+        assert "Traceback" not in res.stderr
+        assert "message" in json.loads(res.stdout)["error"]
+
+    def test_error_names_json_path(self):
+        doc = model_to_dict(preset("qubit_dephasing"))
+        doc["bath"]["params"]["gamma"] = "abc"
+        with pytest.raises(ParseError, match=r"model\.bath\.params\.gamma"):
+            model_from_dict(doc)
+        doc = model_to_dict(preset("qubit_dephasing"))
+        doc["p_series"]["coefficients"][0]["n"] = [0, True]
+        with pytest.raises(ParseError, match=r"coefficients\[0\]\.n\[1\]"):
+            model_from_dict(doc)
+
+    def test_bad_coefficient_matrix_named(self):
+        doc = model_to_dict(preset("qubit_driven"))
+        doc["p_series"]["coefficients"][3]["matrix"][0][1] = [1e400, 0.0]
+        with pytest.raises(ParseError, match=r"coefficients\[3\]: non-finite entry"):
+            model_from_dict(doc)
+        doc = model_to_dict(preset("qubit_driven"))
+        doc["p_series"]["coefficients"][3]["matrix"] = [[[1.0, 0.0]]]
+        with pytest.raises(ParseError, match=r"different shapes \[\(1, 1\), \(2, 2\)\]"):
+            model_from_dict(doc)
+
+
 class TestCliBuild:
     def test_build_reports_structure(self):
         res = run_cli("build", str(MODELS_DIR / "qubit_dephasing.json"))
@@ -351,6 +410,16 @@ class TestCliDynamics:
         assert payload["stability"]["k0"] == 2
         assert payload["limit_cycle"]["quasiperiodic"] is True
         assert payload["decay_fit"]["relative_error"] < 0.05
+
+    @pytest.mark.parametrize("name", sorted(set(PRESETS) - {"qubit_congruence_violating"}))
+    def test_steady_state_default_grid_fits(self, name):
+        # the default initial state basis0 is stationary on the dephasing qubit
+        extra = ["--rho0", "plus"] if name == "qubit_dephasing" else []
+        res = run_cli("steady-state", str(MODELS_DIR / f"{name}.json"), *extra)
+        assert res.returncode == 0, res.stderr
+        fit = json.loads(res.stdout)["decay_fit"]
+        assert "error" not in fit
+        assert fit["relative_error"] < 0.05
 
     def test_certify_passes(self):
         res = run_cli(
