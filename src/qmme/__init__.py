@@ -32,11 +32,7 @@ from .bohr import (
 )
 from .dynamics import (
     DynamicalMap,
-    assemble_lindbladian,
-    dynamical_map,
-    integrate_mme_direct,
     integrate_schrodinger_direct,
-    propagator,
     rk4_path,
 )
 from .errors import (
@@ -120,10 +116,6 @@ __all__ = [
     "check_covariance",
     # dynamics
     "DynamicalMap",
-    "dynamical_map",
-    "propagator",
-    "assemble_lindbladian",
-    "integrate_mme_direct",
     "integrate_schrodinger_direct",
     "rk4_path",
     # analysis

@@ -160,20 +160,31 @@ def check_congruence_freedom(bohr_freqs, omega, box=12, tol=1e-9):
     """Scan for distinct Bohr frequencies congruent modulo the base lattice.
 
     Looks for |w - w' - n . omega| < tol with w != w' and 0 < max|n_i| <= box.
-    Returns None on pass, otherwise a witness (w, w', n). Frequency vectors
+    Returns None on pass, otherwise a witness (w, w', n): the first pair in
+    pair-major order, with n its first lattice point in shell order, as a
+    point-by-point scan finds it. The lattice values n . omega are computed
+    and sorted once, and each pair is a binary search. Frequency vectors
     failing rational independence should be caught separately; this check
     only inspects distinct frequency pairs.
     """
     bohr_freqs = np.asarray(bohr_freqs, dtype=float).reshape(-1)
     omega = frequency_vector(omega)
-    for i, wi in enumerate(bohr_freqs):
-        for j, wj in enumerate(bohr_freqs):
-            if i == j:
-                continue
-            target = wi - wj
-            for n in _shells(omega.size, box):
-                if abs(target - float(np.dot(n, omega))) < tol:
-                    return (float(wi), float(wj), tuple(n))
+    pts = _shells(omega.size, box)
+    dots = pts @ omega
+    order = np.argsort(dots, kind="stable")
+    ranked = dots[order]
+    targets = bohr_freqs[:, None] - bohr_freqs[None, :]
+    # a window of twice the tolerance holds every point the exact test below accepts
+    lo = np.searchsorted(ranked, targets - 2 * tol, side="left")
+    hi = np.searchsorted(ranked, targets + 2 * tol, side="right")
+    candidates = hi > lo
+    np.fill_diagonal(candidates, False)  # distinct frequencies only
+    for i, j in zip(*np.nonzero(candidates)):  # pair-major order
+        near = order[lo[i, j] : hi[i, j]]
+        near = near[np.abs(targets[i, j] - dots[near]) < tol]
+        if near.size:
+            n = tuple(int(v) for v in pts[near.min()])
+            return (float(bohr_freqs[i]), float(bohr_freqs[j]), n)
     return None
 
 

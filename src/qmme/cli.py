@@ -34,6 +34,7 @@ from .errors import (
     UnknownFrequency,
 )
 from .io import (
+    _matrix_to_json,
     dumps_canonical,
     load_density_matrix,
     load_model,
@@ -101,9 +102,9 @@ def _parse_grid(spec):
         start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise ParseError(f"--grid needs numeric start:stop and integer count, got {spec!r}") from None
-    if start < 0 or stop <= start or count < 2:
+    if not (np.isfinite(start) and np.isfinite(stop)) or start < 0 or stop <= start or count < 2:
         raise ParseError(
-            f"--grid needs 0 <= start < stop and count >= 2, got {spec!r}"
+            f"--grid needs finite 0 <= start < stop and count >= 2, got {spec!r}"
         )
     return np.linspace(start, stop, count)
 
@@ -182,11 +183,6 @@ def _build(args, mdl):
     return report, bundle
 
 
-def _matrix_json(m):
-    m = np.asarray(m, dtype=complex)
-    return [[[float(v.real), float(v.imag)] for v in row] for row in m]
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -209,7 +205,7 @@ def cmd_synthesize(args):
         "trunc": h_series.trunc,
         "tail_norm": float(h_series.tail_norm),
         "coefficients": [
-            {"n": [int(v) for v in n], "matrix": _matrix_json(h_series.coeffs[n])}
+            {"n": [int(v) for v in n], "matrix": _matrix_to_json(h_series.coeffs[n])}
             for n in h_series.indices()
         ],
     }
@@ -227,7 +223,7 @@ def cmd_build(args):
         "decomposition": {
             "quasienergies": [float(e) for e in decomp.quasienergies],
             "bohr_frequencies": [float(w) for w in decomp.bohr_frequencies],
-            "projections": [_matrix_json(p) for p in decomp.projections],
+            "projections": [_matrix_to_json(p) for p in decomp.projections],
         },
         "jump_operators": [
             {
@@ -241,17 +237,17 @@ def cmd_build(args):
             }
             for (mu, n, w_idx), s in bundle.jumps.items_sorted()
         ],
-        "delta_h": _matrix_json(bundle.delta_h),
+        "delta_h": _matrix_to_json(bundle.delta_h),
         "kossakowski_blocks": [
             {
                 "n": [int(v) for v in n],
                 "frequency": float(decomp.bohr_frequencies[w_idx]),
                 "shifted_frequency": float(bundle.shifted_frequencies[(w_idx, n)]),
-                "h_matrix": _matrix_json(h),
+                "h_matrix": _matrix_to_json(h),
             }
             for (w_idx, n), h in sorted(bundle.kossakowski.items())
         ],
-        "x_matrix": _matrix_json(bundle.x.matrix),
+        "x_matrix": _matrix_to_json(bundle.x.matrix),
         "covariance": cov.to_dict(),
     }
     _emit(args, "build.json", dumps_canonical(payload))
@@ -415,6 +411,9 @@ def main(argv=None):
             payload["validation"] = report.to_dict()
         sys.stdout.write(dumps_canonical(payload))
         return _exit_code_for(exc)
+    except Exception as exc:  # an unanticipated failure is numerical (3), never exit 1
+        sys.stdout.write(dumps_canonical({"error": {"type": type(exc).__name__, "message": str(exc)}}))
+        return 3
 
 
 if __name__ == "__main__":

@@ -38,11 +38,6 @@ from .model import synthesize_hamiltonian
 
 __all__ = [
     "DynamicalMap",
-    "sigma_superop",
-    "dynamical_map",
-    "propagator",
-    "assemble_lindbladian",
-    "integrate_mme_direct",
     "integrate_schrodinger_direct",
     "rk4_path",
 ]
@@ -246,13 +241,6 @@ class DynamicalMap:
         """Evaluate the unitary series at ``t`` (unitarity enforced)."""
         return self.frames([t])[0]
 
-    def sigma(self, t):
-        """Conjugation superoperator rho -> p(t) rho p(t)^dag."""
-        return Superoperator(conjugation_superop(self.p_at(t)))
-
-    def sigma_inverse(self, t):
-        return Superoperator(conjugation_superop(self.p_at(t).conj().T))
-
     def expm_x(self, t):
         """Matrix of exp(t X)."""
         if self._eig is not None:
@@ -356,40 +344,6 @@ class DynamicalMap:
 # ---------------------------------------------------------------------------
 # module-level entry points
 # ---------------------------------------------------------------------------
-
-def sigma_superop(p_series, omega, t, tol_unitary=1e-9):
-    """Conjugation superoperator by p(t) evaluated from a series."""
-    p = p_series.evaluate(omega, float(t))
-    drift = float(np.linalg.norm(p @ p.conj().T - np.eye(p_series.d), 2))
-    if drift > tol_unitary:
-        raise NotUnitary(f"p({t}) unitarity residual {drift:.3e} > {tol_unitary:.1e}")
-    return Superoperator(conjugation_superop(p))
-
-
-def dynamical_map(model, bundle, t, **kwargs):
-    """One-off map at time t; build a DynamicalMap for repeated use."""
-    return DynamicalMap(model, bundle, **kwargs).at(t)
-
-
-def propagator(model, bundle, t, s, **kwargs):
-    """One-off two-time propagator."""
-    return DynamicalMap(model, bundle, **kwargs).propagator(t, s)
-
-
-def assemble_lindbladian(model, bundle, t, **kwargs):
-    """One-off time-local generator L(t)."""
-    return DynamicalMap(model, bundle, **kwargs).lindbladian(t)
-
-
-def integrate_mme_direct(model, bundle, rho0, t_end, tol=1e-8, samples=200):
-    """Direct RK4 solution of the master equation on a uniform grid.
-
-    Returns (ts, states) with ``samples`` nodes on [0, t_end].
-    """
-    ts = np.linspace(0.0, float(t_end), int(samples))
-    states = DynamicalMap(model, bundle).integrate_direct(rho0, ts, tol=tol)
-    return ts, states
-
 
 def integrate_schrodinger_direct(model, ts, tol=1e-8):
     """RK4 solution of u' = -i H(t) u with u(ts[0]) = I.

@@ -12,7 +12,6 @@ evaluation error introduced by the loss, and input tails propagate through
 products scaled by the partner's l1 norm.
 """
 
-import itertools
 import math
 
 import numpy as np
@@ -272,12 +271,12 @@ class FourierOperatorSeries:
 
 
 def _shells(r, box):
-    """Integer points of the box |k_i| <= box, excluding 0, in shells of
-    increasing Chebyshev radius (lexicographic inside a shell)."""
-    for radius in range(1, box + 1):
-        for k in itertools.product(range(-radius, radius + 1), repeat=r):
-            if max(abs(v) for v in k) == radius:
-                yield k
+    """Integer points of the box |k_i| <= box, excluding 0, as an (N, r) array
+    in shells of increasing Chebyshev radius (lexicographic inside a shell)."""
+    axis = np.arange(-box, box + 1)
+    pts = np.stack(np.meshgrid(*[axis] * r, indexing="ij"), axis=-1).reshape(-1, r)
+    order = np.argsort(np.abs(pts).max(axis=1), kind="stable")
+    return pts[order[1:]]  # the origin is the only point of radius 0
 
 
 def normalize_witness(k):
@@ -297,10 +296,9 @@ def check_rational_independence(omega, box=12, tol=1e-9):
     """
     omega = frequency_vector(omega)
     threshold = tol * float(np.linalg.norm(omega))
-    for k in _shells(omega.size, box):
-        if abs(float(np.dot(k, omega))) < threshold:
-            return normalize_witness(k)
-    return None
+    pts = _shells(omega.size, box)
+    hits = np.flatnonzero(np.abs(pts @ omega) < threshold)
+    return normalize_witness(tuple(int(v) for v in pts[hits[0]])) if hits.size else None
 
 
 def sample_times(omega, count=64):

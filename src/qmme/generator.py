@@ -8,15 +8,28 @@ the pieces are
                   - (1/2) { S_{mu,n,w}^dag S_{nu,n,w}, rho } )
     X          = -i [h_bar + delta_h, . ] + dissipator.
 
-Sums run frequency-outer, Fourier-index-inner, coupling-indices-innermost,
-accumulated with compensated (Kahan) summation so results are reproducible
-bit-for-bit across runs.
+Both sums are array contractions, with no loop over terms. The jump
+operators are stacked as S with shape (blocks, couplings, d, d), one block
+per (frequency, Fourier index) and zeros where a coupling has no operator;
+the bath matrices are stacked as c with shape (blocks, couplings, couplings).
+With CS_mu = sum_nu c_{mu nu} S_nu per block (Kossakowski form, Breuer &
+Petruccione ch. 3):
+
+    delta_h    = sum S_mu^dag CS_mu                      (c = zeta)
+    dissipator = sum conj(S_mu) (x) CS_mu - (1/2) (I (x) A + A^T (x) I),
+                 A = sum S_mu^dag CS_mu                  (c = h),
+
+where the sums run over blocks and couplings. The sandwich term is one
+matrix product over the stacked operators, reshuffled into d^2 x d^2, and the
+anticommutator collapses to the single d x d matrix A.
 
 ``cross_check_selection_rule`` rebuilds the generator from the raw double sum
 over *pairs* of jump operators, keeping every pair whose shifted frequencies
 agree within a numerical delta. When the admissibility assumptions hold, only
 identical pairs survive and the double sum collapses onto the generator above;
 a congruence violation leaves extra resonant pairs and a visible deviation.
+It keeps its loop over pairs, accumulated with compensated (Kahan)
+summation, as the reference that shares no arithmetic with the contractions.
 """
 
 from dataclasses import dataclass
@@ -61,27 +74,43 @@ class _KahanSum:
         return self._sum.copy()
 
 
+def _stacked_operators(jumps):
+    """Block keys and the jump operators as an array (blocks, couplings, d, d)."""
+    keys = jumps.block_keys()
+    row = {key: b for b, key in enumerate(keys)}
+    d = jumps.decomp.dim
+    s = np.zeros((len(keys), jumps.n_couplings, d, d), dtype=complex)
+    for (mu, n, w_idx), op in jumps.ops.items():
+        s[row[(w_idx, n)], mu] = op
+    return keys, s
+
+
+def _weighted(blocks, s):
+    """CS_mu = sum_nu c_{mu nu} S_nu per block, for bath matrices ``blocks``."""
+    n_blocks, m = s.shape[:2]
+    c = np.array(list(blocks.values()), dtype=complex).reshape(n_blocks, m, m)
+    return np.einsum("bmn,bnij->bmij", c, s)
+
+
+def _dagger_sum(s_conj, cs):
+    """sum over blocks and couplings of S_mu^dag CS_mu, a d x d matrix, from
+    the stacks conj(S) and CS."""
+    d = cs.shape[-1]
+    return s_conj.reshape(-1, d).T @ cs.reshape(-1, d)
+
+
 def build_lamb_shift(jumps, bath, omega, tol_herm=1e-9):
     """Hermitian energy-shift operator from the principal-value bath data.
 
     Returns the shift matrix together with the zeta blocks used, keyed by
     (frequency_index, n).
     """
-    d = jumps.decomp.dim
-    acc = _KahanSum((d, d))
-    zeta_blocks = {}
-    for (w_idx, n) in jumps.block_keys():
-        shifted = jumps.shifted_frequency(n, w_idx, omega)
-        z = bath.zeta(shifted, tol_herm=tol_herm)
-        zeta_blocks[(w_idx, n)] = z
-        for mu in range(jumps.n_couplings):
-            s_mu = jumps.op(mu, n, w_idx)
-            for nu in range(jumps.n_couplings):
-                c = z[mu, nu]
-                if c == 0:
-                    continue
-                acc.add(c * (s_mu.conj().T @ jumps.op(nu, n, w_idx)))
-    delta_h = acc.total()
+    keys, s = _stacked_operators(jumps)
+    zeta_blocks = {
+        (w_idx, n): bath.zeta(jumps.shifted_frequency(n, w_idx, omega), tol_herm=tol_herm)
+        for (w_idx, n) in keys
+    }
+    delta_h = _dagger_sum(s.conj(), _weighted(zeta_blocks, s))
     defect = hermiticity_defect(delta_h)
     if defect > 1e-12:
         raise NotHermitian(f"energy shift is not Hermitian: relative defect {defect:.3e}")
@@ -95,12 +124,10 @@ def build_dissipator(jumps, bath, omega, tol_psd=1e-12):
     negative eigenvalue beyond tolerance raises NotPSD naming the offending
     block.
     """
-    d = jumps.decomp.dim
-    eye = np.eye(d)
-    acc = _KahanSum((d * d, d * d))
+    keys, s = _stacked_operators(jumps)
     blocks = {}
     shifted_map = {}
-    for (w_idx, n) in jumps.block_keys():
+    for (w_idx, n) in keys:
         shifted = jumps.shifted_frequency(n, w_idx, omega)
         try:
             g = bath.h(shifted, tol_psd=tol_psd)
@@ -111,23 +138,15 @@ def build_dissipator(jumps, bath, omega, tol_psd=1e-12):
             ) from exc
         blocks[(w_idx, n)] = g
         shifted_map[(w_idx, n)] = shifted
-        for mu in range(jumps.n_couplings):
-            s_mu = jumps.op(mu, n, w_idx)
-            for nu in range(jumps.n_couplings):
-                c = g[mu, nu]
-                if c == 0:
-                    continue
-                s_nu = jumps.op(nu, n, w_idx)
-                sms = s_mu.conj().T @ s_nu
-                acc.add(
-                    c
-                    * (
-                        np.kron(s_mu.conj(), s_nu)
-                        - 0.5 * np.kron(eye, sms)
-                        - 0.5 * np.kron(sms.T, eye)
-                    )
-                )
-    return Superoperator(acc.total()), blocks, shifted_map
+    gs = _weighted(blocks, s)
+    s_conj = s.conj()
+    d = jumps.decomp.dim
+    # sum conj(S_mu) (x) GS_mu: entry ((a, c), (x, e)) of the product, moved to ((a, x), (c, e))
+    sandwich = s_conj.reshape(-1, d * d).T @ gs.reshape(-1, d * d)
+    sandwich = sandwich.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    a = _dagger_sum(s_conj, gs)
+    eye = np.eye(d)
+    return Superoperator(sandwich - 0.5 * (np.kron(eye, a) + np.kron(a.T, eye))), blocks, shifted_map
 
 
 def assemble_x(h_bar, delta_h, dissipator):
@@ -163,11 +182,12 @@ def build_generator(model, decomp=None, validate=True, box=12, drop_tol=1e-14,
                     tol_psd=1e-12, tol_cluster=1e-9, tol_congruence=1e-9):
     """Full build: decomposition, jump operators, shift, dissipator, X.
 
-    With ``validate=True`` (the default and the only mode reachable from the
-    command line) the admissibility checks run first and a failing model is
-    refused with InadmissibleModel. ``validate=False`` exists for controlled
-    experiments on inadmissible models, e.g. measuring the selection-rule
-    deviation a congruence violation produces.
+    With ``validate=True`` (the default) the admissibility checks run first
+    and a failing model is refused with InadmissibleModel. ``validate=False``
+    skips them: the command line passes it after running its own validation
+    with the user's tolerances, and it serves controlled experiments on
+    inadmissible models, e.g. measuring the selection-rule deviation a
+    congruence violation produces.
     """
     if validate:
         report = validate_model(

@@ -321,20 +321,25 @@ def model_from_dict(data):
     )
 
 
-def load_model(path):
-    """Read a model JSON file; raises ParseError with position on bad JSON."""
-    path = Path(path)
+def _read_json(path):
+    """Parsed JSON of a UTF-8 file; ParseError names the file and the position."""
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc})") from None
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from None
-    return model_from_dict(data)
+
+
+def load_model(path):
+    """Read a model JSON file; raises ParseError with position on bad JSON."""
+    return model_from_dict(_read_json(Path(path)))
 
 
 def save_model(model, path):
@@ -344,15 +349,7 @@ def save_model(model, path):
 
 def load_density_matrix(path):
     """Read a density matrix from JSON: either {'matrix': ...} or a bare array."""
-    path = Path(path)
-    try:
-        data = json.loads(path.read_text())
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ParseError(
-            f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from None
+    data = _read_json(Path(path))
     if isinstance(data, dict):
         data = _require(data, "matrix", "density matrix")
     return _matrix_from_json(data, "density matrix")

@@ -25,8 +25,6 @@ __all__ = [
     "hermiticity_defect",
     "hermitize",
     "ad_superop",
-    "left_mult_superop",
-    "right_mult_superop",
     "conjugation_superop",
     "Superoperator",
     "choi_of",
@@ -119,18 +117,6 @@ def trace_norm(a):
     return float(np.sum(np.linalg.svd(a, compute_uv=False)))
 
 
-def left_mult_superop(a):
-    """Superoperator for rho -> a @ rho."""
-    a = _as_square(a)
-    return np.kron(np.eye(a.shape[0]), a)
-
-
-def right_mult_superop(b):
-    """Superoperator for rho -> rho @ b."""
-    b = _as_square(b)
-    return np.kron(b.T, np.eye(b.shape[0]))
-
-
 def ad_superop(h):
     """Commutator superoperator rho -> [h, rho] = h rho - rho h.
 
@@ -151,8 +137,8 @@ class Superoperator:
     """A linear map on d x d matrices, stored as a (d*d, d*d) matrix in the
     column-stacking convention.
 
-    Composition is ``@``; ``apply`` acts on a matrix and returns a matrix.
-    Instances are treated as immutable values.
+    ``apply`` acts on a matrix and returns a matrix. Instances are treated as
+    immutable values.
     """
 
     __slots__ = ("matrix", "dim")
@@ -169,51 +155,11 @@ class Superoperator:
         self.matrix = matrix
         self.dim = d
 
-    @classmethod
-    def identity(cls, d):
-        return cls(np.eye(d * d, dtype=complex))
-
-    @classmethod
-    def from_ad(cls, h):
-        return cls(ad_superop(h))
-
-    @classmethod
-    def from_conjugation(cls, u):
-        return cls(conjugation_superop(u))
-
     def apply(self, rho):
         rho = _as_square(rho, "state")
         if rho.shape[0] != self.dim:
             raise DimensionMismatch(f"state dim {rho.shape[0]} != superoperator dim {self.dim}")
         return devectorize(self.matrix @ vectorize(rho))
-
-    def __matmul__(self, other):
-        if isinstance(other, Superoperator):
-            if other.dim != self.dim:
-                raise DimensionMismatch("superoperator dims differ")
-            return Superoperator(self.matrix @ other.matrix)
-        return NotImplemented
-
-    def __add__(self, other):
-        if isinstance(other, Superoperator):
-            if other.dim != self.dim:
-                raise DimensionMismatch("superoperator dims differ")
-            return Superoperator(self.matrix + other.matrix)
-        return NotImplemented
-
-    def __sub__(self, other):
-        if isinstance(other, Superoperator):
-            return self + (-1.0) * other
-        return NotImplemented
-
-    def __mul__(self, scalar):
-        return Superoperator(self.matrix * complex(scalar))
-
-    __rmul__ = __mul__
-
-    def norm(self):
-        """Induced 2-norm (largest singular value)."""
-        return float(np.linalg.norm(self.matrix, 2))
 
     def __repr__(self):
         return f"Superoperator(dim={self.dim})"
@@ -222,6 +168,8 @@ class Superoperator:
 def choi_of(superop):
     """Choi matrix of a superoperator: C = sum_ij E_ij kron S(E_ij).
 
+    Entry ((i, k), (j, l)) is S(E_ij)[k, l], the superoperator entry at row
+    vec(E_kl) and column vec(E_ij), so C is an index reshuffle of the matrix.
     Hermitian whenever the map preserves Hermiticity; PSD iff the map is
     completely positive. The identity map on d=2 gives a rank-1 C with
     nonzero eigenvalue 2.
@@ -229,13 +177,7 @@ def choi_of(superop):
     if not isinstance(superop, Superoperator):
         superop = Superoperator(superop)
     d = superop.dim
-    c = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            e = np.zeros((d, d), dtype=complex)
-            e[i, j] = 1.0
-            c[d * i : d * i + d, d * j : d * j + d] = superop.apply(e)
-    return c
+    return superop.matrix.reshape(d, d, d, d, order="F").transpose(2, 0, 3, 1).reshape(d * d, d * d)
 
 
 def choi_min_eigenvalue(superop):

@@ -1,5 +1,6 @@
 """Spectral decomposition, Bohr frequency bookkeeping, jump operators."""
 
+import itertools
 import math
 
 import numpy as np
@@ -16,7 +17,7 @@ from qmme.bohr import (
     interaction_picture_coupling_series,
 )
 from qmme.errors import DimensionMismatch, NotHermitian, UnknownFrequency
-from qmme.fourier import FourierOperatorSeries
+from qmme.fourier import FourierOperatorSeries, check_rational_independence, normalize_witness
 from qmme.model import p_series_from_generator
 from qmme.presets import SIGMA_X, SIGMA_Z
 
@@ -123,6 +124,59 @@ class TestCongruenceFreedom:
     def test_zero_lattice_vector_not_a_witness(self):
         # equal frequencies at n = 0 are excluded by construction
         assert check_congruence_freedom([0.0, 0.3], np.array([math.pi])) is None
+
+
+def _loop_shells(r, box):
+    for radius in range(1, box + 1):
+        for k in itertools.product(range(-radius, radius + 1), repeat=r):
+            if max(abs(v) for v in k) == radius:
+                yield k
+
+
+def _loop_independence(omega, box, tol):
+    threshold = tol * float(np.linalg.norm(omega))
+    for k in _loop_shells(omega.size, box):
+        if abs(float(np.dot(k, omega))) < threshold:
+            return normalize_witness(k)
+    return None
+
+
+def _loop_congruence(freqs, omega, box, tol):
+    for i, wi in enumerate(freqs):
+        for j, wj in enumerate(freqs):
+            if i != j:
+                for n in _loop_shells(omega.size, box):
+                    if abs((wi - wj) - float(np.dot(n, omega))) < tol:
+                        return (float(wi), float(wj), n)
+    return None
+
+
+class TestScansMatchLoops:
+    """Both lattice scans return the witness a point-by-point loop finds first."""
+
+    def test_seeded_frequency_sets(self):
+        rng = np.random.default_rng(404)
+        found = 0
+        for trial in range(40):
+            r, box = int(rng.integers(1, 4)), int(rng.integers(2, 5))
+            omega = rng.uniform(0.3, 2.0, size=r)
+            if trial % 3 == 0 and r > 1:
+                # planted integer relation m omega_r = k . omega_{<r}
+                k, m = rng.integers(-box, box + 1, size=r - 1), int(rng.integers(1, box + 1))
+                if k @ omega[:-1] > 0:
+                    omega[-1] = float(k @ omega[:-1]) / m
+            half = list(rng.uniform(0.1, 3.0, size=2))
+            if trial % 2 == 0:
+                # planted congruence w' = w + n . omega
+                half.append(half[0] + abs(float(rng.integers(-box, box + 1, size=r) @ omega)))
+            freqs = np.array(sorted([-w for w in half] + [0.0] + half))
+            tol = 1e-9 if trial % 4 else 0.05  # the loose tolerance also hits near misses
+            got = check_congruence_freedom(freqs, omega, box=box, tol=tol)
+            assert got == _loop_congruence(freqs, omega, box, tol)
+            got_k = check_rational_independence(omega, box=box, tol=tol)
+            assert got_k == _loop_independence(omega, box, tol)
+            found += (got is not None) + (got_k is not None)
+        assert found >= 20, found
 
 
 class TestInteractionSeries:

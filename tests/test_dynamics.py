@@ -13,10 +13,8 @@ from conftest import random_density, random_hermitian
 from qmme import dynamics
 from qmme.dynamics import (
     DynamicalMap,
-    integrate_mme_direct,
     integrate_schrodinger_direct,
     rk4_path,
-    sigma_superop,
 )
 from qmme.errors import Defective, NoConvergence, NotUnitary, OrderViolation
 from qmme.fourier import FourierOperatorSeries
@@ -254,13 +252,6 @@ class TestMapBasics:
         b = dmap.propagator(3.1, 0.4).matrix
         assert np.linalg.norm(a - b, 2) < 1e-11
 
-    def test_frame_conjugation_inverts(self, q3):
-        _, _, dmap = q3
-        eye = np.eye(9)
-        for t in (0.0, 0.9, 4.2):
-            prod = (dmap.sigma(t) @ dmap.sigma_inverse(t)).matrix
-            assert np.linalg.norm(prod - eye, 2) < 1e-12
-
     def test_exponential_matches_scipy(self, q3):
         _, bundle, dmap = q3
         for t in (0.4, 2.6):
@@ -286,11 +277,6 @@ class TestMapBasics:
             shim.eigensystem()
         # the map itself still works through the dense exponential
         assert np.linalg.norm(shim.at(0.7).matrix - DynamicalMap(model, bundle).at(0.7).matrix, 2) < 1e-12
-
-    def test_non_unitary_frame_rejected(self):
-        series = FourierOperatorSeries.constant(0.9 * np.eye(2), r=1)
-        with pytest.raises(NotUnitary):
-            sigma_superop(series, np.array([1.0]), 0.0)
 
 
 class TestTrajectories:
@@ -349,9 +335,10 @@ class TestTrajectories:
             assert trace_norm(a - b) < 1e-8
 
     def test_module_entry_point(self, q1, rng):
-        model, bundle, dmap = q1
+        _, _, dmap = q1
         rho0 = random_density(rng, 2)
-        ts, states = integrate_mme_direct(model, bundle, rho0, 2.0, samples=9)
+        ts = np.linspace(0.0, 2.0, 9)
+        states = dmap.integrate_direct(rho0, ts)
         assert ts.shape == (9,) and states.shape == (9, 2, 2)
         assert trace_norm(states[-1] - dmap.evolve(rho0, ts)[-1]) < 1e-7
 

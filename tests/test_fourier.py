@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -181,14 +182,27 @@ class TestTruncationBookkeeping:
 
 class TestLattice:
     def test_shell_count_box_one(self):
-        pts = list(_shells(2, 1))
+        pts = _shells(2, 1)
         assert len(pts) == 8
-        assert all(max(abs(v) for v in k) == 1 for k in pts)
+        assert np.all(np.abs(pts).max(axis=1) == 1)
 
     def test_shells_cover_box_without_zero(self):
-        pts = list(_shells(2, 3))
+        pts = _shells(2, 3)
         assert len(pts) == 7 * 7 - 1
-        assert len(set(pts)) == len(pts)
+        assert len({tuple(k) for k in pts}) == len(pts)
+
+    @pytest.mark.parametrize("r,box", [(1, 0), (1, 4), (2, 3), (3, 2), (3, 5)])
+    def test_shell_order_matches_loop(self, r, box):
+        # Chebyshev shell first, lexicographic inside a shell
+        loop = [
+            k
+            for radius in range(1, box + 1)
+            for k in itertools.product(range(-radius, radius + 1), repeat=r)
+            if max(abs(v) for v in k) == radius
+        ]
+        pts = _shells(r, box)
+        assert pts.shape == (len(loop), r)
+        assert [tuple(int(v) for v in k) for k in pts] == loop
 
     def test_independent_pair_passes(self):
         assert check_rational_independence([1.0, math.sqrt(2)]) is None

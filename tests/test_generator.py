@@ -24,7 +24,7 @@ from qmme.generator import (
     cross_check_selection_rule,
 )
 from qmme.linalg import devectorize, vectorize
-from qmme.model import BathSpectrum, ReducedModel
+from qmme.model import BathSpectrum, ReducedModel, p_series_from_profile_terms
 from qmme.presets import SIGMA_X, SIGMA_Z, preset
 
 
@@ -157,6 +157,33 @@ class TestSelectionRule:
         assert np.linalg.norm(bundle.delta_h) > 1e-3  # shift actually engaged
         dev = cross_check_selection_rule(bundle, bath, model.frequencies)
         assert dev < 1e-12
+
+    def test_two_couplings_with_cross_terms(self):
+        # a driven qutrit with two couplings whose jump operators share every
+        # block; h(w) and zeta(w) have complex off-diagonal entries, so the
+        # mu != nu terms and the orientation of both bath matrices matter
+        rng = np.random.default_rng(31)
+        omega = np.array([math.sqrt(2.0)])
+        terms = [{"profile": "sin", "index": (1,), "amplitude": 0.2,
+                  "matrix": random_hermitian(rng, 3) / 3}]
+        bath = BathSpectrum.from_callables(
+            lambda w: 0.2 / (1.0 + w * w) * np.array(
+                [[1.0, 0.4 * np.exp(1j * w)], [0.4 * np.exp(-1j * w), 0.7]]),
+            zeta_fn=lambda w: np.array([[0.05 * w, 0.02 + 0.03j * w], [0.02 - 0.03j * w, -0.04]]),
+            n_couplings=2,
+        )
+        model = ReducedModel(
+            frequencies=omega,
+            p_series=p_series_from_profile_terms(terms, r=1, trunc=6),
+            h_bar=np.diag([0.0, 1.0, 2.7]),
+            couplings=[random_hermitian(rng, 3), random_hermitian(rng, 3)],
+            bath=bath,
+        )
+        bundle = build_generator(model)
+        assert len({n for (_, n, _) in bundle.jumps.ops}) > 1  # sidebands present
+        assert np.linalg.norm(bundle.delta_h) > 1e-2
+        assert cross_check_selection_rule(bundle, bath, omega) < 1e-12
+        assert check_covariance(bundle).passed
 
     def test_congruent_model_deviates(self):
         model = preset("qubit_congruence_violating")

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qmme import cli, presets
 from qmme.errors import ParseError, SchemaVersionMismatch
 from qmme.io import (
     dumps_canonical,
@@ -96,11 +98,37 @@ class TestModelRoundTrip:
         with pytest.raises(ParseError):
             model_to_dict(custom)
 
+    def test_shipped_models_match_presets(self, tmp_path):
+        # numbers, not bytes: regeneration differs in the last digits
+        # between machines and library builds
+        presets.main([str(tmp_path)])
+        shipped = sorted(p.name for p in MODELS_DIR.glob("*.json"))
+        assert shipped == sorted(f"{name}.json" for name in PRESETS)
+        for name in shipped:
+            fresh = json.loads((tmp_path / name).read_text())
+            committed = json.loads((MODELS_DIR / name).read_text())
+            _assert_numbers_close(fresh, committed, name)
+
     def test_shipped_fixture_loads(self):
         model = load_model(MODELS_DIR / "qubit_dephasing.json")
         assert model.dim == 2
         assert model.n_frequencies == 2
         assert validate_model(model).passed
+
+
+def _assert_numbers_close(a, b, where):
+    if isinstance(a, dict):
+        assert isinstance(b, dict) and sorted(a) == sorted(b), where
+        for key in a:
+            _assert_numbers_close(a[key], b[key], f"{where}.{key}")
+    elif isinstance(a, list):
+        assert isinstance(b, list) and len(a) == len(b), where
+        for i, (x, y) in enumerate(zip(a, b)):
+            _assert_numbers_close(x, y, f"{where}[{i}]")
+    elif isinstance(a, float) or isinstance(b, float):
+        assert math.isclose(a, b, rel_tol=0.0, abs_tol=1e-12), (where, a, b)
+    else:
+        assert a == b, where
 
 
 class TestGeneratorDocument:
@@ -353,6 +381,87 @@ class TestCliMalformedInput:
         doc["p_series"]["coefficients"][3]["matrix"] = [[[1.0, 0.0]]]
         with pytest.raises(ParseError, match=r"different shapes \[\(1, 1\), \(2, 2\)\]"):
             model_from_dict(doc)
+
+
+def _run_in_process(argv, capsys):
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    return code, json.loads(out)
+
+
+class TestCliExitContract:
+    """Bad inputs end in a contract exit code and a JSON error, run in-process."""
+
+    @pytest.mark.parametrize("case, code, kind", [
+        ("non-utf8-model", 2, "ParseError"),
+        ("nan-grid", 2, "ParseError"),
+        ("huge-grid", 3, None),
+    ])
+    def test_exit_code_and_json(self, case, code, kind, tmp_path, capsys):
+        model = str(MODELS_DIR / "qubit_dephasing.json")
+        if case == "non-utf8-model":
+            bad = tmp_path / "model.json"
+            bad.write_bytes(b'\xff\xfe{"schema": "qmme-model"}')
+            argv = ["validate", str(bad)]
+        else:
+            argv = ["evolve", model, "--grid", "0:nan:3" if case == "nan-grid" else "0:1e308:3"]
+        got, payload = _run_in_process(argv, capsys)
+        assert got == code
+        assert set(payload["error"]) == {"type", "message"}
+        if kind is not None:
+            assert payload["error"]["type"] == kind
+
+
+# error types that may come with exit 1: a failed physics check
+CONTRACT_TYPES = {"InadmissibleModel", "NotPSD", "NotHermitian", "NotUnitary", "SpectralViolation"}
+ODD_VALUES = ["x", None, True, [], {}, 1.5, -3, [[1.0, 0.0]]]
+
+
+def _random_mutation(doc, rnd):
+    """Apply one seeded edit to a parsed model document; returns its description."""
+    # schema and version have tests of their own; damage the model content
+    parent, key = doc, rnd.choice(["frequencies", "h_bar", "couplings", "bath", "p_series"])
+    node = doc[key]
+    while isinstance(node, (dict, list)) and node and rnd.random() < 0.7:
+        parent = node
+        key = rnd.choice(sorted(node)) if isinstance(node, dict) else rnd.randrange(len(node))
+        node = parent[key]
+    kind = rnd.choice(["type", "delete", "shape", "non-finite"])
+    if kind == "delete" and isinstance(parent, dict):
+        del parent[key]
+    elif kind == "shape" and isinstance(node, list) and node:
+        if rnd.random() < 0.5:
+            node.pop()
+        else:
+            node.append(json.loads(json.dumps(node[-1])))
+    elif kind == "non-finite" and isinstance(node, (int, float)) and not isinstance(node, bool):
+        parent[key] = rnd.choice([math.inf, -math.inf, math.nan])
+    else:
+        kind = "type"
+        parent[key] = rnd.choice([v for v in ODD_VALUES if type(v) is not type(node)])
+    return f"{kind} at {key!r}"
+
+
+class TestCliSeededMutations:
+    """Validate randomly damaged copies of the shipped models in-process: every
+    run ends with a contract exit code and a JSON document, never a traceback."""
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_validate_keeps_exit_contract(self, name, tmp_path, capsys):
+        rnd = random.Random(f"qmme-mutations-{name}")
+        original = json.loads((MODELS_DIR / f"{name}.json").read_text())
+        path = tmp_path / "model.json"
+        for i in range(20):
+            doc = json.loads(json.dumps(original))
+            what = _random_mutation(doc, rnd)
+            path.write_text(json.dumps(doc))
+            code, payload = _run_in_process(["validate", str(path)], capsys)
+            assert code in (0, 1, 2, 3), (i, what)
+            if code == 1:
+                assert ("passed" in payload and payload["passed"] is False) or (
+                    "validation" in payload or payload["error"]["type"] in CONTRACT_TYPES
+                ), (i, what, payload)
 
 
 class TestCliBuild:
