@@ -32,7 +32,7 @@ import math
 
 import numpy as np
 
-from .errors import Defective, NoConvergence, NotUnitary, OrderViolation
+from .errors import Defective, DimensionMismatch, NoConvergence, NotUnitary, OrderViolation
 from .linalg import Superoperator, ad_superop, conjugation_superop, expm, trace_norm
 from .model import synthesize_hamiltonian
 
@@ -88,6 +88,11 @@ def _substeps(ts, h_target):
     spans = np.diff(ts)
     if np.any(spans < 0):
         raise OrderViolation("sample times must be ascending")
+    # bounded in Python floats first: the array division below would overflow to inf
+    total = float(np.sum(spans)) / h_target + spans.size
+    if not total < np.iinfo(np.intp).max:
+        raise DimensionMismatch(
+            f"time grid needs about {total:.3g} RK4 substeps, more than an index can count")
     counts = np.ceil(spans / h_target).astype(np.intp)  # 0 only for a repeated node
     sizes = np.repeat(spans / np.maximum(counts, 1), counts)
     reached = np.cumsum(counts)

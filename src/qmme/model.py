@@ -31,7 +31,8 @@ from .errors import (
     Overflow,
     TruncationLoss,
 )
-from .fourier import FourierOperatorSeries, check_rational_independence, frequency_vector, sample_times
+from .fourier import (FourierOperatorSeries, _norms, _total, check_rational_independence,
+                      frequency_vector, sample_times)
 from .linalg import hermiticity_defect, hermitize
 
 __all__ = [
@@ -442,30 +443,27 @@ def p_series_from_generator(terms, r, trunc, drop_eps=1e-15):
     m = 2 * (2 * trunc + 1)
     axis = 2.0 * math.pi * np.arange(m) / m
     grid_shape = (m,) * r
-    samples = np.empty(grid_shape + (d, d), dtype=complex)
-    for g_idx in np.ndindex(grid_shape):
+    sums = np.empty((m ** r, d, d), dtype=complex)
+    for k, g_idx in enumerate(np.ndindex(grid_shape)):
         theta = np.array([axis[i] for i in g_idx])
         a = np.zeros((d, d), dtype=complex)
         for profile, g in gens:
             a = a + float(profile(theta)) * g
-        w, v = np.linalg.eigh(a)
-        samples[g_idx] = (v * np.exp(-1j * w)) @ v.conj().T
+        sums[k] = a
+    w, v = np.linalg.eigh(sums)
+    samples = ((v * np.exp(-1j * w)[:, None, :]) @ v.conj().swapaxes(1, 2)).reshape(grid_shape + (d, d))
 
     origin = samples[(0,) * r]
     if np.linalg.norm(origin - np.eye(d)) > 1e-12:
         raise ValueError("generator profiles must vanish at theta = 0 so that p(0) = I")
 
     spectrum = np.fft.fftn(samples, axes=tuple(range(r))) / (m ** r)
-    coeffs = {}
-    out_of_box = 0.0
-    for g_idx in np.ndindex(grid_shape):
-        n = tuple(i if i <= m // 2 else i - m for i in g_idx)
-        a = spectrum[g_idx]
-        if max(abs(v) for v in n) <= trunc:
-            coeffs[n] = a
-        else:
-            out_of_box += float(np.linalg.norm(a))
-    series = FourierOperatorSeries(r, d, trunc, coeffs, tail_norm=out_of_box)
+    box = np.ix_(*[np.arange(-trunc, trunc + 1) % m] * r)  # grid positions of the box indices
+    outside = np.ones(grid_shape, dtype=bool)
+    outside[box] = False
+    out_of_box = _total(_norms(spectrum[outside]))  # in grid order, as a running sum
+    coeffs = spectrum[box]
+    series = FourierOperatorSeries._from_arrays(coeffs, np.ones(coeffs.shape[:r], dtype=bool), out_of_box)
     return series.drop_below(drop_eps)
 
 

@@ -1,11 +1,13 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from qmme.errors import DimensionMismatch
 from qmme.fourier import (
+    _MAX_BOX_POINTS,
     FourierOperatorSeries,
     _shells,
     check_rational_independence,
@@ -180,6 +182,177 @@ class TestTruncationBookkeeping:
         assert cleaned.tail_norm >= 1e-18
 
 
+def dict_product(a, b):
+    """The dict double loop over coefficient pairs: the reference convolution.
+
+    Returns the kept coefficients and the dropped l1 mass, summed in sorted
+    index order."""
+    trunc = max(a.trunc, b.trunc)
+    acc = {}
+    for n, x in a.coeffs.items():
+        for m, y in b.coeffs.items():
+            idx = tuple(i + j for i, j in zip(n, m))
+            acc[idx] = acc[idx] + x @ y if idx in acc else x @ y
+    kept = {n: c for n, c in acc.items() if max(map(abs, n)) <= trunc}
+    dropped = 0.0
+    for n in sorted(acc):
+        if max(map(abs, n)) > trunc:
+            dropped += np.linalg.norm(acc[n])
+    return kept, dropped
+
+
+def dict_truncate(s, trunc):
+    kept, dropped = {}, 0.0
+    for n, a in s.coeffs.items():
+        if max(map(abs, n)) <= trunc:
+            kept[n] = a
+        else:
+            dropped += np.linalg.norm(a)
+    return kept, s.tail_norm + dropped
+
+
+def sparse_series(rng, r, d, trunc, n_terms, tail=0.0):
+    s = random_series(rng, r, d, trunc, n_terms)
+    return FourierOperatorSeries(r, d, trunc, s.coeffs, tail)
+
+
+def product_cases():
+    rng = np.random.default_rng(20261018)
+    eye = FourierOperatorSeries.constant(np.eye(2), r=1)
+    c3 = FourierOperatorSeries.constant(rng.normal(size=(3, 3)) + 0j, r=2)
+    mode = lambda r, n, d=2: FourierOperatorSeries(r, d, 3, {n: rng.normal(size=(d, d)) + 1j})
+    return {
+        "r1 dense": (sparse_series(rng, 1, 2, 3, 7), sparse_series(rng, 1, 2, 3, 7)),
+        "r1 unequal boxes": (sparse_series(rng, 1, 2, 5, 6, tail=1e-3), sparse_series(rng, 1, 2, 2, 4)),
+        "r1 identity": (eye, sparse_series(rng, 1, 2, 4, 5)),
+        "r2 series x constant": (sparse_series(rng, 2, 3, 4, 30), c3),
+        "r2 constant x series": (c3, sparse_series(rng, 2, 3, 4, 30, tail=2e-4)),
+        "r2 full boxes": (sparse_series(rng, 2, 2, 2, 25), sparse_series(rng, 2, 2, 2, 25)),
+        "r3 sparse": (sparse_series(rng, 3, 2, 3, 40), sparse_series(rng, 3, 2, 2, 15)),
+        "r3 d3 sparse": (sparse_series(rng, 3, 3, 2, 60, tail=1e-5), sparse_series(rng, 3, 3, 3, 20)),
+        "empty x series": (FourierOperatorSeries(2, 2, 3, {}), sparse_series(rng, 2, 2, 3, 8)),
+        "series x empty": (sparse_series(rng, 2, 2, 3, 8, tail=1e-3), FourierOperatorSeries(2, 2, 1, {})),
+        "single modes inside": (mode(2, (1, -2)), mode(2, (-3, 2))),
+        "single modes outside": (mode(2, (3, 1)), mode(2, (1, 0))),
+        "single modes r3 edge": (mode(3, (-3, 0, 2), 3), mode(3, (0, 0, -3), 3)),
+    }
+
+
+PRODUCT_CASES = product_cases()
+
+
+class TestDenseStorageMatchesDictReference:
+    """The FFT product and the array operations against dict loops."""
+
+    @pytest.mark.parametrize("case", sorted(PRODUCT_CASES))
+    def test_product(self, case):
+        a, b = PRODUCT_CASES[case]
+        p = a.product(b)
+        kept, dropped = dict_product(a, b)
+        scale = a.l1_norm() * b.l1_norm()
+        assert p.trunc == max(a.trunc, b.trunc)
+        assert p.indices() == sorted(kept)
+        assert all(np.max(np.abs(p.coeffs[n] - c)) <= 1e-13 * scale for n, c in kept.items())
+        expect = dropped + a.tail_norm * b.l1_norm() + b.tail_norm * a.l1_norm()
+        # both sums round: on O(1) data the FFT's mass can come out a few ulps smaller
+        assert abs(p.tail_norm - expect) <= 1e-13 * scale
+
+    def test_product_single_modes_stay_single(self):
+        a, b = PRODUCT_CASES["single modes inside"]
+        assert a.product(b).indices() == [(-2, 0)]
+        a, b = PRODUCT_CASES["single modes outside"]
+        p = a.product(b)
+        assert len(p) == 0
+        assert p.tail_norm == pytest.approx(np.linalg.norm(a.coeff((3, 1)) @ b.coeff((1, 0))), rel=1e-14)
+
+    def test_product_transforms_supports_not_boxes(self, rng):
+        # a box of 201^2 points holding a 3 x 3 support: the FFTs span the supports only
+        coeffs = {(i, j): rng.normal(size=(2, 2)) for i in (-1, 0, 1) for j in (-1, 0, 1)}
+        a = FourierOperatorSeries(2, 2, 100, coeffs)
+        b = FourierOperatorSeries(2, 2, 100, {(1, -1): np.eye(2)})
+        box_bytes = 201**2 * 4 * 16
+        tracemalloc.start()
+        try:
+            p = a.product(b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * box_bytes  # FFTs over the padded 401^2 boxes would take over 12 times that
+        kept, _ = dict_product(a, b)
+        assert p.indices() == sorted(kept)
+        assert all(np.max(np.abs(p.coeffs[n] - c)) <= 1e-13 * a.l1_norm() * b.l1_norm() for n, c in kept.items())
+
+    @pytest.mark.parametrize("case", sorted(PRODUCT_CASES))
+    def test_adjoint(self, case):
+        for s in PRODUCT_CASES[case]:
+            adj = s.adjoint()
+            expect = {tuple(-v for v in n): a.conj().T for n, a in s.coeffs.items()}
+            assert adj.indices() == sorted(expect)
+            assert all(np.array_equal(adj.coeffs[n], a) for n, a in expect.items())
+            assert adj.tail_norm == s.tail_norm
+
+    @pytest.mark.parametrize("new_trunc", [0, 1, 2, 3, 5, 7])
+    def test_truncate_shrinks_and_grows(self, new_trunc):
+        for case in ("r1 unequal boxes", "r2 full boxes", "r3 d3 sparse"):
+            s = PRODUCT_CASES[case][0]
+            cut = s.truncate(new_trunc)
+            kept, tail = dict_truncate(s, new_trunc)
+            assert cut.trunc == new_trunc
+            assert cut.indices() == sorted(kept)
+            assert all(np.array_equal(cut.coeffs[n], a) for n, a in kept.items())
+            assert cut.tail_norm == tail  # the same running sum of the same norms
+
+    def test_drop_below(self, rng):
+        s = sparse_series(rng, 2, 3, 3, 30, tail=1e-6)
+        norms = {n: np.linalg.norm(a) for n, a in s.coeffs.items()}
+        eps = float(np.median(list(norms.values())))
+        cut = s.drop_below(eps)
+        dropped = 0.0
+        for n in sorted(norms):
+            if norms[n] < eps:
+                dropped += norms[n]
+        assert cut.indices() == sorted(n for n in norms if norms[n] >= eps)
+        assert all(np.array_equal(cut.coeffs[n], s.coeffs[n]) for n in cut.indices())
+        assert cut.tail_norm == s.tail_norm + dropped
+        l1 = 0.0
+        for n in sorted(norms):
+            l1 += norms[n]
+        assert s.l1_norm() == l1
+
+    def test_add_on_unequal_boxes(self, rng):
+        a = sparse_series(rng, 2, 2, 4, 20, tail=1e-4)
+        b = sparse_series(rng, 2, 2, 1, 5, tail=2e-4)
+        expect = {n: c.copy() for n, c in a.coeffs.items()}
+        for n, c in b.coeffs.items():
+            expect[n] = expect[n] + c if n in expect else c
+        for total in (a + b, b + a):
+            assert total.trunc == 4
+            assert total.indices() == sorted(expect)
+            assert all(np.array_equal(total.coeffs[n], c) for n, c in expect.items())
+            assert total.tail_norm == pytest.approx(3e-4, rel=1e-15)
+
+    @pytest.mark.parametrize("case", ["r1 dense", "r2 series x constant", "r3 sparse", "r3 d3 sparse"])
+    def test_evaluate_many_is_sorted_key_contraction(self, case):
+        s = PRODUCT_CASES[case][0]
+        omega = np.array([1.0, math.sqrt(2), math.sqrt(3)][: s.r])
+        ts = np.linspace(0.0, 30.0, 41)
+        keys = sorted(s.coeffs)
+        idx = np.array(keys, dtype=float)
+        phases = np.exp(1j * (ts[:, None] * (omega[0] * idx[:, 0])))
+        for j in range(1, s.r):
+            phases *= np.exp(1j * (ts[:, None] * (omega[j] * idx[:, j])))
+        stack = np.stack([s.coeffs[n] for n in keys]).reshape(len(keys), -1)
+        expect = (phases @ stack).reshape(ts.size, s.d, s.d)
+        assert np.array_equal(s.evaluate_many(omega, ts), expect)
+
+    def test_coeffs_read_only(self, rng):
+        s = sparse_series(rng, 2, 2, 2, 5)
+        with pytest.raises(TypeError):
+            s.coeffs[(0, 0)] = np.eye(2)
+        with pytest.raises(ValueError):
+            s.coeffs[s.indices()[0]][0, 0] = 1.0
+
+
 class TestLattice:
     def test_shell_count_box_one(self):
         pts = _shells(2, 1)
@@ -203,6 +376,20 @@ class TestLattice:
         pts = _shells(r, box)
         assert pts.shape == (len(loop), r)
         assert [tuple(int(v) for v in k) for k in pts] == loop
+
+    def test_oversized_box_rejected_before_allocating(self):
+        # (2 * 10^4 + 1)^3 = 8e12 points: the scan arrays would need hundreds of terabytes
+        assert 25 ** 3 < _MAX_BOX_POINTS // 50  # the default box 12 at r = 3 is far below
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionMismatch, match="8001200060001 points"):
+                _shells(3, 10**4)
+            with pytest.raises(DimensionMismatch):
+                check_rational_independence([1.0, math.sqrt(2), math.sqrt(3)], box=10**4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
 
     def test_independent_pair_passes(self):
         assert check_rational_independence([1.0, math.sqrt(2)]) is None

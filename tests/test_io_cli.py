@@ -8,6 +8,7 @@ import os
 import random
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -396,7 +397,8 @@ class TestCliExitContract:
     @pytest.mark.parametrize("case, code, kind", [
         ("non-utf8-model", 2, "ParseError"),
         ("nan-grid", 2, "ParseError"),
-        ("huge-grid", 3, None),
+        ("huge-grid", 2, "DimensionMismatch"),
+        ("huge-box", 2, "DimensionMismatch"),
     ])
     def test_exit_code_and_json(self, case, code, kind, tmp_path, capsys):
         model = str(MODELS_DIR / "qubit_dephasing.json")
@@ -404,13 +406,19 @@ class TestCliExitContract:
             bad = tmp_path / "model.json"
             bad.write_bytes(b'\xff\xfe{"schema": "qmme-model"}')
             argv = ["validate", str(bad)]
+        elif case == "huge-box":
+            argv = ["validate", model, "--box", "10000000"]  # 2e7 + 1 points even at r = 1
         else:
             argv = ["evolve", model, "--grid", "0:nan:3" if case == "nan-grid" else "0:1e308:3"]
-        got, payload = _run_in_process(argv, capsys)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = cli.main(argv)
+        out, err = capsys.readouterr()
+        assert err == "" and not caught  # no traceback and no numpy warning
         assert got == code
+        payload = json.loads(out)
         assert set(payload["error"]) == {"type", "message"}
-        if kind is not None:
-            assert payload["error"]["type"] == kind
+        assert payload["error"]["type"] == kind
 
 
 # error types that may come with exit 1: a failed physics check
