@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NoConvergence, UnknownFrequency
-from .fourier import FourierOperatorSeries, frequency_vector, _shells
+from .fourier import FourierOperatorSeries, _norms, _shells, frequency_vector
 from .linalg import eig_hermitian
 
 __all__ = [
@@ -204,17 +204,18 @@ def build_jump_operators(decomp, s_hat_series, drop_tol=1e-14):
     Bohr-frequency components.
 
     Returns a dict mapping (n, frequency_index) to the jump operator matrix;
-    operators with Frobenius norm below ``drop_tol`` are omitted.
+    operators with Frobenius norm below ``drop_tol`` are omitted. Each
+    projector sum acts on the whole stack of coefficients at once.
     """
+    indices, coeffs = s_hat_series.indices(), s_hat_series._stacked()[1]
+    left = [p @ coeffs for p in decomp.projections]  # P_k S_hat_n for every n
     ops = {}
-    for n in s_hat_series.indices():
-        s_hat = s_hat_series.coeff(n)
-        for w_idx, klist in enumerate(decomp.pairs):
-            s = np.zeros_like(s_hat)
-            for k, l in klist:
-                s += decomp.projections[k] @ s_hat @ decomp.projections[l]
-            if np.linalg.norm(s) >= drop_tol:
-                ops[(n, w_idx)] = s
+    for w_idx, klist in enumerate(decomp.pairs):
+        s = np.zeros_like(coeffs)
+        for k, l in klist:
+            s += left[k] @ decomp.projections[l]
+        kept = np.flatnonzero(_norms(s) >= drop_tol)
+        ops.update(zip([(indices[i], w_idx) for i in kept], s[kept]))
     return ops
 
 
@@ -246,7 +247,13 @@ class JumpOperatorSet:
         return sorted(self.ops.items(), key=lambda kv: (kv[0][2], kv[0][1], kv[0][0]))
 
     def shifted_frequency(self, n, w_idx, omega):
-        return float(self.decomp.bohr_frequencies[w_idx] + np.dot(n, omega))
+        return float(self.shifted_frequencies([(n, w_idx)], omega)[0])
+
+    def shifted_frequencies(self, keys, omega):
+        """Shifted frequency w + n . omega of each (n, w_idx) in ``keys``, as
+        an array; one dot product per distinct n."""
+        dots = {n: np.dot(n, omega) for n in {n for n, _ in keys}}
+        return self.decomp.bohr_frequencies[[w for _, w in keys]] + np.array([dots[n] for n, _ in keys])
 
 
 def build_jump_operator_set(decomp, s_hat_list, drop_tol=1e-14):

@@ -28,6 +28,8 @@ class NotUnitary(QmmeError, ValueError):
 class NotPSD(QmmeError, ValueError):
     """A matrix required to be positive semidefinite has a negative eigenvalue."""
 
+    frequency = None  # the bath frequency at which it failed, when known
+
 
 class NoConvergence(QmmeError, RuntimeError):
     """An iterative routine exhausted its refinement budget."""

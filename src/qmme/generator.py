@@ -28,8 +28,9 @@ over *pairs* of jump operators, keeping every pair whose shifted frequencies
 agree within a numerical delta. When the admissibility assumptions hold, only
 identical pairs survive and the double sum collapses onto the generator above;
 a congruence violation leaves extra resonant pairs and a visible deviation.
-It keeps its loop over pairs, accumulated with compensated (Kahan)
-summation, as the reference that shares no arithmetic with the contractions.
+The pair sum is one matrix product per chunk of pairs with one-sided weights;
+it never reads the stacked blocks or the collapsed form, so it stays an
+independent check on them.
 """
 
 from dataclasses import dataclass
@@ -57,46 +58,33 @@ __all__ = [
 ]
 
 
-class _KahanSum:
-    """Elementwise compensated summation for complex arrays."""
-
-    def __init__(self, shape):
-        self._sum = np.zeros(shape, dtype=complex)
-        self._comp = np.zeros(shape, dtype=complex)
-
-    def add(self, x):
-        y = x - self._comp
-        t = self._sum + y
-        self._comp = (t - self._sum) - y
-        self._sum = t
-
-    def total(self):
-        return self._sum.copy()
+# most entries of one gathered pair stack (pairs x d^2) the cross-check holds at once
+_PAIR_CHUNK = 1 << 15
 
 
-def _stacked_operators(jumps):
-    """Block keys and the jump operators as an array (blocks, couplings, d, d)."""
+def _stacked_operators(jumps, omega):
+    """Block keys, their shifted frequencies and the operators stacked (blocks, couplings, d, d)."""
     keys = jumps.block_keys()
     row = {key: b for b, key in enumerate(keys)}
     d = jumps.decomp.dim
     s = np.zeros((len(keys), jumps.n_couplings, d, d), dtype=complex)
     for (mu, n, w_idx), op in jumps.ops.items():
         s[row[(w_idx, n)], mu] = op
-    return keys, s
-
-
-def _weighted(blocks, s):
-    """CS_mu = sum_nu c_{mu nu} S_nu per block, for bath matrices ``blocks``."""
-    n_blocks, m = s.shape[:2]
-    c = np.array(list(blocks.values()), dtype=complex).reshape(n_blocks, m, m)
-    return np.einsum("bmn,bnij->bmij", c, s)
+    return keys, jumps.shifted_frequencies([(n, w_idx) for (w_idx, n) in keys], omega), s
 
 
 def _dagger_sum(s_conj, cs):
-    """sum over blocks and couplings of S_mu^dag CS_mu, a d x d matrix, from
-    the stacks conj(S) and CS."""
+    """sum over the stacks of S^dag CS, a d x d matrix, from conj(S) and CS."""
     d = cs.shape[-1]
     return s_conj.reshape(-1, d).T @ cs.reshape(-1, d)
+
+
+def _sandwich_sum(s_conj, cs):
+    """sum over the stacks of conj(S) (x) CS, a d^2 x d^2 matrix, from conj(S)
+    and CS: entry ((a, c), (x, e)) of the product goes to ((a, x), (c, e))."""
+    d = cs.shape[-1]
+    m = s_conj.reshape(-1, d * d).T @ cs.reshape(-1, d * d)
+    return m.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
 
 
 def build_lamb_shift(jumps, bath, omega, tol_herm=1e-9):
@@ -105,48 +93,39 @@ def build_lamb_shift(jumps, bath, omega, tol_herm=1e-9):
     Returns the shift matrix together with the zeta blocks used, keyed by
     (frequency_index, n).
     """
-    keys, s = _stacked_operators(jumps)
-    zeta_blocks = {
-        (w_idx, n): bath.zeta(jumps.shifted_frequency(n, w_idx, omega), tol_herm=tol_herm)
-        for (w_idx, n) in keys
-    }
-    delta_h = _dagger_sum(s.conj(), _weighted(zeta_blocks, s))
+    keys, shifted, s = _stacked_operators(jumps, omega)
+    zeta = bath.zeta_many(shifted, tol_herm=tol_herm)
+    delta_h = _dagger_sum(s.conj(), np.einsum("bmn,bnij->bmij", zeta, s))
     defect = hermiticity_defect(delta_h)
     if defect > 1e-12:
         raise NotHermitian(f"energy shift is not Hermitian: relative defect {defect:.3e}")
-    return delta_h, zeta_blocks
+    return delta_h, dict(zip(keys, zeta))
 
 
 def build_dissipator(jumps, bath, omega, tol_psd=1e-12):
     """Dissipative part as a superoperator, plus its Kossakowski blocks.
 
     Each block is the bath matrix h evaluated at one shifted frequency; a
-    negative eigenvalue beyond tolerance raises NotPSD naming the offending
-    block.
+    negative eigenvalue beyond tolerance raises NotPSD naming the first
+    offending block.
     """
-    keys, s = _stacked_operators(jumps)
-    blocks = {}
-    shifted_map = {}
-    for (w_idx, n) in keys:
-        shifted = jumps.shifted_frequency(n, w_idx, omega)
-        try:
-            g = bath.h(shifted, tol_psd=tol_psd)
-        except NotPSD as exc:
-            raise NotPSD(
-                f"Kossakowski block at (n={n}, frequency_index={w_idx}, "
-                f"shifted={shifted:.6g}) failed: {exc}"
-            ) from exc
-        blocks[(w_idx, n)] = g
-        shifted_map[(w_idx, n)] = shifted
-    gs = _weighted(blocks, s)
+    keys, shifted, s = _stacked_operators(jumps, omega)
+    try:
+        h = bath.h_many(shifted, tol_psd=tol_psd)
+    except NotPSD as exc:
+        if exc.frequency is None:
+            raise
+        w_idx, n = keys[int(np.flatnonzero(shifted == exc.frequency)[0])]
+        raise NotPSD(
+            f"Kossakowski block at (n={n}, frequency_index={w_idx}, "
+            f"shifted={exc.frequency:.6g}) failed: {exc}"
+        ) from exc
+    gs = np.einsum("bmn,bnij->bmij", h, s)  # GS_mu = sum_nu h_{mu nu} S_nu per block
     s_conj = s.conj()
-    d = jumps.decomp.dim
-    # sum conj(S_mu) (x) GS_mu: entry ((a, c), (x, e)) of the product, moved to ((a, x), (c, e))
-    sandwich = s_conj.reshape(-1, d * d).T @ gs.reshape(-1, d * d)
-    sandwich = sandwich.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
     a = _dagger_sum(s_conj, gs)
-    eye = np.eye(d)
-    return Superoperator(sandwich - 0.5 * (np.kron(eye, a) + np.kron(a.T, eye))), blocks, shifted_map
+    eye = np.eye(jumps.decomp.dim)
+    diss = _sandwich_sum(s_conj, gs) - 0.5 * (np.kron(eye, a) + np.kron(a.T, eye))
+    return Superoperator(diss), dict(zip(keys, h)), dict(zip(keys, shifted.tolist()))
 
 
 def assemble_x(h_bar, delta_h, dissipator):
@@ -235,44 +214,36 @@ def cross_check_selection_rule(bundle, bath, omega, tol_delta=1e-8):
     """
     jumps = bundle.jumps
     d = jumps.decomp.dim
+    keys = [key for key, _ in jumps.items_sorted()]
+    shifts = jumps.shifted_frequencies([(n, w_idx) for (_, n, w_idx) in keys], omega)
+    order = np.argsort(shifts, kind="stable")
+    shifts = shifts[order]
+    mu = np.array([keys[i][0] for i in order], dtype=np.intp)
+    s = np.array([jumps.ops[keys[i]] for i in order]).reshape(-1, d, d)
+    h, z = bath.h_many(shifts), bath.zeta_many(shifts)
+
+    # ordered pairs (a, b) with |shift_b - shift_a| <= tol_delta, a-major
+    lo = np.searchsorted(shifts, shifts - tol_delta, side="left")
+    hi = np.searchsorted(shifts, shifts + tol_delta, side="right")
+    width = hi - lo
+    pair_a = np.repeat(np.arange(len(shifts)), width)
+    pair_b = np.arange(pair_a.size) - np.repeat(np.cumsum(width) - hi, width)
+
+    sandwich = np.zeros((d * d, d * d), dtype=complex)
+    left = np.zeros((d, d), dtype=complex)  # sum c1 S_a^dag S_b
+    right = np.zeros((d, d), dtype=complex)  # sum c2 S_a^dag S_b
+    step = max(1, _PAIR_CHUNK // (d * d))
+    for start in range(0, pair_a.size, step):
+        a, b = pair_a[start:start + step], pair_b[start:start + step]
+        mu_a, mu_b = mu[a], mu[b]
+        c1 = 0.5 * h[a, mu_a, mu_b] + 1j * z[a, mu_a, mu_b]
+        c2 = 0.5 * h[b, mu_a, mu_b] - 1j * z[b, mu_a, mu_b]
+        sa_conj, sb = s[a].conj(), s[b]
+        sandwich += _sandwich_sum(sa_conj, (c1 + c2)[:, None, None] * sb)
+        left += _dagger_sum(sa_conj, c1[:, None, None] * sb)
+        right += _dagger_sum(sa_conj, c2[:, None, None] * sb)
     eye = np.eye(d)
-
-    entries = []
-    for (mu, n, w_idx), s in jumps.items_sorted():
-        entries.append((jumps.shifted_frequency(n, w_idx, omega), mu, s))
-    entries.sort(key=lambda e: e[0])
-    shifts = np.array([e[0] for e in entries])
-
-    h_cache, z_cache = {}, {}
-
-    def h_at(w):
-        if w not in h_cache:
-            h_cache[w] = bath.h(w)
-        return h_cache[w]
-
-    def z_at(w):
-        if w not in z_cache:
-            z_cache[w] = bath.zeta(w)
-        return z_cache[w]
-
-    acc = _KahanSum((d * d, d * d))
-    for a in range(len(entries)):
-        sa, mu_a, s_a = entries[a]
-        lo = int(np.searchsorted(shifts, sa - tol_delta, side="left"))
-        hi = int(np.searchsorted(shifts, sa + tol_delta, side="right"))
-        s_a_dag = s_a.conj().T
-        s_a_conj = s_a.conj()
-        for b in range(lo, hi):
-            sb, mu_b, s_b = entries[b]
-            c1 = 0.5 * h_at(sa)[mu_a, mu_b] + 1j * z_at(sa)[mu_a, mu_b]
-            c2 = 0.5 * h_at(sb)[mu_a, mu_b] - 1j * z_at(sb)[mu_a, mu_b]
-            sab = s_a_dag @ s_b
-            sandwich = np.kron(s_a_conj, s_b)
-            acc.add(
-                c1 * (sandwich - np.kron(eye, sab))
-                + c2 * (sandwich - np.kron(sab.T, eye))
-            )
-    k_double = acc.total()
+    k_double = sandwich - np.kron(eye, left) - np.kron(right.T, eye)
     k_diag = -1j * ad_superop(bundle.delta_h) + bundle.dissipator.matrix
     return float(np.linalg.norm(k_double - k_diag, 2))
 

@@ -59,7 +59,8 @@ class BathSpectrum:
     ``h(w)`` must return a Hermitian PSD (n_couplings x n_couplings) matrix
     for every real ``w`` (Bochner positivity of the correlation transform);
     ``zeta(w)`` must return a Hermitian matrix. Both are validated at every
-    evaluation since user callbacks cannot be checked globally.
+    evaluation since user callbacks cannot be checked globally; ``h`` and
+    ``zeta`` are batches of one.
     """
 
     def __init__(self, h_fn, zeta_fn, n_couplings, family="custom", params=None):
@@ -70,30 +71,52 @@ class BathSpectrum:
         self.params = dict(params or {})
 
     def h(self, w, tol_psd=1e-12):
-        g = np.asarray(self._h_fn(float(w)), dtype=complex)
-        m = self.n_couplings
-        if g.shape != (m, m):
-            raise DimensionMismatch(f"bath h({w}) has shape {g.shape}, expected {(m, m)}")
-        if not np.all(np.isfinite(g)):
-            raise Overflow(f"bath h({w}) contains non-finite entries")
-        if hermiticity_defect(g) > 1e-9:
-            raise NotHermitian(f"bath h({w}) is not Hermitian")
-        g = hermitize(g)
-        lo = float(np.linalg.eigvalsh(g)[0])
-        if lo < -tol_psd * max(1.0, float(np.linalg.norm(g))):
-            raise NotPSD(f"bath h({w}) has negative eigenvalue {lo:.3e}")
-        return g
+        return self.h_many([w], tol_psd=tol_psd)[0]
 
     def zeta(self, w, tol_herm=1e-9):
-        z = np.asarray(self._zeta_fn(float(w)), dtype=complex)
+        return self.zeta_many([w], tol_herm=tol_herm)[0]
+
+    def h_many(self, ws, tol_psd=1e-12):
+        """Checked h at each frequency of ``ws``, stacked (len(ws), m, m); the
+        callback runs once per distinct frequency. A negative eigenvalue
+        raises NotPSD with the first failing frequency as ``frequency``."""
+        g, at, rows = self._checked(self._h_fn, "h", ws, 1e-9, NotHermitian)
+        lo = np.linalg.eigvalsh(g)[:, 0]
+        bad = np.flatnonzero(lo < -tol_psd * np.maximum(1.0, _norms(g)))
+        if bad.size:
+            err = NotPSD(f"bath h({float(at[bad[0]])}) has negative eigenvalue {lo[bad[0]]:.3e}")
+            err.frequency = float(at[bad[0]])
+            raise err
+        return g[rows]
+
+    def zeta_many(self, ws, tol_herm=1e-9):
+        """Checked zeta at each frequency of ``ws``, stacked (len(ws), m, m)."""
+        z, _, rows = self._checked(self._zeta_fn, "zeta", ws, tol_herm, NotHermitianZeta)
+        return z[rows]
+
+    def _checked(self, fn, name, ws, tol_herm, not_hermitian):
+        """Hermitized values of ``fn`` at the distinct frequencies of ``ws``,
+        called in order of first appearance; those frequencies; and the row
+        of each frequency of ``ws``. The first value failing the shape,
+        finiteness or Hermiticity check raises."""
+        ws = np.asarray(ws, dtype=float).reshape(-1)
+        _, first, inverse = np.unique(ws, return_index=True, return_inverse=True)
+        calls = np.argsort(first)
+        at = ws[first[calls]]
         m = self.n_couplings
-        if z.shape != (m, m):
-            raise DimensionMismatch(f"bath zeta({w}) has shape {z.shape}, expected {(m, m)}")
-        if not np.all(np.isfinite(z)):
-            raise Overflow(f"bath zeta({w}) contains non-finite entries")
-        if hermiticity_defect(z) > tol_herm:
-            raise NotHermitianZeta(f"bath zeta({w}) is not Hermitian")
-        return hermitize(z)
+        vals = [np.asarray(fn(w), dtype=complex) for w in at.tolist()]
+        for w, v in zip(at.tolist(), vals):
+            if v.shape != (m, m):
+                raise DimensionMismatch(f"bath {name}({w}) has shape {v.shape}, expected {(m, m)}")
+        g = np.array(vals).reshape(-1, m, m)
+        bad = np.flatnonzero(~np.isfinite(g).all(axis=(1, 2)))
+        if bad.size:
+            raise Overflow(f"bath {name}({float(at[bad[0]])}) contains non-finite entries")
+        g_dag = g.conj().swapaxes(1, 2)
+        bad = np.flatnonzero(_norms(g - g_dag) / np.maximum(1.0, _norms(g)) > tol_herm)
+        if bad.size:
+            raise not_hermitian(f"bath {name}({float(at[bad[0]])}) is not Hermitian")
+        return 0.5 * (g + g_dag), at, np.argsort(calls)[inverse.reshape(-1)]
 
     # -- constructors --------------------------------------------------
 

@@ -1,6 +1,7 @@
 """Energy shift, dissipator, and full generator assembly."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,10 +13,9 @@ from qmme.bohr import (
     decompose,
     interaction_picture_coupling_series,
 )
-from qmme.errors import InadmissibleModel, NotPSD
+from qmme.errors import InadmissibleModel, NotHermitian, NotHermitianZeta, NotPSD, Overflow
 from qmme.fourier import FourierOperatorSeries
 from qmme.generator import (
-    _KahanSum,
     assemble_x,
     build_dissipator,
     build_generator,
@@ -23,9 +23,9 @@ from qmme.generator import (
     check_covariance,
     cross_check_selection_rule,
 )
-from qmme.linalg import devectorize, vectorize
+from qmme.linalg import Superoperator, ad_superop, devectorize, vectorize
 from qmme.model import BathSpectrum, ReducedModel, p_series_from_profile_terms
-from qmme.presets import SIGMA_X, SIGMA_Z, preset
+from qmme.presets import PRESETS, SIGMA_X, SIGMA_Z, preset
 
 
 def static_qubit_jumps(coupling, r=1):
@@ -34,6 +34,30 @@ def static_qubit_jumps(coupling, r=1):
         FourierOperatorSeries.constant(np.eye(2), r=r), coupling
     )
     return decomp, build_jump_operator_set(decomp, [series])
+
+
+def driven_qutrit(h_fn=None, zeta_fn=None):
+    """Driven qutrit with two couplings and a bath with complex off-diagonal
+    h and zeta; ``h_fn``/``zeta_fn`` wrap the bath's (value, w) -> value."""
+    rng = np.random.default_rng(31)
+    terms = [{"profile": "sin", "index": (1,), "amplitude": 0.2,
+              "matrix": random_hermitian(rng, 3) / 3}]
+
+    def h(w):
+        v = 0.2 / (1.0 + w * w) * np.array([[1.0, 0.4 * np.exp(1j * w)], [0.4 * np.exp(-1j * w), 0.7]])
+        return v if h_fn is None else h_fn(v, w)
+
+    def zeta(w):
+        v = np.array([[0.05 * w, 0.02 + 0.03j * w], [0.02 - 0.03j * w, -0.04]])
+        return v if zeta_fn is None else zeta_fn(v, w)
+
+    return ReducedModel(
+        frequencies=np.array([math.sqrt(2.0)]),
+        p_series=p_series_from_profile_terms(terms, r=1, trunc=6),
+        h_bar=np.diag([0.0, 1.0, 2.7]),
+        couplings=[random_hermitian(rng, 3), random_hermitian(rng, 3)],
+        bath=BathSpectrum.from_callables(h, zeta_fn=zeta, n_couplings=2),
+    )
 
 
 class TestLambShift:
@@ -162,27 +186,11 @@ class TestSelectionRule:
         # a driven qutrit with two couplings whose jump operators share every
         # block; h(w) and zeta(w) have complex off-diagonal entries, so the
         # mu != nu terms and the orientation of both bath matrices matter
-        rng = np.random.default_rng(31)
-        omega = np.array([math.sqrt(2.0)])
-        terms = [{"profile": "sin", "index": (1,), "amplitude": 0.2,
-                  "matrix": random_hermitian(rng, 3) / 3}]
-        bath = BathSpectrum.from_callables(
-            lambda w: 0.2 / (1.0 + w * w) * np.array(
-                [[1.0, 0.4 * np.exp(1j * w)], [0.4 * np.exp(-1j * w), 0.7]]),
-            zeta_fn=lambda w: np.array([[0.05 * w, 0.02 + 0.03j * w], [0.02 - 0.03j * w, -0.04]]),
-            n_couplings=2,
-        )
-        model = ReducedModel(
-            frequencies=omega,
-            p_series=p_series_from_profile_terms(terms, r=1, trunc=6),
-            h_bar=np.diag([0.0, 1.0, 2.7]),
-            couplings=[random_hermitian(rng, 3), random_hermitian(rng, 3)],
-            bath=bath,
-        )
+        model = driven_qutrit()
         bundle = build_generator(model)
         assert len({n for (_, n, _) in bundle.jumps.ops}) > 1  # sidebands present
         assert np.linalg.norm(bundle.delta_h) > 1e-2
-        assert cross_check_selection_rule(bundle, bath, omega) < 1e-12
+        assert cross_check_selection_rule(bundle, model.bath, model.frequencies) < 1e-12
         assert check_covariance(bundle).passed
 
     def test_congruent_model_deviates(self):
@@ -232,21 +240,235 @@ class TestCovariance:
         assert d["passed"] is True
 
 
-class TestKahanSum:
-    def test_small_increments_not_swallowed(self):
-        # naive accumulation loses every 1e-16 added to 1.0; the compensated
-        # sum keeps them
-        acc = _KahanSum((1, 1))
-        acc.add(np.array([[1.0]]))
-        naive = 1.0
-        for _ in range(10000):
-            acc.add(np.array([[1e-16]]))
-            naive += 1e-16
-        assert naive == 1.0
-        assert acc.total()[0, 0].real == pytest.approx(1.0 + 1e-12, rel=1e-6)
+# ---------------------------------------------------------------------------
+# references: the per-pair and per-term loops the contractions replace
+# ---------------------------------------------------------------------------
 
-    def test_many_small_terms(self):
-        acc = _KahanSum((1,))
-        for _ in range(10**5):
-            acc.add(np.array([0.1]))
-        assert acc.total()[0] == pytest.approx(1e4, abs=1e-9)
+def _loop_cross_check(bundle, bath, omega, tol_delta=1e-8):
+    """The selection-rule deviation as a compensated (Kahan) loop over ordered
+    resonant pairs, one Kronecker sandwich per pair."""
+    jumps = bundle.jumps
+    d = jumps.decomp.dim
+    eye = np.eye(d)
+    entries = sorted(
+        ((jumps.shifted_frequency(n, w_idx, omega), mu, s) for (mu, n, w_idx), s in jumps.items_sorted()),
+        key=lambda e: e[0],
+    )
+    shifts = np.array([e[0] for e in entries])
+    h = {w: bath.h(w) for w in set(shifts.tolist())}
+    zeta = {w: bath.zeta(w) for w in set(shifts.tolist())}
+    total = np.zeros((d * d, d * d), dtype=complex)
+    comp = np.zeros_like(total)
+    for sa, mu_a, s_a in entries:
+        lo = int(np.searchsorted(shifts, sa - tol_delta, side="left"))
+        hi = int(np.searchsorted(shifts, sa + tol_delta, side="right"))
+        for sb, mu_b, s_b in entries[lo:hi]:
+            c1 = 0.5 * h[sa][mu_a, mu_b] + 1j * zeta[sa][mu_a, mu_b]
+            c2 = 0.5 * h[sb][mu_a, mu_b] - 1j * zeta[sb][mu_a, mu_b]
+            sab = s_a.conj().T @ s_b
+            sandwich = np.kron(s_a.conj(), s_b)
+            y = c1 * (sandwich - np.kron(eye, sab)) + c2 * (sandwich - np.kron(sab.T, eye)) - comp
+            t = total + y
+            comp = (t - total) - y
+            total = t
+    k_diag = -1j * ad_superop(bundle.delta_h) + bundle.dissipator.matrix
+    return float(np.linalg.norm(total - k_diag, 2))
+
+
+def _loop_jump_operators(decomp, s_hat_series, drop_tol=1e-14):
+    """Projector sums applied one Fourier coefficient at a time."""
+    ops = {}
+    for n in s_hat_series.indices():
+        s_hat = s_hat_series.coeff(n)
+        for w_idx, klist in enumerate(decomp.pairs):
+            s = np.zeros_like(s_hat)
+            for k, l in klist:
+                s += decomp.projections[k] @ s_hat @ decomp.projections[l]
+            if np.linalg.norm(s) >= drop_tol:
+                ops[(n, w_idx)] = s
+    return ops
+
+
+def _exact_sum(terms):
+    """Correctly rounded sum of a list of complex arrays (math.fsum per entry)."""
+    flat = np.array(terms).reshape(len(terms), -1)
+    total = [complex(math.fsum(col.real), math.fsum(col.imag)) for col in flat.T]
+    return np.array(total).reshape(terms[0].shape)
+
+
+def _term_generator(model, bundle):
+    """delta_h and X summed term by term, exactly rounded, from scalar bath
+    calls per block."""
+    jumps, d = bundle.jumps, bundle.dim
+    eye = np.eye(d)
+    shift_terms, diss_terms = [], []
+    for (w_idx, n) in jumps.block_keys():
+        w = jumps.shifted_frequency(n, w_idx, model.frequencies)
+        h, zeta = model.bath.h(w), model.bath.zeta(w)
+        for mu in range(jumps.n_couplings):
+            for nu in range(jumps.n_couplings):
+                s_mu, s_nu = jumps.op(mu, n, w_idx), jumps.op(nu, n, w_idx)
+                prod = s_mu.conj().T @ s_nu
+                shift_terms.append(zeta[mu, nu] * prod)
+                diss_terms.append(h[mu, nu] * (np.kron(s_mu.conj(), s_nu)
+                                               - 0.5 * (np.kron(eye, prod) + np.kron(prod.T, eye))))
+    delta_h, diss = _exact_sum(shift_terms), _exact_sum(diss_terms)
+    return delta_h, assemble_x(model.h_bar, delta_h, Superoperator(diss)).matrix
+
+
+def scaled_r3_models(seed):
+    """The benchmark's seeded r = 3 models, d = 2 and 3: random Hermitian
+    h_bar (norm 1), two couplings (norm 0.5), an ohmic bath, and
+    p = exp(-i sum_j 0.008 sin(theta_j) G_j) at trunc 3 with every
+    coefficient kept."""
+    models = []
+    for d in (2, 3):
+        rng = np.random.default_rng([seed, d])
+
+        def herm(norm):
+            h = random_hermitian(rng, d)
+            return h * (norm / np.linalg.norm(h, 2))
+
+        h_bar = herm(1.0)
+        couplings = [herm(0.5), herm(0.5)]
+        terms = [{"profile": "sin", "index": tuple(int(i == j) for i in range(3)),
+                  "amplitude": 0.008, "matrix": herm(1.0)} for j in range(3)]
+        models.append(ReducedModel(
+            frequencies=np.array([1.0, math.sqrt(2.0), math.sqrt(3.0)]),
+            p_series=p_series_from_profile_terms(terms, r=3, trunc=3, drop_eps=0.0),
+            h_bar=h_bar,
+            couplings=couplings,
+            bath=BathSpectrum.ohmic_kms(kappa=0.1, cutoff=5.0, beta=1.0, n_couplings=2),
+        ))
+    return models
+
+
+REFERENCE_MODELS = {
+    **{name: lambda name=name: PRESETS[name]() for name in PRESETS},
+    **{f"scaled_r3_seed{seed}_d{d}": lambda seed=seed, i=i: scaled_r3_models(seed)[i]
+       for seed in (1, 2, 3) for i, d in enumerate((2, 3))},
+    "driven_qutrit": driven_qutrit,
+}
+
+
+class TestPairSumMatchesLoops:
+    """The pair sum, the stacked jump operators and the batched bath against
+    the loops they replace."""
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_MODELS))
+    def test_reference_model(self, name):
+        model = REFERENCE_MODELS[name]()
+        bundle = build_generator(model, validate=False)
+        omega = model.frequencies
+
+        got = cross_check_selection_rule(bundle, model.bath, omega)
+        expect = _loop_cross_check(bundle, model.bath, omega)
+        if name == "qubit_congruence_violating":
+            assert expect > 1e-3
+            assert got == pytest.approx(expect, rel=1e-12, abs=0)
+        else:
+            assert abs(got - expect) <= 1e-14
+        if name in ("qubit_driven", "qubit_congruence_violating", "driven_qutrit"):
+            # exact coincidence only: the window must still hold each operator's equals
+            got0 = cross_check_selection_rule(bundle, model.bath, omega, tol_delta=0.0)
+            assert got0 == pytest.approx(_loop_cross_check(bundle, model.bath, omega, 0.0),
+                                         rel=1e-12, abs=1e-14)
+
+        expect_ops = {}
+        for mu, series in enumerate(bundle.s_hat_series):
+            for (n, w_idx), s in _loop_jump_operators(bundle.decomp, series).items():
+                expect_ops[(mu, n, w_idx)] = s
+        assert set(bundle.jumps.ops) == set(expect_ops)
+        for key, s in expect_ops.items():
+            assert np.max(np.abs(bundle.jumps.ops[key] - s)) <= 1e-15
+
+        delta_h, x = _term_generator(model, bundle)
+        assert np.max(np.abs(bundle.delta_h - delta_h), initial=0.0) <= 1e-15
+        assert np.max(np.abs(bundle.x.matrix - x)) <= 1e-15
+
+
+def _counted(bath, calls):
+    """``bath`` behind callbacks that record each frequency they are called at."""
+    def h(w):
+        calls["h"].append(w)
+        return bath.h(w)
+
+    def zeta(w):
+        calls["zeta"].append(w)
+        return bath.zeta(w)
+
+    return BathSpectrum.from_callables(h, zeta, n_couplings=bath.n_couplings)
+
+
+class TestBathBatches:
+    """The bath is called once per distinct shifted frequency, and a bad value
+    at one of them is named."""
+
+    @pytest.mark.parametrize("name", ["driven_qutrit", "qubit_congruence_violating"])
+    def test_one_call_per_distinct_frequency(self, name):
+        calls = {"h": [], "zeta": []}
+        base = REFERENCE_MODELS[name]()
+        model = ReducedModel(frequencies=base.frequencies, p_series=base.p_series, h_bar=base.h_bar,
+                             couplings=base.couplings, bath=_counted(base.bath, calls))
+        bundle = build_generator(model, validate=False)
+        distinct = set(bundle.shifted_frequencies.values())
+        if name == "qubit_congruence_violating":
+            assert len(distinct) < len(bundle.shifted_frequencies)  # blocks share frequencies
+        for check in (None, cross_check_selection_rule):
+            if check is not None:
+                calls["h"].clear()
+                calls["zeta"].clear()
+                check(bundle, model.bath, model.frequencies)
+            for key in ("h", "zeta"):
+                assert sorted(calls[key]) == sorted(distinct)
+
+    @pytest.mark.parametrize("which, value, error", [
+        ("h", np.diag([1.0, -0.5]), NotPSD),
+        ("h", np.array([[1.0, 1.0], [0.0, 1.0]]), NotHermitian),
+        ("h", np.full((2, 2), np.inf), Overflow),
+        ("zeta", np.array([[0.0, 1.0], [0.0, 0.0]]), NotHermitianZeta),
+        ("zeta", np.full((2, 2), np.nan), Overflow),
+    ])
+    def test_bad_value_at_one_frequency_is_named(self, which, value, error):
+        shifted = build_generator(driven_qutrit()).shifted_frequencies
+        target = sorted(shifted.values())[len(shifted) // 2]
+        bad = lambda v, w: value if w == target else v  # noqa: E731
+        model = driven_qutrit(**{f"{which}_fn": bad})
+        with pytest.raises(error) as exc:
+            build_generator(model)
+        assert f"bath {which}({target})" in str(exc.value)
+        if error is NotPSD:
+            w_idx, n = min(key for key, w in shifted.items() if w == target)
+            assert f"block at (n={n}, frequency_index={w_idx}, shifted={target:.6g})" in str(exc.value)
+            assert exc.value.__cause__.frequency == target
+        bundle = build_generator(driven_qutrit())
+        with pytest.raises(error) as exc:
+            cross_check_selection_rule(bundle, model.bath, model.frequencies)
+        assert f"bath {which}({target})" in str(exc.value)
+
+
+class TestCrossCheckMemoryAtLargerDimension:
+    def test_pairs_are_gathered_in_chunks(self):
+        # d = 10, r = 2, trunc 6: the stacked jump operators take about 12.6 MB;
+        # gathering every resonant pair at once would take about 65 MB
+        d = 10
+        rng = np.random.default_rng(10)
+        terms = [{"profile": "sin", "index": index, "amplitude": 0.1,
+                  "matrix": random_hermitian(rng, d) / d} for index in ((1, 0), (0, 1))]
+        model = ReducedModel(
+            frequencies=np.array([1.0, math.sqrt(2.0)]),
+            p_series=p_series_from_profile_terms(terms, r=2, trunc=6),
+            h_bar=random_hermitian(rng, d) / d,
+            couplings=[random_hermitian(rng, d) / (2 * d)],
+            bath=BathSpectrum.ohmic_kms(kappa=0.1, cutoff=5.0, beta=1.0, n_couplings=1),
+        )
+        bundle = build_generator(model, validate=False)
+        stacked = len(bundle.jumps.ops) * d * d * 16
+        tracemalloc.start()
+        try:
+            dev = cross_check_selection_rule(bundle, model.bath, model.frequencies)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * stacked
+        assert dev < 1e-10
