@@ -80,9 +80,19 @@ from .model import (
     synthesize_hamiltonian,
     validate_model,
 )
-from .presets import PRESETS, preset
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # presets is loaded on first use, so ``python -m qmme.presets`` runs it
+    # as a fresh module rather than one the package already imported
+    if name in ("PRESETS", "preset"):
+        from . import presets
+
+        return getattr(presets, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "__version__",

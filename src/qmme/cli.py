@@ -33,6 +33,7 @@ from .errors import (
     TruncationLoss,
     UnknownFrequency,
 )
+from .fourier import _norms
 from .io import (
     _matrix_to_json,
     dumps_canonical,
@@ -218,6 +219,9 @@ def cmd_build(args):
     report, bundle = _build(args, mdl)
     cov = generator.check_covariance(bundle)
     decomp = bundle.decomp
+    ops = bundle.jumps.items_sorted()
+    shifts = bundle.jumps.shifted_frequencies([(n, w_idx) for (_, n, w_idx), _ in ops], mdl.frequencies)
+    norms = _norms(np.array([s for _, s in ops]).reshape(-1, decomp.dim, decomp.dim))
     payload = {
         "validation": report.to_dict(),
         "decomposition": {
@@ -230,12 +234,10 @@ def cmd_build(args):
                 "coupling": int(mu),
                 "n": [int(v) for v in n],
                 "frequency": float(decomp.bohr_frequencies[w_idx]),
-                "shifted_frequency": float(
-                    bundle.jumps.shifted_frequency(n, w_idx, mdl.frequencies)
-                ),
-                "norm": float(np.linalg.norm(s)),
+                "shifted_frequency": float(shift),
+                "norm": float(norm),
             }
-            for (mu, n, w_idx), s in bundle.jumps.items_sorted()
+            for ((mu, n, w_idx), _), shift, norm in zip(ops, shifts, norms)
         ],
         "delta_h": _matrix_to_json(bundle.delta_h),
         "kossakowski_blocks": [

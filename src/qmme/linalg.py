@@ -12,7 +12,6 @@ All functions operate on ``numpy.ndarray`` with complex dtype.
 """
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionMismatch, NoConvergence, NotHermitian, Overflow
 
@@ -102,6 +101,8 @@ def expm(a):
 
     Raises Overflow if the input or result contains non-finite entries.
     """
+    import scipy.linalg  # here, so a process whose maps all diagonalize never loads scipy
+
     a = _as_square(a, "generator")
     out = scipy.linalg.expm(a)
     if not np.all(np.isfinite(out)):

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.integrate
 
 from . import bohr as _bohr
 from .errors import (
@@ -197,6 +196,8 @@ def principal_value_zeta(h_scalar, w, window):
     the imaginary part of the one-sided transform when the full transform is
     ``h``. Restricted to |w| < window.
     """
+    import scipy.integrate  # here, so importing qmme does not load scipy
+
     w = float(w)
     window = float(window)
     if not abs(w) < window:

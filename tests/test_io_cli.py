@@ -570,3 +570,51 @@ class TestCliDynamics:
         payload = json.loads(res.stdout)
         assert payload["r"] == 2
         assert payload["coefficients"]
+
+
+_NO_SCIPY_SCRIPT = """
+import contextlib, io, json, sys
+import qmme, qmme.cli
+model = sys.argv[1]
+codes = {}
+for argv in (
+    ["validate", model],
+    ["synthesize", model],
+    ["build", model],
+    ["evolve", model, "--grid", "0:2:5", "--rho0", "plus"],
+    ["spectrum", model],
+    ["steady-state", model, "--grid", "0:10:40"],
+    ["certify", model, "--grid", "0.1:2:3", "--pairs", "2"],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes[argv[0]] = qmme.cli.main(argv)
+scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+print(json.dumps({"codes": codes, "scipy": scipy}))
+"""
+
+
+class TestColdStart:
+    """What a fresh process imports, and running the presets module as a script."""
+
+    def _env(self):
+        return {**os.environ, "PYTHONPATH": str(REPO / "src")}
+
+    def test_cli_subcommands_load_no_scipy(self):
+        res = subprocess.run(
+            [sys.executable, "-c", _NO_SCIPY_SCRIPT, str(MODELS_DIR / "qubit_driven.json")],
+            capture_output=True, text=True, env=self._env(), cwd=REPO,
+        )
+        assert res.returncode == 0, res.stderr
+        result = json.loads(res.stdout)
+        assert result["codes"] == {name: 0 for name in result["codes"]}
+        assert len(result["codes"]) == 7
+        assert result["scipy"] == []
+
+    def test_presets_module_runs_without_warning(self, tmp_path):
+        res = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "qmme.presets", str(tmp_path)],
+            capture_output=True, text=True, env=self._env(), cwd=REPO,
+        )
+        assert res.returncode == 0, res.stderr
+        assert res.stderr == ""
+        assert sorted(p.name for p in tmp_path.glob("*.json")) == sorted(f"{name}.json" for name in PRESETS)
