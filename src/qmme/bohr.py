@@ -12,6 +12,7 @@ summed over w. Each jump operator carries the shifted frequency
 w + n . omega at which bath spectra are evaluated.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -235,6 +236,21 @@ class JumpOperatorSet:
         """
         keys = {(w_idx, n) for (_, n, w_idx) in self.ops}
         return sorted(keys)
+
+    @functools.cached_property
+    def stacked(self):
+        """The block keys and the operators stacked as a read-only array
+        (blocks, couplings, d, d), zeros where a coupling has no operator in
+        a block. Built on first use and kept until deleted, so ``ops`` must
+        not change in between."""
+        keys = self.block_keys()
+        row = {key: b for b, key in enumerate(keys)}
+        d = self.decomp.dim
+        s = np.zeros((len(keys), self.n_couplings, d, d), dtype=complex)
+        for (mu, n, w_idx), op in self.ops.items():
+            s[row[(w_idx, n)], mu] = op
+        s.setflags(write=False)
+        return keys, s
 
     def op(self, mu, n, w_idx):
         key = (mu, tuple(n), w_idx)

@@ -11,20 +11,25 @@ with X the constant generator. The equivalent time-local master equation uses
 and ``integrate_direct`` solves it with classical fixed-step RK4 under step
 halving; ``integrate_schrodinger_direct`` solves u' = -i H(t) u the same way.
 
-Both cross-checks take their substeps ``_STEP_BLOCK`` at a time and evaluate
-every series once per block, at all substep starts, midpoints and ends, in
-one batched call. The oracle is linear in a d x d state, y' = A(t) y with
-A = -i H(t), so one substep of size h is a step matrix
+Both cross-checks take their substeps in chunks and evaluate every series
+once per chunk, in one batched call: the master equation ``_STEP_BLOCK``
+substeps at a time, the oracle as many as hold ``_CHUNK_ENTRIES`` matrix
+entries (substeps x d^2). A substep ends where the next one starts, and the
+last one ends on the last grid node, so a chunk of n substeps has 2n + 1
+stage nodes: its n + 1 edges and n midpoints. The oracle is linear in a d x d state,
+y' = A(t) y with A = -i H(t), so one substep of size h is a step matrix
 R = I + h/6 (A1 + 2 B2 + 2 B3 + B4), with B2 = A2 (I + h/2 A1),
-B3 = A2 (I + h/2 B2), B4 = A4 (I + h B3) and A1, A2, A4 the generator at t,
-t + h/2 and t + h; a block's step matrices are formed with stacked products
-and applied in order. The master equation keeps its RK4 stages on the d x d
-density matrix, with p and H taken from the block's batched evaluation, so
-no d^2 x d^2 superoperator is formed per node. The product form likewise
-evaluates p once per time grid. What the cross-checks share with the product
-form is only the series evaluation and the constant dissipator matrix; no
-exponential of X enters them, so agreement between the paths is a
-meaningful check of the whole construction.
+B3 = A2 (I + h/2 B2), B4 = A4 (I + h B3) and A1, A2, A4 the generator at the
+substep's start, midpoint and end. A chunk's step matrices are formed with
+stacked products and multiplied, between consecutive recorded grid nodes, by
+a pairwise tree (log2 depth, about one batched product per substep); the
+state then takes one product per segment. The master equation keeps its RK4
+stages on the d x d density matrix, with p and H taken from the chunk's
+batched evaluation, so no d^2 x d^2 superoperator is formed per node. The
+product form likewise evaluates p once per time grid. What the cross-checks
+share with the product form is only the series evaluation and the constant
+dissipator matrix; no exponential of X enters them, so agreement between the
+paths is a meaningful check of the whole construction.
 """
 
 import functools
@@ -42,8 +47,10 @@ __all__ = [
     "rk4_path",
 ]
 
-# RK4 substeps whose stage nodes are evaluated together
+# master-equation substeps whose stage nodes are evaluated together
 _STEP_BLOCK = 64
+# most matrix entries (substeps x d^2) one chunk of oracle substeps holds
+_CHUNK_ENTRIES = 1 << 12
 
 
 # ---------------------------------------------------------------------------
@@ -110,40 +117,62 @@ def _rk4_step_matrices(a1, a2, a4, h):
     return eye + (h / 6.0) * (a1 + 2.0 * b2 + 2.0 * b3 + b4)
 
 
-def _stage_nodes(t, h):
-    """RK4 stage times of the substeps (t, h): all starts, midpoints, ends."""
-    return np.concatenate([t, t + 0.5 * h, t + h])
+def _stage_nodes(edges, h):
+    """The 2n + 1 RK4 stage times of the n substeps of sizes ``h`` between
+    consecutive ``edges``: the n + 1 edges, then the n midpoints. Substep k
+    takes its first stage at node k, its middle stages at node n + 1 + k and
+    its last stage at node k + 1, the start of the next substep."""
+    return np.concatenate([edges, edges[:-1] + 0.5 * h])
 
 
-def _rk4_blocked(advance, y0, ts, h_target):
-    """``_rk4_fixed`` with the substeps taken ``_STEP_BLOCK`` at a time.
+def _segment_products(steps, lengths):
+    """Products S_{b-1} ... S_a of the step matrices over consecutive segments
+    [a, b) of the given lengths, as a pairwise tree: each level pads the
+    segments of odd length with the identity and multiplies neighbours."""
+    eye = np.eye(steps.shape[-1])
+    while np.any(lengths > 1):
+        odd = lengths % 2 == 1
+        steps = np.insert(steps, np.cumsum(lengths)[odd], eye, axis=0)
+        lengths = (lengths + 1) // 2
+        steps = steps[1::2] @ steps[0::2]
+    return steps
 
-    ``advance(y, t, h)`` marches y through the substeps that start at the
-    times ``t`` with sizes ``h`` and returns the state after each of them.
+
+def _rk4_blocked(advance, chunk, y0, ts, h_target):
+    """``_rk4_fixed`` with the substeps taken ``chunk`` at a time.
+
+    ``advance(y, edges, h, cuts)`` marches y through the substeps of sizes
+    ``h`` between consecutive ``edges`` and returns the state after the first
+    ``cuts[j]`` of them for every j; the last cut is the whole chunk.
     """
     starts, sizes, reached = _substeps(ts, h_target)
+    edges = np.append(starts, ts[-1])  # the last substep ends on the last node
     out = np.empty((ts.size,) + y0.shape, dtype=complex)
     out[0] = y0
     out[1:][reached == 0] = y0
     y = y0
-    for lo in range(0, starts.size, _STEP_BLOCK):
-        path = advance(y, starts[lo : lo + _STEP_BLOCK], sizes[lo : lo + _STEP_BLOCK])
+    for lo in range(0, starts.size, chunk):
+        hi = min(lo + chunk, starts.size)
+        i0, i1 = np.searchsorted(reached, [lo, hi], side="right")
+        cuts = np.unique(np.append(reached[i0:i1], hi)) - lo
+        path = advance(y, edges[lo : hi + 1], sizes[lo:hi], cuts)
         y = path[-1]
-        i0, i1 = np.searchsorted(reached, [lo, lo + len(path)], side="right")
-        out[1 + i0 : 1 + i1] = path[reached[i0:i1] - lo - 1]
+        out[1 + i0 : 1 + i1] = path[np.searchsorted(cuts, reached[i0:i1] - lo)]
     return out
 
 
 def _linear_advance(a_at):
-    """Block march of y' = A(t) y, where ``a_at(times)`` returns the stacked
-    generators A at an array of times: one step matrix per substep."""
+    """Chunk march of y' = A(t) y, where ``a_at(times)`` returns the stacked
+    generators A at an array of times: one step matrix per substep, and one
+    product of them per segment between cuts."""
 
-    def advance(y, t, h):
-        a1, a2, a4 = np.split(a_at(_stage_nodes(t, h)), 3)
-        path = np.empty((t.size,) + y.shape, dtype=complex)
-        for k, step in enumerate(_rk4_step_matrices(a1, a2, a4, h)):
-            y = step @ y
-            path[k] = y
+    def advance(y, edges, h, cuts):
+        n = h.size
+        a = a_at(_stage_nodes(edges, h))
+        steps = _rk4_step_matrices(a[:n], a[n + 1 :], a[1 : n + 1], h)
+        path = np.empty((cuts.size,) + y.shape, dtype=complex)
+        for k, product in enumerate(_segment_products(steps, np.diff(cuts, prepend=0))):
+            y = path[k] = product @ y
         return path
 
     return advance
@@ -154,7 +183,7 @@ def _refine(march, y0, ts, tol, norm, h_initial, max_refinements):
     ts = np.asarray(ts, dtype=float).reshape(-1)
     y0 = np.array(y0, dtype=complex)
     if ts.size < 2:
-        return np.stack([y0] * ts.size)
+        return np.repeat(y0[None], ts.size, axis=0)
     h = min(h_initial, max(float(ts[-1] - ts[0]), 1e-12) / 8.0)
     prev = march(y0, ts, h)
     for _ in range(max_refinements):
@@ -180,9 +209,9 @@ def rk4_path(f, y0, ts, tol=1e-8, norm=None, h_initial=0.05, max_refinements=12)
                    trace_norm if norm is None else norm, h_initial, max_refinements)
 
 
-def _blocked_rk4_path(advance, y0, ts, tol, norm, max_refinements=12):
-    """rk4_path marched block by block with ``advance`` (see _rk4_blocked)."""
-    return _refine(functools.partial(_rk4_blocked, advance), y0, ts, tol, norm, 0.05,
+def _blocked_rk4_path(advance, chunk, y0, ts, tol, norm, max_refinements=12):
+    """rk4_path marched ``chunk`` substeps at a time with ``advance`` (see _rk4_blocked)."""
+    return _refine(functools.partial(_rk4_blocked, advance, chunk), y0, ts, tol, norm, 0.05,
                    max_refinements)
 
 
@@ -288,15 +317,15 @@ class DynamicalMap:
         rotated = conjugation_superop(p) @ self.bundle.dissipator.matrix @ conjugation_superop(pd)
         return Superoperator(-1j * ad_superop(h_eff) + rotated)
 
-    def _master_advance(self, rho, t, h):
-        """Block march of the master equation through the substeps (t, h).
+    def _master_advance(self, rho, edges, h, cuts):
+        """Chunk march of the master equation (see _rk4_blocked).
 
-        p and H are evaluated at every stage node of the block at once; the
+        p and H are evaluated at every stage node of the chunk at once; the
         RK4 stages act on the d x d state, O(d^4) per stage for the dissipator.
         """
         d = self.dim
         omega = self.model.frequencies
-        nodes = _stage_nodes(t, h)
+        nodes = _stage_nodes(edges, h)
         p = self.model.p_series.evaluate_many(omega, nodes)
         pd = p.conj().transpose(0, 2, 1)
         gen = -1j * (self.h_series().evaluate_many(omega, nodes) + p @ self.bundle.delta_h @ pd)
@@ -308,12 +337,12 @@ class DynamicalMap:
             dissipated = (diss @ (pd[i] @ rho @ p[i]).reshape(-1)).reshape(d, d)
             return gen[i] @ rho - rho @ gen[i] + p[i] @ dissipated @ pd[i]
 
-        n = t.size
+        n = h.size
         path = np.empty((n, d, d), dtype=complex)
         for k in range(n):
-            rho = _rk4_step(rhs, rho, h[k], k, n + k, 2 * n + k)
+            rho = _rk4_step(rhs, rho, h[k], k, n + 1 + k, k + 1)
             path[k] = rho
-        return path
+        return path[cuts - 1]
 
     # -- propagation ------------------------------------------------------
 
@@ -342,8 +371,8 @@ class DynamicalMap:
         Deliberately avoids the product form: the only shared ingredients are
         the series evaluations and the constant dissipator matrix.
         """
-        return _blocked_rk4_path(self._master_advance, np.asarray(rho0, dtype=complex), ts,
-                                 tol, trace_norm, max_refinements)
+        return _blocked_rk4_path(self._master_advance, _STEP_BLOCK, np.asarray(rho0, dtype=complex),
+                                 ts, tol, trace_norm, max_refinements)
 
 
 # ---------------------------------------------------------------------------
@@ -359,5 +388,6 @@ def integrate_schrodinger_direct(model, ts, tol=1e-8):
     h_series = synthesize_hamiltonian(model.p_series, model.frequencies, model.h_bar)
     return _blocked_rk4_path(
         _linear_advance(lambda times: -1j * h_series.evaluate_many(model.frequencies, times)),
-        np.eye(model.dim, dtype=complex), ts, tol, np.linalg.norm,
+        max(1, _CHUNK_ENTRIES // model.dim**2), np.eye(model.dim, dtype=complex), ts, tol,
+        np.linalg.norm,
     )

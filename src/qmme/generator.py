@@ -64,12 +64,7 @@ _PAIR_CHUNK = 1 << 15
 
 def _stacked_operators(jumps, omega):
     """Block keys, their shifted frequencies and the operators stacked (blocks, couplings, d, d)."""
-    keys = jumps.block_keys()
-    row = {key: b for b, key in enumerate(keys)}
-    d = jumps.decomp.dim
-    s = np.zeros((len(keys), jumps.n_couplings, d, d), dtype=complex)
-    for (mu, n, w_idx), op in jumps.ops.items():
-        s[row[(w_idx, n)], mu] = op
+    keys, s = jumps.stacked
     return keys, jumps.shifted_frequencies([(n, w_idx) for (w_idx, n) in keys], omega), s
 
 
@@ -187,6 +182,7 @@ def build_generator(model, decomp=None, validate=True, box=12, drop_tol=1e-14,
     dissipator, blocks, shifted_map = build_dissipator(
         jumps, model.bath, model.frequencies, tol_psd=tol_psd
     )
+    del jumps.stacked  # read by both sums; the bundle keeps the operators once, in ``ops``
     x = assemble_x(model.h_bar, delta_h, dissipator)
     return GeneratorBundle(
         h_bar=hermitize(model.h_bar),

@@ -91,6 +91,7 @@ class TestLinearRk4:
         kwargs.setdefault("tol", 1e-10)
         kwargs.setdefault("norm", np.linalg.norm)
         return dynamics._blocked_rk4_path(dynamics._linear_advance(a_at),
+                                          dynamics._CHUNK_ENTRIES // len(y0) ** 2,
                                           np.asarray(y0, dtype=complex), ts, **kwargs)
 
     def test_matches_callback_scheme(self):
@@ -104,6 +105,17 @@ class TestLinearRk4:
         angle = 0.5 * ts[-1] ** 2
         expect = np.array([[math.cos(angle), math.sin(angle)], [-math.sin(angle), math.cos(angle)]]) @ y0
         assert np.allclose(linear[-1], expect, atol=1e-9)
+
+    def test_segments_across_chunks(self):
+        # 3,100 substeps at d = 2 make four chunks; recorded nodes, a repeated
+        # one among them, fall inside chunks and on their edges
+        ts = np.array([0.0, 0.3, 1.024, 1.024, 2.0, 2.9, 3.1])
+        y0 = np.array([1.0, 0.5j])
+        chunked = dynamics._rk4_blocked(dynamics._linear_advance(_rotation), 1024, y0, ts, 1e-3)
+        callback = dynamics._rk4_fixed(lambda t, y: _rotation([t])[0] @ y, y0, ts, 1e-3)
+        assert dynamics._substeps(ts, 1e-3)[0].size > 3 * 1024
+        assert np.max(np.abs(chunked - callback)) < 1e-13
+        assert chunked[2, 0] == chunked[3, 0]
 
     def test_repeated_node(self):
         path = self.path(_constant([[-1.0]]), [1.0], [0.0, 1.0, 1.0, 2.0])
@@ -185,6 +197,95 @@ class TestBatchedIntegratorsMatchCallbacks:
             monkeypatch, lambda: integrate_schrodinger_direct(model, ts, tol=1e-10))
         assert np.max(np.abs(batched - reference)) <= 1e-12
         assert halvings == len(calls)
+
+
+class TestStageNodes:
+    """Each chunk of a march evaluates every series once at its 2n + 1 stage
+    nodes: the n substep starts, their midpoints and the end of the last."""
+
+    def record(self, monkeypatch):
+        marches = []
+        march, evaluate_many = dynamics._rk4_blocked, FourierOperatorSeries.evaluate_many
+
+        def counted_march(advance, chunk, y0, ts, h_target):
+            marches.append((np.asarray(ts, dtype=float), h_target, chunk, {}))
+            return march(advance, chunk, y0, ts, h_target)
+
+        def counted_evaluate(series, omega, ts):
+            if marches:
+                marches[-1][3].setdefault(id(series), []).append(np.array(ts, dtype=float))
+            return evaluate_many(series, omega, ts)
+
+        monkeypatch.setattr(dynamics, "_rk4_blocked", counted_march)
+        monkeypatch.setattr(FourierOperatorSeries, "evaluate_many", counted_evaluate)
+        return marches
+
+    def check(self, marches, n_series, chunk):
+        assert max(len(calls) for *_, evaluated in marches for calls in evaluated.values()) > 1
+        for ts, h_target, march_chunk, evaluated in marches:
+            assert march_chunk == chunk
+            starts, sizes, _ = dynamics._substeps(ts, h_target)
+            edges = np.append(starts, ts[-1])
+            assert len(evaluated) == n_series
+            for calls in evaluated.values():
+                lo = 0
+                for times in calls:
+                    n = times.size // 2
+                    assert times.size == 2 * n + 1 and n == min(chunk, starts.size - lo)
+                    ordered = np.sort(times)
+                    assert np.array_equal(ordered[0::2], edges[lo : lo + n + 1])
+                    assert np.array_equal(ordered[1::2], starts[lo : lo + n] + 0.5 * sizes[lo : lo + n])
+                    lo += n
+                assert lo == starts.size
+                # within one march a time is evaluated twice only where two chunks meet
+                every = np.concatenate(calls)
+                assert every.size - np.unique(every).size == len(calls) - 1
+
+    def test_master_equation(self, q3, monkeypatch):
+        _, _, dmap = q3
+        dmap.h_series()  # synthesized outside the march
+        marches = self.record(monkeypatch)
+        dmap.integrate_direct(np.eye(3) / 3, [0.0, 1.5, 1.5, 12.0, 20.0], tol=1e-8)
+        self.check(marches, n_series=2, chunk=dynamics._STEP_BLOCK)
+
+    def test_schrodinger_oracle(self, q2, monkeypatch):
+        model, _, _ = q2
+        marches = self.record(monkeypatch)
+        integrate_schrodinger_direct(model, [0.0, 0.7, 0.7, 3.0, 8.0], tol=1e-10)
+        self.check(marches, n_series=1, chunk=dynamics._CHUNK_ENTRIES // 4)
+
+
+def _larger_model():
+    """The driven d = 8 model of TestDirectIntegrationAtLargerDimension."""
+    d = 8
+    rng = np.random.default_rng(8)
+    terms = [{"profile": "sin", "index": (1,), "amplitude": 0.1,
+              "matrix": random_hermitian(rng, d) / d}]
+    return ReducedModel(
+        frequencies=np.array([1.0]),
+        p_series=p_series_from_profile_terms(terms, r=1, trunc=6),
+        h_bar=random_hermitian(rng, d) / d,
+        couplings=[random_hermitian(rng, d) / (2 * d)],
+        bath=BathSpectrum.ohmic_kms(kappa=0.1, cutoff=5.0, beta=1.0, n_couplings=1),
+    )
+
+
+class TestOracleAtLargerDimension:
+    def test_working_memory_stays_on_one_chunk(self):
+        # d = 8: the oracle holds one chunk of 64 substeps at a time (0.9 MB
+        # traced); a whole march as one chunk peaks at 46 MB
+        model = _larger_model()
+        ts = np.linspace(0.0, 20.0, 81)
+        tracemalloc.start()
+        try:
+            u = integrate_schrodinger_direct(model, ts, tol=1e-10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
+        frames = model.p_series.evaluate_many(model.frequencies, ts)
+        for t, p, u_t in zip(ts, frames, u):
+            assert np.linalg.norm(u_t - p @ scipy.linalg.expm(-1j * t * model.h_bar), 2) < 1e-8
 
 
 class TestDirectIntegrationAtLargerDimension:
@@ -325,6 +426,11 @@ class TestTrajectories:
             dmap.evolve(np.eye(2) / 2, [0.0, 1e-3, 0.5, 1.0, 2.0])
         assert dmap.evolve(np.eye(2) / 2, [0.0, 1e-3]).shape == (2, 2, 2)
 
+    def test_empty_grid(self, q2):
+        _, _, dmap = q2
+        rho0 = np.eye(2) / 2
+        assert dmap.integrate_direct(rho0, []).shape == dmap.evolve(rho0, []).shape == (0, 2, 2)
+
     def test_direct_integration_matches_closed_form(self, q1):
         _, _, dmap = q1
         rho0 = np.array([[0.6, 0.25 + 0.05j], [0.25 - 0.05j, 0.4]])
@@ -376,6 +482,10 @@ class TestSchrodingerReduction:
             closed = dmap.p_at(t) @ scipy.linalg.expm(-1j * t * h_bar)
             worst = max(worst, float(np.linalg.norm(u - closed, 2)))
         assert worst < 1e-7
+
+    def test_empty_grid(self, q3):
+        model, _, _ = q3
+        assert integrate_schrodinger_direct(model, []).shape == (0, 3, 3)
 
     def test_unitarity_of_integrated_path(self, q2):
         model, _, _ = q2

@@ -9,6 +9,7 @@ import pytest
 from conftest import random_density, random_hermitian
 
 from qmme.bohr import (
+    JumpOperatorSet,
     build_jump_operator_set,
     decompose,
     interaction_picture_coupling_series,
@@ -223,6 +224,22 @@ class TestBuildGenerator:
     def test_shift_hermitian(self, q3):
         _, bundle, _ = q3
         assert np.linalg.norm(bundle.delta_h - bundle.delta_h.conj().T) < 1e-13
+
+    def test_stacks_jump_operators_once(self, monkeypatch):
+        # the energy shift and the dissipator read one stack of the operators
+        calls = []
+        block_keys = JumpOperatorSet.block_keys
+
+        def counted(self):
+            calls.append(1)
+            return block_keys(self)
+
+        monkeypatch.setattr(JumpOperatorSet, "block_keys", counted)
+        bundle = build_generator(preset("qutrit_thermal"))
+        assert len(calls) == 1
+        assert "stacked" not in vars(bundle.jumps)  # the bundle holds no second copy
+        keys, s = bundle.jumps.stacked
+        assert len(keys) == len(bundle.kossakowski) and not s.flags.writeable
 
 
 class TestCovariance:
