@@ -35,6 +35,8 @@ __all__ = [
     "cptp_certificate",
 ]
 
+_WEIGHT_FLOOR = 1e-8  # modes weighted below this fraction of the largest count as absent from rho0
+
 
 def _classify(w, tol_spec):
     """Masks (zero, oscillatory, decaying) after snapping tiny real parts."""
@@ -263,7 +265,7 @@ class DecayFit:
         }
 
 
-def decay_rate_fit(dmap, cycle, rho0, ts, weight_floor=1e-8):
+def decay_rate_fit(dmap, cycle, rho0, ts):
     """Fit the decay of the distance to the limit cycle.
 
     Fits a line to log ||rho_t - cycle(t)||_1 over the window from the first
@@ -298,7 +300,7 @@ def decay_rate_fit(dmap, cycle, rho0, ts, weight_floor=1e-8):
     slope = float(np.polyfit(window_t, np.log(window_d), 1)[0])
     fitted = -slope
 
-    big = cycle.decay_weights > weight_floor * max(
+    big = cycle.decay_weights > _WEIGHT_FLOOR * max(
         1.0, float(np.max(cycle.decay_weights, initial=0.0))
     )
     if not np.any(big):

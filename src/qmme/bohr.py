@@ -208,7 +208,7 @@ def build_jump_operators(decomp, s_hat_series, drop_tol=1e-14):
     operators with Frobenius norm below ``drop_tol`` are omitted. Each
     projector sum acts on the whole stack of coefficients at once.
     """
-    indices, coeffs = s_hat_series.indices(), s_hat_series._stacked()[1]
+    indices, coeffs = s_hat_series.indices(), s_hat_series._stack
     left = [p @ coeffs for p in decomp.projections]  # P_k S_hat_n for every n
     ops = {}
     for w_idx, klist in enumerate(decomp.pairs):

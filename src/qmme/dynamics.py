@@ -51,6 +51,8 @@ __all__ = [
 _STEP_BLOCK = 64
 # most matrix entries (substeps x d^2) one chunk of oracle substeps holds
 _CHUNK_ENTRIES = 1 << 12
+# first RK4 step (before halving), and the halvings allowed before NoConvergence
+_H_INITIAL, _MAX_REFINEMENTS = 0.05, 12
 
 
 # ---------------------------------------------------------------------------
@@ -178,13 +180,13 @@ def _linear_advance(a_at):
     return advance
 
 
-def _refine(march, y0, ts, tol, norm, h_initial, max_refinements):
+def _refine(march, y0, ts, tol, norm, max_refinements):
     """Trajectory ``march(y0, ts, h)`` refined by step halving (see rk4_path)."""
     ts = np.asarray(ts, dtype=float).reshape(-1)
     y0 = np.array(y0, dtype=complex)
     if ts.size < 2:
         return np.repeat(y0[None], ts.size, axis=0)
-    h = min(h_initial, max(float(ts[-1] - ts[0]), 1e-12) / 8.0)
+    h = min(_H_INITIAL, max(float(ts[-1] - ts[0]), 1e-12) / 8.0)
     prev = march(y0, ts, h)
     for _ in range(max_refinements):
         h *= 0.5
@@ -197,7 +199,7 @@ def _refine(march, y0, ts, tol, norm, h_initial, max_refinements):
     )
 
 
-def rk4_path(f, y0, ts, tol=1e-8, norm=None, h_initial=0.05, max_refinements=12):
+def rk4_path(f, y0, ts, tol=1e-8, norm=None, max_refinements=_MAX_REFINEMENTS):
     """RK4 trajectory over ``ts``, refined by step halving.
 
     The step is halved until the end state moves by less than ``tol`` in the
@@ -206,13 +208,12 @@ def rk4_path(f, y0, ts, tol=1e-8, norm=None, h_initial=0.05, max_refinements=12)
     budget is exhausted.
     """
     return _refine(functools.partial(_rk4_fixed, f), y0, ts, tol,
-                   trace_norm if norm is None else norm, h_initial, max_refinements)
+                   trace_norm if norm is None else norm, max_refinements)
 
 
-def _blocked_rk4_path(advance, chunk, y0, ts, tol, norm, max_refinements=12):
+def _blocked_rk4_path(advance, chunk, y0, ts, tol, norm):
     """rk4_path marched ``chunk`` substeps at a time with ``advance`` (see _rk4_blocked)."""
-    return _refine(functools.partial(_rk4_blocked, advance, chunk), y0, ts, tol, norm, 0.05,
-                   max_refinements)
+    return _refine(functools.partial(_rk4_blocked, advance, chunk), y0, ts, tol, norm, _MAX_REFINEMENTS)
 
 
 # ---------------------------------------------------------------------------
@@ -365,14 +366,14 @@ class DynamicalMap:
         p = self.frames(ts)
         return p @ u @ p.conj().transpose(0, 2, 1)
 
-    def integrate_direct(self, rho0, ts, tol=1e-8, max_refinements=12):
+    def integrate_direct(self, rho0, ts, tol=1e-8):
         """Trajectory from RK4 on the time-local master equation.
 
         Deliberately avoids the product form: the only shared ingredients are
         the series evaluations and the constant dissipator matrix.
         """
         return _blocked_rk4_path(self._master_advance, _STEP_BLOCK, np.asarray(rho0, dtype=complex),
-                                 ts, tol, trace_norm, max_refinements)
+                                 ts, tol, trace_norm)
 
 
 # ---------------------------------------------------------------------------

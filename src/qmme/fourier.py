@@ -1,10 +1,11 @@
 """Operator-valued Fourier series on an r-torus and frequency-vector checks.
 
-A series A(t) = sum_n A_n exp(i (n . omega) t), |n_i| <= trunc, is one dense box
-tensor of shape ``(2 trunc + 1,) * r + (d, d)`` with a boolean support mask of the
-indices it holds. A product convolves the boxes by FFTs zero-padded to
-``2 (k_a + k_b) + 1`` points per axis, k the largest |n_i| on a support, so no
-index sum wraps around; its support is the Minkowski sum of the supports. Lossy
+A series A(t) = sum_n A_n exp(i (n . omega) t), |n_i| <= trunc, is stored as its
+support: an integer index array of shape (N, r) in lexicographic order and the
+coefficient stack (N, d, d). ``trunc`` is only a bound; no array is sized by it.
+A product convolves dense workspace boxes of radius k, the largest |n_i| on a
+support, by FFTs zero-padded to ``2 (k_a + k_b) + 1`` points per axis, so no index
+sum wraps around; its support is the Minkowski sum of the supports. Lossy
 operations add the l1 sum of Frobenius norms of what they drop to ``tail_norm``,
 a bound on the sup-over-t error; products add each input's tail times the other's
 l1 norm.
@@ -19,7 +20,7 @@ from .errors import DimensionMismatch, Overflow
 
 # largest (times x terms) phase block that evaluate_many holds at once
 _PHASE_CHUNK = 16384
-# most lattice points a scan holds: its arrays take about 100 bytes a point
+# most lattice points a scan or a p_generator sampling grid holds: about 100 bytes a point
 _MAX_BOX_POINTS = 10**6
 
 __all__ = ["FourierOperatorSeries", "frequency_vector", "check_rational_independence",
@@ -63,7 +64,7 @@ class FourierOperatorSeries:
     tail_norm : l1 mass already known to be missing from this series.
     """
 
-    __slots__ = ("r", "d", "trunc", "tail_norm", "_box", "_support", "_idx_arr", "_coeff_arr", "_coeffs")
+    __slots__ = ("r", "d", "trunc", "tail_norm", "_idx", "_stack", "_coeffs")
 
     def __init__(self, r, d, trunc, coeffs, tail_norm=0.0):
         if r < 1 or d < 1 or trunc < 0:
@@ -83,52 +84,51 @@ class FourierOperatorSeries:
         bad = np.flatnonzero(~np.isfinite(stack).all(axis=(1, 2)))
         if bad.size:
             raise Overflow(f"coefficient at {idx[bad[0]]} contains non-finite entries")
-        box = np.zeros((2 * trunc + 1,) * r + (d, d), dtype=complex)
-        support = np.zeros(box.shape[:r], dtype=bool)
-        pos = tuple(np.array(idx, dtype=np.intp).reshape(-1, r).T + trunc)
-        box[pos], support[pos] = stack, True
-        self._set(box, support, tail_norm)
+        self._set(trunc, np.array(idx, dtype=np.intp).reshape(-1, r), stack, tail_norm)
 
-    def _set(self, box, support, tail_norm):
-        self.r, self.trunc, self.d = support.ndim, support.shape[0] // 2, box.shape[-1]
-        self.tail_norm = float(tail_norm)
-        self._box = np.where(support[..., None, None], box, 0)  # contiguous, zero off the support
-        self._support = np.array(support, dtype=bool)
-        self._box.setflags(write=False)
-        self._support.setflags(write=False)
-        self._idx_arr = self._coeff_arr = self._coeffs = None
+    def _set(self, trunc, idx, stack, tail_norm):
+        self.r, self.d = idx.shape[1], stack.shape[-1]
+        self.trunc, self.tail_norm = int(trunc), float(tail_norm)
+        self._idx, self._stack = np.ascontiguousarray(idx), np.ascontiguousarray(stack)
+        self._idx.setflags(write=False)
+        self._stack.setflags(write=False)
+        self._coeffs = None
         return self
 
     @classmethod
-    def _from_arrays(cls, box, support, tail_norm):
-        """Series from a dense coefficient box and its support mask (unchecked)."""
-        return cls.__new__(cls)._set(box, support, tail_norm)
+    def _from_rows(cls, trunc, idx, stack, tail_norm):
+        """Series from lexicographically sorted index rows and their coefficients (unchecked)."""
+        return cls.__new__(cls)._set(trunc, idx, stack, tail_norm)
+
+    @classmethod
+    def _from_box(cls, box, support, tail_norm):
+        """Series from the support entries of a dense box; its radius is the bound (unchecked)."""
+        k = support.shape[0] // 2
+        return cls._from_rows(k, np.argwhere(support) - k, box[support], tail_norm)
 
     @classmethod
     def constant(cls, matrix, r, trunc=0):
         """Series with a single coefficient at n = 0."""
         return cls(r, len(matrix), trunc, {(0,) * r: matrix})
 
-    def _core(self):
-        """Radius k of the support, and the box and support cut to |n_i| <= k."""
-        k = int(np.abs(self._stacked()[0]).max(initial=0))
-        core = (slice(self.trunc - k, self.trunc + k + 1),) * self.r
-        return k, self._box[core], self._support[core]
+    def _radius(self):
+        """Largest |n_i| on the support (0 when empty)."""
+        return int(np.abs(self._idx).max(initial=0))
 
-    def _stacked(self):
-        """Indices (as floats) and coefficients of the support, in sorted order."""
-        if self._idx_arr is None:
-            self._idx_arr = (np.argwhere(self._support) - self.trunc).astype(float)
-            self._coeff_arr = self._box[self._support]
-            self._coeff_arr.setflags(write=False)
-        return self._idx_arr, self._coeff_arr
+    def _dense(self, k):
+        """Workspace box of radius k >= the support radius: the coefficients at
+        their lattice points, zeros elsewhere, and the support mask."""
+        box = np.zeros((2 * k + 1,) * self.r + (self.d, self.d), dtype=complex)
+        support = np.zeros(box.shape[: self.r], dtype=bool)
+        pos = tuple((self._idx + k).T)
+        box[pos], support[pos] = self._stack, True
+        return box, support
 
     @property
     def coeffs(self):
         """Read-only mapping from index tuples to (d, d) coefficients."""
         if self._coeffs is None:
-            idx, arr = self._stacked()
-            self._coeffs = MappingProxyType(dict(zip(map(tuple, idx.astype(int).tolist()), arr)))
+            self._coeffs = MappingProxyType(dict(zip(map(tuple, self._idx.tolist()), self._stack)))
         return self._coeffs
 
     def _check_compatible(self, other):
@@ -147,24 +147,23 @@ class FourierOperatorSeries:
     def evaluate(self, omega, t):
         """Evaluate the series at time ``t`` for base frequencies ``omega``."""
         omega = self._frequencies(omega)
-        idx, arr = self._stacked()
-        return np.tensordot(np.exp(1j * (idx @ omega) * float(t)), arr, axes=(0, 0))
+        return np.tensordot(np.exp(1j * (self._idx @ omega) * float(t)), self._stack, axes=(0, 0))
 
     def evaluate_many(self, omega, ts):
         """Evaluate at every time of ``ts``; returns an array (len(ts), d, d).
 
         The phases exp(i (n . omega) t) are products of per-axis factors from
-        one (times x (2 trunc + 1)) table per axis, contracted with the support
-        coefficients in one matrix product per chunk of at most ``_PHASE_CHUNK``
-        phase entries (one time at least)."""
+        one (times x (2 k + 1)) table per axis, k the support radius, contracted
+        with the coefficient stack in one matrix product per chunk of at most
+        ``_PHASE_CHUNK`` phase entries (one time at least)."""
         omega = self._frequencies(omega)
         ts = np.asarray(ts, dtype=float).reshape(-1)
-        idx, arr = self._stacked()
+        k, n_terms = self._radius(), len(self)
         out = np.zeros((ts.size, self.d * self.d), dtype=complex)
-        slots = idx.T.astype(np.intp) + self.trunc  # column of each term in the axis tables
-        axis_freqs = omega[:, None] * np.arange(-self.trunc, self.trunc + 1)
-        flat = arr.reshape(len(arr), self.d * self.d)
-        rows = max(1, _PHASE_CHUNK // max(1, arr.shape[0]))
+        slots = self._idx.T + k  # column of each term in the axis tables
+        axis_freqs = omega[:, None] * np.arange(-k, k + 1)
+        flat = self._stack.reshape(n_terms, self.d * self.d)
+        rows = max(1, _PHASE_CHUNK // max(1, n_terms))
         for lo in range(0, ts.size, rows):
             chunk = ts[lo : lo + rows, None]
             phases = np.exp(1j * (chunk * axis_freqs[0]))[:, slots[0]]
@@ -175,73 +174,66 @@ class FourierOperatorSeries:
 
     def sampler(self, omega):
         """Return a fast closure t -> A(t) with frequencies bound."""
-        omega = self._frequencies(omega)
-        idx, arr = self._stacked()
-        dots = idx @ omega
-        return lambda t: np.tensordot(np.exp(1j * dots * t), arr, axes=(0, 0))
+        dots, stack = self._idx @ self._frequencies(omega), self._stack
+        return lambda t: np.tensordot(np.exp(1j * dots * t), stack, axes=(0, 0))
 
     def product(self, other):
         """Series product (convolution of coefficients) in the box max(trunc,
         other.trunc); dropped mass and the propagated input tails go to the tail."""
         self._check_compatible(other)
-        (ka, a, ma), (kb, b, mb) = self._core(), other._core()
+        ka, kb = self._radius(), other._radius()
+        (a, ma), (b, mb) = self._dense(ka), other._dense(kb)
         size, axes = (2 * (ka + kb) + 1,) * self.r, tuple(range(self.r))  # room for every index sum
         full = np.fft.ifftn(np.fft.fftn(a, size, axes) @ np.fft.fftn(b, size, axes), axes=axes)
         pairs = np.fft.irfftn(np.fft.rfftn(ma, size, axes) * np.fft.rfftn(mb, size, axes), size, axes)
         # the support is the Minkowski sum of the two; truncate puts what lies outside into the tail
-        out = self._from_arrays(full, pairs > 0.5, 0.0).truncate(max(self.trunc, other.trunc))
+        out = self._from_box(full, pairs > 0.5, 0.0).truncate(max(self.trunc, other.trunc))
         out.tail_norm = out.tail_norm + self.tail_norm * other.l1_norm() + other.tail_norm * self.l1_norm()
         return out
 
     def adjoint(self):
         """Coefficient-wise adjoint: index n maps to -n with A_n^dag (lossless)."""
-        flip = (slice(None, None, -1),) * self.r
-        adj = self._box[flip].conj().swapaxes(-1, -2)
-        return self._from_arrays(adj, self._support[flip], self.tail_norm)
+        adj = self._stack[::-1].conj().swapaxes(-1, -2)  # negation reverses the sorted order
+        return self._from_rows(self.trunc, -self._idx[::-1], adj, self.tail_norm)
 
     def derivative(self, omega):
         """Time derivative: coefficient A_n maps to i (n . omega) A_n."""
         omega = self._frequencies(omega)
-        grid = np.moveaxis(np.indices(self._support.shape) - self.trunc, 0, -1) @ omega
         # a dropped tail would have carried at most this frequency factor at the box edge
         tail = self.tail_norm * self.trunc * float(np.sum(omega))
-        return self._from_arrays((1j * grid)[..., None, None] * self._box, self._support, tail)
+        freqs = 1j * (self._idx @ omega)
+        return self._from_rows(self.trunc, self._idx, freqs[:, None, None] * self._stack, tail)
 
     def __add__(self, other):
         self._check_compatible(other)
-        trunc = max(self.trunc, other.trunc)
-        a, b = self.truncate(trunc), other.truncate(trunc)  # zero-padded, lossless
-        return self._from_arrays(a._box + b._box, a._support | b._support, self.tail_norm + other.tail_norm)
+        k = max(self._radius(), other._radius())
+        (a, ma), (b, mb) = self._dense(k), other._dense(k)
+        total = self._from_box(a + b, ma | mb, self.tail_norm + other.tail_norm)
+        return total.truncate(max(self.trunc, other.trunc))  # only raises the bound: lossless
 
     def __sub__(self, other):
         return self + (-1.0) * other
 
     def __mul__(self, scalar):
         c = complex(scalar)
-        return self._from_arrays(c * self._box, self._support, abs(c) * self.tail_norm)
+        return self._from_rows(self.trunc, self._idx, c * self._stack, abs(c) * self.tail_norm)
 
     __rmul__ = __mul__
 
     def truncate(self, new_trunc):
-        """Shrink the box to ``new_trunc``, dropped mass going to the tail, or
-        grow it with zeros."""
+        """Drop the indices beyond ``new_trunc``, their mass going to the tail; a
+        larger bound changes only ``trunc``."""
         if (new_trunc := int(new_trunc)) < 0:
             raise DimensionMismatch(f"bad truncation bound {new_trunc}")
-        k = min(new_trunc, self.trunc)  # the boxes share |n_i| <= k
-        old, new = ((slice(t - k, t + k + 1),) * self.r for t in (self.trunc, new_trunc))
-        box = np.zeros((2 * new_trunc + 1,) * self.r + (self.d, self.d), dtype=complex)
-        support = np.zeros(box.shape[: self.r], dtype=bool)
-        box[new], support[new] = self._box[old], self._support[old]
-        outside = self._support.copy()
-        outside[old] = False
-        return self._from_arrays(box, support, self.tail_norm + _total(_norms(self._box[outside])))
+        kept = np.abs(self._idx).max(axis=1, initial=0) <= new_trunc
+        dropped = _total(_norms(self._stack[~kept]))
+        return self._from_rows(new_trunc, self._idx[kept], self._stack[kept], self.tail_norm + dropped)
 
     def drop_below(self, eps):
         """Remove coefficients with Frobenius norm < eps (mass goes to the tail)."""
-        norms = _norms(self._stacked()[1])
-        kept = self._support.copy()
-        kept[self._support] = norms >= eps
-        return self._from_arrays(self._box, kept, self.tail_norm + _total(norms[norms < eps]))
+        norms = _norms(self._stack)
+        kept, dropped = norms >= eps, _total(norms[norms < eps])
+        return self._from_rows(self.trunc, self._idx[kept], self._stack[kept], self.tail_norm + dropped)
 
     def coeff(self, n):
         """Coefficient at index ``n`` (zeros if absent)."""
@@ -253,10 +245,10 @@ class FourierOperatorSeries:
 
     def l1_norm(self):
         """Sum of coefficient Frobenius norms; bounds sup_t ||A(t)||_F."""
-        return _total(_norms(self._stacked()[1]))
+        return _total(_norms(self._stack))
 
     def __len__(self):
-        return int(np.count_nonzero(self._support))
+        return len(self._idx)
 
     def __repr__(self):
         return (f"FourierOperatorSeries(r={self.r}, d={self.d}, trunc={self.trunc}, "

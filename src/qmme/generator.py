@@ -152,7 +152,7 @@ class GeneratorBundle:
         return [s.tail_norm for s in self.s_hat_series]
 
 
-def build_generator(model, decomp=None, validate=True, box=12, drop_tol=1e-14,
+def build_generator(model, validate=True, box=12, drop_tol=1e-14,
                     tol_psd=1e-12, tol_cluster=1e-9, tol_congruence=1e-9):
     """Full build: decomposition, jump operators, shift, dissipator, X.
 
@@ -172,8 +172,7 @@ def build_generator(model, decomp=None, validate=True, box=12, drop_tol=1e-14,
                 "model failed admissibility checks; refusing to build the generator",
                 report,
             )
-    if decomp is None:
-        decomp = decompose(hermitize(model.h_bar), tol_cluster=tol_cluster)
+    decomp = decompose(hermitize(model.h_bar), tol_cluster=tol_cluster)
     s_hats = [
         interaction_picture_coupling_series(model.p_series, s) for s in model.couplings
     ]

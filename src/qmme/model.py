@@ -30,8 +30,8 @@ from .errors import (
     Overflow,
     TruncationLoss,
 )
-from .fourier import (FourierOperatorSeries, _norms, _total, check_rational_independence,
-                      frequency_vector, sample_times)
+from .fourier import (_MAX_BOX_POINTS, FourierOperatorSeries, _norms, _total,
+                      check_rational_independence, frequency_vector, sample_times)
 from .linalg import hermiticity_defect, hermitize
 
 __all__ = [
@@ -167,6 +167,7 @@ class BathSpectrum:
 
 
 _BATH_FAMILIES = {}
+_UNITARITY_SAMPLES = 64  # times of the grid on which p's unitarity is checked
 
 
 def register_bath_family(name, builder):
@@ -284,8 +285,8 @@ class ReducedModel:
 # Hamiltonian synthesis
 # ---------------------------------------------------------------------------
 
-def _unitarity_residual(p_series, omega, grid_count=64):
-    ts = sample_times(omega, grid_count)
+def _unitarity_residual(p_series, omega):
+    ts = sample_times(omega, _UNITARITY_SAMPLES)
     vals = p_series.evaluate_many(omega, ts)
     eye = np.eye(p_series.d)
     return max(float(np.linalg.norm(u @ u.conj().T - eye, 2)) for u in vals)
@@ -397,7 +398,7 @@ class ValidationReport:
 
 
 def validate_model(model, box=12, tol_independence=1e-9, tol_congruence=1e-9,
-                   tol_unitary=1e-9, tol_herm=1e-10, tol_cluster=1e-9, grid_count=64):
+                   tol_unitary=1e-9, tol_herm=1e-10, tol_cluster=1e-9):
     """Check the model admissibility conditions and report every verdict.
 
     Checks: rational independence of the base frequencies within the integer
@@ -407,7 +408,7 @@ def validate_model(model, box=12, tol_independence=1e-9, tol_congruence=1e-9,
     base frequencies within tolerance).
     """
     witness = check_rational_independence(model.frequencies, box=box, tol=tol_independence)
-    unit_res = _unitarity_residual(model.p_series, model.frequencies, grid_count)
+    unit_res = _unitarity_residual(model.p_series, model.frequencies)
     p0_res = float(
         np.linalg.norm(model.p_series.evaluate(model.frequencies, 0.0) - np.eye(model.dim), 2)
     )
@@ -448,7 +449,8 @@ def p_series_from_generator(terms, r, trunc, drop_eps=1e-15):
 
     sampled on a uniform grid with twice the box resolution per axis and
     transformed by DFT. Coefficients below ``drop_eps`` are discarded into
-    the tail along with the measured out-of-box mass.
+    the tail along with the measured out-of-box mass. A grid of more than
+    ``_MAX_BOX_POINTS`` points is a DimensionMismatch, raised before allocating.
     """
     if not terms:
         raise DimensionMismatch("at least one generator term is required")
@@ -465,6 +467,9 @@ def p_series_from_generator(terms, r, trunc, drop_eps=1e-15):
         gens.append((profile, hermitize(g)))
 
     m = 2 * (2 * trunc + 1)
+    if m ** r > _MAX_BOX_POINTS:
+        raise DimensionMismatch(f"sampling grid for trunc {trunc} at r = {r} has {m ** r} points, "
+                                f"more than {_MAX_BOX_POINTS}")
     axis = 2.0 * math.pi * np.arange(m) / m
     grid_shape = (m,) * r
     sums = np.empty((m ** r, d, d), dtype=complex)
@@ -487,7 +492,7 @@ def p_series_from_generator(terms, r, trunc, drop_eps=1e-15):
     outside[box] = False
     out_of_box = _total(_norms(spectrum[outside]))  # in grid order, as a running sum
     coeffs = spectrum[box]
-    series = FourierOperatorSeries._from_arrays(coeffs, np.ones(coeffs.shape[:r], dtype=bool), out_of_box)
+    series = FourierOperatorSeries._from_box(coeffs, np.ones(coeffs.shape[:r], dtype=bool), out_of_box)
     return series.drop_below(drop_eps)
 
 

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from qmme.errors import DimensionMismatch
+from qmme.model import synthesize_hamiltonian
+from qmme.presets import preset
 from qmme.fourier import (
     _MAX_BOX_POINTS,
     FourierOperatorSeries,
@@ -351,6 +353,35 @@ class TestDenseStorageMatchesDictReference:
             s.coeffs[(0, 0)] = np.eye(2)
         with pytest.raises(ValueError):
             s.coeffs[s.indices()[0]][0, 0] = 1.0
+
+
+class TestSupportStorage:
+    def test_memory_follows_support_not_trunc(self):
+        # trunc 150 over qubit_driven's radius-10 support: the whole synthesis
+        # stays below the bytes of a single coefficient box of radius 150
+        model = preset("qubit_driven")
+        box_bytes = 301**2 * 4 * 16
+        tracemalloc.start()
+        try:
+            h = synthesize_hamiltonian(model.p_series.truncate(150), model.frequencies, model.h_bar)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < box_bytes
+        assert h.trunc == 150
+
+    def test_huge_trunc_is_only_a_bound(self):
+        s = FourierOperatorSeries(2, 2, 10**9, {(1, -2): np.eye(2), (0, 3): 2j * np.eye(2)})
+        omega = np.array([1.0, math.sqrt(2)])
+        ts = np.linspace(0.0, 9.0, 7)
+        expect = np.exp(1j * (ts * (1 - 2 * math.sqrt(2))))[:, None, None] * np.eye(2) \
+            + 2j * np.exp(1j * (ts * 3 * math.sqrt(2)))[:, None, None] * np.eye(2)
+        assert np.allclose(s.evaluate_many(omega, ts), expect, atol=1e-14)
+        p = s.product(s.adjoint()) + s.derivative(omega)
+        assert p.trunc == 10**9
+        assert p.indices() == [(-1, 5), (0, 0), (0, 3), (1, -5), (1, -2)]
+        assert np.allclose(p.coeff((0, 0)), 5 * np.eye(2), atol=1e-14)  # |1|^2 + |2i|^2
+        assert s.truncate(2).indices() == [(1, -2)]
 
 
 class TestLattice:

@@ -304,6 +304,19 @@ class TestCliValidate:
         assert payload["congruence_freedom"]["passed"] is False
         assert payload["congruence_freedom"]["witness"] is not None
 
+    def test_huge_series_trunc_is_only_a_bound(self, tmp_path, capsys):
+        # the same radius-10 support under trunc 10^9: same report, no box of 2e9 + 1 points per axis
+        shipped = MODELS_DIR / "qubit_driven.json"
+        doc = json.loads(shipped.read_text())
+        doc["p_series"]["trunc"] = 10**9
+        big = tmp_path / "model.json"
+        big.write_text(json.dumps(doc))
+        outs = []
+        for path in (shipped, big):
+            assert cli.main(["validate", str(path)]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+
     def test_corrupt_file_is_usage_error(self, tmp_path):
         path = tmp_path / "corrupt.json"
         path.write_text("{ this is not json")
@@ -419,6 +432,25 @@ class TestCliExitContract:
         payload = json.loads(out)
         assert set(payload["error"]) == {"type", "message"}
         assert payload["error"]["type"] == kind
+
+    def test_oversized_generator_grid_is_usage_error(self, tmp_path, capsys):
+        # trunc 3000 at r = 2 asks for a 12002^2-point sampling grid: gigabytes, refused before allocating
+        doc = {k: v for k, v in model_to_dict(preset("qubit_driven")).items() if k != "p_series"}
+        sigma_z = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]
+        doc["p_generator"] = {"trunc": 3000, "terms": [
+            {"profile": "sin", "index": index, "amplitude": amplitude, "matrix": sigma_z}
+            for index, amplitude in (([1, 0], 0.3), ([0, 1], 0.2))]}
+        bad = tmp_path / "model.json"
+        bad.write_text(json.dumps(doc))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = cli.main(["validate", str(bad)])
+        out, err = capsys.readouterr()
+        assert err == "" and not caught
+        assert got == 2
+        payload = json.loads(out)
+        assert payload["error"]["type"] == "DimensionMismatch"
+        assert "144048004 points" in payload["error"]["message"]
 
 
 # error types that may come with exit 1: a failed physics check
