@@ -9,11 +9,14 @@ unitary series ``p``, decomposes per Fourier index ``n`` into jump operators
 
 which satisfy [h_bar, S_{n,w}] = w S_{n,w} and reassemble to S_hat_n when
 summed over w. Each jump operator carries the shifted frequency
-w + n . omega at which bath spectra are evaluated.
+w + n . omega at which bath spectra are evaluated. A model's jump operators
+are stored once, as a stack with one block per (w, n) and one slot per
+coupling, the layout the generator sums read.
 """
 
 import functools
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -26,7 +29,6 @@ __all__ = [
     "decompose",
     "check_congruence_freedom",
     "interaction_picture_coupling_series",
-    "build_jump_operators",
     "JumpOperatorSet",
     "build_jump_operator_set",
 ]
@@ -200,82 +202,85 @@ def interaction_picture_coupling_series(p_series, coupling):
     return p_series.adjoint().product(const).product(p_series)
 
 
-def build_jump_operators(decomp, s_hat_series, drop_tol=1e-14):
-    """Split each Fourier coefficient of an interaction-picture coupling into
-    Bohr-frequency components.
-
-    Returns a dict mapping (n, frequency_index) to the jump operator matrix;
-    operators with Frobenius norm below ``drop_tol`` are omitted. Each
-    projector sum acts on the whole stack of coefficients at once.
-    """
-    indices, coeffs = s_hat_series.indices(), s_hat_series._stack
-    left = [p @ coeffs for p in decomp.projections]  # P_k S_hat_n for every n
-    ops = {}
-    for w_idx, klist in enumerate(decomp.pairs):
-        s = np.zeros_like(coeffs)
-        for k, l in klist:
-            s += left[k] @ decomp.projections[l]
-        kept = np.flatnonzero(_norms(s) >= drop_tol)
-        ops.update(zip([(indices[i], w_idx) for i in kept], s[kept]))
-    return ops
-
-
 @dataclass
 class JumpOperatorSet:
-    """All jump operators of a model, indexed by (coupling, n, frequency)."""
+    """All jump operators of a model, stored once as a block stack.
+
+    ``blocks`` lists the (frequency_index, n) pairs that hold at least one
+    operator, sorted by frequency index first and Fourier index second; the
+    generator sums run in this order. ``stack[b, mu]`` is coupling mu's
+    operator in block b, a read-only array (blocks, couplings, d, d) with
+    zeros where a coupling has none, and the read-only mask ``present[b, mu]``
+    says which entries are operators (with ``drop_tol=0`` a kept operator can
+    be exactly zero).
+    """
 
     decomp: BohrDecomposition
-    ops: dict  # (mu, n_tuple, w_idx) -> matrix
-    n_couplings: int
+    blocks: list  # sorted (w_idx, n_tuple)
+    stack: np.ndarray  # (blocks, couplings, d, d)
+    present: np.ndarray  # (blocks, couplings) bool
 
-    def block_keys(self):
-        """Sorted (w_idx, n) blocks that hold at least one operator.
-
-        Sorted by frequency index first, Fourier index second; generator
-        sums iterate in this order.
-        """
-        keys = {(w_idx, n) for (_, n, w_idx) in self.ops}
-        return sorted(keys)
+    @property
+    def n_couplings(self):
+        return self.stack.shape[1]
 
     @functools.cached_property
-    def stacked(self):
-        """The block keys and the operators stacked as a read-only array
-        (blocks, couplings, d, d), zeros where a coupling has no operator in
-        a block. Built on first use and kept until deleted, so ``ops`` must
-        not change in between."""
-        keys = self.block_keys()
-        row = {key: b for b, key in enumerate(keys)}
-        d = self.decomp.dim
-        s = np.zeros((len(keys), self.n_couplings, d, d), dtype=complex)
-        for (mu, n, w_idx), op in self.ops.items():
-            s[row[(w_idx, n)], mu] = op
-        s.setflags(write=False)
-        return keys, s
+    def ops(self):
+        """Read-only mapping (mu, n, w_idx) -> operator in (w_idx, n, mu)
+        order, built on first access."""
+        b, mu = np.nonzero(self.present)
+        mats = self.stack[b, mu]
+        mats.setflags(write=False)
+        keys = zip(mu.tolist(), [self.blocks[i][1] for i in b], [self.blocks[i][0] for i in b])
+        return MappingProxyType(dict(zip(keys, mats)))
 
     def op(self, mu, n, w_idx):
-        key = (mu, tuple(n), w_idx)
-        if key in self.ops:
-            return self.ops[key]
-        d = self.decomp.dim
-        return np.zeros((d, d), dtype=complex)
-
-    def items_sorted(self):
-        return sorted(self.ops.items(), key=lambda kv: (kv[0][2], kv[0][1], kv[0][0]))
+        """Coupling mu's operator at (n, w_idx); zeros where it has none."""
+        s = self.ops.get((mu, tuple(n), w_idx))
+        return np.zeros((self.decomp.dim,) * 2, dtype=complex) if s is None else s
 
     def shifted_frequency(self, n, w_idx, omega):
-        return float(self.shifted_frequencies([(n, w_idx)], omega)[0])
+        return float(self._shifts([(w_idx, n)], omega)[0])
 
-    def shifted_frequencies(self, keys, omega):
-        """Shifted frequency w + n . omega of each (n, w_idx) in ``keys``, as
-        an array; one dot product per distinct n."""
-        dots = {n: np.dot(n, omega) for n in {n for n, _ in keys}}
-        return self.decomp.bohr_frequencies[[w for _, w in keys]] + np.array([dots[n] for n, _ in keys])
+    def shifted_frequencies(self, omega):
+        """Shifted frequency w + n . omega of each block, as an array."""
+        return self._shifts(self.blocks, omega)
+
+    def _shifts(self, keys, omega):
+        """w + n . omega for each (w_idx, n) of ``keys``, each dot product as np.dot takes it."""
+        n = np.array([n for _, n in keys], dtype=float).reshape(len(keys), 1, np.size(omega))
+        return self.decomp.bohr_frequencies[[w for w, _ in keys]] + (n @ np.reshape(omega, (-1, 1))).reshape(-1)
 
 
 def build_jump_operator_set(decomp, s_hat_list, drop_tol=1e-14):
-    """Assemble jump operators for every coupling's interaction series."""
-    ops = {}
-    for mu, s_hat_series in enumerate(s_hat_list):
-        for (n, w_idx), s in build_jump_operators(decomp, s_hat_series, drop_tol).items():
-            ops[(mu, n, w_idx)] = s
-    return JumpOperatorSet(decomp=decomp, ops=ops, n_couplings=len(s_hat_list))
+    """Split every coupling's interaction-picture series into Bohr-frequency
+    components and stack them by block.
+
+    The Fourier indices are the union of the couplings' supports; each
+    projector sum acts on the coefficients of all couplings at once. An
+    operator is kept when its coupling's series holds the index and its
+    Frobenius norm is at least ``drop_tol``; a block is kept when it holds one.
+    """
+    d, m = decomp.dim, len(s_hat_list)
+    supports = [s._idx for s in s_hat_list]
+    idx, where = np.unique(np.concatenate(supports), axis=0, return_inverse=True)
+    rows = np.split(where.reshape(-1), np.cumsum([len(s) for s in supports])[:-1])
+    coeffs = np.zeros((len(idx), m, d, d), dtype=complex)
+    held = np.zeros((len(idx), m), dtype=bool)
+    for mu, (s_hat, r) in enumerate(zip(s_hat_list, rows)):
+        coeffs[r, mu], held[r, mu] = s_hat._stack, True
+    left = [p @ coeffs for p in decomp.projections]  # P_k S_hat_n for every n and coupling
+    fourier = [tuple(n) for n in idx.tolist()]
+    blocks, stacks, masks = [], [], []
+    for w_idx, klist in enumerate(decomp.pairs):
+        s = sum(left[k] @ decomp.projections[l] for k, l in klist)
+        kept = held & (_norms(s) >= drop_tol).reshape(held.shape)
+        s[~kept] = 0.0
+        used = np.flatnonzero(kept.any(axis=1))
+        blocks += [(w_idx, fourier[i]) for i in used]
+        stacks.append(s[used])
+        masks.append(kept[used])
+    stack, present = np.concatenate(stacks), np.concatenate(masks)
+    for a in (stack, present):
+        a.setflags(write=False)
+    return JumpOperatorSet(decomp=decomp, blocks=blocks, stack=stack, present=present)

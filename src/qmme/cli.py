@@ -17,20 +17,16 @@ import numpy as np
 from . import analysis, dynamics, generator, model as model_mod
 from .bohr import decompose
 from .errors import (
-    Defective,
     DimensionMismatch,
     InadmissibleModel,
     InsufficientDecay,
-    NoConvergence,
     NotHermitian,
     NotPSD,
     NotUnitary,
     OrderViolation,
-    Overflow,
     ParseError,
     QmmeError,
     SpectralViolation,
-    TruncationLoss,
     UnknownFrequency,
 )
 from .fourier import _norms
@@ -46,7 +42,6 @@ __all__ = ["main", "build_parser"]
 
 _USAGE_ERRORS = (ParseError, DimensionMismatch, OrderViolation, UnknownFrequency)
 _CONTRACT_ERRORS = (InadmissibleModel, NotPSD, NotHermitian, NotUnitary, SpectralViolation)
-_NUMERICAL_ERRORS = (NoConvergence, Overflow, Defective, InsufficientDecay, TruncationLoss)
 
 
 def _exit_code_for(exc):
@@ -54,9 +49,7 @@ def _exit_code_for(exc):
         return 2
     if isinstance(exc, _CONTRACT_ERRORS):
         return 1
-    if isinstance(exc, _NUMERICAL_ERRORS):
-        return 3
-    return 3
+    return 3  # a numerical failure
 
 
 def _env_default(flag, fallback):
@@ -170,16 +163,9 @@ def _validate(args, mdl):
 def _build(args, mdl):
     report = _validate(args, mdl)
     if not report.passed:
-        raise InadmissibleModel(
-            "model failed admissibility checks", report=report
-        )
+        raise InadmissibleModel("model failed admissibility checks", report=report)
     bundle = generator.build_generator(
-        mdl,
-        validate=False,
-        box=args.box,
-        tol_psd=args.tol_psd,
-        tol_cluster=args.tol_cluster,
-        tol_congruence=args.tol_congruence,
+        mdl, validate=False, tol_psd=args.tol_psd, tol_cluster=args.tol_cluster
     )
     return report, bundle
 
@@ -218,10 +204,9 @@ def cmd_build(args):
     mdl = _load(args)
     report, bundle = _build(args, mdl)
     cov = generator.check_covariance(bundle)
-    decomp = bundle.decomp
-    ops = bundle.jumps.items_sorted()
-    shifts = bundle.jumps.shifted_frequencies([(n, w_idx) for (_, n, w_idx), _ in ops], mdl.frequencies)
-    norms = _norms(np.array([s for _, s in ops]).reshape(-1, decomp.dim, decomp.dim))
+    decomp, jumps = bundle.decomp, bundle.jumps
+    block, mu = np.nonzero(jumps.present)  # every operator, in (w_idx, n, mu) order
+    norms = _norms(jumps.stack[block, mu])
     payload = {
         "validation": report.to_dict(),
         "decomposition": {
@@ -231,23 +216,23 @@ def cmd_build(args):
         },
         "jump_operators": [
             {
-                "coupling": int(mu),
-                "n": [int(v) for v in n],
-                "frequency": float(decomp.bohr_frequencies[w_idx]),
-                "shifted_frequency": float(shift),
+                "coupling": m,
+                "n": list(jumps.blocks[b][1]),
+                "frequency": float(decomp.bohr_frequencies[jumps.blocks[b][0]]),
+                "shifted_frequency": float(bundle.shifted_frequencies[b]),
                 "norm": float(norm),
             }
-            for ((mu, n, w_idx), _), shift, norm in zip(ops, shifts, norms)
+            for b, m, norm in zip(block.tolist(), mu.tolist(), norms)
         ],
         "delta_h": _matrix_to_json(bundle.delta_h),
         "kossakowski_blocks": [
             {
                 "n": [int(v) for v in n],
                 "frequency": float(decomp.bohr_frequencies[w_idx]),
-                "shifted_frequency": float(bundle.shifted_frequencies[(w_idx, n)]),
+                "shifted_frequency": float(shift),
                 "h_matrix": _matrix_to_json(h),
             }
-            for (w_idx, n), h in sorted(bundle.kossakowski.items())
+            for (w_idx, n), shift, h in zip(jumps.blocks, bundle.shifted_frequencies, bundle.kossakowski)
         ],
         "x_matrix": _matrix_to_json(bundle.x.matrix),
         "covariance": cov.to_dict(),

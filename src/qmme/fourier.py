@@ -5,7 +5,8 @@ support: an integer index array of shape (N, r) in lexicographic order and the
 coefficient stack (N, d, d). ``trunc`` is only a bound; no array is sized by it.
 A product convolves dense workspace boxes of radius k, the largest |n_i| on a
 support, by FFTs zero-padded to ``2 (k_a + k_b) + 1`` points per axis, so no index
-sum wraps around; its support is the Minkowski sum of the supports. Lossy
+sum wraps around; its support is the Minkowski sum of the supports. A workspace
+of more than ``_MAX_BOX_POINTS`` points is refused before it is allocated. Lossy
 operations add the l1 sum of Frobenius norms of what they drop to ``tail_norm``,
 a bound on the sup-over-t error; products add each input's tail times the other's
 l1 norm.
@@ -20,7 +21,7 @@ from .errors import DimensionMismatch, Overflow
 
 # largest (times x terms) phase block that evaluate_many holds at once
 _PHASE_CHUNK = 16384
-# most lattice points a scan or a p_generator sampling grid holds: about 100 bytes a point
+# most lattice points a scan, a series workspace or a p_generator sampling grid holds
 _MAX_BOX_POINTS = 10**6
 
 __all__ = ["FourierOperatorSeries", "frequency_vector", "check_rational_independence",
@@ -45,6 +46,13 @@ def _norms(stack):
     flat = stack.reshape(-1, 1, stack.shape[-1] * stack.shape[-2])
     re, im = flat.real, flat.imag
     return np.sqrt(re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2)).reshape(-1)
+
+
+def _check_box(r, radius, what):
+    """DimensionMismatch when a box of the radius holds more than ``_MAX_BOX_POINTS``
+    points, (2 radius + 1)^r; called before anything is allocated."""
+    if (points := (2 * radius + 1) ** r) > _MAX_BOX_POINTS:
+        raise DimensionMismatch(f"{what} at r = {r} has {points} points, more than {_MAX_BOX_POINTS}")
 
 
 def _total(values):
@@ -182,6 +190,7 @@ class FourierOperatorSeries:
         other.trunc); dropped mass and the propagated input tails go to the tail."""
         self._check_compatible(other)
         ka, kb = self._radius(), other._radius()
+        _check_box(self.r, ka + kb, f"product workspace of radius {ka + kb}")
         (a, ma), (b, mb) = self._dense(ka), other._dense(kb)
         size, axes = (2 * (ka + kb) + 1,) * self.r, tuple(range(self.r))  # room for every index sum
         full = np.fft.ifftn(np.fft.fftn(a, size, axes) @ np.fft.fftn(b, size, axes), axes=axes)
@@ -207,6 +216,7 @@ class FourierOperatorSeries:
     def __add__(self, other):
         self._check_compatible(other)
         k = max(self._radius(), other._radius())
+        _check_box(self.r, k, f"sum workspace of radius {k}")
         (a, ma), (b, mb) = self._dense(k), other._dense(k)
         total = self._from_box(a + b, ma | mb, self.tail_norm + other.tail_norm)
         return total.truncate(max(self.trunc, other.trunc))  # only raises the bound: lossless
@@ -258,10 +268,11 @@ class FourierOperatorSeries:
 def _shells(r, box):
     """Integer points of the box |k_i| <= box, excluding 0, as an (N, r) array
     in shells of increasing Chebyshev radius (lexicographic inside a shell);
-    DimensionMismatch before any allocation above ``_MAX_BOX_POINTS`` points."""
-    if (2 * box + 1) ** r > _MAX_BOX_POINTS:
-        raise DimensionMismatch(f"lattice box {box} at r = {r} has {(2 * box + 1) ** r} points, "
-                                f"more than {_MAX_BOX_POINTS}")
+    DimensionMismatch for a box below 1, which would scan nothing, and before
+    any allocation above ``_MAX_BOX_POINTS`` points."""
+    if box < 1:
+        raise DimensionMismatch(f"lattice box {box} is below 1: the scan would hold no point")
+    _check_box(r, box, f"lattice box {box}")
     axis = np.arange(-box, box + 1)
     pts = np.stack(np.meshgrid(*[axis] * r, indexing="ij"), axis=-1).reshape(-1, r)
     order = np.argsort(np.abs(pts).max(axis=1), kind="stable")

@@ -8,10 +8,11 @@ the pieces are
                   - (1/2) { S_{mu,n,w}^dag S_{nu,n,w}, rho } )
     X          = -i [h_bar + delta_h, . ] + dissipator.
 
-Both sums are array contractions, with no loop over terms. The jump
-operators are stacked as S with shape (blocks, couplings, d, d), one block
-per (frequency, Fourier index) and zeros where a coupling has no operator;
-the bath matrices are stacked as c with shape (blocks, couplings, couplings).
+Both sums are array contractions, with no loop over terms. They read the
+jump operators as the set stores them, the stack S with shape (blocks,
+couplings, d, d), one block per (frequency, Fourier index) and zeros where a
+coupling has no operator; the bath matrices at the blocks' shifted
+frequencies are stacked as c with shape (blocks, couplings, couplings).
 With CS_mu = sum_nu c_{mu nu} S_nu per block (Kossakowski form, Breuer &
 Petruccione ch. 3):
 
@@ -28,20 +29,17 @@ over *pairs* of jump operators, keeping every pair whose shifted frequencies
 agree within a numerical delta. When the admissibility assumptions hold, only
 identical pairs survive and the double sum collapses onto the generator above;
 a congruence violation leaves extra resonant pairs and a visible deviation.
-The pair sum is one matrix product per chunk of pairs with one-sided weights;
-it never reads the stacked blocks or the collapsed form, so it stays an
-independent check on them.
+The pair sum gathers the present operators from the stack, ordered by shifted
+frequency, and is one matrix product per chunk of pairs with one-sided
+weights; it never reads the bundle's bath blocks or the collapsed form, so it
+stays an independent check on them.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bohr import (
-    build_jump_operator_set,
-    decompose,
-    interaction_picture_coupling_series,
-)
+from .bohr import build_jump_operator_set, decompose, interaction_picture_coupling_series
 from .errors import InadmissibleModel, NotHermitian, NotPSD
 from .linalg import Superoperator, ad_superop, hermiticity_defect, hermitize
 from .model import validate_model
@@ -62,12 +60,6 @@ __all__ = [
 _PAIR_CHUNK = 1 << 15
 
 
-def _stacked_operators(jumps, omega):
-    """Block keys, their shifted frequencies and the operators stacked (blocks, couplings, d, d)."""
-    keys, s = jumps.stacked
-    return keys, jumps.shifted_frequencies([(n, w_idx) for (w_idx, n) in keys], omega), s
-
-
 def _dagger_sum(s_conj, cs):
     """sum over the stacks of S^dag CS, a d x d matrix, from conj(S) and CS."""
     d = cs.shape[-1]
@@ -85,32 +77,33 @@ def _sandwich_sum(s_conj, cs):
 def build_lamb_shift(jumps, bath, omega, tol_herm=1e-9):
     """Hermitian energy-shift operator from the principal-value bath data.
 
-    Returns the shift matrix together with the zeta blocks used, keyed by
-    (frequency_index, n).
+    Returns the shift matrix together with the zeta matrices used, stacked
+    (blocks, couplings, couplings) in the order of ``jumps.blocks``.
     """
-    keys, shifted, s = _stacked_operators(jumps, omega)
-    zeta = bath.zeta_many(shifted, tol_herm=tol_herm)
+    s = jumps.stack
+    zeta = bath.zeta_many(jumps.shifted_frequencies(omega), tol_herm=tol_herm)
     delta_h = _dagger_sum(s.conj(), np.einsum("bmn,bnij->bmij", zeta, s))
     defect = hermiticity_defect(delta_h)
     if defect > 1e-12:
         raise NotHermitian(f"energy shift is not Hermitian: relative defect {defect:.3e}")
-    return delta_h, dict(zip(keys, zeta))
+    return delta_h, zeta
 
 
 def build_dissipator(jumps, bath, omega, tol_psd=1e-12):
-    """Dissipative part as a superoperator, plus its Kossakowski blocks.
+    """Dissipative part as a superoperator, plus its Kossakowski blocks and
+    their shifted frequencies, both in the order of ``jumps.blocks``.
 
     Each block is the bath matrix h evaluated at one shifted frequency; a
     negative eigenvalue beyond tolerance raises NotPSD naming the first
     offending block.
     """
-    keys, shifted, s = _stacked_operators(jumps, omega)
+    s, shifted = jumps.stack, jumps.shifted_frequencies(omega)
     try:
         h = bath.h_many(shifted, tol_psd=tol_psd)
     except NotPSD as exc:
         if exc.frequency is None:
             raise
-        w_idx, n = keys[int(np.flatnonzero(shifted == exc.frequency)[0])]
+        w_idx, n = jumps.blocks[int(np.flatnonzero(shifted == exc.frequency)[0])]
         raise NotPSD(
             f"Kossakowski block at (n={n}, frequency_index={w_idx}, "
             f"shifted={exc.frequency:.6g}) failed: {exc}"
@@ -120,7 +113,7 @@ def build_dissipator(jumps, bath, omega, tol_psd=1e-12):
     a = _dagger_sum(s_conj, gs)
     eye = np.eye(jumps.decomp.dim)
     diss = _sandwich_sum(s_conj, gs) - 0.5 * (np.kron(eye, a) + np.kron(a.T, eye))
-    return Superoperator(diss), dict(zip(keys, h)), dict(zip(keys, shifted.tolist()))
+    return Superoperator(diss), h, shifted
 
 
 def assemble_x(h_bar, delta_h, dissipator):
@@ -137,9 +130,9 @@ class GeneratorBundle:
     delta_h: np.ndarray
     dissipator: Superoperator
     x: Superoperator
-    kossakowski: dict  # (w_idx, n) -> bath h matrix
-    zeta_blocks: dict  # (w_idx, n) -> bath zeta matrix
-    shifted_frequencies: dict  # (w_idx, n) -> float
+    kossakowski: np.ndarray  # bath h per block of jumps.blocks: (blocks, couplings, couplings)
+    zeta_blocks: np.ndarray  # bath zeta per block, same shape
+    shifted_frequencies: np.ndarray  # shifted frequency per block: (blocks,)
     decomp: object
     jumps: object
     s_hat_series: list
@@ -178,10 +171,9 @@ def build_generator(model, validate=True, box=12, drop_tol=1e-14,
     ]
     jumps = build_jump_operator_set(decomp, s_hats, drop_tol=drop_tol)
     delta_h, zeta_blocks = build_lamb_shift(jumps, model.bath, model.frequencies)
-    dissipator, blocks, shifted_map = build_dissipator(
+    dissipator, blocks, shifted = build_dissipator(
         jumps, model.bath, model.frequencies, tol_psd=tol_psd
     )
-    del jumps.stacked  # read by both sums; the bundle keeps the operators once, in ``ops``
     x = assemble_x(model.h_bar, delta_h, dissipator)
     return GeneratorBundle(
         h_bar=hermitize(model.h_bar),
@@ -190,7 +182,7 @@ def build_generator(model, validate=True, box=12, drop_tol=1e-14,
         x=x,
         kossakowski=blocks,
         zeta_blocks=zeta_blocks,
-        shifted_frequencies=shifted_map,
+        shifted_frequencies=shifted,
         decomp=decomp,
         jumps=jumps,
         s_hat_series=s_hats,
@@ -209,12 +201,11 @@ def cross_check_selection_rule(bundle, bath, omega, tol_delta=1e-8):
     """
     jumps = bundle.jumps
     d = jumps.decomp.dim
-    keys = [key for key, _ in jumps.items_sorted()]
-    shifts = jumps.shifted_frequencies([(n, w_idx) for (_, n, w_idx) in keys], omega)
+    block, mu = np.nonzero(jumps.present)  # every operator, in (w_idx, n, mu) order
+    shifts = jumps.shifted_frequencies(omega)[block]
     order = np.argsort(shifts, kind="stable")
-    shifts = shifts[order]
-    mu = np.array([keys[i][0] for i in order], dtype=np.intp)
-    s = np.array([jumps.ops[keys[i]] for i in order]).reshape(-1, d, d)
+    shifts, mu = shifts[order], mu[order]
+    s = jumps.stack[block[order], mu]
     h, z = bath.h_many(shifts), bath.zeta_many(shifts)
 
     # ordered pairs (a, b) with |shift_b - shift_a| <= tol_delta, a-major

@@ -450,10 +450,13 @@ def p_series_from_generator(terms, r, trunc, drop_eps=1e-15):
     sampled on a uniform grid with twice the box resolution per axis and
     transformed by DFT. Coefficients below ``drop_eps`` are discarded into
     the tail along with the measured out-of-box mass. A grid of more than
-    ``_MAX_BOX_POINTS`` points is a DimensionMismatch, raised before allocating.
+    ``_MAX_BOX_POINTS`` points is a DimensionMismatch, raised before allocating,
+    and so is a negative ``trunc``.
     """
     if not terms:
         raise DimensionMismatch("at least one generator term is required")
+    if trunc < 0:
+        raise DimensionMismatch(f"bad truncation bound {trunc}")
     gens = []
     d = None
     for profile, g in terms:

@@ -11,7 +11,6 @@ from conftest import random_density, random_hermitian
 from qmme.bohr import (
     JumpOperatorSet,
     build_jump_operator_set,
-    build_jump_operators,
     check_congruence_freedom,
     decompose,
     interaction_picture_coupling_series,
@@ -203,6 +202,14 @@ class TestInteractionSeries:
             interaction_picture_coupling_series(p, np.eye(3))
 
 
+def one_coupling_ops(decomp, series, drop_tol=1e-14):
+    """A single coupling's jump operators keyed (n, frequency_index), read
+    from the block stack."""
+    jset = build_jump_operator_set(decomp, [series], drop_tol=drop_tol)
+    return {(n, w_idx): jset.stack[b, 0]
+            for b, (w_idx, n) in enumerate(jset.blocks) if jset.present[b, 0]}
+
+
 class TestJumpOperators:
     def static_qubit(self):
         decomp = decompose(0.5 * SIGMA_Z)
@@ -215,7 +222,7 @@ class TestJumpOperators:
         # sigma_x against splitting 1: the positive-frequency part is |0><1|,
         # the negative one its adjoint, and nothing survives at frequency 0
         decomp, series = self.static_qubit()
-        ops = build_jump_operators(decomp, series)
+        ops = one_coupling_ops(decomp, series)
         up = decomp.frequency_index(1.0)
         down = decomp.frequency_index(-1.0)
         zero = decomp.frequency_index(0.0)
@@ -230,7 +237,7 @@ class TestJumpOperators:
         series = interaction_picture_coupling_series(
             FourierOperatorSeries.constant(np.eye(4), r=1), coupling
         )
-        ops = build_jump_operators(decomp, series)
+        ops = one_coupling_ops(decomp, series)
         for (n, w_idx), s in ops.items():
             w = decomp.bohr_frequencies[w_idx]
             assert np.allclose(h @ s - s @ h, w * s, atol=1e-11)
@@ -241,13 +248,15 @@ class TestJumpOperators:
         series = interaction_picture_coupling_series(
             FourierOperatorSeries.constant(np.eye(4), r=2), coupling
         )
-        ops = build_jump_operators(decomp, series)
+        ops = one_coupling_ops(decomp, series)
         total = sum(s for (n, _), s in ops.items() if n == (0, 0))
         assert np.allclose(total, coupling, atol=1e-12)
 
     def test_drop_tol(self):
         decomp, series = self.static_qubit()
-        assert build_jump_operators(decomp, series, drop_tol=1e6) == {}
+        jset = build_jump_operator_set(decomp, [series], drop_tol=1e6)
+        assert jset.blocks == [] and jset.stack.shape == (0, 1, 2, 2) and jset.present.shape == (0, 1)
+        assert one_coupling_ops(decomp, series, drop_tol=1e6) == {}
 
     def test_adjoint_pairing(self, rng):
         # for a Hermitian coupling in a static frame, ops at opposite
@@ -257,7 +266,7 @@ class TestJumpOperators:
         series = interaction_picture_coupling_series(
             FourierOperatorSeries.constant(np.eye(3), r=1), coupling
         )
-        ops = build_jump_operators(decomp, series)
+        ops = one_coupling_ops(decomp, series)
         for (n, w_idx), s in ops.items():
             w = decomp.bohr_frequencies[w_idx]
             mate = decomp.frequency_index(-w)
@@ -287,9 +296,12 @@ class TestJumpOperatorSet:
 
     def test_block_keys_sorted(self):
         _, jset = self.build()
-        keys = jset.block_keys()
+        keys = jset.blocks
         assert keys == sorted(keys)
         assert all(isinstance(w_idx, int) and isinstance(n, tuple) for w_idx, n in keys)
+        assert jset.stack.shape == (len(keys), 2, 2, 2) and jset.present.shape == (len(keys), 2)
+        assert jset.present.any(axis=1).all()  # every block holds an operator
+        assert list(jset.ops) == sorted(jset.ops, key=lambda k: (k[2], k[1], k[0]))
 
     def test_shifted_frequency(self):
         decomp, jset = self.build()
@@ -297,6 +309,8 @@ class TestJumpOperatorSet:
         for (mu, n, w_idx) in jset.ops:
             expect = decomp.bohr_frequencies[w_idx] + np.dot(n, omega)
             assert jset.shifted_frequency(n, w_idx, omega) == pytest.approx(expect, abs=1e-15)
+        per_block = [jset.shifted_frequency(n, w_idx, omega) for w_idx, n in jset.blocks]
+        assert jset.shifted_frequencies(omega).tolist() == per_block
 
     def test_per_coupling_completeness(self):
         decomp, jset = self.build()

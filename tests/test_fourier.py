@@ -384,6 +384,24 @@ class TestSupportStorage:
         assert s.truncate(2).indices() == [(1, -2)]
 
 
+    def test_oversized_workspace_rejected_before_allocating(self):
+        # two terms at radius 300: the product's workspace would be 1201^2 points of
+        # 2 x 2 matrices, several hundred megabytes, for a 3-term result
+        s = FourierOperatorSeries(2, 2, 300, {(0, -300): np.eye(2), (0, 300): np.eye(2)})
+        adj = s.adjoint()
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionMismatch, match="workspace of radius 600 at r = 2 has 1442401 points"):
+                s.product(adj)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        wide = FourierOperatorSeries(3, 2, 60, {(60, 0, 0): np.eye(2)})  # 121^3 points
+        with pytest.raises(DimensionMismatch, match="sum workspace"):
+            wide + wide
+
+
 class TestLattice:
     def test_shell_count_box_one(self):
         pts = _shells(2, 1)
@@ -395,7 +413,7 @@ class TestLattice:
         assert len(pts) == 7 * 7 - 1
         assert len({tuple(k) for k in pts}) == len(pts)
 
-    @pytest.mark.parametrize("r,box", [(1, 0), (1, 4), (2, 3), (3, 2), (3, 5)])
+    @pytest.mark.parametrize("r,box", [(1, 1), (1, 4), (2, 3), (3, 2), (3, 5)])
     def test_shell_order_matches_loop(self, r, box):
         # Chebyshev shell first, lexicographic inside a shell
         loop = [
@@ -407,6 +425,12 @@ class TestLattice:
         pts = _shells(r, box)
         assert pts.shape == (len(loop), r)
         assert [tuple(int(v) for v in k) for k in pts] == loop
+
+    def test_box_below_one_rejected(self):
+        # a box below 1 holds no lattice point, so a scan over it would pass anything
+        for r, box in ((1, 0), (3, 0), (2, -1)):
+            with pytest.raises(DimensionMismatch, match=f"lattice box {box} is below 1"):
+                _shells(r, box)
 
     def test_oversized_box_rejected_before_allocating(self):
         # (2 * 10^4 + 1)^3 = 8e12 points: the scan arrays would need hundreds of terabytes

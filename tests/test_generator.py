@@ -9,7 +9,6 @@ import pytest
 from conftest import random_density, random_hermitian
 
 from qmme.bohr import (
-    JumpOperatorSet,
     build_jump_operator_set,
     decompose,
     interaction_picture_coupling_series,
@@ -73,7 +72,8 @@ class TestLambShift:
         )
         delta_h, zeta_blocks = build_lamb_shift(jumps, bath, np.array([math.sqrt(2.0)]))
         assert np.allclose(delta_h, 0.1 * SIGMA_Z, atol=1e-14)
-        got = {float(z[0, 0].real) for z in zeta_blocks.values()}
+        assert len(zeta_blocks) == len(jumps.blocks)
+        got = {float(z[0, 0].real) for z in zeta_blocks}
         assert got == {0.1, -0.1}
 
     def test_vanishing_zeta_gives_zero_shift(self, q1):
@@ -91,10 +91,10 @@ class TestDissipator:
 
     def test_kossakowski_blocks_recorded(self, q1):
         _, bundle, _ = q1
-        for block in bundle.kossakowski.values():
+        for block in bundle.kossakowski:
             assert np.allclose(block, 0.25 * np.eye(1), atol=0)
-        for key in bundle.kossakowski:
-            assert key in bundle.shifted_frequencies
+        # one block and one shifted frequency per block of the jump operators
+        assert len(bundle.kossakowski) == len(bundle.shifted_frequencies) == len(bundle.jumps.blocks)
 
     def test_indefinite_bath_rejected(self):
         _, jumps = static_qubit_jumps(SIGMA_X)
@@ -189,7 +189,7 @@ class TestSelectionRule:
         # mu != nu terms and the orientation of both bath matrices matter
         model = driven_qutrit()
         bundle = build_generator(model)
-        assert len({n for (_, n, _) in bundle.jumps.ops}) > 1  # sidebands present
+        assert len({n for (_, n) in bundle.jumps.blocks}) > 1  # sidebands present
         assert np.linalg.norm(bundle.delta_h) > 1e-2
         assert cross_check_selection_rule(bundle, model.bath, model.frequencies) < 1e-12
         assert check_covariance(bundle).passed
@@ -219,27 +219,24 @@ class TestBuildGenerator:
         assert bundle.x.matrix.shape == (9, 9)
         assert len(bundle.s_hat_series) == 2
         assert all(t < 1e-10 for t in bundle.s_hat_tails())
-        assert len(bundle.jumps.ops) > 100  # dense frame mixing
+        assert bundle.jumps.present.sum() > 100  # dense frame mixing
 
     def test_shift_hermitian(self, q3):
         _, bundle, _ = q3
         assert np.linalg.norm(bundle.delta_h - bundle.delta_h.conj().T) < 1e-13
 
-    def test_stacks_jump_operators_once(self, monkeypatch):
-        # the energy shift and the dissipator read one stack of the operators
-        calls = []
-        block_keys = JumpOperatorSet.block_keys
-
-        def counted(self):
-            calls.append(1)
-            return block_keys(self)
-
-        monkeypatch.setattr(JumpOperatorSet, "block_keys", counted)
-        bundle = build_generator(preset("qutrit_thermal"))
-        assert len(calls) == 1
-        assert "stacked" not in vars(bundle.jumps)  # the bundle holds no second copy
-        keys, s = bundle.jumps.stacked
-        assert len(keys) == len(bundle.kossakowski) and not s.flags.writeable
+    def test_stacks_jump_operators_once(self):
+        # the set holds its operators once, in a read-only stack; neither the
+        # build nor the cross-check asks for the per-key view
+        model = preset("qutrit_thermal")
+        bundle = build_generator(model)
+        cross_check_selection_rule(bundle, model.bath, model.frequencies)
+        jumps = bundle.jumps
+        assert not jumps.stack.flags.writeable and not jumps.present.flags.writeable
+        assert "ops" not in vars(jumps)  # no second copy
+        assert jumps.stack.shape == (len(jumps.blocks), 2, 3, 3)
+        assert jumps.present.shape == (len(jumps.blocks), 2)
+        assert len(jumps.blocks) == len(bundle.kossakowski) == len(bundle.zeta_blocks)
 
 
 class TestCovariance:
@@ -268,7 +265,7 @@ def _loop_cross_check(bundle, bath, omega, tol_delta=1e-8):
     d = jumps.decomp.dim
     eye = np.eye(d)
     entries = sorted(
-        ((jumps.shifted_frequency(n, w_idx, omega), mu, s) for (mu, n, w_idx), s in jumps.items_sorted()),
+        ((jumps.shifted_frequency(n, w_idx, omega), mu, s) for (mu, n, w_idx), s in jumps.ops.items()),
         key=lambda e: e[0],
     )
     shifts = np.array([e[0] for e in entries])
@@ -319,7 +316,7 @@ def _term_generator(model, bundle):
     jumps, d = bundle.jumps, bundle.dim
     eye = np.eye(d)
     shift_terms, diss_terms = [], []
-    for (w_idx, n) in jumps.block_keys():
+    for (w_idx, n) in jumps.blocks:
         w = jumps.shifted_frequency(n, w_idx, model.frequencies)
         h, zeta = model.bath.h(w), model.bath.zeta(w)
         for mu in range(jumps.n_couplings):
@@ -404,6 +401,49 @@ class TestPairSumMatchesLoops:
         assert np.max(np.abs(bundle.x.matrix - x)) <= 1e-15
 
 
+class TestBlockStackMatchesLoop:
+    """The block stack against the per-coefficient loop, coupling by coupling,
+    for two couplings whose series have different supports."""
+
+    @staticmethod
+    def series_pair():
+        rng = np.random.default_rng(12)
+
+        def mat():
+            return rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+
+        a = FourierOperatorSeries(1, 3, 4, {(0,): mat(), (2,): mat(), (-3,): mat()})
+        # (0,) is diagonal, so its nonzero frequencies are exact zeros; (1,) is all zero
+        b = FourierOperatorSeries(1, 3, 4, {(0,): np.diag([1.0, 2.0, 3.0]), (1,): np.zeros((3, 3)),
+                                            (-3,): mat()})
+        return a, b
+
+    @pytest.mark.parametrize("drop_tol", [0.0, 1e-14])
+    def test_two_couplings_with_different_supports(self, drop_tol):
+        decomp = decompose(np.diag([0.0, 1.0, 2.5]))
+        series = self.series_pair()
+        jumps = build_jump_operator_set(decomp, list(series), drop_tol=drop_tol)
+        keys = set()
+        for mu, s_hat in enumerate(series):
+            expect = _loop_jump_operators(decomp, s_hat, drop_tol)
+            got = {(n, w_idx): jumps.stack[b, mu]
+                   for b, (w_idx, n) in enumerate(jumps.blocks) if jumps.present[b, mu]}
+            assert set(got) == set(expect)
+            assert {n for n, _ in got} <= set(s_hat.indices())  # nothing where the coupling has no index
+            for key, s in expect.items():
+                assert np.max(np.abs(got[key] - s)) <= 1e-15
+            keys |= {(w_idx, n) for n, w_idx in got}
+        assert jumps.blocks == sorted(keys)
+        assert not np.any(jumps.stack[~jumps.present])  # zeros where no operator is
+        zero = decomp.frequency_index(0.0)
+        exact_zeros = [(n, w_idx) for (mu, n, w_idx), s in jumps.ops.items() if mu == 1 and not np.any(s)]
+        if drop_tol == 0.0:
+            # kept although exactly zero: only the mask tells them from the padding
+            assert ((1,), zero) in exact_zeros and ((0,), zero) not in exact_zeros
+        else:
+            assert exact_zeros == []
+
+
 def _counted(bath, calls):
     """``bath`` behind callbacks that record each frequency they are called at."""
     def h(w):
@@ -428,7 +468,7 @@ class TestBathBatches:
         model = ReducedModel(frequencies=base.frequencies, p_series=base.p_series, h_bar=base.h_bar,
                              couplings=base.couplings, bath=_counted(base.bath, calls))
         bundle = build_generator(model, validate=False)
-        distinct = set(bundle.shifted_frequencies.values())
+        distinct = set(bundle.shifted_frequencies.tolist())
         if name == "qubit_congruence_violating":
             assert len(distinct) < len(bundle.shifted_frequencies)  # blocks share frequencies
         for check in (None, cross_check_selection_rule):
@@ -447,18 +487,18 @@ class TestBathBatches:
         ("zeta", np.full((2, 2), np.nan), Overflow),
     ])
     def test_bad_value_at_one_frequency_is_named(self, which, value, error):
-        shifted = build_generator(driven_qutrit()).shifted_frequencies
-        target = sorted(shifted.values())[len(shifted) // 2]
+        bundle = build_generator(driven_qutrit())
+        shifted = bundle.shifted_frequencies.tolist()
+        target = sorted(shifted)[len(shifted) // 2]
         bad = lambda v, w: value if w == target else v  # noqa: E731
         model = driven_qutrit(**{f"{which}_fn": bad})
         with pytest.raises(error) as exc:
             build_generator(model)
         assert f"bath {which}({target})" in str(exc.value)
         if error is NotPSD:
-            w_idx, n = min(key for key, w in shifted.items() if w == target)
+            w_idx, n = min(key for key, w in zip(bundle.jumps.blocks, shifted) if w == target)
             assert f"block at (n={n}, frequency_index={w_idx}, shifted={target:.6g})" in str(exc.value)
             assert exc.value.__cause__.frequency == target
-        bundle = build_generator(driven_qutrit())
         with pytest.raises(error) as exc:
             cross_check_selection_rule(bundle, model.bath, model.frequencies)
         assert f"bath {which}({target})" in str(exc.value)
@@ -480,7 +520,7 @@ class TestCrossCheckMemoryAtLargerDimension:
             bath=BathSpectrum.ohmic_kms(kappa=0.1, cutoff=5.0, beta=1.0, n_couplings=1),
         )
         bundle = build_generator(model, validate=False)
-        stacked = len(bundle.jumps.ops) * d * d * 16
+        stacked = int(bundle.jumps.present.sum()) * d * d * 16
         tracemalloc.start()
         try:
             dev = cross_check_selection_rule(bundle, model.bath, model.frequencies)

@@ -350,6 +350,12 @@ def _generator_with_short_index(doc):
     del doc["p_series"]
 
 
+def _generator_with_negative_trunc(doc):
+    term = {"profile": "sin", "index": [1, 0], "amplitude": 0.3, "matrix": doc["h_bar"]}
+    doc["p_generator"] = {"trunc": -1, "terms": [term]}
+    del doc["p_series"]
+
+
 MALFORMED = {
     "family-not-a-name": lambda d: d["bath"].update(family=["flat"]),
     "gamma-not-a-number": lambda d: d["bath"]["params"].update(gamma="abc"),
@@ -357,6 +363,7 @@ MALFORMED = {
     "trunc-not-an-integer": lambda d: d["p_series"].update(trunc=1.5),
     "index-wrong-length": lambda d: d["p_series"]["coefficients"][0].update(n=[0]),
     "generator-index-wrong-length": _generator_with_short_index,
+    "generator-trunc-negative": _generator_with_negative_trunc,
 }
 
 
@@ -412,6 +419,8 @@ class TestCliExitContract:
         ("nan-grid", 2, "ParseError"),
         ("huge-grid", 2, "DimensionMismatch"),
         ("huge-box", 2, "DimensionMismatch"),
+        ("box-zero", 2, "DimensionMismatch"),
+        ("box-negative", 2, "DimensionMismatch"),
     ])
     def test_exit_code_and_json(self, case, code, kind, tmp_path, capsys):
         model = str(MODELS_DIR / "qubit_dephasing.json")
@@ -421,6 +430,8 @@ class TestCliExitContract:
             argv = ["validate", str(bad)]
         elif case == "huge-box":
             argv = ["validate", model, "--box", "10000000"]  # 2e7 + 1 points even at r = 1
+        elif case.startswith("box-"):  # an empty scan would pass any model
+            argv = ["validate", model, "--box", "0" if case == "box-zero" else "-1"]
         else:
             argv = ["evolve", model, "--grid", "0:nan:3" if case == "nan-grid" else "0:1e308:3"]
         with warnings.catch_warnings(record=True) as caught:
