@@ -1,10 +1,12 @@
 """Command line front end: validate, synthesize, build, evolve, analyze.
 
 Exit codes: 0 success, 1 validation or certification failure, 2 usage or
-parse error, 3 numerical failure. Module errors become a machine-readable
-JSON object on stdout. Every tolerance flag can also be set through an
-environment variable with the ``QMME_`` prefix (``--tol-herm`` reads
-``QMME_TOL_HERM``, and so on); the flag wins when both are present.
+parse error, 3 numerical failure. Module errors and argparse's usage errors
+become a machine-readable JSON object on stdout. Every tolerance flag can also
+be set through an environment variable with the ``QMME_`` prefix
+(``--tol-herm`` reads ``QMME_TOL_HERM``, and so on); the flag wins when both
+are present. A tolerance must be finite and nonnegative, and
+``--tol-integrate`` positive, or the run exits 2.
 """
 
 import argparse
@@ -52,25 +54,37 @@ def _exit_code_for(exc):
     return 3  # a numerical failure
 
 
-def _env_default(flag, fallback):
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors raise ParseError instead of
+    printing usage text and exiting, so they end in the JSON error contract."""
+
+    def error(self, message):
+        raise ParseError(f"{self.prog}: {message}")
+
+
+def _add_tol(parser, flag, fallback, help_text, positive=False):
+    """A tolerance flag, also read from its QMME_ variable: a finite float
+    >= 0, or > 0 if ``positive``. A NaN or negative bound would switch its
+    check off, and a step-halving bound of 0 is never met."""
     name = "QMME_" + flag.strip("-").upper().replace("-", "_")
+
+    def parse(raw):
+        try:
+            value = float(raw)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{raw!r} is not a number") from None
+        if not (np.isfinite(value) and (value > 0 if positive else value >= 0)):
+            bound = "> 0" if positive else ">= 0"
+            raise argparse.ArgumentTypeError(f"{raw!r} is not a finite number {bound}")
+        return value
+
     raw = os.environ.get(name)
-    if raw is None:
-        return fallback
     try:
-        return float(raw)
-    except ValueError:
-        raise ParseError(f"environment variable {name}={raw!r} is not a number") from None
-
-
-def _add_tol(parser, flag, fallback, help_text):
-    parser.add_argument(
-        flag,
-        type=float,
-        default=_env_default(flag, fallback),
-        metavar="X",
-        help=f"{help_text} (default {fallback:g}, env {('QMME_' + flag.strip('-').upper().replace('-', '_'))})",
-    )
+        default = fallback if raw is None else parse(raw)
+    except argparse.ArgumentTypeError as exc:
+        raise ParseError(f"environment variable {name}: {exc}") from None
+    parser.add_argument(flag, type=parse, default=default, metavar="X",
+                        help=f"{help_text} (default {fallback:g}, env {name})")
 
 
 def _add_common(parser):
@@ -315,7 +329,7 @@ def cmd_certify(args):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qmme",
         description=(
             "Quasiperiodic Markovian master equation toolkit: validate model "
@@ -342,7 +356,7 @@ def build_parser():
     p = sub.add_parser("evolve", help="trajectory CSV from both dynamics paths")
     _add_common(p)
     _add_tol(p, "--tol-psd", 1e-12, "bath positivity slack")
-    _add_tol(p, "--tol-integrate", 1e-8, "step-halving convergence bound")
+    _add_tol(p, "--tol-integrate", 1e-8, "step-halving convergence bound", positive=True)
     p.add_argument("--grid", default="0:20:200", metavar="A:B:N",
                    help="time grid start:stop:count (default 0:20:200)")
     p.add_argument("--rho0", default="mixed", metavar="STATE",

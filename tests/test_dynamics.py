@@ -16,10 +16,10 @@ from qmme.dynamics import (
     integrate_schrodinger_direct,
     rk4_path,
 )
-from qmme.errors import Defective, NoConvergence, NotUnitary, OrderViolation
+from qmme.errors import Defective, DimensionMismatch, NoConvergence, NotUnitary, OrderViolation
 from qmme.fourier import FourierOperatorSeries
 from qmme.generator import build_generator
-from qmme.linalg import devectorize, trace_norm, vectorize
+from qmme.linalg import ad_superop, conjugation_superop, devectorize, trace_norm, vectorize
 from qmme.model import (
     BathSpectrum,
     ReducedModel,
@@ -169,9 +169,16 @@ class TestBatchedIntegratorsMatchCallbacks:
 
         return wrapped
 
-    @pytest.mark.parametrize("fixture", ["q2", "q3"])
+    # the driven models on both sides of the switch from step matrices to RK4 stages on d x d states
+    @pytest.mark.parametrize("fixture", ["q2", "q3", dynamics._STEP_MATRIX_MAX_DIM,
+                                         dynamics._STEP_MATRIX_MAX_DIM + 1])
     def test_direct_master_equation(self, fixture, request, monkeypatch):
-        model, bundle, dmap = request.getfixturevalue(fixture)
+        if isinstance(fixture, str):
+            model, bundle, dmap = request.getfixturevalue(fixture)
+        else:
+            model = _larger_model(fixture, np.random.default_rng(fixture))
+            bundle = build_generator(model, validate=False)
+            dmap = DynamicalMap(model, bundle)
         d = dmap.dim
         rho0 = np.full((d, d), 1.0 / d, dtype=complex)
         ts = np.linspace(0.0, 4.0, 41)
@@ -255,10 +262,8 @@ class TestStageNodes:
         self.check(marches, n_series=1, chunk=dynamics._CHUNK_ENTRIES // 4)
 
 
-def _larger_model():
-    """The driven d = 8 model of TestDirectIntegrationAtLargerDimension."""
-    d = 8
-    rng = np.random.default_rng(8)
+def _larger_model(d, rng):
+    """A driven r = 1 model of dimension d drawn from ``rng``."""
     terms = [{"profile": "sin", "index": (1,), "amplitude": 0.1,
               "matrix": random_hermitian(rng, d) / d}]
     return ReducedModel(
@@ -274,7 +279,7 @@ class TestOracleAtLargerDimension:
     def test_working_memory_stays_on_one_chunk(self):
         # d = 8: the oracle holds one chunk of 64 substeps at a time (0.9 MB
         # traced); a whole march as one chunk peaks at 46 MB
-        model = _larger_model()
+        model = _larger_model(8, np.random.default_rng(8))
         ts = np.linspace(0.0, 20.0, 81)
         tracemalloc.start()
         try:
@@ -290,20 +295,12 @@ class TestOracleAtLargerDimension:
 
 class TestDirectIntegrationAtLargerDimension:
     def test_working_memory_stays_on_the_state(self):
-        # d = 8: the batched master equation must keep its stages on d x d
-        # states; a d^2 x d^2 generator per stage node of the first march
-        # (60 nodes) would alone take 3.9 MB
+        # d = 8, above the step-matrix switch: the batched master equation must
+        # keep its stages on d x d states; a d^2 x d^2 generator per stage node
+        # of the first march (60 nodes) would alone take 3.9 MB
         d = 8
         rng = np.random.default_rng(8)
-        terms = [{"profile": "sin", "index": (1,), "amplitude": 0.1,
-                  "matrix": random_hermitian(rng, d) / d}]
-        model = ReducedModel(
-            frequencies=np.array([1.0]),
-            p_series=p_series_from_profile_terms(terms, r=1, trunc=6),
-            h_bar=random_hermitian(rng, d) / d,
-            couplings=[random_hermitian(rng, d) / (2 * d)],
-            bath=BathSpectrum.ohmic_kms(kappa=0.1, cutoff=5.0, beta=1.0, n_couplings=1),
-        )
+        model = _larger_model(d, rng)
         bundle = build_generator(model, validate=False)
         dmap = DynamicalMap(model, bundle)
         dmap.h_series()
@@ -426,6 +423,24 @@ class TestTrajectories:
             dmap.evolve(np.eye(2) / 2, [0.0, 1e-3, 0.5, 1.0, 2.0])
         assert dmap.evolve(np.eye(2) / 2, [0.0, 1e-3]).shape == (2, 2, 2)
 
+    @pytest.mark.parametrize("fixture", ["q2", "q3"])
+    def test_wrong_shaped_state_rejected(self, fixture, request):
+        _, _, dmap = request.getfixturevalue(fixture)
+        d = dmap.dim
+        for rho0 in (np.eye(d + 1) / (d + 1), np.eye(d).reshape(-1) / d, np.ones((d, d + 1))):
+            with pytest.raises(DimensionMismatch, match=rf"^initial state has shape .*, map dimension is {d}$"):
+                dmap.evolve(rho0, [0.0, 1.0])
+            with pytest.raises(DimensionMismatch):
+                dmap.integrate_direct(rho0, [0.0, 1.0])
+
+    def test_unital_fixed_point_kept(self, q2_periodic):
+        # the driven qubit is unital, L(t) I = 0 up to rounding. Step matrices held
+        # as R - I round at the scale of the step, so I / 2 stays put to 1e-18;
+        # held as R they round at the scale of I, and the state drifted by 1.5e-14
+        _, _, dmap = q2_periodic
+        states = dmap.integrate_direct(np.eye(2) / 2, np.linspace(0.0, 20.0, 200), tol=1e-8)
+        assert np.max(np.abs(states - np.eye(2) / 2)) < 1e-16
+
     def test_empty_grid(self, q2):
         _, _, dmap = q2
         rho0 = np.eye(2) / 2
@@ -460,6 +475,26 @@ class TestLindbladian:
         numeric = (plus - minus) / (2.0 * eps)
         analytic = devectorize(dmap.lindbladian(t).matrix @ vectorize(rho_t))
         assert trace_norm(numeric - analytic) < 1e-6
+
+    @pytest.mark.parametrize("fixture", ["q2", "q3"])
+    def test_matches_superoperator_formula(self, fixture, request):
+        # L(t) = -i ad(H_eff) + S D S^{-1}, composed from the dense kernels of linalg
+        _, bundle, dmap = request.getfixturevalue(fixture)
+        for t in (0.0, 0.37, 5.2):
+            p = dmap.p_at(t)
+            h_eff = dmap.h_series().evaluate(dmap.model.frequencies, t) + p @ bundle.delta_h @ p.conj().T
+            expect = (-1j * ad_superop(h_eff) + conjugation_superop(p) @ bundle.dissipator.matrix
+                      @ conjugation_superop(p.conj().T))
+            assert np.max(np.abs(dmap.lindbladian(t).matrix - expect)) < 1e-14
+
+    def test_non_unitary_frame_rejected(self, q1):
+        # the frame of test_non_unitary_frame_names_first_bad_time
+        model, bundle, _ = q1
+        a = 1e-6
+        series = FourierOperatorSeries(2, 2, 1, {(0, 0): (1 - a) * np.eye(2), (1, 0): a * np.eye(2)})
+        dmap = DynamicalMap(dataclasses.replace(model, p_series=series), bundle)
+        with pytest.raises(NotUnitary, match=r"^p\(0\.5\) unitarity residual"):
+            dmap.lindbladian(0.5)
 
     def test_trace_annihilated(self, q3):
         _, _, dmap = q3

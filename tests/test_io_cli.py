@@ -421,10 +421,42 @@ class TestCliExitContract:
         ("huge-box", 2, "DimensionMismatch"),
         ("box-zero", 2, "DimensionMismatch"),
         ("box-negative", 2, "DimensionMismatch"),
+        # a NaN or negative tolerance would switch its check off, and a step-halving
+        # bound that is not positive and finite could never be met or never be tested
+        ("tol-nan", 2, "ParseError"),
+        ("tol-negative", 2, "ParseError"),
+        ("tol-integrate-zero", 2, "ParseError"),
+        ("tol-integrate-inf", 2, "ParseError"),
+        ("env-tol-nan", 2, "ParseError"),
+        ("env-tol-integrate-negative", 2, "ParseError"),
+        # argparse's own usage errors
+        ("box-not-a-number", 2, "ParseError"),
+        ("model-missing", 2, "ParseError"),
+        ("command-missing", 2, "ParseError"),
+        ("grid-like-an-option", 2, "ParseError"),
     ])
-    def test_exit_code_and_json(self, case, code, kind, tmp_path, capsys):
+    def test_exit_code_and_json(self, case, code, kind, tmp_path, capsys, monkeypatch):
         model = str(MODELS_DIR / "qubit_dephasing.json")
-        if case == "non-utf8-model":
+        violating = str(MODELS_DIR / "qubit_congruence_violating.json")
+        table = {
+            "tol-nan": ["validate", violating, "--tol-congruence", "nan"],
+            "tol-negative": ["validate", violating, "--tol-congruence", "-1"],
+            "tol-integrate-zero": ["evolve", model, "--tol-integrate", "0"],
+            "tol-integrate-inf": ["evolve", model, "--tol-integrate", "inf"],
+            "env-tol-nan": ["validate", violating],
+            "env-tol-integrate-negative": ["evolve", model],
+            "box-not-a-number": ["validate", model, "--box", "x"],
+            "model-missing": ["validate"],
+            "command-missing": [],
+            "grid-like-an-option": ["evolve", model, "--grid", "-1:1:3"],
+        }
+        env = {"env-tol-nan": ("QMME_TOL_CONGRUENCE", "nan"),
+               "env-tol-integrate-negative": ("QMME_TOL_INTEGRATE", "-1")}
+        if case in env:
+            monkeypatch.setenv(*env[case])
+        if case in table:
+            argv = table[case]
+        elif case == "non-utf8-model":
             bad = tmp_path / "model.json"
             bad.write_bytes(b'\xff\xfe{"schema": "qmme-model"}')
             argv = ["validate", str(bad)]
@@ -443,6 +475,12 @@ class TestCliExitContract:
         payload = json.loads(out)
         assert set(payload["error"]) == {"type", "message"}
         assert payload["error"]["type"] == kind
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as stop:
+            cli.main(["validate", "--help"])
+        assert stop.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: qmme validate")
 
     def test_oversized_generator_grid_is_usage_error(self, tmp_path, capsys):
         # trunc 3000 at r = 2 asks for a 12002^2-point sampling grid: gigabytes, refused before allocating
