@@ -76,7 +76,6 @@ from .model import (
     bath_from_family,
     p_series_from_generator,
     p_series_from_profile_terms,
-    register_bath_family,
     synthesize_hamiltonian,
     validate_model,
 )
@@ -99,7 +98,6 @@ __all__ = [
     # model
     "ReducedModel",
     "BathSpectrum",
-    "register_bath_family",
     "bath_from_family",
     "ValidationReport",
     "validate_model",

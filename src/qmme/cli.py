@@ -65,25 +65,22 @@ class _Parser(argparse.ArgumentParser):
 def _add_tol(parser, flag, fallback, help_text, positive=False):
     """A tolerance flag, also read from its QMME_ variable: a finite float
     >= 0, or > 0 if ``positive``. A NaN or negative bound would switch its
-    check off, and a step-halving bound of 0 is never met."""
+    check off, and a step-halving bound of 0 is never met. The variable is the
+    raw string default, which argparse parses only for the subcommand it
+    parses and only when the flag is absent."""
     name = "QMME_" + flag.strip("-").upper().replace("-", "_")
 
     def parse(raw):
         try:
             value = float(raw)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"{raw!r} is not a number") from None
+            raise argparse.ArgumentTypeError(f"{raw!r} is not a number (flag value or {name})") from None
         if not (np.isfinite(value) and (value > 0 if positive else value >= 0)):
             bound = "> 0" if positive else ">= 0"
-            raise argparse.ArgumentTypeError(f"{raw!r} is not a finite number {bound}")
+            raise argparse.ArgumentTypeError(f"{raw!r} is not a finite number {bound} (flag value or {name})")
         return value
 
-    raw = os.environ.get(name)
-    try:
-        default = fallback if raw is None else parse(raw)
-    except argparse.ArgumentTypeError as exc:
-        raise ParseError(f"environment variable {name}: {exc}") from None
-    parser.add_argument(flag, type=parse, default=default, metavar="X",
+    parser.add_argument(flag, type=parse, default=os.environ.get(name, fallback), metavar="X",
                         help=f"{help_text} (default {fallback:g}, env {name})")
 
 

@@ -21,7 +21,7 @@ from .errors import DimensionMismatch, Overflow
 
 # largest (times x terms) phase block that evaluate_many holds at once
 _PHASE_CHUNK = 16384
-# most lattice points a scan, a series workspace or a p_generator sampling grid holds
+# most lattice points a scan or a series workspace holds
 _MAX_BOX_POINTS = 10**6
 
 __all__ = ["FourierOperatorSeries", "frequency_vector", "check_rational_independence",

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ParseError, SchemaVersionMismatch
 from .fourier import FourierOperatorSeries
-from .model import ReducedModel, bath_from_family, p_series_from_profile_terms
+from .model import _BATH_FAMILIES, ReducedModel, bath_from_family, p_series_from_profile_terms
 
 __all__ = [
     "SCHEMA_NAME",
@@ -208,7 +208,7 @@ def model_to_dict(model):
     if model.bath.family == "custom":
         raise ParseError(
             "a bath built from raw callables has no serializable form; "
-            "register a family and rebuild it by name"
+            f"build it from one of the named families {sorted(_BATH_FAMILIES)}"
         )
     p = model.p_series
     return {

@@ -30,15 +30,13 @@ from .errors import (
     Overflow,
     TruncationLoss,
 )
-from .fourier import (_MAX_BOX_POINTS, FourierOperatorSeries, _norms, _total,
-                      check_rational_independence, frequency_vector, sample_times)
+from .fourier import (FourierOperatorSeries, _norms, check_rational_independence,
+                      frequency_vector, sample_times)
 from .linalg import hermiticity_defect, hermitize
 
 __all__ = [
     "BathSpectrum",
-    "register_bath_family",
     "bath_from_family",
-    "principal_value_zeta",
     "ReducedModel",
     "synthesize_hamiltonian",
     "ValidationReport",
@@ -166,45 +164,20 @@ class BathSpectrum:
         return cls(h_fn, zeta_fn, n_couplings, family=family, params=params)
 
 
-_BATH_FAMILIES = {}
 _UNITARITY_SAMPLES = 64  # times of the grid on which p's unitarity is checked
-
-
-def register_bath_family(name, builder):
-    """Register builder(params: dict, n_couplings: int) -> BathSpectrum under a name."""
-    _BATH_FAMILIES[str(name)] = builder
+# builder(params: dict, n_couplings: int) -> BathSpectrum for each family a model file may name
+_BATH_FAMILIES = {
+    "flat": lambda p, m: BathSpectrum.flat(p["gamma"], m),
+    "ohmic_kms": lambda p, m: BathSpectrum.ohmic_kms(p["kappa"], p["cutoff"], p["beta"], m),
+}
 
 
 def bath_from_family(name, params, n_couplings):
     if name not in _BATH_FAMILIES:
         raise DimensionMismatch(
-            f"unknown bath family {name!r}; registered: {sorted(_BATH_FAMILIES)}"
+            f"unknown bath family {name!r}; known: {sorted(_BATH_FAMILIES)}"
         )
     return _BATH_FAMILIES[name](dict(params), n_couplings)
-
-
-register_bath_family("flat", lambda p, m: BathSpectrum.flat(p["gamma"], m))
-register_bath_family(
-    "ohmic_kms",
-    lambda p, m: BathSpectrum.ohmic_kms(p["kappa"], p["cutoff"], p["beta"], m),
-)
-
-
-def principal_value_zeta(h_scalar, w, window):
-    """Optional utility: principal-value transform of a scalar rate profile.
-
-    Computes (1 / 2 pi) PV int_{-window}^{window} h(nu) / (nu - w) d nu,
-    the imaginary part of the one-sided transform when the full transform is
-    ``h``. Restricted to |w| < window.
-    """
-    import scipy.integrate  # here, so importing qmme does not load scipy
-
-    w = float(w)
-    window = float(window)
-    if not abs(w) < window:
-        raise DimensionMismatch(f"need |w| < window, got w={w}, window={window}")
-    val, _ = scipy.integrate.quad(h_scalar, -window, window, weight="cauchy", wvar=w, limit=400)
-    return val / (2.0 * math.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -438,86 +411,62 @@ def validate_model(model, box=12, tol_independence=1e-9, tol_congruence=1e-9,
 # building p from a periodic generator
 # ---------------------------------------------------------------------------
 
+_TAYLOR_REMAINDER = 1e-18  # the Taylor sum of p stops once its remainder bound is below this
+# largest l1 norm L of the generator -iA: the Taylor terms of exp(-iA) reach about
+# e^L / sqrt(2 pi L) before they cancel, so at e^L > 1 / eps rounding leaves no digit of p
+_MAX_GENERATOR_NORM = 36.0
+
+
 def p_series_from_generator(terms, r, trunc, drop_eps=1e-15):
-    """Build a unitary Fourier series from torus-periodic generator data.
+    """Build p(theta) = exp(-i A(theta)), A = sum_j a_j profile_j(k_j . theta) G_j,
+    as a Fourier series in the box ``trunc``.
 
-    ``terms`` is a list of (profile, G) pairs: ``profile`` maps a torus angle
-    vector theta (length r) to a real number with profile(0) = 0, and ``G``
-    is Hermitian. The series approximates
-
-        p_hat(theta) = exp(-i sum_j profile_j(theta) G_j)
-
-    sampled on a uniform grid with twice the box resolution per axis and
-    transformed by DFT. Coefficients below ``drop_eps`` are discarded into
-    the tail along with the measured out-of-box mass. A grid of more than
-    ``_MAX_BOX_POINTS`` points is a DimensionMismatch, raised before allocating,
-    and so is a negative ``trunc``.
+    Each term is a dict with keys ``profile`` ('sin' or 'cos_minus_one'),
+    ``index`` (k_j, a length-r integer vector within the box), ``amplitude``
+    (a_j, real) and ``matrix`` (G_j, Hermitian). Both profiles vanish at
+    theta = 0, so p(0) = I. -iA is a series of at most three terms per
+    profile, and p is its Taylor sum in the series algebra, stopped at the
+    first K whose remainder bound L^(K+1) / (K+1)! / (1 - L / (K+2)) is below
+    ``_TAYLOR_REMAINDER``, L the l1 norm of A. The tail is that bound, plus
+    the mass the products moved out of the box and the coefficients below
+    ``drop_eps``: an upper bound on the l1 distance to exp(-iA), rounding aside.
     """
     if not terms:
         raise DimensionMismatch("at least one generator term is required")
     if trunc < 0:
         raise DimensionMismatch(f"bad truncation bound {trunc}")
-    gens = []
-    d = None
-    for profile, g in terms:
-        g = np.asarray(g, dtype=complex)
-        if d is None:
-            d = g.shape[0]
+    d = np.shape(terms[0]["matrix"])[0]
+    coeffs = {}  # -iA
+    for td in terms:
+        g = np.asarray(td["matrix"], dtype=complex)
         if g.shape != (d, d):
             raise DimensionMismatch(f"generator term has shape {g.shape}, expected {(d, d)}")
         if hermiticity_defect(g) > 1e-12:
             raise NotHermitian("generator matrices must be Hermitian")
-        gens.append((profile, hermitize(g)))
+        g, a, k = hermitize(g), float(td["amplitude"]), tuple(int(v) for v in td["index"])
+        if td["profile"] == "sin":  # -i a sin(x) = -(a/2) e^{ix} + (a/2) e^{-ix}
+            parts = ((k, -0.5 * a), (tuple(-v for v in k), 0.5 * a))
+        elif td["profile"] == "cos_minus_one":  # -i a (cos(x) - 1) = -(i a/2) (e^{ix} + e^{-ix}) + i a
+            parts = ((k, -0.5j * a), (tuple(-v for v in k), -0.5j * a), ((0,) * len(k), 1j * a))
+        else:
+            raise DimensionMismatch(f"unknown profile kind {td['profile']!r}; use 'sin' or 'cos_minus_one'")
+        for n, c in parts:
+            coeffs[n] = coeffs.get(n, 0.0) + c * g
+    gen = FourierOperatorSeries(r, d, trunc, coeffs)
+    norm = gen.l1_norm()
+    if norm > _MAX_GENERATOR_NORM:
+        raise Overflow(f"generator l1 norm {norm:.3e} exceeds {_MAX_GENERATOR_NORM}: the Taylor "
+                       "terms of exp(-iA) would cancel away every digit of p")
 
-    m = 2 * (2 * trunc + 1)
-    if m ** r > _MAX_BOX_POINTS:
-        raise DimensionMismatch(f"sampling grid for trunc {trunc} at r = {r} has {m ** r} points, "
-                                f"more than {_MAX_BOX_POINTS}")
-    axis = 2.0 * math.pi * np.arange(m) / m
-    grid_shape = (m,) * r
-    sums = np.empty((m ** r, d, d), dtype=complex)
-    for k, g_idx in enumerate(np.ndindex(grid_shape)):
-        theta = np.array([axis[i] for i in g_idx])
-        a = np.zeros((d, d), dtype=complex)
-        for profile, g in gens:
-            a = a + float(profile(theta)) * g
-        sums[k] = a
-    w, v = np.linalg.eigh(sums)
-    samples = ((v * np.exp(-1j * w)[:, None, :]) @ v.conj().swapaxes(1, 2)).reshape(grid_shape + (d, d))
-
-    origin = samples[(0,) * r]
-    if np.linalg.norm(origin - np.eye(d)) > 1e-12:
-        raise ValueError("generator profiles must vanish at theta = 0 so that p(0) = I")
-
-    spectrum = np.fft.fftn(samples, axes=tuple(range(r))) / (m ** r)
-    box = np.ix_(*[np.arange(-trunc, trunc + 1) % m] * r)  # grid positions of the box indices
-    outside = np.ones(grid_shape, dtype=bool)
-    outside[box] = False
-    out_of_box = _total(_norms(spectrum[outside]))  # in grid order, as a running sum
-    coeffs = spectrum[box]
-    series = FourierOperatorSeries._from_box(coeffs, np.ones(coeffs.shape[:r], dtype=bool), out_of_box)
-    return series.drop_below(drop_eps)
+    total = term = FourierOperatorSeries.constant(np.eye(d), r, trunc)
+    k, bound = 0, norm  # bound = L^(k+1) / (k+1)!
+    while norm >= k + 2 or bound / (1.0 - norm / (k + 2)) >= _TAYLOR_REMAINDER:
+        k += 1
+        term = (1.0 / k) * term.product(gen)
+        total = total + term
+        bound *= norm / (k + 1)
+    total.tail_norm += bound / (1.0 - norm / (k + 2))
+    return total.drop_below(drop_eps)
 
 
-def _make_profile(kind, index, amplitude):
-    index = np.asarray(index, dtype=float)
-    amplitude = float(amplitude)
-    if kind == "sin":
-        return lambda theta: amplitude * math.sin(float(np.dot(index, theta)))
-    if kind == "cos_minus_one":
-        return lambda theta: amplitude * (math.cos(float(np.dot(index, theta))) - 1.0)
-    raise DimensionMismatch(f"unknown profile kind {kind!r}; use 'sin' or 'cos_minus_one'")
-
-
-def p_series_from_profile_terms(term_dicts, r, trunc, drop_eps=1e-15):
-    """Build ``p`` from serializable profile terms.
-
-    Each term is a dict with keys ``profile`` ('sin' or 'cos_minus_one'),
-    ``index`` (length-r integer vector), ``amplitude`` (real), ``matrix``
-    (Hermitian generator). All profiles vanish at theta = 0.
-    """
-    terms = []
-    for td in term_dicts:
-        fn = _make_profile(td["profile"], td["index"], td["amplitude"])
-        terms.append((fn, np.asarray(td["matrix"], dtype=complex)))
-    return p_series_from_generator(terms, r, trunc, drop_eps=drop_eps)
+p_series_from_profile_terms = p_series_from_generator

@@ -187,7 +187,7 @@ class TestInteractionSeries:
 
     def test_matches_pointwise_conjugation(self):
         p = p_series_from_generator(
-            [(lambda th: 0.3 * math.sin(th[0]), SIGMA_Z)], r=1, trunc=10
+            [{"profile": "sin", "index": [1], "amplitude": 0.3, "matrix": SIGMA_Z}], r=1, trunc=10
         )
         omega = np.array([math.sqrt(2.0)])
         series = interaction_picture_coupling_series(p, SIGMA_X)
@@ -277,7 +277,7 @@ class TestJumpOperatorSet:
     def build(self):
         decomp = decompose(0.5 * SIGMA_Z)
         p = p_series_from_generator(
-            [(lambda th: 0.3 * math.sin(th[0]), SIGMA_Z)], r=1, trunc=8
+            [{"profile": "sin", "index": [1], "amplitude": 0.3, "matrix": SIGMA_Z}], r=1, trunc=8
         )
         s_hats = [
             interaction_picture_coupling_series(p, SIGMA_X),
@@ -315,7 +315,7 @@ class TestJumpOperatorSet:
     def test_per_coupling_completeness(self):
         decomp, jset = self.build()
         p = p_series_from_generator(
-            [(lambda th: 0.3 * math.sin(th[0]), SIGMA_Z)], r=1, trunc=8
+            [{"profile": "sin", "index": [1], "amplitude": 0.3, "matrix": SIGMA_Z}], r=1, trunc=8
         )
         series = interaction_picture_coupling_series(p, SIGMA_X)
         for n in series.indices():

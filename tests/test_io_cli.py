@@ -429,6 +429,9 @@ class TestCliExitContract:
         ("tol-integrate-inf", 2, "ParseError"),
         ("env-tol-nan", 2, "ParseError"),
         ("env-tol-integrate-negative", 2, "ParseError"),
+        # a variable is read only by the subcommands that have its flag, and the flag wins
+        ("env-tol-integrate-negative-validate", 0, None),
+        ("env-tol-integrate-negative-flag-wins", 0, None),
         # argparse's own usage errors
         ("box-not-a-number", 2, "ParseError"),
         ("model-missing", 2, "ParseError"),
@@ -445,13 +448,17 @@ class TestCliExitContract:
             "tol-integrate-inf": ["evolve", model, "--tol-integrate", "inf"],
             "env-tol-nan": ["validate", violating],
             "env-tol-integrate-negative": ["evolve", model],
+            "env-tol-integrate-negative-validate": ["validate", model],
+            "env-tol-integrate-negative-flag-wins": ["evolve", model, "--grid", "0:1:3",
+                                                     "--tol-integrate", "1e-8"],
             "box-not-a-number": ["validate", model, "--box", "x"],
             "model-missing": ["validate"],
             "command-missing": [],
             "grid-like-an-option": ["evolve", model, "--grid", "-1:1:3"],
         }
-        env = {"env-tol-nan": ("QMME_TOL_CONGRUENCE", "nan"),
-               "env-tol-integrate-negative": ("QMME_TOL_INTEGRATE", "-1")}
+        env = {"env-tol-nan": ("QMME_TOL_CONGRUENCE", "nan")}
+        for suffix in ("", "-validate", "-flag-wins"):
+            env["env-tol-integrate-negative" + suffix] = ("QMME_TOL_INTEGRATE", "-1")
         if case in env:
             monkeypatch.setenv(*env[case])
         if case in table:
@@ -472,9 +479,13 @@ class TestCliExitContract:
         out, err = capsys.readouterr()
         assert err == "" and not caught  # no traceback and no numpy warning
         assert got == code
+        if code == 0:
+            return
         payload = json.loads(out)
         assert set(payload["error"]) == {"type", "message"}
         assert payload["error"]["type"] == kind
+        if case in env:  # the message names the variable
+            assert env[case][0] in payload["error"]["message"]
 
     def test_help_still_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as stop:
@@ -483,23 +494,29 @@ class TestCliExitContract:
         assert capsys.readouterr().out.startswith("usage: qmme validate")
 
     def test_oversized_generator_grid_is_usage_error(self, tmp_path, capsys):
-        # trunc 3000 at r = 2 asks for a 12002^2-point sampling grid: gigabytes, refused before allocating
+        # trunc is only a bound: at 3000 the Taylor terms of p keep the support they
+        # reach, and validate passes; a term at index (400, 0) needs a product
+        # workspace of radius 800, 1601^2 points, which is refused before allocating
         doc = {k: v for k, v in model_to_dict(preset("qubit_driven")).items() if k != "p_series"}
         sigma_z = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]
-        doc["p_generator"] = {"trunc": 3000, "terms": [
-            {"profile": "sin", "index": index, "amplitude": amplitude, "matrix": sigma_z}
-            for index, amplitude in (([1, 0], 0.3), ([0, 1], 0.2))]}
-        bad = tmp_path / "model.json"
-        bad.write_text(json.dumps(doc))
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            got = cli.main(["validate", str(bad)])
-        out, err = capsys.readouterr()
-        assert err == "" and not caught
-        assert got == 2
-        payload = json.loads(out)
-        assert payload["error"]["type"] == "DimensionMismatch"
-        assert "144048004 points" in payload["error"]["message"]
+        path = tmp_path / "model.json"
+        for second, code in (([0, 1], 0), ([400, 0], 2)):
+            doc["p_generator"] = {"trunc": 3000, "terms": [
+                {"profile": "sin", "index": index, "amplitude": amplitude, "matrix": sigma_z}
+                for index, amplitude in (([1, 0], 0.3), (second, 0.2))]}
+            path.write_text(json.dumps(doc))
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                got = cli.main(["validate", str(path)])
+            out, err = capsys.readouterr()
+            assert err == "" and not caught
+            assert got == code, out
+            payload = json.loads(out)
+            if code == 0:
+                assert payload["passed"] is True
+            else:
+                assert payload["error"]["type"] == "DimensionMismatch"
+                assert "2563201 points" in payload["error"]["message"]
 
 
 # error types that may come with exit 1: a failed physics check

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.special
 
 from conftest import random_hermitian
@@ -24,7 +25,6 @@ from qmme.model import (
     bath_from_family,
     p_series_from_generator,
     p_series_from_profile_terms,
-    principal_value_zeta,
     synthesize_hamiltonian,
     validate_model,
 )
@@ -140,84 +140,81 @@ class TestBathFamilies:
             bath_from_family("nope", {}, 1)
 
 
-class TestPrincipalValue:
-    def test_flat_profile_closed_form(self):
-        # PV of gamma / (nu - w) over [-W, W] is gamma * log((W - w) / (W + w))
-        gamma, window, w = 0.7, 2.0, 0.3
-        expect = gamma * math.log((window - w) / (window + w)) / (2.0 * math.pi)
-        got = principal_value_zeta(lambda nu: gamma, w, window)
-        assert got == pytest.approx(expect, rel=1e-10)
+def _term(profile, index, amplitude, matrix):
+    return {"profile": profile, "index": index, "amplitude": amplitude, "matrix": matrix}
 
-    def test_odd_in_w_for_even_profile(self):
-        got_p = principal_value_zeta(lambda nu: math.exp(-nu * nu), 0.8, 6.0)
-        got_m = principal_value_zeta(lambda nu: math.exp(-nu * nu), -0.8, 6.0)
-        assert got_p == pytest.approx(-got_m, rel=1e-9)
 
-    def test_outside_window(self):
-        with pytest.raises(DimensionMismatch):
-            principal_value_zeta(lambda nu: 1.0, 3.0, 2.0)
+def _jacobi_anger(a, n):
+    """Coefficient n of exp(-i a sin(theta) Z): diagonal Bessel values J_n(-a), J_n(a)."""
+    return np.diag([scipy.special.jv(n, -a), scipy.special.jv(n, a)])
 
 
 class TestGeneratorSeries:
     def test_jacobi_anger_coefficients(self):
-        # exp(-i a sin(theta) Z) is diagonal with entries exp(∓ i a sin theta),
-        # whose Fourier coefficients are Bessel values J_n(∓a)
         a, trunc = 0.3, 8
-        series = p_series_from_generator(
-            [(lambda theta: a * math.sin(theta[0]), SIGMA_Z)], r=1, trunc=trunc
-        )
+        series = p_series_from_generator([_term("sin", [1], a, SIGMA_Z)], r=1, trunc=trunc)
         for n in range(-3, 4):
-            expect = np.diag([scipy.special.jv(n, -a), scipy.special.jv(n, a)])
-            got = series.coeffs[(n,)]
-            assert np.allclose(got, expect, atol=1e-12)
+            assert np.allclose(series.coeffs[(n,)], _jacobi_anger(a, n), atol=1e-12)
+
+    @pytest.mark.parametrize("a, trunc", [(0.3, 2), (0.5, 3), (1.5, 4), (3.0, 6)])
+    def test_tail_bounds_jacobi_anger_distance(self, a, trunc):
+        # the l1 distance to the exact coefficients, over every index that carries
+        # mass above rounding, must not exceed the reported tail
+        series = p_series_from_generator([_term("sin", [1], a, SIGMA_Z)], r=1, trunc=trunc)
+        dist = sum(np.linalg.norm(series.coeff((n,)) - _jacobi_anger(a, n)) for n in range(-60, 61))
+        assert series.tail_norm >= dist
+
+    def test_tail_bounds_pointwise_distance(self):
+        # r = 3, d = 3, trunc 3: sup_t ||p(t) - exp(-i A(omega t))||_F is at most the tail
+        rng = np.random.default_rng(3)
+        omega = np.array([1.0, math.sqrt(2.0), math.sqrt(3.0)])
+        terms = [
+            _term("sin", [1, 0, 0], 0.1, random_hermitian(rng, 3)),
+            _term("sin", [0, 1, 0], 0.08, random_hermitian(rng, 3)),
+            _term("cos_minus_one", [0, 1, -1], 0.1, random_hermitian(rng, 3)),
+        ]
+        p = p_series_from_generator(terms, r=3, trunc=3)
+        assert 0.0 < p.tail_norm < 1e-3
+        worst = 0.0
+        for t in rng.uniform(0.0, 100.0, 50):
+            theta = omega * t
+            a = sum(
+                td["amplitude"] * (math.sin(np.dot(td["index"], theta)) if td["profile"] == "sin"
+                                   else math.cos(np.dot(td["index"], theta)) - 1.0) * td["matrix"]
+                for td in terms
+            )
+            worst = max(worst, np.linalg.norm(p.evaluate(omega, t) - scipy.linalg.expm(-1j * a)))
+        assert worst <= p.tail_norm
 
     def test_identity_at_origin(self):
-        series = p_series_from_generator(
-            [(lambda theta: 0.4 * math.sin(theta[0]), SIGMA_X)], r=1, trunc=10
-        )
+        series = p_series_from_generator([_term("sin", [1], 0.4, SIGMA_X)], r=1, trunc=10)
         p0 = series.evaluate(np.array([1.7]), 0.0)
         assert np.allclose(p0, np.eye(2), atol=1e-13)
-
-    def test_profile_must_vanish_at_origin(self):
-        with pytest.raises(ValueError):
-            p_series_from_generator(
-                [(lambda theta: 1.0 + math.sin(theta[0]), SIGMA_Z)], r=1, trunc=4
-            )
 
     def test_non_hermitian_generator(self):
         g = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(NotHermitian):
-            p_series_from_generator([(lambda theta: math.sin(theta[0]), g)], r=1, trunc=4)
+            p_series_from_generator([_term("sin", [1], 1.0, g)], r=1, trunc=4)
 
     def test_empty_terms(self):
         with pytest.raises(DimensionMismatch):
             p_series_from_generator([], r=1, trunc=4)
 
-    def test_profile_terms_equivalence(self):
-        terms = [
-            {"profile": "sin", "index": [1, 0], "amplitude": 0.3, "matrix": SIGMA_Z},
-            {"profile": "cos_minus_one", "index": [0, 1], "amplitude": 0.2, "matrix": SIGMA_Z},
-        ]
-        via_dicts = p_series_from_profile_terms(terms, r=2, trunc=6)
-        via_callables = p_series_from_generator(
-            [
-                (lambda th: 0.3 * math.sin(th[0]), SIGMA_Z),
-                (lambda th: 0.2 * (math.cos(th[1]) - 1.0), SIGMA_Z),
-            ],
-            r=2,
-            trunc=6,
-        )
-        assert sorted(via_dicts.coeffs) == sorted(via_callables.coeffs)
-        for n, c in via_dicts.coeffs.items():
-            assert np.allclose(c, via_callables.coeffs[n], atol=1e-14)
+    def test_index_outside_box(self):
+        with pytest.raises(DimensionMismatch, match="outside truncation box"):
+            p_series_from_generator([_term("sin", [5], 0.3, SIGMA_Z)], r=1, trunc=4)
+
+    def test_generator_norm_beyond_rounding_refused(self):
+        # L = 30 sqrt(2): the Taylor terms would pass 1 / eps before they cancel
+        with pytest.raises(Overflow, match="l1 norm"):
+            p_series_from_generator([_term("sin", [1], 30.0, SIGMA_Z)], r=1, trunc=60)
+
+    def test_profile_terms_name(self):
+        assert p_series_from_profile_terms is p_series_from_generator
 
     def test_unknown_profile_kind(self):
         with pytest.raises(DimensionMismatch):
-            p_series_from_profile_terms(
-                [{"profile": "tan", "index": [1], "amplitude": 0.1, "matrix": SIGMA_Z}],
-                r=1,
-                trunc=4,
-            )
+            p_series_from_profile_terms([_term("tan", [1], 0.1, SIGMA_Z)], r=1, trunc=4)
 
 
 class TestSynthesize:
@@ -234,9 +231,7 @@ class TestSynthesize:
         # so the lab Hamiltonian is (a w cos(w t) + b) Z
         a, b, w1 = 0.3, 0.4, 1.3
         omega = np.array([w1])
-        p = p_series_from_generator(
-            [(lambda theta: a * math.sin(theta[0]), SIGMA_Z)], r=1, trunc=12
-        )
+        p = p_series_from_generator([_term("sin", [1], a, SIGMA_Z)], r=1, trunc=12)
         series = synthesize_hamiltonian(p, omega, b * SIGMA_Z)
         for t in np.linspace(0.0, 9.0, 25):
             expect = (a * w1 * math.cos(w1 * t) + b) * SIGMA_Z
@@ -245,12 +240,7 @@ class TestSynthesize:
 
     def test_result_hermitian(self, rng):
         p = p_series_from_generator(
-            [
-                (lambda th: 0.25 * math.sin(th[0]), SIGMA_Z),
-                (lambda th: 0.15 * math.sin(th[1]), SIGMA_X),
-            ],
-            r=2,
-            trunc=10,
+            [_term("sin", [1, 0], 0.25, SIGMA_Z), _term("sin", [0, 1], 0.15, SIGMA_X)], r=2, trunc=10
         )
         omega = np.array([math.sqrt(2.0), math.pi])
         series = synthesize_hamiltonian(p, omega, random_hermitian(rng, 2))
@@ -267,9 +257,7 @@ class TestSynthesize:
         # trunc=6 leaves ~1e-8 of spectral mass outside the box at amplitude
         # 0.5, so a tight truncation budget must trip after the (relaxed)
         # unitarity gate passes
-        p = p_series_from_generator(
-            [(lambda theta: 0.5 * math.sin(theta[0]), SIGMA_Z)], r=1, trunc=6
-        )
+        p = p_series_from_generator([_term("sin", [1], 0.5, SIGMA_Z)], r=1, trunc=6)
         with pytest.raises(TruncationLoss):
             synthesize_hamiltonian(
                 p, np.array([1.0]), SIGMA_Z, tol_unitary=1e-5, tol_truncation=1e-12
