@@ -9,7 +9,7 @@ sum wraps around; its support is the Minkowski sum of the supports. A workspace
 of more than ``_MAX_BOX_POINTS`` points is refused before it is allocated. Lossy
 operations add the l1 sum of Frobenius norms of what they drop to ``tail_norm``,
 a bound on the sup-over-t error; products add each input's tail times the other's
-l1 norm.
+l1 norm, and the product of the two tails.
 """
 
 import math
@@ -197,7 +197,9 @@ class FourierOperatorSeries:
         pairs = np.fft.irfftn(np.fft.rfftn(ma, size, axes) * np.fft.rfftn(mb, size, axes), size, axes)
         # the support is the Minkowski sum of the two; truncate puts what lies outside into the tail
         out = self._from_box(full, pairs > 0.5, 0.0).truncate(max(self.trunc, other.trunc))
-        out.tail_norm = out.tail_norm + self.tail_norm * other.l1_norm() + other.tail_norm * self.l1_norm()
+        # (a + ta)(b + tb) - ab = ta b + a tb + ta tb, each bounded by its norms
+        out.tail_norm = (out.tail_norm + self.tail_norm * other.l1_norm() + other.tail_norm * self.l1_norm()
+                         + self.tail_norm * other.tail_norm)
         return out
 
     def adjoint(self):

@@ -53,11 +53,13 @@ __all__ = [
 class BathSpectrum:
     """Matrix-valued bath spectral data over the coupling index.
 
-    ``h(w)`` must return a Hermitian PSD (n_couplings x n_couplings) matrix
-    for every real ``w`` (Bochner positivity of the correlation transform);
-    ``zeta(w)`` must return a Hermitian matrix. Both are validated at every
-    evaluation since user callbacks cannot be checked globally; ``h`` and
-    ``zeta`` are batches of one.
+    ``h_fn`` and ``zeta_fn`` take a 1-d array of distinct real frequencies and
+    return the stack (n, n_couplings, n_couplings) of their values; use
+    :meth:`from_callables` for callbacks of one frequency. ``h`` must be
+    Hermitian PSD at every frequency (Bochner positivity of the correlation
+    transform) and ``zeta`` Hermitian. Both are validated at every evaluation
+    since user callbacks cannot be checked globally; ``h`` and ``zeta`` are
+    batches of one.
     """
 
     def __init__(self, h_fn, zeta_fn, n_couplings, family="custom", params=None):
@@ -75,7 +77,7 @@ class BathSpectrum:
 
     def h_many(self, ws, tol_psd=1e-12):
         """Checked h at each frequency of ``ws``, stacked (len(ws), m, m); the
-        callback runs once per distinct frequency. A negative eigenvalue
+        callback sees each distinct frequency once. A negative eigenvalue
         raises NotPSD with the first failing frequency as ``frequency``."""
         g, at, rows = self._checked(self._h_fn, "h", ws, 1e-9, NotHermitian)
         lo = np.linalg.eigvalsh(g)[:, 0]
@@ -93,19 +95,17 @@ class BathSpectrum:
 
     def _checked(self, fn, name, ws, tol_herm, not_hermitian):
         """Hermitized values of ``fn`` at the distinct frequencies of ``ws``,
-        called in order of first appearance; those frequencies; and the row
-        of each frequency of ``ws``. The first value failing the shape,
-        finiteness or Hermiticity check raises."""
+        in order of first appearance; those frequencies; and the row of each
+        frequency of ``ws``. A wrong stack shape raises, and so does the first
+        value failing the finiteness or Hermiticity check."""
         ws = np.asarray(ws, dtype=float).reshape(-1)
         _, first, inverse = np.unique(ws, return_index=True, return_inverse=True)
         calls = np.argsort(first)
         at = ws[first[calls]]
-        m = self.n_couplings
-        vals = [np.asarray(fn(w), dtype=complex) for w in at.tolist()]
-        for w, v in zip(at.tolist(), vals):
-            if v.shape != (m, m):
-                raise DimensionMismatch(f"bath {name}({w}) has shape {v.shape}, expected {(m, m)}")
-        g = np.array(vals).reshape(-1, m, m)
+        shape = (at.size, self.n_couplings, self.n_couplings)
+        g = np.asarray(fn(at), dtype=complex)
+        if g.shape != shape:
+            raise DimensionMismatch(f"bath {name} at {at.size} frequencies has shape {g.shape}, expected {shape}")
         bad = np.flatnonzero(~np.isfinite(g).all(axis=(1, 2)))
         if bad.size:
             raise Overflow(f"bath {name}({float(at[bad[0]])}) contains non-finite entries")
@@ -118,15 +118,20 @@ class BathSpectrum:
     # -- constructors --------------------------------------------------
 
     @classmethod
+    def _diagonal(cls, profile, n_couplings, family, params):
+        """Bath with h = profile(w) I over the couplings and zeta = 0."""
+        eye = np.eye(n_couplings, dtype=complex)
+        return cls(lambda ws: profile(ws)[:, None, None] * eye,
+                   lambda ws: np.zeros((ws.size, n_couplings, n_couplings), dtype=complex),
+                   n_couplings, family=family, params=params)
+
+    @classmethod
     def flat(cls, gamma, n_couplings):
         """Frequency-independent rate: h(w) = gamma * I, zeta = 0."""
         gamma = float(gamma)
         if gamma < 0:
             raise NotPSD(f"flat bath rate must be nonnegative, got {gamma}")
-        eye = np.eye(n_couplings, dtype=complex)
-        zero = np.zeros((n_couplings, n_couplings), dtype=complex)
-        return cls(lambda w: gamma * eye, lambda w: zero, n_couplings,
-                   family="flat", params={"gamma": gamma})
+        return cls._diagonal(lambda ws: np.full(ws.size, gamma), n_couplings, "flat", {"gamma": gamma})
 
     @classmethod
     def ohmic_kms(cls, kappa, cutoff, beta, n_couplings):
@@ -144,27 +149,43 @@ class BathSpectrum:
         kappa, cutoff, beta = float(kappa), float(cutoff), float(beta)
         if kappa <= 0 or cutoff <= 0 or beta <= 0:
             raise DimensionMismatch("ohmic_kms needs positive kappa, cutoff, beta")
-        eye = np.eye(n_couplings, dtype=complex)
-        zero = np.zeros((n_couplings, n_couplings), dtype=complex)
 
-        def profile(w):
-            scale = 2.0 * math.pi * kappa * math.exp(-abs(w) / cutoff)
-            if w == 0.0:
-                return scale / beta
-            return scale * w / math.expm1(beta * w)
+        def profile(ws):
+            scale = 2.0 * math.pi * kappa * np.exp(-np.abs(ws) / cutoff)
+            x = beta * ws
+            # 0 / 0 where the w -> 0 limit applies; w / inf = 0 where expm1 overflows
+            with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+                return np.where(x == 0.0, scale / beta, scale * ws / np.expm1(x))
 
-        return cls(lambda w: profile(w) * eye, lambda w: zero, n_couplings,
-                   family="ohmic_kms", params={"kappa": kappa, "cutoff": cutoff, "beta": beta})
+        return cls._diagonal(profile, n_couplings, "ohmic_kms",
+                             {"kappa": kappa, "cutoff": cutoff, "beta": beta})
 
     @classmethod
     def from_callables(cls, h_fn, zeta_fn=None, n_couplings=1, family="custom", params=None):
+        """Bath from callbacks of one frequency, w -> (m, m) matrix, each called
+        once per distinct frequency; ``zeta_fn`` defaults to zero. A value of
+        the wrong shape raises DimensionMismatch naming its frequency."""
+        m = int(n_couplings)
         if zeta_fn is None:
-            zero = np.zeros((n_couplings, n_couplings), dtype=complex)
+            zero = np.zeros((m, m), dtype=complex)
             zeta_fn = lambda w: zero
-        return cls(h_fn, zeta_fn, n_couplings, family=family, params=params)
+
+        def stacked(fn, name):
+            def over(ws):
+                vals = [np.asarray(fn(w), dtype=complex) for w in ws.tolist()]
+                for w, v in zip(ws.tolist(), vals):
+                    if v.shape != (m, m):
+                        raise DimensionMismatch(f"bath {name}({w}) has shape {v.shape}, expected {(m, m)}")
+                return np.array(vals).reshape(-1, m, m)
+            return over
+
+        return cls(stacked(h_fn, "h"), stacked(zeta_fn, "zeta"), m, family=family, params=params)
 
 
 _UNITARITY_SAMPLES = 64  # times of the grid on which p's unitarity is checked
+# H coefficients below this fraction of H's l1 norm are cancellation residue of the
+# products; relative, because H carries the energy units of the model
+_H_RESIDUE = 1e-15
 # builder(params: dict, n_couplings: int) -> BathSpectrum for each family a model file may name
 _BATH_FAMILIES = {
     "flat": lambda p, m: BathSpectrum.flat(p["gamma"], m),
@@ -269,9 +290,10 @@ def synthesize_hamiltonian(p_series, omega, h_bar, tol_unitary=1e-9, tol_truncat
     """Fourier series of H(t) = i p'(t) p(t)^dag + p(t) h_bar p(t)^dag.
 
     Raises NotUnitary if ``p`` drifts from unitarity on the sample grid, and
-    TruncationLoss if ``tol_truncation`` is given and the product tails
-    exceed it. The returned series is Hermitian-valued up to the reported
-    tail mass.
+    TruncationLoss if ``tol_truncation`` is given and the tail exceeds it.
+    The tail holds the product tails and the coefficients below
+    ``_H_RESIDUE`` times H's l1 norm, which are dropped. The returned series
+    is Hermitian-valued up to the reported tail mass.
     """
     omega = frequency_vector(omega)
     h_bar = np.asarray(h_bar, dtype=complex)
@@ -282,6 +304,7 @@ def synthesize_hamiltonian(p_series, omega, h_bar, tol_unitary=1e-9, tol_truncat
     dp = p_series.derivative(omega)
     hbar_const = FourierOperatorSeries.constant(h_bar, p_series.r)
     h_series = (1j * dp).product(pdag) + p_series.product(hbar_const).product(pdag)
+    h_series = h_series.drop_below(_H_RESIDUE * h_series.l1_norm())
     if tol_truncation is not None and h_series.tail_norm > tol_truncation:
         raise TruncationLoss(
             f"synthesized Hamiltonian dropped {h_series.tail_norm:.3e} > {tol_truncation:.1e}"

@@ -175,6 +175,12 @@ class TestTruncationBookkeeping:
         )
         assert worst <= p.tail_norm + 1e-12
 
+    def test_product_of_two_tails(self):
+        # both factors are all tail: the exact product 0.25 e^{2it} lies wholly in the tail
+        s = FourierOperatorSeries(1, 1, 1, {(1,): np.array([[0.5]])}).truncate(0)
+        assert len(s) == 0 and s.tail_norm == 0.5
+        assert s.product(s).tail_norm >= 0.25
+
     def test_drop_below(self):
         s = FourierOperatorSeries(
             1, 1, 2, {(0,): np.array([[1.0]]), (1,): np.array([[1e-18]])}
@@ -255,7 +261,7 @@ class TestDenseStorageMatchesDictReference:
         assert p.trunc == max(a.trunc, b.trunc)
         assert p.indices() == sorted(kept)
         assert all(np.max(np.abs(p.coeffs[n] - c)) <= 1e-13 * scale for n, c in kept.items())
-        expect = dropped + a.tail_norm * b.l1_norm() + b.tail_norm * a.l1_norm()
+        expect = dropped + a.tail_norm * b.l1_norm() + b.tail_norm * a.l1_norm() + a.tail_norm * b.tail_norm
         # both sums round: on O(1) data the FFT's mass can come out a few ulps smaller
         assert abs(p.tail_norm - expect) <= 1e-13 * scale
 

@@ -1,6 +1,8 @@
 """Bath spectra, Hamiltonian synthesis, and model validation."""
 
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from qmme.errors import (
     TruncationLoss,
 )
 from qmme.fourier import FourierOperatorSeries
+from qmme.io import load_model
 from qmme.model import (
     BathSpectrum,
     ReducedModel,
@@ -29,6 +32,8 @@ from qmme.model import (
     validate_model,
 )
 from qmme.presets import SIGMA_X, SIGMA_Z, preset
+
+MODELS_DIR = Path(__file__).resolve().parents[1] / "models"
 
 
 class TestFlatBath:
@@ -90,6 +95,42 @@ class TestOhmicKmsBath:
         for args in ((0.0, 5.0, 1.0), (0.1, -1.0, 1.0), (0.1, 5.0, 0.0)):
             with pytest.raises(DimensionMismatch):
                 BathSpectrum.ohmic_kms(*args, 1)
+
+
+    def test_array_matches_scalar_formula(self):
+        ws = np.concatenate([np.linspace(-10.0, 10.0, 401), [1e-300, -1e-300]])
+        got = self.bath(2).h_many(ws)
+        for w, h in zip(ws.tolist(), got):
+            scale = 2.0 * math.pi * self.KAPPA * math.exp(-abs(w) / self.CUTOFF)
+            expect = scale / self.BETA if self.BETA * w == 0.0 else scale * w / math.expm1(self.BETA * w)
+            assert h[0, 0].real == pytest.approx(expect, rel=4e-15, abs=0)
+            assert np.array_equal(h, h[0, 0] * np.eye(2))
+
+    def test_far_above_cutoff(self):
+        # expm1(beta w) overflows to inf: the weight is 0, not an error
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert self.bath().h_many([1000.0, -1000.0, 0.0])[0, 0, 0] == 0.0
+        assert 0.0 < self.bath().h(-1000.0)[0, 0].real < 1e-80
+
+
+class TestBathArrayCallbacks:
+    def test_one_call_over_distinct_frequencies(self):
+        calls = []
+
+        def h(ws):
+            calls.append(ws.copy())
+            return ws[:, None, None] ** 2 * np.eye(2)
+
+        bath = BathSpectrum(h, lambda ws: np.zeros((ws.size, 2, 2)), 2)
+        got = bath.h_many([2.0, -1.0, 2.0, 0.5])
+        assert len(calls) == 1 and calls[0].tolist() == [2.0, -1.0, 0.5]
+        assert [g[1, 1].real for g in got] == [4.0, 1.0, 4.0, 0.25]
+
+    def test_wrong_stack_shape(self):
+        bath = BathSpectrum(lambda ws: np.zeros((1, 2, 2)), lambda ws: np.zeros((ws.size, 2, 2)), 2)
+        with pytest.raises(DimensionMismatch):
+            bath.h_many([0.0, 1.0])
 
 
 class TestBathCallableGates:
@@ -252,6 +293,49 @@ class TestSynthesize:
         p = FourierOperatorSeries.constant(0.5 * np.eye(2), r=1)
         with pytest.raises(NotUnitary):
             synthesize_hamiltonian(p, np.array([1.0]), SIGMA_Z)
+
+    @staticmethod
+    def _undropped(model):
+        """The products of synthesize_hamiltonian, every Minkowski-sum position kept."""
+        p, omega = model.p_series, model.frequencies
+        hbar = FourierOperatorSeries.constant(model.h_bar, p.r)
+        return (1j * p.derivative(omega)).product(p.adjoint()) + p.product(hbar).product(p.adjoint())
+
+    @pytest.mark.parametrize("name", ["qubit_driven", "qutrit_thermal"])
+    def test_residue_dropped_into_tail(self, name):
+        model = load_model(MODELS_DIR / f"{name}.json")
+        series = synthesize_hamiltonian(model.p_series, model.frequencies, model.h_bar)
+        full = self._undropped(model)
+        floor = 1e-15 * full.l1_norm()
+        assert all(np.linalg.norm(c) >= 1e-15 * series.l1_norm() for c in series.coeffs.values())
+        kept = [n for n in full.indices() if np.linalg.norm(full.coeffs[n]) >= floor]
+        assert series.indices() == kept and len(kept) < len(full)
+        assert all(np.array_equal(series.coeffs[n], full.coeffs[n]) for n in kept)
+        dropped = 0.0
+        for n in full.indices():
+            if n not in series.coeffs:
+                dropped += np.linalg.norm(full.coeffs[n])
+        assert series.tail_norm == full.tail_norm + dropped
+
+    @pytest.mark.parametrize("name", ["qubit_driven", "qutrit_thermal"])
+    def test_matches_frame_formula(self, name):
+        model = load_model(MODELS_DIR / f"{name}.json")
+        p, omega = model.p_series, model.frequencies
+        series = synthesize_hamiltonian(p, omega, model.h_bar)
+        dp = p.derivative(omega)
+        for t in np.linspace(0.0, 40.0, 50):
+            u, du = p.evaluate(omega, t), dp.evaluate(omega, t)
+            expect = 1j * du @ u.conj().T + u @ model.h_bar @ u.conj().T
+            assert np.linalg.norm(series.evaluate(omega, t) - expect) <= series.tail_norm + 1e-13
+
+    def test_budget_sees_dropped_residue(self):
+        model = load_model(MODELS_DIR / "qubit_driven.json")
+        args = (model.p_series, model.frequencies, model.h_bar)
+        undropped, dropped = self._undropped(model).tail_norm, synthesize_hamiltonian(*args).tail_norm
+        assert undropped < dropped
+        with pytest.raises(TruncationLoss):
+            synthesize_hamiltonian(*args, tol_truncation=0.5 * (undropped + dropped))
+        assert synthesize_hamiltonian(*args, tol_truncation=dropped).tail_norm == dropped
 
     def test_truncation_budget(self):
         # trunc=6 leaves ~1e-8 of spectral mass outside the box at amplitude
