@@ -95,7 +95,10 @@ def spectrum_classification(x, tol_spec=1e-9, cond_threshold=1e6):
     else:
         mat = np.asarray(x, dtype=complex)
     w, v = np.linalg.eig(mat)
-    order = np.lexsort((w.imag, w.real))
+    # a conjugate pair sorts on its mean real part, the same bits for both, then on Im
+    dist = np.abs(w[:, None] - np.conj(w)[None, :])
+    mate = np.argmin(dist, axis=1)
+    order = np.lexsort((w.imag, 0.5 * (w.real + w.real[mate])))
     w = w[order]
     cond = float(np.linalg.cond(v))
 
@@ -108,9 +111,7 @@ def spectrum_classification(x, tol_spec=1e-9, cond_threshold=1e6):
     k0 = int(np.count_nonzero(zero))
     if k0 == 0:
         raise SpectralViolation("generator spectrum does not contain 0")
-    conj_defect = float(
-        max(np.min(np.abs(w - np.conj(wi))) for wi in w)
-    )
+    conj_defect = float(np.max(dist[np.arange(w.size), mate]))
     if conj_defect > tol_spec:
         raise SpectralViolation(
             f"spectrum not conjugation-symmetric: defect {conj_defect:.3e}"

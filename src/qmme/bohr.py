@@ -1,17 +1,19 @@
 """Spectral decomposition of the averaged Hamiltonian and jump operators.
 
-The averaged (constant) Hamiltonian is diagonalized and its eigenvalues are
-clustered into quasienergy levels; differences of quasienergies form the Bohr
-frequency set. A coupling operator, moved to the interaction picture by the
-unitary series ``p``, decomposes per Fourier index ``n`` into jump operators
+The averaged (constant) Hamiltonian is diagonalized, h_bar = V diag(e) V^dag,
+and its eigenvalues are clustered into quasienergy levels; differences of
+quasienergies form the Bohr frequency set. Labelling each eigenvector with
+its level and each level pair with its Bohr frequency gives every eigenbasis
+entry a frequency, and a coupling operator, moved to the interaction picture
+by the unitary series ``p``, splits per Fourier index ``n`` into the masks
 
-    S_{n,w} = sum_{(k,l): e_k - e_l = w} P_k S_hat_n P_l,
+    S_{n,w} = sum_{(k,l): e_k - e_l = w} P_k S_hat_n P_l = V (M_w o V^dag S_hat_n V) V^dag,
 
-which satisfy [h_bar, S_{n,w}] = w S_{n,w} and reassemble to S_hat_n when
-summed over w. Each jump operator carries the shifted frequency
-w + n . omega at which bath spectra are evaluated. A model's jump operators
-are stored once, as a stack with one block per (w, n) and one slot per
-coupling, the layout the generator sums read.
+which satisfy [h_bar, S_{n,w}] = w S_{n,w} and sum over w to S_hat_n. Each
+jump operator carries the shifted frequency w + n . omega at which bath
+spectra are evaluated. A model's jump operators are stored once, in the lab
+basis, as a stack with one block per (w, n) and one slot per coupling, the
+layout the generator sums read.
 """
 
 import functools
@@ -34,34 +36,31 @@ __all__ = [
 ]
 
 
-def _cluster_sorted(values, atol):
-    """Single-linkage clustering of a 1-d array; returns lists of indices."""
-    order = np.argsort(values, kind="stable")
-    clusters = [[int(order[0])]]
-    for idx in order[1:]:
-        idx = int(idx)
-        if values[idx] - values[clusters[-1][-1]] <= atol:
-            clusters[-1].append(idx)
-        else:
-            clusters.append([idx])
-    return clusters
+def _single_linkage(values, atol):
+    """Single-linkage clusters of an ascending 1-d array: each entry's label
+    (a new cluster starts at every gap above ``atol``) and each cluster's mean."""
+    labels = np.concatenate(([0], np.cumsum(np.diff(values) > atol)))
+    means = [np.mean(c) for c in np.split(values, np.flatnonzero(np.diff(labels)) + 1)]
+    return labels, np.array(means)
 
 
 @dataclass
 class BohrDecomposition:
-    """Clustered eigenstructure of the averaged Hamiltonian.
+    """Clustered eigenstructure of the averaged Hamiltonian, as eigenbasis labels.
 
-    ``pairs[i]`` lists the quasienergy index pairs (k, l) whose difference
-    belongs to Bohr frequency ``bohr_frequencies[i]``. The frequency set is
-    ascending, contains 0, and is closed under negation exactly.
+    The eigenvectors are columns in ascending eigenvalue order; ``levels`` and
+    ``pair_frequency`` index ``quasienergies`` and ``bohr_frequencies``, and
+    everything else is derived from them. The frequency set is ascending,
+    contains 0, and is closed under negation exactly.
     """
 
     quasienergies: np.ndarray
-    projections: list
     bohr_frequencies: np.ndarray
-    pairs: list
     freq_atol: float
     h_bar: np.ndarray
+    eigenvectors: np.ndarray  # (d, d) unitary V
+    levels: np.ndarray  # (d,) level of each eigenvector
+    pair_frequency: np.ndarray  # (levels, levels) frequency of each difference e_k - e_l
 
     @property
     def dim(self):
@@ -70,6 +69,24 @@ class BohrDecomposition:
     @property
     def n_levels(self):
         return len(self.quasienergies)
+
+    @functools.cached_property
+    def projections(self):
+        """Spectral projector of each quasienergy level."""
+        v = self.eigenvectors
+        return [v[:, self.levels == k] @ v[:, self.levels == k].conj().T for k in range(self.n_levels)]
+
+    @property
+    def pairs(self):
+        """``pairs[i]``: the sorted level pairs (k, l) whose difference is
+        Bohr frequency ``bohr_frequencies[i]``."""
+        return [[tuple(kl) for kl in np.argwhere(self.pair_frequency == i).tolist()]
+                for i in range(len(self.bohr_frequencies))]
+
+    @property
+    def entry_frequency(self):
+        """Bohr frequency index of each eigenbasis entry (i, j)."""
+        return self.pair_frequency[np.ix_(self.levels, self.levels)]
 
     def frequency_index(self, w, atol=None):
         """Index of the Bohr frequency nearest ``w`` within tolerance."""
@@ -84,19 +101,16 @@ class BohrDecomposition:
         return idx
 
     def q_omega(self, w, rho):
-        """Frequency component of a state: sum_{(k,l) ~ w} P_k rho P_l.
-
-        Summing q_omega over all Bohr frequencies returns rho; weighting the
-        sum with exp(-i w t) realizes conjugation by exp(-i h_bar t).
+        """Frequency component of a state, sum_{(k,l) ~ w} P_k rho P_l: a mask on
+        its eigenbasis entries. Summing over all Bohr frequencies returns rho;
+        weighting the sum with exp(-i w t) realizes conjugation by exp(-i h_bar t).
         """
         rho = np.asarray(rho, dtype=complex)
         if rho.shape != (self.dim, self.dim):
             raise DimensionMismatch(f"state shape {rho.shape} != {(self.dim, self.dim)}")
-        idx = self.frequency_index(w)
-        out = np.zeros_like(rho)
-        for k, l in self.pairs[idx]:
-            out += self.projections[k] @ rho @ self.projections[l]
-        return out
+        mask = self.entry_frequency == self.frequency_index(w)
+        v = self.eigenvectors
+        return v @ (mask * (v.conj().T @ rho @ v)) @ v.conj().T
 
 
 def decompose(h_bar, tol_cluster=1e-9, tol_herm=1e-9):
@@ -107,56 +121,32 @@ def decompose(h_bar, tol_cluster=1e-9, tol_herm=1e-9):
     the clustered pairwise differences, symmetrized exactly around 0.
     """
     h_bar = np.asarray(h_bar, dtype=complex)
-    w, v = eig_hermitian(h_bar, tol_herm=tol_herm)
+    w, v = eig_hermitian(h_bar, tol_herm=tol_herm)  # w ascending
     scale = float(np.max(np.abs(w))) if w.size and np.max(np.abs(w)) > 0 else 1.0
     atol = tol_cluster * scale
 
-    clusters = _cluster_sorted(w, atol)
-    quasienergies = np.array([float(np.mean(w[c])) for c in clusters])
-    projections = []
-    for c in clusters:
-        cols = v[:, c]
-        projections.append(cols @ cols.conj().T)
+    levels, quasienergies = _single_linkage(w, atol)
+    diffs = (quasienergies[:, None] - quasienergies[None, :]).reshape(-1)
+    order = np.argsort(diffs, kind="stable")
+    labels, reps = _single_linkage(diffs[order], atol)
+    pair_frequency = labels[np.argsort(order)].reshape(len(quasienergies), -1)  # back to (k, l) order
+    # the differences are exactly antisymmetric, so are the clusters: snap the middle one to 0
+    reps[np.abs(reps) <= atol] = 0.0
+    reps = 0.5 * (reps - reps[::-1])
 
-    d = h_bar.shape[0]
-    completeness = np.linalg.norm(sum(projections) - np.eye(d))
-    if completeness > 1e-10:
-        raise NoConvergence(f"projector completeness residual {completeness:.3e}")
-
-    n = len(clusters)
-    pair_list = [(k, l) for k in range(n) for l in range(n)]
-    diffs = np.array([quasienergies[k] - quasienergies[l] for k, l in pair_list])
-    diff_clusters = _cluster_sorted(diffs, atol)
-    reps = np.array([float(np.mean(diffs[c])) for c in diff_clusters])
-
-    # snap the zero cluster and enforce exact negation symmetry of the set
-    for i, r in enumerate(reps):
-        if abs(r) <= atol:
-            reps[i] = 0.0
-    order = np.argsort(reps)
-    reps = reps[order]
-    diff_clusters = [diff_clusters[int(i)] for i in order]
-    m = len(reps)
-    for i in range(m // 2):
-        mate = m - 1 - i
-        mean = 0.5 * (reps[mate] - reps[i])
-        reps[mate] = mean
-        reps[i] = -mean
-
-    pairs = [[] for _ in range(m)]
-    for ci, members in enumerate(diff_clusters):
-        for flat in members:
-            pairs[ci].append(pair_list[flat])
-    pairs = [sorted(p) for p in pairs]
-
-    return BohrDecomposition(
+    decomp = BohrDecomposition(
         quasienergies=quasienergies,
-        projections=projections,
         bohr_frequencies=reps,
-        pairs=pairs,
         freq_atol=max(atol, 1e-12),
         h_bar=h_bar,
+        eigenvectors=v,
+        levels=levels,
+        pair_frequency=pair_frequency,
     )
+    completeness = np.linalg.norm(sum(decomp.projections) - np.eye(h_bar.shape[0]))
+    if completeness > 1e-10:
+        raise NoConvergence(f"projector completeness residual {completeness:.3e}")
+    return decomp
 
 
 def check_congruence_freedom(bohr_freqs, omega, box=12, tol=1e-9):
@@ -256,10 +246,12 @@ def build_jump_operator_set(decomp, s_hat_list, drop_tol=1e-14):
     """Split every coupling's interaction-picture series into Bohr-frequency
     components and stack them by block.
 
-    The Fourier indices are the union of the couplings' supports; each
-    projector sum acts on the coefficients of all couplings at once. An
-    operator is kept when its coupling's series holds the index and its
-    Frobenius norm is at least ``drop_tol``; a block is kept when it holds one.
+    The Fourier indices are the union of the couplings' supports. The
+    coefficients of all couplings are rotated into h_bar's eigenbasis once;
+    frequency w's operators are then V[:, I] diag(rot[..., I, J]) V[:, J]^dag
+    over the eigenbasis entries (I, J) at w. An operator is kept when its
+    coupling's series holds the index and its Frobenius norm is at least
+    ``drop_tol``; a block is kept when it holds one.
     """
     d, m = decomp.dim, len(s_hat_list)
     supports = [s._idx for s in s_hat_list]
@@ -269,15 +261,17 @@ def build_jump_operator_set(decomp, s_hat_list, drop_tol=1e-14):
     held = np.zeros((len(idx), m), dtype=bool)
     for mu, (s_hat, r) in enumerate(zip(s_hat_list, rows)):
         coeffs[r, mu], held[r, mu] = s_hat._stack, True
-    left = [p @ coeffs for p in decomp.projections]  # P_k S_hat_n for every n and coupling
+    v, entry_frequency = decomp.eigenvectors, decomp.entry_frequency
+    rot = v.conj().T @ coeffs @ v
     fourier = [tuple(n) for n in idx.tolist()]
     blocks, stacks, masks = [], [], []
-    for w_idx, klist in enumerate(decomp.pairs):
-        s = sum(left[k] @ decomp.projections[l] for k, l in klist)
+    for w_idx in range(len(decomp.bohr_frequencies)):
+        i, j = np.nonzero(entry_frequency == w_idx)  # the eigenbasis entries at w
+        s = (v[:, i] * rot[..., None, i, j]) @ v[:, j].conj().T
         kept = held & (_norms(s) >= drop_tol).reshape(held.shape)
         s[~kept] = 0.0
         used = np.flatnonzero(kept.any(axis=1))
-        blocks += [(w_idx, fourier[i]) for i in used]
+        blocks += [(w_idx, fourier[u]) for u in used]
         stacks.append(s[used])
         masks.append(kept[used])
     stack, present = np.concatenate(stacks), np.concatenate(masks)

@@ -91,6 +91,17 @@ class TestSpectrumClassification:
         # raw values keep the unsnapped data
         assert np.any(report.raw_eigenvalues.real != report.eigenvalues.real)
 
+    def test_conjugate_pair_order_stable(self):
+        # the pair's real parts one ulp apart, in either order: the same listing, -Im first
+        a, b = -0.35, np.nextafter(-0.35, 0.0)
+        listings = [
+            spectrum_classification(np.diag([0.0, re_up + 0.83j, re_down - 0.83j, -0.1])).eigenvalues
+            for re_up, re_down in ((a, b), (b, a))
+        ]
+        assert np.array_equal(listings[0].imag, [-0.83, 0.83, 0.0, 0.0])
+        assert np.array_equal(listings[1].imag, listings[0].imag)
+        assert np.array_equal(listings[1].real, listings[0].real[[1, 0, 2, 3]])
+
     def test_positive_real_part_rejected(self):
         with pytest.raises(SpectralViolation):
             spectrum_classification(np.diag([0.1, 0.0, -0.2]))

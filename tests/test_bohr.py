@@ -17,11 +17,69 @@ from qmme.bohr import (
 )
 from qmme.errors import DimensionMismatch, NotHermitian, UnknownFrequency
 from qmme.fourier import FourierOperatorSeries, check_rational_independence, normalize_witness
+from qmme.linalg import eig_hermitian
 from qmme.model import p_series_from_generator
 from qmme.presets import SIGMA_X, SIGMA_Z
 
 E01 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 E10 = E01.conj().T
+
+
+def rotated_degenerate():
+    """U diag(1, 1, 3) U^dag for a seeded random unitary U: a rank-2 level
+    whose eigenvectors are arbitrary inside it."""
+    rng = np.random.default_rng(47)
+    u, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    h = u @ np.diag([1.0, 1.0, 3.0]) @ u.conj().T
+    return 0.5 * (h + h.conj().T)
+
+
+SPECTRA = {
+    "rotated_degenerate": rotated_degenerate,
+    "ladder5": lambda: np.diag(np.arange(5.0)),
+    "ladder5_perturbed": lambda: np.diag(np.arange(5.0) + 1e-13 * np.array([0.3, -0.7, 0.2, 0.9, -0.4])),
+}
+
+
+def _loop_cluster_sorted(values, atol):
+    order = np.argsort(values, kind="stable")
+    clusters = [[int(order[0])]]
+    for idx in order[1:]:
+        idx = int(idx)
+        if values[idx] - values[clusters[-1][-1]] <= atol:
+            clusters[-1].append(idx)
+        else:
+            clusters.append([idx])
+    return clusters
+
+
+def _loop_decompose(h_bar, tol_cluster=1e-9):
+    """Quasienergies, projectors, Bohr frequencies, level pairs and frequency
+    tolerance from per-cluster loops: single linkage one value at a time, a
+    projector per level, a pair list per frequency."""
+    w, v = eig_hermitian(np.asarray(h_bar, dtype=complex))
+    scale = float(np.max(np.abs(w))) if np.max(np.abs(w)) > 0 else 1.0
+    atol = tol_cluster * scale
+    clusters = _loop_cluster_sorted(w, atol)
+    quasienergies = np.array([float(np.mean(w[c])) for c in clusters])
+    projections = [v[:, c] @ v[:, c].conj().T for c in clusters]
+    n = len(clusters)
+    pair_list = [(k, l) for k in range(n) for l in range(n)]
+    diffs = np.array([quasienergies[k] - quasienergies[l] for k, l in pair_list])
+    diff_clusters = _loop_cluster_sorted(diffs, atol)
+    reps = np.array([float(np.mean(diffs[c])) for c in diff_clusters])
+    for i, r in enumerate(reps):
+        if abs(r) <= atol:
+            reps[i] = 0.0
+    order = np.argsort(reps)
+    reps = reps[order]
+    diff_clusters = [diff_clusters[int(i)] for i in order]
+    m = len(reps)
+    for i in range(m // 2):
+        mean = 0.5 * (reps[m - 1 - i] - reps[i])
+        reps[m - 1 - i], reps[i] = mean, -mean
+    pairs = [sorted(pair_list[f] for f in members) for members in diff_clusters]
+    return quasienergies, projections, reps, pairs, max(atol, 1e-12)
 
 
 class TestDecompose:
@@ -34,6 +92,16 @@ class TestDecompose:
         assert decomp.pairs[decomp.frequency_index(0.0)] == [(0, 0), (1, 1)]
         assert decomp.pairs[decomp.frequency_index(2.0)] == [(1, 0)]
         assert decomp.pairs[decomp.frequency_index(-2.0)] == [(0, 1)]
+
+    @pytest.mark.parametrize("name", sorted(SPECTRA))
+    def test_matches_clustering_loop(self, name):
+        decomp = decompose(SPECTRA[name]())
+        quasienergies, projections, reps, pairs, atol = _loop_decompose(SPECTRA[name]())
+        assert decomp.quasienergies.tobytes() == quasienergies.tobytes()
+        assert decomp.bohr_frequencies.tobytes() == reps.tobytes()
+        assert [p.tobytes() for p in decomp.projections] == [p.tobytes() for p in projections]
+        assert decomp.pairs == pairs
+        assert decomp.freq_atol == atol
 
     def test_near_degeneracy_clusters(self):
         decomp = decompose(np.diag([0.0, 1e-12, 1.0]))
@@ -94,6 +162,15 @@ class TestFrequencyComponents:
             e_vals, e_vecs = np.linalg.eigh(h)
             u = (e_vecs * np.exp(-1j * e_vals * t)) @ e_vecs.conj().T
             assert np.allclose(lhs, u @ rho @ u.conj().T, atol=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(SPECTRA))
+    def test_matches_projector_pairs(self, name):
+        decomp = decompose(SPECTRA[name]())
+        _, projections, reps, pairs, _ = _loop_decompose(SPECTRA[name]())
+        rho = random_density(np.random.default_rng(3), decomp.dim)
+        for w, klist in zip(reps, pairs):
+            expect = sum(projections[k] @ rho @ projections[l] for k, l in klist)
+            assert np.max(np.abs(decomp.q_omega(w, rho) - expect)) <= 1e-15
 
     def test_zero_component_is_block_diagonal_part(self):
         decomp = decompose(np.diag([0.0, 1.0]))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import random_density, random_hermitian
+from test_bohr import rotated_degenerate
 
 from qmme.bohr import (
     build_jump_operator_set,
@@ -58,6 +59,15 @@ def driven_qutrit(h_fn=None, zeta_fn=None):
         couplings=[random_hermitian(rng, 3), random_hermitian(rng, 3)],
         bath=BathSpectrum.from_callables(h, zeta_fn=zeta, n_couplings=2),
     )
+
+
+def degenerate_qutrit():
+    """``driven_qutrit`` with h_bar = U diag(1, 1, 3) U^dag for a seeded random
+    unitary U (``test_bohr.rotated_degenerate``): a rank-2 level whose
+    eigenvectors are arbitrary inside it."""
+    base = driven_qutrit()
+    return ReducedModel(frequencies=base.frequencies, p_series=base.p_series, h_bar=rotated_degenerate(),
+                        couplings=base.couplings, bath=base.bath)
 
 
 class TestLambShift:
@@ -362,6 +372,7 @@ REFERENCE_MODELS = {
     **{f"scaled_r3_seed{seed}_d{d}": lambda seed=seed, i=i: scaled_r3_models(seed)[i]
        for seed in (1, 2, 3) for i, d in enumerate((2, 3))},
     "driven_qutrit": driven_qutrit,
+    "degenerate_qutrit": degenerate_qutrit,
 }
 
 
