@@ -19,6 +19,7 @@ from .linalg import (
     Superoperator,
     choi_min_eigenvalue,
     devectorize,
+    eigensystem,
     hermitize,
     vectorize,
 )
@@ -83,24 +84,20 @@ class StabilityReport:
         }
 
 
-def spectrum_classification(x, tol_spec=1e-9, cond_threshold=1e6):
+def spectrum_classification(x, tol_spec=1e-9):
     """Classify the generator spectrum and verify its structural guarantees.
 
     Raises SpectralViolation when an eigenvalue has real part above
     ``tol_spec``, when no eigenvalue sits at 0, or when the spectrum is not
-    conjugation-symmetric within ``tol_spec``.
+    conjugation-symmetric within ``tol_spec``. ``diagonalizable`` is
+    ``linalg.eigensystem``'s verdict on the eigenvectors.
     """
-    if isinstance(x, Superoperator):
-        mat = x.matrix
-    else:
-        mat = np.asarray(x, dtype=complex)
-    w, v = np.linalg.eig(mat)
+    w, _, vinv, cond = eigensystem(x.matrix if isinstance(x, Superoperator) else x)
     # a conjugate pair sorts on its mean real part, the same bits for both, then on Im
     dist = np.abs(w[:, None] - np.conj(w)[None, :])
     mate = np.argmin(dist, axis=1)
     order = np.lexsort((w.imag, 0.5 * (w.real + w.real[mate])))
     w = w[order]
-    cond = float(np.linalg.cond(v))
 
     worst_re = float(np.max(w.real))
     if worst_re > tol_spec:
@@ -126,7 +123,7 @@ def spectrum_classification(x, tol_spec=1e-9, cond_threshold=1e6):
         oscillatory_indices=[int(i) for i in np.nonzero(osc)[0]],
         decaying_indices=[int(i) for i in np.nonzero(dec)[0]],
         eigvec_cond=cond,
-        diagonalizable=bool(cond < cond_threshold),
+        diagonalizable=vinv is not None,
         quasiperiodic_steady_state=bool(np.count_nonzero(osc) == 0),
         decay_rate=float(np.max(dec_rates)) if dec_rates.size else None,
         slowest_decay_rate=float(np.min(dec_rates)) if dec_rates.size else None,
@@ -135,26 +132,21 @@ def spectrum_classification(x, tol_spec=1e-9, cond_threshold=1e6):
     )
 
 
-def positive_invariant(x, tol_spec=1e-9, cond_threshold=1e6):
+def positive_invariant(x, tol_spec=1e-9):
     """A PSD trace-one element of the generator kernel.
 
     Applies the spectral projector onto the kernel to the maximally mixed
     state; since time averages of the (completely positive) flow converge to
     exactly this projection, the result is PSD up to rounding. Returns the
-    matrix and its minimum eigenvalue.
+    matrix and its minimum eigenvalue; Defective when ``linalg.eigensystem``
+    gives no eigenvector inverse.
     """
-    if isinstance(x, Superoperator):
-        mat = x.matrix
-    else:
-        mat = np.asarray(x, dtype=complex)
-    w, v = np.linalg.eig(mat)
-    cond = float(np.linalg.cond(v))
-    if not np.isfinite(cond) or cond >= cond_threshold:
-        raise Defective(f"eigenvector condition number {cond:.3e} >= {cond_threshold:.1e}")
-    vinv = np.linalg.inv(v)
+    w, v, vinv, cond = eigensystem(x.matrix if isinstance(x, Superoperator) else x)
+    if vinv is None:
+        raise Defective(f"eigenvector condition number {cond:.3e} too large for eigen-expansion")
     _, zero, _, _ = _classify(w, tol_spec)
     sel = np.nonzero(zero)[0]
-    d = int(round(math.sqrt(mat.shape[0])))
+    d = int(round(math.sqrt(w.size)))
     proj = v[:, sel] @ vinv[sel, :]
     phi = hermitize(devectorize(proj @ vectorize(np.eye(d) / d)))
     min_eig = float(np.linalg.eigvalsh(phi)[0])
@@ -226,14 +218,11 @@ def limit_cycle(dmap, rho0, tol_spec=1e-9):
     exponents = np.where(zero, 0.0, 1j * w.imag)[keep]
     modes = [devectorize(v[:, j]) for j in keep]
 
-    recon = v @ c
-    residual = float(np.linalg.norm(recon - vectorize(rho0)))
+    residual = float(np.linalg.norm(v @ c - vectorize(rho0)))
 
     dec_idx = np.nonzero(dec)[0]
     rates = np.abs(re[dec_idx])
-    weights = np.array(
-        [abs(c[j]) * np.linalg.norm(v[:, j]) for j in dec_idx], dtype=float
-    )
+    weights = np.array([abs(c[j]) * np.linalg.norm(v[:, j]) for j in dec_idx], dtype=float)
     return LimitCycle(
         exponents=exponents,
         coefficients=c[keep],
@@ -374,16 +363,8 @@ def cptp_certificate(dmap, ts=None, n_pairs=20, seed=7, tol_choi=1e-10, tol_trac
             fwd = superop.apply(a)
             bwd = superop.apply(a.conj().T)
             herm_defect = max(herm_defect, float(np.linalg.norm(bwd - fwd.conj().T)))
-        row = dict(label)
-        row.update(
-            {
-                "choi_min_eig": min_eig,
-                "trace_defect": trace_defect,
-                "hermiticity_defect": herm_defect,
-                "choi_hermiticity": choi_herm,
-            }
-        )
-        return row
+        return dict(label, choi_min_eig=min_eig, trace_defect=trace_defect,
+                    hermiticity_defect=herm_defect, choi_hermiticity=choi_herm)
 
     time_rows = [_row({"t": float(t)}, dmap.at(t)) for t in ts]
     pair_rows = []

@@ -10,6 +10,8 @@ are present. A tolerance must be finite and nonnegative, and
 """
 
 import argparse
+import dataclasses
+import io
 import os
 import sys
 from pathlib import Path
@@ -39,6 +41,7 @@ from .io import (
     load_model,
     write_trajectory_csv,
 )
+from .linalg import trace_norm
 
 __all__ = ["main", "build_parser"]
 
@@ -143,8 +146,6 @@ def _initial_state(spec, mdl):
 def _load(args):
     mdl = load_model(args.model)
     if args.trunc is not None:
-        import dataclasses
-
         mdl = dataclasses.replace(mdl, p_series=mdl.p_series.truncate(args.trunc))
     return mdl
 
@@ -260,8 +261,6 @@ def cmd_evolve(args):
     rho0 = _initial_state(args.rho0, mdl)
     product = dmap.evolve(rho0, ts)
     direct = dmap.integrate_direct(rho0, ts, tol=args.tol_integrate)
-    from .linalg import trace_norm
-
     dist = [trace_norm(product[i] - direct[i]) for i in range(ts.size)]
     extra = {}
     d = mdl.dim
@@ -270,10 +269,7 @@ def cmd_evolve(args):
             extra[f"direct_re_{i}{j}"] = direct[:, i, j].real
             extra[f"direct_im_{i}{j}"] = direct[:, i, j].imag
     extra["dist"] = dist
-
-    import io as _io
-
-    buf = _io.StringIO()
+    buf = io.StringIO()
     write_trajectory_csv(buf, ts, product, extra=extra)
     _emit(args, "trajectory.csv", buf.getvalue())
     return 0

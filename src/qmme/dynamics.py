@@ -38,7 +38,8 @@ import math
 import numpy as np
 
 from .errors import Defective, DimensionMismatch, NoConvergence, NotUnitary, OrderViolation
-from .linalg import Superoperator, conjugation_superop, expm, trace_norm
+from .linalg import (Superoperator, ad_superop, conjugation_superop, eigensystem, expm,
+                     trace_norm, unitarity_residuals)
 from .model import synthesize_hamiltonian
 
 __all__ = [
@@ -130,11 +131,6 @@ def _stage_nodes(edges, h):
     takes its first stage at node k, its middle stages at node n + 1 + k and
     its last stage at node k + 1, the start of the next substep."""
     return np.concatenate([edges, edges[:-1] + 0.5 * h])
-
-
-def _kron(a, b):
-    """Kronecker products of two stacks of d x d matrices, node by node."""
-    return (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(len(a), a.shape[-1] ** 2, -1)
 
 
 def _segment_products(steps, lengths):
@@ -233,12 +229,12 @@ def _blocked_rk4_path(advance, chunk, y0, ts, tol, norm):
 class DynamicalMap:
     """Product-form propagation for one model and its generator bundle.
 
-    Caches the eigendecomposition of X when it is numerically diagonalizable
-    (eigenvector condition number below ``cond_threshold``); otherwise every
-    exponential falls back to scaling-and-squaring.
+    Caches the eigendecomposition of X when ``linalg.eigensystem`` admits it
+    (eigenvector condition number ``eig_cond`` below its limit); otherwise
+    every exponential falls back to scaling-and-squaring.
     """
 
-    def __init__(self, model, bundle, tol_unitary=1e-9, cond_threshold=1e6):
+    def __init__(self, model, bundle, tol_unitary=1e-9):
         self.model = model
         self.bundle = bundle
         self.dim = model.dim
@@ -246,13 +242,8 @@ class DynamicalMap:
         self._x = bundle.x.matrix
         self._h_series = None
 
-        w, v = np.linalg.eig(self._x)
-        cond = float(np.linalg.cond(v))
-        self.eig_cond = cond
-        if np.isfinite(cond) and cond < cond_threshold:
-            self._eig = (w, v, np.linalg.inv(v))
-        else:
-            self._eig = None
+        w, v, vinv, self.eig_cond = eigensystem(self._x)
+        self._eig = None if vinv is None else (w, v, vinv)
 
     # -- pieces ---------------------------------------------------------
 
@@ -273,13 +264,11 @@ class DynamicalMap:
         """
         ts = np.asarray(ts, dtype=float).reshape(-1)
         p = self.model.p_series.evaluate_many(self.model.frequencies, ts)
-        drift = np.linalg.norm(p @ p.conj().transpose(0, 2, 1) - np.eye(self.dim), 2, axis=(1, 2))
+        drift = unitarity_residuals(p)
         bad = np.flatnonzero(drift > self.tol_unitary)
         if bad.size:
             i = bad[0]
-            raise NotUnitary(
-                f"p({ts[i]}) unitarity residual {drift[i]:.3e} > {self.tol_unitary:.1e}"
-            )
+            raise NotUnitary(f"p({ts[i]}) unitarity residual {drift[i]:.3e} > {self.tol_unitary:.1e}")
         return p
 
     def p_at(self, t):
@@ -328,10 +317,9 @@ class DynamicalMap:
         """L(t) at the times ``ts`` as a (len(ts), d^2, d^2) stack acting on
         column-stacked states; p(ts) is evaluated here unless given."""
         p = self.model.p_series.evaluate_many(self.model.frequencies, ts) if p is None else p
-        h, eye = self._hamiltonians(ts, p), np.broadcast_to(np.eye(self.dim), p.shape)
-        sigma = _kron(p.conj(), p)  # rho -> p rho p^dag; its adjoint undoes it
+        sigma = conjugation_superop(p)  # rho -> p rho p^dag; its adjoint undoes it
         rotated = sigma @ self.bundle.dissipator.matrix @ sigma.conj().transpose(0, 2, 1)
-        return rotated - 1j * (_kron(eye, h) - _kron(h.transpose(0, 2, 1), eye))
+        return rotated - 1j * ad_superop(self._hamiltonians(ts, p))
 
     def lindbladian(self, t):
         """Time-local generator L(t) as a superoperator (p(t) checked unitary)."""
@@ -381,12 +369,10 @@ class DynamicalMap:
         d = self.dim
         if self._eig is not None:
             w, v, vinv = self._eig
-            vecs = v @ (np.exp(np.outer(w, ts)) * (vinv @ v0)[:, None])
+            vecs = (v @ (np.exp(np.outer(w, ts)) * (vinv @ v0)[:, None])).T
         else:
-            vecs = np.empty((d * d, ts.size), dtype=complex)
-            for i, t in enumerate(ts):
-                vecs[:, i] = self.expm_x(t) @ v0
-        u = vecs.T.reshape(ts.size, d, d).transpose(0, 2, 1)  # un-stack the columns
+            vecs = np.array([self.expm_x(t) @ v0 for t in ts], dtype=complex).reshape(ts.size, d * d)
+        u = vecs.reshape(ts.size, d, d).transpose(0, 2, 1)  # un-stack the columns
         p = self.frames(ts)
         return p @ u @ p.conj().transpose(0, 2, 1)
 

@@ -359,8 +359,8 @@ def load_density_matrix(path):
 # trajectory CSV
 # ---------------------------------------------------------------------------
 
-def write_trajectory_csv(target, ts, states, extra=None):
-    """Write a trajectory as CSV.
+def write_trajectory_csv(out, ts, states, extra=None):
+    """Write a trajectory as CSV to the text file object ``out``.
 
     Columns: t, re_ij/im_ij for every matrix entry (row-major), trace_re,
     min_eig, then any extra columns (name -> sequence). Floats use the same
@@ -385,23 +385,16 @@ def write_trajectory_csv(target, ts, states, extra=None):
     header += ["trace_re", "min_eig"]
     header += list(extra)
 
-    def _rows(out):
-        out.write(",".join(header) + "\n")
-        for k, t in enumerate(ts):
-            rho = states[k]
-            vals = [_format_float(t)]
-            for i in range(d):
-                for j in range(d):
-                    vals += [_format_float(rho[i, j].real), _format_float(rho[i, j].imag)]
-            vals.append(_format_float(rho.trace().real))
-            herm = 0.5 * (rho + rho.conj().T)
-            vals.append(_format_float(float(np.linalg.eigvalsh(herm)[0])))
-            for name in extra:
-                vals.append(_format_float(float(extra[name][k])))
-            out.write(",".join(vals) + "\n")
-
-    if hasattr(target, "write"):
-        _rows(target)
-    else:
-        with open(target, "w") as fh:
-            _rows(fh)
+    out.write(",".join(header) + "\n")
+    for k, t in enumerate(ts):
+        rho = states[k]
+        vals = [_format_float(t)]
+        for i in range(d):
+            for j in range(d):
+                vals += [_format_float(rho[i, j].real), _format_float(rho[i, j].imag)]
+        vals.append(_format_float(rho.trace().real))
+        herm = 0.5 * (rho + rho.conj().T)
+        vals.append(_format_float(float(np.linalg.eigvalsh(herm)[0])))
+        for name in extra:
+            vals.append(_format_float(float(extra[name][k])))
+        out.write(",".join(vals) + "\n")

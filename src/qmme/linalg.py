@@ -11,6 +11,8 @@ Everything downstream relies on the conventions fixed here:
 All functions operate on ``numpy.ndarray`` with complex dtype.
 """
 
+import math
+
 import numpy as np
 
 from .errors import DimensionMismatch, NoConvergence, NotHermitian, Overflow
@@ -19,7 +21,9 @@ __all__ = [
     "vectorize",
     "devectorize",
     "eig_hermitian",
+    "eigensystem",
     "expm",
+    "unitarity_residuals",
     "trace_norm",
     "hermiticity_defect",
     "hermitize",
@@ -31,9 +35,17 @@ __all__ = [
 ]
 
 
-def _as_square(a, name="matrix"):
+_COND_LIMIT = 1e6  # eigenvector condition number from which no eigen-expansion is formed
+# Pade-13 coefficients b_k = (26 - k)! / (k! (13 - k)!) and the 1-norm up to which
+# they need no scaling (Higham 2005)
+_PADE13 = [float(math.perm(26 - k, 13) // math.factorial(k)) for k in range(14)]
+_THETA13 = 5.371920351148152
+
+
+def _as_square(a, name="matrix", stacked=False):
+    """``a`` as a complex square matrix, or a stack ``(..., d, d)`` of them if ``stacked``."""
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if (a.ndim < 2 if stacked else a.ndim != 2) or a.shape[-1] != a.shape[-2]:
         raise DimensionMismatch(f"{name} must be square, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise Overflow(f"{name} contains non-finite entries")
@@ -96,18 +108,48 @@ def eig_hermitian(h, tol_herm=1e-9):
     return w, v
 
 
+def eigensystem(matrix):
+    """Eigenvalues w, eigenvectors v (columns), their inverse vinv and cond(v) of a
+    matrix; vinv is None unless cond(v) is finite and below ``_COND_LIMIT``, the
+    range in which functions of the matrix are taken from its eigen-expansion."""
+    w, v = np.linalg.eig(_as_square(matrix))
+    cond = float(np.linalg.cond(v))
+    return w, v, (np.linalg.inv(v) if cond < _COND_LIMIT else None), cond
+
+
 def expm(a):
-    """Matrix exponential via scaling-and-squaring with backward-error control.
+    """Matrix exponential by Pade-13 scaling and squaring (Higham, SIAM J. Matrix
+    Anal. Appl. 26 (2005) 1179): A is scaled by 2^-s to 1-norm at most theta13,
+    its [13/13] Pade approximant is formed with one solve, and squared s times.
 
-    Raises Overflow if the input or result contains non-finite entries.
+    Raises Overflow if the input, its 1-norm or the result is not finite.
     """
-    import scipy.linalg  # here, so a process whose maps all diagonalize never loads scipy
-
     a = _as_square(a, "generator")
-    out = scipy.linalg.expm(a)
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(a, 1))
+    if not np.isfinite(norm):
+        raise Overflow(f"generator 1-norm {norm} is not finite")
+    s = math.ceil(math.log2(norm / _THETA13)) if norm > _THETA13 else 0
+    a = a * 2.0**-s
+    b, eye = _PADE13, np.eye(a.shape[0])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
+    out = eye + 2.0 * np.linalg.solve(v - u, u)  # = (V - U)^-1 (V + U), exactly I at A = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(s):
+            out = out @ out
     if not np.all(np.isfinite(out)):
         raise Overflow("matrix exponential overflowed to non-finite entries")
     return out
+
+
+def unitarity_residuals(u):
+    """2-norm of U U^dag - I for each matrix of a ``(..., d, d)`` stack."""
+    u = np.asarray(u, dtype=complex)
+    return np.linalg.norm(u @ u.conj().swapaxes(-1, -2) - np.eye(u.shape[-1]), 2, axis=(-2, -1))
 
 
 def trace_norm(a):
@@ -118,20 +160,26 @@ def trace_norm(a):
     return float(np.sum(np.linalg.svd(a, compute_uv=False)))
 
 
+def _kron(a, b):
+    """``np.kron`` of the trailing matrices of two stacks, broadcast over the leading axes."""
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]))
+
+
 def ad_superop(h):
-    """Commutator superoperator rho -> [h, rho] = h rho - rho h.
+    """Commutator superoperator rho -> [h, rho] = h rho - rho h (of each h of a stack).
 
     Its spectrum is the set of eigenvalue differences {w_i - w_j} of ``h``.
     """
-    h = _as_square(h, "hamiltonian")
-    eye = np.eye(h.shape[0])
-    return np.kron(eye, h) - np.kron(h.T, eye)
+    h = _as_square(h, "hamiltonian", stacked=True)
+    eye = np.eye(h.shape[-1])
+    return _kron(eye, h) - _kron(h.swapaxes(-1, -2), eye)
 
 
 def conjugation_superop(u):
-    """Superoperator for rho -> u @ rho @ u^dag (no unitarity assumed here)."""
-    u = _as_square(u)
-    return np.kron(u.conj(), u)
+    """Superoperator for rho -> u @ rho @ u^dag (of each u of a stack; no unitarity assumed)."""
+    u = _as_square(u, stacked=True)
+    return _kron(u.conj(), u)
 
 
 class Superoperator:
@@ -145,14 +193,10 @@ class Superoperator:
     __slots__ = ("matrix", "dim")
 
     def __init__(self, matrix):
-        matrix = np.asarray(matrix, dtype=complex)
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            raise DimensionMismatch(f"superoperator matrix must be square, got {matrix.shape}")
+        matrix = _as_square(matrix, "superoperator matrix")
         d = int(round(np.sqrt(matrix.shape[0])))
         if d * d != matrix.shape[0]:
             raise DimensionMismatch(f"superoperator side {matrix.shape[0]} is not a perfect square")
-        if not np.all(np.isfinite(matrix)):
-            raise Overflow("superoperator contains non-finite entries")
         self.matrix = matrix
         self.dim = d
 

@@ -32,7 +32,7 @@ from .errors import (
 )
 from .fourier import (FourierOperatorSeries, _norms, check_rational_independence,
                       frequency_vector, sample_times)
-from .linalg import hermiticity_defect, hermitize
+from .linalg import hermiticity_defect, hermitize, unitarity_residuals
 
 __all__ = [
     "BathSpectrum",
@@ -281,9 +281,7 @@ class ReducedModel:
 
 def _unitarity_residual(p_series, omega):
     ts = sample_times(omega, _UNITARITY_SAMPLES)
-    vals = p_series.evaluate_many(omega, ts)
-    eye = np.eye(p_series.d)
-    return max(float(np.linalg.norm(u @ u.conj().T - eye, 2)) for u in vals)
+    return float(np.max(unitarity_residuals(p_series.evaluate_many(omega, ts))))
 
 
 def synthesize_hamiltonian(p_series, omega, h_bar, tol_unitary=1e-9, tol_truncation=None):

@@ -8,6 +8,7 @@ import scipy.linalg
 
 from conftest import random_density
 
+from qmme import linalg
 from qmme.analysis import (
     cptp_certificate,
     decay_rate_fit,
@@ -72,6 +73,13 @@ class TestSpectrumClassification:
         assert report.diagonalizable is True
         expect = np.array([-0.5 - 0.6j, -0.5 + 0.6j, 0.0, 0.0])
         assert np.allclose(report.eigenvalues, expect, atol=1e-12)
+
+    def test_diagonalizable_is_the_eigensystem_gate(self, q1, monkeypatch):
+        _, bundle, dmap = q1
+        monkeypatch.setattr(linalg, "_COND_LIMIT", 1.0)
+        report = spectrum_classification(bundle.x)
+        assert report.diagonalizable is False
+        assert report.eigvec_cond == dmap.eig_cond
 
     def test_mixed_classes(self):
         report = spectrum_classification(np.diag([0.0, 0.7j, -0.7j, -0.3]))
@@ -145,10 +153,11 @@ class TestPositiveInvariant:
         assert min_eig > 0.0
         assert np.trace(phi).real == pytest.approx(1.0, abs=1e-12)
 
-    def test_defective_gate(self, q1):
+    def test_defective_gate(self, q1, monkeypatch):
         _, bundle, _ = q1
+        monkeypatch.setattr(linalg, "_COND_LIMIT", 1.0)
         with pytest.raises(Defective):
-            positive_invariant(bundle.x, cond_threshold=1.0)
+            positive_invariant(bundle.x)
 
 
 class TestLimitCycle:

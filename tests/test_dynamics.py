@@ -10,7 +10,7 @@ import scipy.linalg
 
 from conftest import random_density, random_hermitian
 
-from qmme import dynamics
+from qmme import dynamics, linalg
 from qmme.dynamics import (
     DynamicalMap,
     integrate_schrodinger_direct,
@@ -368,13 +368,18 @@ class TestMapBasics:
         assert np.linalg.norm(bundle.x.matrix @ v - v * w, 2) < 1e-10
         assert np.linalg.norm(v @ vinv - np.eye(9), 2) < 1e-10
 
-    def test_defective_gate(self, q1):
+    def test_defective_gate(self, q1, monkeypatch):
         model, bundle, _ = q1
-        shim = DynamicalMap(model, bundle, cond_threshold=1.0)
+        monkeypatch.setattr(linalg, "_COND_LIMIT", 1.0)
+        shim = DynamicalMap(model, bundle)
         with pytest.raises(Defective):
             shim.eigensystem()
         # the map itself still works through the dense exponential
         assert np.linalg.norm(shim.at(0.7).matrix - DynamicalMap(model, bundle).at(0.7).matrix, 2) < 1e-12
+        rho0, ts = np.array([[0.7, 0.2], [0.2, 0.3]], dtype=complex), np.linspace(0.0, 6.0, 13)
+        gap = shim.evolve(rho0, ts) - DynamicalMap(model, bundle).evolve(rho0, ts)
+        assert np.max(np.abs(gap)) < 1e-12
+        assert shim.evolve(rho0, []).shape == (0, 2, 2)
 
 
 class TestTrajectories:

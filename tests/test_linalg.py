@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from qmme.errors import DimensionMismatch, NotHermitian
+from qmme import linalg
+from qmme.errors import DimensionMismatch, NotHermitian, Overflow
 from qmme.linalg import (
     Superoperator,
     ad_superop,
@@ -11,10 +12,12 @@ from qmme.linalg import (
     conjugation_superop,
     devectorize,
     eig_hermitian,
+    eigensystem,
     expm,
     hermiticity_defect,
     hermitize,
     trace_norm,
+    unitarity_residuals,
     vectorize,
 )
 from conftest import random_density, random_hermitian
@@ -81,6 +84,61 @@ class TestExpm:
         a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         assert np.allclose(expm(a), scipy.linalg.expm(a), atol=1e-12)
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 7, 20, 100])
+    @pytest.mark.parametrize("norm, bound", [(1e-8, 1e-13), (1e-2, 1e-13), (1.0, 1e-13),
+                                             (10.0, 1e-13), (100.0, 1e-12)])
+    def test_random_matches_scipy(self, rng, d, norm, bound):
+        a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        a *= norm / np.linalg.norm(a, 1)
+        ref = scipy.linalg.expm(a)
+        assert np.linalg.norm(expm(a) - ref) <= bound * np.linalg.norm(ref)
+
+    def test_nilpotent_is_finite_series(self, rng):
+        n = np.triu(rng.normal(size=(6, 6)), k=1)
+        series, term = np.eye(6), np.eye(6)
+        for k in range(1, 6):  # N^6 = 0
+            term = term @ n / k
+            series = series + term
+        assert np.linalg.norm(expm(n) - series) <= 1e-14 * np.linalg.norm(series)
+
+    @pytest.mark.parametrize("lam, t", [(-0.3, 0.7), (0.5 + 2.0j, 3.0), (-4.0, 10.0)])
+    def test_jordan_block(self, lam, t):
+        closed = np.exp(lam * t) * np.array([[1.0, t], [0.0, 1.0]])
+        out = expm(t * np.array([[lam, 1.0], [0.0, lam]]))
+        assert np.linalg.norm(out - closed) <= 1e-14 * np.linalg.norm(closed)
+
+    def test_zero_is_exact_identity(self):
+        for d in (1, 4):
+            assert np.array_equal(expm(np.zeros((d, d))), np.eye(d))
+
+    @pytest.mark.parametrize("a", [np.full((2, 2), 1e308), np.array([[1e308]]), np.array([[1e300, 0.0], [0.0, 1.0]])])
+    def test_huge_entries_overflow(self, a):
+        with pytest.raises(Overflow):
+            expm(a)
+
+    def test_rejects_non_square(self):
+        with pytest.raises(DimensionMismatch):
+            expm(np.zeros((2, 3)))
+
+
+class TestEigensystem:
+    def test_reconstructs_a_diagonalizable_matrix(self, rng):
+        a = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+        w, v, vinv, cond = eigensystem(a)
+        assert np.linalg.norm((v * w) @ vinv - a) < 1e-12 * np.linalg.norm(a)
+        assert cond == pytest.approx(np.linalg.cond(v), rel=1e-12)
+
+    def test_jordan_block_has_no_inverse(self):
+        _, _, vinv, cond = eigensystem(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        assert vinv is None
+        assert not cond < linalg._COND_LIMIT
+
+    def test_limit_is_read_at_call_time(self, rng, monkeypatch):
+        a = np.diag([1.0, 2.0]) + 0.1 * rng.normal(size=(2, 2))
+        assert eigensystem(a)[2] is not None
+        monkeypatch.setattr(linalg, "_COND_LIMIT", 1.0)
+        assert eigensystem(a)[2] is None
+
 
 class TestTraceNorm:
     def test_diagonal(self):
@@ -115,6 +173,32 @@ class TestSuperoperator:
         rho = random_density(rng, 3)
         out = devectorize(conjugation_superop(u) @ vectorize(rho))
         assert np.allclose(out, u @ rho @ u.conj().T, atol=1e-12)
+
+
+class TestStackedSuperoperators:
+    def test_stacks_match_single_kron_forms(self, rng):
+        hs = np.stack([random_hermitian(rng, 3) for _ in range(4)])
+        us = scipy.linalg.expm(-1j * hs)
+        eye = np.eye(3)
+        for h, u, ad, conj in zip(hs, us, ad_superop(hs), conjugation_superop(us)):
+            assert np.array_equal(ad, np.kron(eye, h) - np.kron(h.T, eye))
+            assert np.array_equal(ad, ad_superop(h))
+            assert np.array_equal(conj, np.kron(u.conj(), u))
+            assert np.array_equal(conj, conjugation_superop(u))
+
+    def test_stacks_are_checked(self):
+        with pytest.raises(DimensionMismatch):
+            ad_superop(np.zeros((3, 2, 3)))
+        with pytest.raises(Overflow):
+            conjugation_superop(np.full((2, 2, 2), np.nan))
+        with pytest.raises(DimensionMismatch):
+            vectorize(np.zeros((2, 2, 2)))
+
+    def test_unitarity_residuals_match_per_matrix_norms(self, rng):
+        us = scipy.linalg.expm(-1j * np.stack([random_hermitian(rng, 3) for _ in range(5)]))
+        us[2] *= 1.001
+        loop = [np.linalg.norm(u @ u.conj().T - np.eye(3), 2) for u in us]
+        assert np.array_equal(unitarity_residuals(us), loop)
 
 
 class TestChoi:
