@@ -1,6 +1,7 @@
 """Integrators, the product-form map, and its direct-integration oracles."""
 
 import dataclasses
+import functools
 import math
 import tracemalloc
 
@@ -131,6 +132,47 @@ class TestLinearRk4:
             self.path(_constant([[-1.0]]), [1.0], [0.0, 2.0, 1.0])
 
 
+class TestGaussStepMatrix:
+    """The oracle's step matrix for a constant A against the exponential."""
+
+    def step(self, a, h):
+        steps = dynamics._gauss_step_matrices(_constant(a), np.array([0.0, h]), np.array([h]))
+        return np.eye(len(a)) + steps[0]
+
+    def test_order_six(self):
+        # local error of the Pade (3, 3) approximant exp(z): 3!^2 / (6! 7!) z^7 = 9.9e-6 z^7
+        rng = np.random.default_rng(6)
+        a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        a /= np.linalg.norm(a, 2)
+        for h in (1.0, 0.5, 0.25, 0.125):
+            assert np.linalg.norm(self.step(a, h) - scipy.linalg.expm(h * a), 2) <= 1e-5 * h**7
+
+    def test_unitary_for_skew_hermitian(self):
+        a = -1j * random_hermitian(np.random.default_rng(7), 4)
+        h = 1.0 / np.linalg.norm(a, 2)
+        r = self.step(a, h)
+        assert np.linalg.norm(r @ r.conj().T - np.eye(4), 2) <= 1e-14
+
+
+class TestNoConvergenceNamesRule:
+    """NoConvergence names the step rule of the march that ran out of halvings."""
+
+    def test_each_cross_check_names_its_rule(self, q2, monkeypatch):
+        model, _, dmap = q2
+        larger = _larger_model(dynamics._STEP_MATRIX_MAX_DIM + 1, np.random.default_rng(5))
+        larger_map = DynamicalMap(larger, build_generator(larger, validate=False))
+        monkeypatch.setattr(dynamics, "_MAX_REFINEMENTS", 0)
+        ts = [0.0, 0.5]
+        with pytest.raises(NoConvergence, match=r"^RK4 did not reach tol=1\.0e-08 within 0 step halvings$"):
+            dmap.integrate_direct(np.eye(2) / 2, ts)
+        with pytest.raises(NoConvergence, match=r"^RK4 did not reach"):
+            larger_map.integrate_direct(np.eye(larger.dim) / larger.dim, ts)
+        with pytest.raises(NoConvergence, match=r"^Gauss-Legendre did not reach tol=1\.0e-10 "):
+            integrate_schrodinger_direct(model, ts, tol=1e-10)
+        with pytest.raises(NoConvergence, match=r"^RK4 did not reach"):
+            rk4_path(lambda t, y: -y, np.array([1.0 + 0j]), ts, max_refinements=0)
+
+
 def _master_rhs(model, bundle, dmap):
     """The master equation's right-hand side, sampled point by point."""
     d = dmap.dim
@@ -148,8 +190,42 @@ def _master_rhs(model, bundle, dmap):
     return rhs
 
 
+# the 3-stage Gauss-Legendre tableau (order 6), written out apart from dynamics
+_ROOT15 = math.sqrt(15.0)
+_GL_C = [0.5 - _ROOT15 / 10, 0.5, 0.5 + _ROOT15 / 10]
+_GL_A = [[5 / 36, 2 / 9 - _ROOT15 / 15, 5 / 36 - _ROOT15 / 30],
+         [5 / 36 + _ROOT15 / 24, 2 / 9, 5 / 36 - _ROOT15 / 24],
+         [5 / 36 + _ROOT15 / 30, 2 / 9 + _ROOT15 / 15, 5 / 36]]
+_GL_B = [5 / 18, 4 / 9, 5 / 18]
+
+
+def _gauss_fixed(a_at, y0, ts, h_target):
+    """The oracle's march one substep at a time, for y' = a_at(t) y: the
+    substeps of dynamics._rk4_fixed, each with A at its three nodes t + c_i h
+    and one plain solve of the stage system K_i = A_i (y + h sum_j a_ij K_j)."""
+    y = np.array(y0, dtype=complex)
+    d = y.shape[0]
+    out = [y]
+    for lo, hi in zip(ts[:-1], ts[1:]):
+        span = float(hi - lo)
+        m = math.ceil(span / h_target)
+        h = span / max(m, 1)
+        for k in range(m):
+            t = lo + k * h
+            a = [a_at(t + c * h) for c in _GL_C]
+            system = np.eye(3 * d, dtype=complex)
+            for i in range(3):
+                for j in range(3):
+                    system[i * d : (i + 1) * d, j * d : (j + 1) * d] -= h * _GL_A[i][j] * a[i]
+            stages = np.linalg.solve(system, np.concatenate([a_i @ y for a_i in a]))
+            y = y + h * sum(b * stages[i * d : (i + 1) * d] for i, b in enumerate(_GL_B))
+        out.append(y)
+    return np.stack(out)
+
+
 class TestBatchedIntegratorsMatchCallbacks:
-    """Both cross-checks against rk4_path driven by per-step right-hand sides."""
+    """Both cross-checks against marches driven by per-step right-hand sides:
+    the master equation against rk4_path, the oracle against _gauss_fixed."""
 
     def halvings(self, monkeypatch, run):
         marches = []
@@ -198,8 +274,9 @@ class TestBatchedIntegratorsMatchCallbacks:
         h_at = synthesize_hamiltonian(model.p_series, model.frequencies, model.h_bar).sampler(
             model.frequencies)
         calls = []
-        reference = rk4_path(lambda t, u: -1j * (h_at(t) @ u), np.eye(model.dim), ts, tol=1e-10,
-                             norm=self.counted_norm(np.linalg.norm, calls))
+        reference = dynamics._refine(
+            functools.partial(_gauss_fixed, lambda t: -1j * h_at(t)), np.eye(model.dim), ts, 1e-10,
+            self.counted_norm(np.linalg.norm, calls), dynamics._MAX_REFINEMENTS, "Gauss-Legendre")
         batched, halvings = self.halvings(
             monkeypatch, lambda: integrate_schrodinger_direct(model, ts, tol=1e-10))
         assert np.max(np.abs(batched - reference)) <= 1e-12
@@ -207,8 +284,9 @@ class TestBatchedIntegratorsMatchCallbacks:
 
 
 class TestStageNodes:
-    """Each chunk of a march evaluates every series once at its 2n + 1 stage
-    nodes: the n substep starts, their midpoints and the end of the last."""
+    """Each chunk of a march evaluates every series once at its stage nodes:
+    for RK4 the 2n + 1 substep starts, their midpoints and the end of the last;
+    for the oracle's Gauss-Legendre rule the 3n nodes t + c_i h."""
 
     def record(self, monkeypatch):
         marches = []
@@ -259,7 +337,26 @@ class TestStageNodes:
         model, _, _ = q2
         marches = self.record(monkeypatch)
         integrate_schrodinger_direct(model, [0.0, 0.7, 0.7, 3.0, 8.0], tol=1e-10)
-        self.check(marches, n_series=1, chunk=dynamics._CHUNK_ENTRIES // 4)
+        # three stage nodes of d^2 entries per substep: 341 substeps a chunk at d = 2
+        chunk = dynamics._CHUNK_ENTRIES // (3 * 4)
+        assert max(len(calls) for *_, evaluated in marches for calls in evaluated.values()) > 1
+        for ts, h_target, march_chunk, evaluated in marches:
+            assert march_chunk == chunk
+            starts, sizes, _ = dynamics._substeps(ts, h_target)
+            assert len(evaluated) == 1
+            (calls,) = evaluated.values()
+            assert len(calls) == -(-starts.size // chunk)  # one call per chunk
+            lo = 0
+            for times in calls:
+                n = times.size // 3
+                assert times.size == 3 * n and n == min(chunk, starts.size - lo)
+                expect = starts[lo : lo + n, None] + sizes[lo : lo + n, None] * np.array(_GL_C)
+                assert np.allclose(times.reshape(n, 3), expect, rtol=1e-15, atol=1e-15)
+                lo += n
+            assert lo == starts.size
+            # the nodes lie inside the substeps, so none is evaluated twice
+            every = np.concatenate(calls)
+            assert np.unique(every).size == every.size
 
 
 def _larger_model(d, rng):
@@ -522,6 +619,17 @@ class TestSchrodingerReduction:
             closed = dmap.p_at(t) @ scipy.linalg.expm(-1j * t * h_bar)
             worst = max(worst, float(np.linalg.norm(u - closed, 2)))
         assert worst < 1e-7
+
+    @pytest.mark.parametrize("fixture", ["q1", "q2", "q2_periodic", "q3", "q3_static"])
+    def test_oracle_accuracy_on_shipped_models(self, fixture, request):
+        # the RK4 oracle missed the first bound on qubit_driven_periodic (2.8e-12)
+        model, _, dmap = request.getfixturevalue(fixture)
+        ts = np.linspace(0.0, 20.0, 81)
+        u_path = integrate_schrodinger_direct(model, ts, tol=1e-10)
+        eye = np.eye(model.dim)
+        for t, p, u in zip(ts, dmap.frames(ts), u_path):
+            assert np.linalg.norm(u - p @ scipy.linalg.expm(-1j * t * model.h_bar), 2) <= 1e-12
+            assert np.linalg.norm(u @ u.conj().T - eye, 2) <= 1e-13
 
     def test_empty_grid(self, q3):
         model, _, _ = q3
