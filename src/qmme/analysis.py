@@ -55,7 +55,6 @@ class StabilityReport:
     eigenvalues: np.ndarray  # snapped, sorted by (Re, Im)
     raw_eigenvalues: np.ndarray
     k0: int
-    zero_indices: list
     oscillatory_indices: list
     decaying_indices: list
     eigvec_cond: float
@@ -119,7 +118,6 @@ def spectrum_classification(x, tol_spec=1e-9):
         eigenvalues=snapped,
         raw_eigenvalues=w,
         k0=k0,
-        zero_indices=[int(i) for i in np.nonzero(zero)[0]],
         oscillatory_indices=[int(i) for i in np.nonzero(osc)[0]],
         decaying_indices=[int(i) for i in np.nonzero(dec)[0]],
         eigvec_cond=cond,
@@ -132,19 +130,19 @@ def spectrum_classification(x, tol_spec=1e-9):
     )
 
 
-def positive_invariant(x, tol_spec=1e-9):
+def positive_invariant(x):
     """A PSD trace-one element of the generator kernel.
 
-    Applies the spectral projector onto the kernel to the maximally mixed
-    state; since time averages of the (completely positive) flow converge to
-    exactly this projection, the result is PSD up to rounding. Returns the
-    matrix and its minimum eigenvalue; Defective when ``linalg.eigensystem``
-    gives no eigenvector inverse.
+    Applies the spectral projector onto the kernel (eigenvalues within 1e-9)
+    to the maximally mixed state; since time averages of the (completely
+    positive) flow converge to exactly this projection, the result is PSD up
+    to rounding. Returns the matrix and its minimum eigenvalue; Defective
+    when ``linalg.eigensystem`` gives no eigenvector inverse.
     """
     w, v, vinv, cond = eigensystem(x.matrix if isinstance(x, Superoperator) else x)
     if vinv is None:
         raise Defective(f"eigenvector condition number {cond:.3e} too large for eigen-expansion")
-    _, zero, _, _ = _classify(w, tol_spec)
+    _, zero, _, _ = _classify(w, 1e-9)
     sel = np.nonzero(zero)[0]
     d = int(round(math.sqrt(w.size)))
     proj = v[:, sel] @ vinv[sel, :]
@@ -157,7 +155,7 @@ def positive_invariant(x, tol_spec=1e-9):
 class LimitCycle:
     """Asymptotic trajectory of one initial state.
 
-    ``state_at(t)`` evaluates
+    ``states_at(ts)`` evaluates
 
         p(t) [ sum_j c_j exp(xi_j t) phi_j ] p(t)^dag
 
@@ -174,9 +172,6 @@ class LimitCycle:
     decay_rates: np.ndarray
     decay_weights: np.ndarray
     _dmap: object
-
-    def state_at(self, t):
-        return self.states_at([t])[0]
 
     def states_at(self, ts):
         """Cycle states at every time of ``ts``, p evaluated once per grid."""

@@ -88,15 +88,14 @@ class BohrDecomposition:
         """Bohr frequency index of each eigenbasis entry (i, j)."""
         return self.pair_frequency[np.ix_(self.levels, self.levels)]
 
-    def frequency_index(self, w, atol=None):
-        """Index of the Bohr frequency nearest ``w`` within tolerance."""
-        atol = self.freq_atol if atol is None else float(atol)
+    def frequency_index(self, w):
+        """Index of the Bohr frequency nearest ``w`` within ``freq_atol``."""
         diffs = np.abs(self.bohr_frequencies - float(w))
         idx = int(np.argmin(diffs))
-        if diffs[idx] > atol:
+        if diffs[idx] > self.freq_atol:
             raise UnknownFrequency(
                 f"{w} is not a Bohr frequency (nearest {self.bohr_frequencies[idx]}, "
-                f"tolerance {atol:.1e})"
+                f"tolerance {self.freq_atol:.1e})"
             )
         return idx
 
@@ -113,7 +112,7 @@ class BohrDecomposition:
         return v @ (mask * (v.conj().T @ rho @ v)) @ v.conj().T
 
 
-def decompose(h_bar, tol_cluster=1e-9, tol_herm=1e-9):
+def decompose(h_bar, tol_cluster=1e-9):
     """Diagonalize and cluster the averaged Hamiltonian.
 
     Eigenvalues closer than ``tol_cluster`` times the spectral scale are
@@ -121,7 +120,7 @@ def decompose(h_bar, tol_cluster=1e-9, tol_herm=1e-9):
     the clustered pairwise differences, symmetrized exactly around 0.
     """
     h_bar = np.asarray(h_bar, dtype=complex)
-    w, v = eig_hermitian(h_bar, tol_herm=tol_herm)  # w ascending
+    w, v = eig_hermitian(h_bar)  # w ascending
     scale = float(np.max(np.abs(w))) if w.size and np.max(np.abs(w)) > 0 else 1.0
     atol = tol_cluster * scale
 

@@ -36,6 +36,7 @@ from .errors import (
 from .fourier import _norms
 from .io import (
     _matrix_to_json,
+    _series_to_dict,
     dumps_canonical,
     load_density_matrix,
     load_model,
@@ -85,6 +86,17 @@ def _add_tol(parser, flag, fallback, help_text, positive=False):
 
     parser.add_argument(flag, type=parse, default=os.environ.get(name, fallback), metavar="X",
                         help=f"{help_text} (default {fallback:g}, env {name})")
+
+
+def _nonnegative_int(raw):
+    """A pair count or seed: an integer >= 0 (a negative count would certify nothing)."""
+    try:
+        value = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{raw!r} is not an integer >= 0")
+    return value
 
 
 def _add_common(parser):
@@ -198,17 +210,7 @@ def cmd_synthesize(args):
     h_series = model_mod.synthesize_hamiltonian(
         mdl.p_series, mdl.frequencies, mdl.h_bar, tol_unitary=args.tol_unitary
     )
-    payload = {
-        "r": h_series.r,
-        "dim": h_series.d,
-        "trunc": h_series.trunc,
-        "tail_norm": float(h_series.tail_norm),
-        "coefficients": [
-            {"n": [int(v) for v in n], "matrix": _matrix_to_json(h_series.coeffs[n])}
-            for n in h_series.indices()
-        ],
-    }
-    _emit(args, "h_series.json", dumps_canonical(payload))
+    _emit(args, "h_series.json", dumps_canonical(_series_to_dict(h_series)))
     return 0
 
 
@@ -216,7 +218,7 @@ def cmd_build(args):
     mdl = _load(args)
     report, bundle = _build(args, mdl)
     cov = generator.check_covariance(bundle)
-    decomp, jumps = bundle.decomp, bundle.jumps
+    decomp, jumps = bundle.jumps.decomp, bundle.jumps
     block, mu = np.nonzero(jumps.present)  # every operator, in (w_idx, n, mu) order
     norms = _norms(jumps.stack[block, mu])
     payload = {
@@ -332,59 +334,43 @@ def build_parser():
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    psd = ("--tol-psd", 1e-12, "bath positivity slack")
+    spectral = ("--tol-spectral", 1e-9, "spectral snapping tolerance")
 
-    p = sub.add_parser("validate", help="check model admissibility")
-    _add_common(p)
-    p.set_defaults(func=cmd_validate)
+    def command(name, help_text, func, *tols):
+        """A subcommand with the common flags, then the tolerance flags ``tols``."""
+        p = sub.add_parser(name, help=help_text)
+        _add_common(p)
+        for tol in tols:
+            _add_tol(p, *tol)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("synthesize", help="emit the lab-frame Hamiltonian series")
-    _add_common(p)
-    p.set_defaults(func=cmd_synthesize)
-
-    p = sub.add_parser("build", help="emit decomposition, shift, rates, and generator")
-    _add_common(p)
-    _add_tol(p, "--tol-psd", 1e-12, "bath positivity slack")
-    p.set_defaults(func=cmd_build)
-
-    p = sub.add_parser("evolve", help="trajectory CSV from both dynamics paths")
-    _add_common(p)
-    _add_tol(p, "--tol-psd", 1e-12, "bath positivity slack")
-    _add_tol(p, "--tol-integrate", 1e-8, "step-halving convergence bound", positive=True)
+    command("validate", "check model admissibility", cmd_validate)
+    command("synthesize", "emit the lab-frame Hamiltonian series", cmd_synthesize)
+    command("build", "emit decomposition, shift, rates, and generator", cmd_build, psd)
+    p = command("evolve", "trajectory CSV from both dynamics paths", cmd_evolve, psd,
+                ("--tol-integrate", 1e-8, "step-halving convergence bound", True))
     p.add_argument("--grid", default="0:20:200", metavar="A:B:N",
                    help="time grid start:stop:count (default 0:20:200)")
     p.add_argument("--rho0", default="mixed", metavar="STATE",
                    help="initial state: mixed, basis0, plus, ground, or a JSON file")
-    p.set_defaults(func=cmd_evolve)
-
-    p = sub.add_parser("spectrum", help="classify the constant generator spectrum")
-    _add_common(p)
-    _add_tol(p, "--tol-psd", 1e-12, "bath positivity slack")
-    _add_tol(p, "--tol-spectral", 1e-9, "spectral snapping tolerance")
-    p.set_defaults(func=cmd_spectrum)
-
-    p = sub.add_parser("steady-state", help="limit cycle and decay-rate report")
-    _add_common(p)
-    _add_tol(p, "--tol-psd", 1e-12, "bath positivity slack")
-    _add_tol(p, "--tol-spectral", 1e-9, "spectral snapping tolerance")
+    command("spectrum", "classify the constant generator spectrum", cmd_spectrum, psd, spectral)
+    p = command("steady-state", "limit cycle and decay-rate report", cmd_steady_state, psd, spectral)
     p.add_argument("--grid", default="0:120:500", metavar="A:B:N",
                    help="time grid for the decay fit (default 0:120:500, long enough for "
                         "the slowest decaying mode of the shipped models)")
     p.add_argument("--rho0", default="basis0", metavar="STATE",
                    help="initial state: mixed, basis0, plus, ground, or a JSON file")
-    p.set_defaults(func=cmd_steady_state)
-
-    p = sub.add_parser("certify", help="complete-positivity certificate")
-    _add_common(p)
-    _add_tol(p, "--tol-psd", 1e-12, "bath positivity slack")
-    _add_tol(p, "--tol-choi", 1e-10, "lowest admissible Choi eigenvalue")
-    _add_tol(p, "--tol-trace", 1e-12, "trace-preservation defect bound")
+    p = command("certify", "complete-positivity certificate", cmd_certify, psd,
+                ("--tol-choi", 1e-10, "lowest admissible Choi eigenvalue"),
+                ("--tol-trace", 1e-12, "trace-preservation defect bound"))
     p.add_argument("--grid", default=None, metavar="A:B:N",
                    help="sample times (default: 20 log-spaced points up to t=50)")
-    p.add_argument("--pairs", type=int, default=20, metavar="N",
+    p.add_argument("--pairs", type=_nonnegative_int, default=20, metavar="N",
                    help="number of random two-time propagators to certify")
-    p.add_argument("--seed", type=int, default=7, metavar="S",
+    p.add_argument("--seed", type=_nonnegative_int, default=7, metavar="S",
                    help="seed for the random pair sample")
-    p.set_defaults(func=cmd_certify)
 
     return parser
 

@@ -74,14 +74,14 @@ def _sandwich_sum(s_conj, cs):
     return m.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
 
 
-def build_lamb_shift(jumps, bath, omega, tol_herm=1e-9):
+def build_lamb_shift(jumps, bath, omega):
     """Hermitian energy-shift operator from the principal-value bath data.
 
     Returns the shift matrix together with the zeta matrices used, stacked
     (blocks, couplings, couplings) in the order of ``jumps.blocks``.
     """
     s = jumps.stack
-    zeta = bath.zeta_many(jumps.shifted_frequencies(omega), tol_herm=tol_herm)
+    zeta = bath.zeta_many(jumps.shifted_frequencies(omega))
     delta_h = _dagger_sum(s.conj(), np.einsum("bmn,bnij->bmij", zeta, s))
     defect = hermiticity_defect(delta_h)
     if defect > 1e-12:
@@ -124,16 +124,14 @@ def assemble_x(h_bar, delta_h, dissipator):
 
 @dataclass
 class GeneratorBundle:
-    """Everything produced by the generator build, kept for inspection."""
+    """Everything the generator build produced; h_bar's decomposition is ``jumps.decomp``."""
 
-    h_bar: np.ndarray
     delta_h: np.ndarray
     dissipator: Superoperator
     x: Superoperator
     kossakowski: np.ndarray  # bath h per block of jumps.blocks: (blocks, couplings, couplings)
     zeta_blocks: np.ndarray  # bath zeta per block, same shape
     shifted_frequencies: np.ndarray  # shifted frequency per block: (blocks,)
-    decomp: object
     jumps: object
     s_hat_series: list
 
@@ -141,12 +139,8 @@ class GeneratorBundle:
     def dim(self):
         return self.x.dim
 
-    def s_hat_tails(self):
-        return [s.tail_norm for s in self.s_hat_series]
 
-
-def build_generator(model, validate=True, box=12, drop_tol=1e-14,
-                    tol_psd=1e-12, tol_cluster=1e-9, tol_congruence=1e-9):
+def build_generator(model, validate=True, drop_tol=1e-14, tol_psd=1e-12, tol_cluster=1e-9):
     """Full build: decomposition, jump operators, shift, dissipator, X.
 
     With ``validate=True`` (the default) the admissibility checks run first
@@ -157,9 +151,7 @@ def build_generator(model, validate=True, box=12, drop_tol=1e-14,
     congruence violation produces.
     """
     if validate:
-        report = validate_model(
-            model, box=box, tol_congruence=tol_congruence, tol_cluster=tol_cluster
-        )
+        report = validate_model(model, tol_cluster=tol_cluster)
         if not report.passed:
             raise InadmissibleModel(
                 "model failed admissibility checks; refusing to build the generator",
@@ -176,14 +168,12 @@ def build_generator(model, validate=True, box=12, drop_tol=1e-14,
     )
     x = assemble_x(model.h_bar, delta_h, dissipator)
     return GeneratorBundle(
-        h_bar=hermitize(model.h_bar),
         delta_h=delta_h,
         dissipator=dissipator,
         x=x,
         kossakowski=blocks,
         zeta_blocks=zeta_blocks,
         shifted_frequencies=shifted,
-        decomp=decomp,
         jumps=jumps,
         s_hat_series=s_hats,
     )
@@ -256,9 +246,10 @@ class CovarianceCheck:
 def check_covariance(bundle):
     """Verify K = -i [delta_h, .] + dissipator commutes with [h_bar, .]."""
     k = -1j * ad_superop(bundle.delta_h) + bundle.dissipator.matrix
-    a = ad_superop(bundle.h_bar)
+    h_bar = bundle.jumps.decomp.h_bar
+    a = ad_superop(h_bar)
     superop_res = float(np.linalg.norm(k @ a - a @ k, 2))
-    comm = bundle.delta_h @ bundle.h_bar - bundle.h_bar @ bundle.delta_h
+    comm = bundle.delta_h @ h_bar - h_bar @ bundle.delta_h
     return CovarianceCheck(
         superop_residual=superop_res,
         shift_commutator_residual=float(np.linalg.norm(comm)),

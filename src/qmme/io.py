@@ -128,6 +128,18 @@ def _matrix_to_json(m):
     return [[_pair(v) for v in row] for row in m]
 
 
+def _series_to_dict(series):
+    """A Fourier series as the schema's ``p_series`` object, coefficients in index order."""
+    return {
+        "r": series.r,
+        "dim": series.d,
+        "trunc": series.trunc,
+        "tail_norm": float(series.tail_norm),
+        "coefficients": [{"n": [int(v) for v in n], "matrix": _matrix_to_json(m)}
+                         for n, m in series.coeffs.items()],
+    }
+
+
 def _matrix_from_json(v, where):
     try:
         arr = np.asarray(v, dtype=float)
@@ -210,7 +222,6 @@ def model_to_dict(model):
             "a bath built from raw callables has no serializable form; "
             f"build it from one of the named families {sorted(_BATH_FAMILIES)}"
         )
-    p = model.p_series
     return {
         "schema": SCHEMA_NAME,
         "version": SCHEMA_VERSION,
@@ -221,16 +232,7 @@ def model_to_dict(model):
             "family": model.bath.family,
             "params": {k: float(v) for k, v in sorted(model.bath.params.items())},
         },
-        "p_series": {
-            "r": p.r,
-            "dim": p.d,
-            "trunc": p.trunc,
-            "tail_norm": float(p.tail_norm),
-            "coefficients": [
-                {"n": [int(v) for v in n], "matrix": _matrix_to_json(p.coeffs[n])}
-                for n in p.indices()
-            ],
-        },
+        "p_series": _series_to_dict(model.p_series),
     }
 
 

@@ -83,20 +83,20 @@ def hermitize(a):
     return 0.5 * (a + a.conj().T)
 
 
-def eig_hermitian(h, tol_herm=1e-9):
+def eig_hermitian(h):
     """Eigendecomposition of a Hermitian matrix.
 
     Returns ``(w, v)`` with real eigenvalues ``w`` ascending and unitary ``v``
     whose columns are eigenvectors, such that ``h = v @ diag(w) @ v^dag``
     within a 1e-12 relative residual.
 
-    Raises NotHermitian if the input defect exceeds ``tol_herm`` (relative),
+    Raises NotHermitian if the input defect exceeds 1e-9 (relative),
     NoConvergence if the underlying iteration fails.
     """
     h = _as_square(h, "operator")
     defect = hermiticity_defect(h)
-    if defect > tol_herm:
-        raise NotHermitian(f"matrix is not Hermitian: relative defect {defect:.3e} > {tol_herm:.1e}")
+    if defect > 1e-9:
+        raise NotHermitian(f"matrix is not Hermitian: relative defect {defect:.3e} > 1.0e-09")
     try:
         w, v = np.linalg.eigh(hermitize(h))
     except np.linalg.LinAlgError as exc:

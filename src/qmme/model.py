@@ -69,17 +69,17 @@ class BathSpectrum:
         self.family = family
         self.params = dict(params or {})
 
-    def h(self, w, tol_psd=1e-12):
-        return self.h_many([w], tol_psd=tol_psd)[0]
+    def h(self, w):
+        return self.h_many([w])[0]
 
-    def zeta(self, w, tol_herm=1e-9):
-        return self.zeta_many([w], tol_herm=tol_herm)[0]
+    def zeta(self, w):
+        return self.zeta_many([w])[0]
 
     def h_many(self, ws, tol_psd=1e-12):
         """Checked h at each frequency of ``ws``, stacked (len(ws), m, m); the
         callback sees each distinct frequency once. A negative eigenvalue
         raises NotPSD with the first failing frequency as ``frequency``."""
-        g, at, rows = self._checked(self._h_fn, "h", ws, 1e-9, NotHermitian)
+        g, at, rows = self._checked(self._h_fn, "h", ws, NotHermitian)
         lo = np.linalg.eigvalsh(g)[:, 0]
         bad = np.flatnonzero(lo < -tol_psd * np.maximum(1.0, _norms(g)))
         if bad.size:
@@ -88,16 +88,16 @@ class BathSpectrum:
             raise err
         return g[rows]
 
-    def zeta_many(self, ws, tol_herm=1e-9):
+    def zeta_many(self, ws):
         """Checked zeta at each frequency of ``ws``, stacked (len(ws), m, m)."""
-        z, _, rows = self._checked(self._zeta_fn, "zeta", ws, tol_herm, NotHermitianZeta)
+        z, _, rows = self._checked(self._zeta_fn, "zeta", ws, NotHermitianZeta)
         return z[rows]
 
-    def _checked(self, fn, name, ws, tol_herm, not_hermitian):
+    def _checked(self, fn, name, ws, not_hermitian):
         """Hermitized values of ``fn`` at the distinct frequencies of ``ws``,
         in order of first appearance; those frequencies; and the row of each
         frequency of ``ws``. A wrong stack shape raises, and so does the first
-        value failing the finiteness or Hermiticity check."""
+        value failing the finiteness or the (relative, 1e-9) Hermiticity check."""
         ws = np.asarray(ws, dtype=float).reshape(-1)
         _, first, inverse = np.unique(ws, return_index=True, return_inverse=True)
         calls = np.argsort(first)
@@ -110,7 +110,7 @@ class BathSpectrum:
         if bad.size:
             raise Overflow(f"bath {name}({float(at[bad[0]])}) contains non-finite entries")
         g_dag = g.conj().swapaxes(1, 2)
-        bad = np.flatnonzero(_norms(g - g_dag) / np.maximum(1.0, _norms(g)) > tol_herm)
+        bad = np.flatnonzero(_norms(g - g_dag) / np.maximum(1.0, _norms(g)) > 1e-9)
         if bad.size:
             raise not_hermitian(f"bath {name}({float(at[bad[0]])}) is not Hermitian")
         return 0.5 * (g + g_dag), at, np.argsort(calls)[inverse.reshape(-1)]
@@ -161,7 +161,7 @@ class BathSpectrum:
                              {"kappa": kappa, "cutoff": cutoff, "beta": beta})
 
     @classmethod
-    def from_callables(cls, h_fn, zeta_fn=None, n_couplings=1, family="custom", params=None):
+    def from_callables(cls, h_fn, zeta_fn=None, n_couplings=1):
         """Bath from callbacks of one frequency, w -> (m, m) matrix, each called
         once per distinct frequency; ``zeta_fn`` defaults to zero. A value of
         the wrong shape raises DimensionMismatch naming its frequency."""
@@ -179,7 +179,7 @@ class BathSpectrum:
                 return np.array(vals).reshape(-1, m, m)
             return over
 
-        return cls(stacked(h_fn, "h"), stacked(zeta_fn, "zeta"), m, family=family, params=params)
+        return cls(stacked(h_fn, "h"), stacked(zeta_fn, "zeta"), m)
 
 
 _UNITARITY_SAMPLES = 64  # times of the grid on which p's unitarity is checked
@@ -248,31 +248,6 @@ class ReducedModel:
     def dim(self):
         return self.p_series.d
 
-    @property
-    def n_frequencies(self):
-        return int(self.frequencies.size)
-
-    def isclose(self, other, atol=1e-15):
-        """Field-for-field comparison (coefficients within atol)."""
-        if not isinstance(other, ReducedModel):
-            return False
-        if self.frequencies.shape != other.frequencies.shape:
-            return False
-        if not np.allclose(self.frequencies, other.frequencies, atol=atol, rtol=0):
-            return False
-        if sorted(self.p_series.coeffs) != sorted(other.p_series.coeffs):
-            return False
-        for n, a in self.p_series.coeffs.items():
-            if not np.allclose(a, other.p_series.coeffs[n], atol=atol, rtol=0):
-                return False
-        if not np.allclose(self.h_bar, other.h_bar, atol=atol, rtol=0):
-            return False
-        if len(self.couplings) != len(other.couplings):
-            return False
-        for a, b in zip(self.couplings, other.couplings):
-            if not np.allclose(a, b, atol=atol, rtol=0):
-                return False
-        return self.bath.family == other.bath.family and self.bath.params == other.bath.params
 
 
 # ---------------------------------------------------------------------------

@@ -69,7 +69,7 @@ def _product_vs_direct(dmap, t_end=20.0, nodes=200):
 
 
 def _structural_residuals(model, bundle):
-    h_bar = bundle.h_bar
+    h_bar = bundle.jumps.decomp.h_bar
     jumps = bundle.jumps
     worst_comm = 0.0
     for (mu, n, w_idx), s in jumps.ops.items():

@@ -170,7 +170,7 @@ class TestLimitCycle:
         assert np.all(cycle.exponents == 0.0)
         target = np.diag([0.7, 0.3])
         for t in (0.0, 3.0, 17.0):
-            assert np.allclose(cycle.state_at(t), target, atol=1e-12)
+            assert np.allclose(cycle.states_at([t])[0], target, atol=1e-12)
 
     def test_cycle_attracts_trajectory(self, q2, rng):
         _, _, dmap = q2
@@ -178,7 +178,7 @@ class TestLimitCycle:
         cycle = limit_cycle(dmap, rho0)
         t_late = 60.0
         late = dmap.evolve(rho0, [t_late])[0]
-        assert trace_norm(late - cycle.state_at(t_late)) < 1e-8
+        assert trace_norm(late - cycle.states_at([t_late])[0]) < 1e-8
 
     def test_states_on_grid_match_mode_sum(self, q3, rng):
         # reference: the per-time mode sum, conjugated by p(t) from evaluate

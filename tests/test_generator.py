@@ -228,7 +228,7 @@ class TestBuildGenerator:
         assert bundle.dim == 3
         assert bundle.x.matrix.shape == (9, 9)
         assert len(bundle.s_hat_series) == 2
-        assert all(t < 1e-10 for t in bundle.s_hat_tails())
+        assert all(s.tail_norm < 1e-10 for s in bundle.s_hat_series)
         assert bundle.jumps.present.sum() > 100  # dense frame mixing
 
     def test_shift_hermitian(self, q3):
@@ -401,7 +401,7 @@ class TestPairSumMatchesLoops:
 
         expect_ops = {}
         for mu, series in enumerate(bundle.s_hat_series):
-            for (n, w_idx), s in _loop_jump_operators(bundle.decomp, series).items():
+            for (n, w_idx), s in _loop_jump_operators(bundle.jumps.decomp, series).items():
                 expect_ops[(mu, n, w_idx)] = s
         assert set(bundle.jumps.ops) == set(expect_ops)
         for key, s in expect_ops.items():

@@ -361,7 +361,7 @@ class TestReducedModelConstruction:
     def test_good_model(self):
         m = ReducedModel(**self.good_kwargs())
         assert m.dim == 2
-        assert m.n_frequencies == 2
+        assert m.frequencies.size == 2
 
     def test_rank_mismatch(self):
         kw = self.good_kwargs()
@@ -410,17 +410,6 @@ class TestReducedModelConstruction:
         kw["p_series"] = np.eye(2)
         with pytest.raises(DimensionMismatch):
             ReducedModel(**kw)
-
-    def test_isclose(self):
-        a = ReducedModel(**self.good_kwargs())
-        b = ReducedModel(**self.good_kwargs())
-        assert a.isclose(b)
-        kw = self.good_kwargs()
-        kw["h_bar"] = 0.3 * SIGMA_Z + 1e-10 * np.eye(2)
-        c = ReducedModel(**kw)
-        assert not a.isclose(c)
-        assert a.isclose(c, atol=1e-9)
-        assert not a.isclose("not a model")
 
 
 class TestValidateModel:
