@@ -23,8 +23,8 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import DimensionMismatch, NoConvergence, UnknownFrequency
-from .fourier import FourierOperatorSeries, _norms, _shells, frequency_vector
-from .linalg import eig_hermitian
+from .fourier import FourierOperatorSeries, _shells, frequency_vector
+from .linalg import _norms, eig_hermitian
 
 __all__ = [
     "BohrDecomposition",

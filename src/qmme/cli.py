@@ -33,7 +33,6 @@ from .errors import (
     SpectralViolation,
     UnknownFrequency,
 )
-from .fourier import _norms
 from .io import (
     _matrix_to_json,
     _series_to_dict,
@@ -42,7 +41,7 @@ from .io import (
     load_model,
     write_trajectory_csv,
 )
-from .linalg import trace_norm
+from .linalg import _norms
 
 __all__ = ["main", "build_parser"]
 
@@ -263,7 +262,7 @@ def cmd_evolve(args):
     rho0 = _initial_state(args.rho0, mdl)
     product = dmap.evolve(rho0, ts)
     direct = dmap.integrate_direct(rho0, ts, tol=args.tol_integrate)
-    dist = [trace_norm(product[i] - direct[i]) for i in range(ts.size)]
+    dist = np.linalg.svd(product - direct, compute_uv=False).sum(axis=1)  # trace norms
     extra = {}
     d = mdl.dim
     for i in range(d):

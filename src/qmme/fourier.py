@@ -18,6 +18,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import DimensionMismatch, Overflow
+from .linalg import _norms
 
 # largest (times x terms) phase block that evaluate_many holds at once
 _PHASE_CHUNK = 16384
@@ -38,14 +39,6 @@ def frequency_vector(omega):
     if np.any(omega <= 0):
         raise DimensionMismatch("frequency vector entries must be positive")
     return omega
-
-
-def _norms(stack):
-    """Frobenius norms of a stack of matrices, bit for bit those of
-    ``np.linalg.norm`` (one dot product of real and of imaginary parts each)."""
-    flat = stack.reshape(-1, 1, stack.shape[-1] * stack.shape[-2])
-    re, im = flat.real, flat.imag
-    return np.sqrt(re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2)).reshape(-1)
 
 
 def _check_box(r, radius, what):
@@ -161,22 +154,27 @@ class FourierOperatorSeries:
         """Evaluate at every time of ``ts``; returns an array (len(ts), d, d).
 
         The phases exp(i (n . omega) t) are products of per-axis factors from
-        one (times x (2 k + 1)) table per axis, k the support radius, contracted
-        with the coefficient stack in one matrix product per chunk of at most
-        ``_PHASE_CHUNK`` phase entries (one time at least)."""
+        a (times x r x (2 k + 1)) table, k the support radius, contracted with
+        the coefficient stack in one matrix product per chunk of at most
+        ``_PHASE_CHUNK`` phase entries (one time at least). Only the columns
+        m > 0 of the table are exponentials: column 0 is exp(0) = 1 and column
+        -m the conjugate of column m, bit for bit the exponential it replaces
+        but for the sign of a zero sine at t = 0, which no sum in the product
+        keeps (each starts from +0)."""
         omega = self._frequencies(omega)
         ts = np.asarray(ts, dtype=float).reshape(-1)
         k, n_terms = self._radius(), len(self)
         out = np.zeros((ts.size, self.d * self.d), dtype=complex)
-        slots = self._idx.T + k  # column of each term in the axis tables
-        axis_freqs = omega[:, None] * np.arange(-k, k + 1)
+        slots = self._idx.T + k  # column of each term in the table
+        axis_freqs = omega[:, None] * np.arange(1, k + 1)
         flat = self._stack.reshape(n_terms, self.d * self.d)
         rows = max(1, _PHASE_CHUNK // max(1, n_terms))
         for lo in range(0, ts.size, rows):
-            chunk = ts[lo : lo + rows, None]
-            phases = np.exp(1j * (chunk * axis_freqs[0]))[:, slots[0]]
+            half = np.exp(1j * (ts[lo : lo + rows, None, None] * axis_freqs))  # (times, r, k)
+            table = np.concatenate([half[..., ::-1].conj(), np.ones(half.shape[:2] + (1,)), half], axis=-1)
+            phases = table[:, 0, slots[0]]
             for j in range(1, self.r):
-                phases *= np.exp(1j * (chunk * axis_freqs[j]))[:, slots[j]]
+                phases *= table[:, j, slots[j]]
             out[lo : lo + rows] = phases @ flat
         return out.reshape(ts.size, self.d, self.d)
 
@@ -251,9 +249,6 @@ class FourierOperatorSeries:
         """Coefficient at index ``n`` (zeros if absent)."""
         idx = tuple(int(v) for v in n)
         return self.coeffs[idx].copy() if idx in self.coeffs else np.zeros((self.d, self.d), dtype=complex)
-
-    def indices(self):
-        return list(self.coeffs.keys())
 
     def l1_norm(self):
         """Sum of coefficient Frobenius norms; bounds sup_t ||A(t)||_F."""

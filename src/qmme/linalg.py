@@ -78,9 +78,17 @@ def hermiticity_defect(a):
 
 
 def hermitize(a):
-    """Nearest Hermitian matrix (A + A^dag) / 2."""
+    """Nearest Hermitian matrix (A + A^dag) / 2 (of each matrix of a stack)."""
     a = np.asarray(a, dtype=complex)
-    return 0.5 * (a + a.conj().T)
+    return 0.5 * (a + a.conj().swapaxes(-1, -2))
+
+
+def _norms(stack):
+    """Frobenius norms of a stack of matrices, bit for bit those of
+    ``np.linalg.norm`` (one dot product of real and of imaginary parts each)."""
+    flat = stack.reshape(-1, 1, stack.shape[-1] * stack.shape[-2])
+    re, im = flat.real, flat.imag
+    return np.sqrt(re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2)).reshape(-1)
 
 
 def eig_hermitian(h):
@@ -211,7 +219,8 @@ class Superoperator:
 
 
 def choi_of(superop):
-    """Choi matrix of a superoperator: C = sum_ij E_ij kron S(E_ij).
+    """Choi matrix of a superoperator, or of each matrix of a ``(..., d*d, d*d)``
+    stack: C = sum_ij E_ij kron S(E_ij).
 
     Entry ((i, k), (j, l)) is S(E_ij)[k, l], the superoperator entry at row
     vec(E_kl) and column vec(E_ij), so C is an index reshuffle of the matrix.
@@ -219,16 +228,20 @@ def choi_of(superop):
     completely positive. The identity map on d=2 gives a rank-1 C with
     nonzero eigenvalue 2.
     """
-    if not isinstance(superop, Superoperator):
-        superop = Superoperator(superop)
-    d = superop.dim
-    return superop.matrix.reshape(d, d, d, d, order="F").transpose(2, 0, 3, 1).reshape(d * d, d * d)
+    m = (superop.matrix if isinstance(superop, Superoperator)
+         else _as_square(superop, "superoperator matrix", stacked=True))
+    lead, d = m.shape[:-2], math.isqrt(m.shape[-1])
+    if d * d != m.shape[-1]:
+        raise DimensionMismatch(f"superoperator side {m.shape[-1]} is not a perfect square")
+    # entry (row, col) = ((l, k), (j, i)) in row-major digits; C swaps l and i
+    return m.reshape(lead + (d,) * 4).swapaxes(-4, -1).reshape(lead + (d * d,) * 2)
 
 
 def choi_min_eigenvalue(superop):
-    """Smallest eigenvalue of the Hermitized Choi matrix, with the
-    Hermiticity defect of the raw Choi matrix as a second return."""
+    """Smallest eigenvalue of the Hermitized Choi matrix, with the Frobenius
+    Hermiticity defect of the raw Choi matrix as a second return; floats for
+    one superoperator, arrays over the leading axes for a stack."""
     c = choi_of(superop)
-    defect = float(np.linalg.norm(c - c.conj().T))
-    w = np.linalg.eigvalsh(hermitize(c))
-    return float(w[0]), defect
+    defect = _norms(c - c.conj().swapaxes(-1, -2)).reshape(c.shape[:-2])
+    w = np.linalg.eigvalsh(hermitize(c))[..., 0]
+    return (float(w), float(defect)) if c.ndim == 2 else (w, defect)

@@ -30,9 +30,8 @@ from .errors import (
     Overflow,
     TruncationLoss,
 )
-from .fourier import (FourierOperatorSeries, _norms, check_rational_independence,
-                      frequency_vector, sample_times)
-from .linalg import hermiticity_defect, hermitize, unitarity_residuals
+from .fourier import FourierOperatorSeries, check_rational_independence, frequency_vector, sample_times
+from .linalg import _norms, hermiticity_defect, hermitize, unitarity_residuals
 
 __all__ = [
     "BathSpectrum",

@@ -79,7 +79,7 @@ def _structural_residuals(model, bundle):
         )
     worst_complete = 0.0
     for mu, series in enumerate(bundle.s_hat_series):
-        for n in series.indices():
+        for n in series.coeffs:
             total = sum(
                 s for (m2, n2, _), s in jumps.ops.items() if m2 == mu and n2 == n
             )

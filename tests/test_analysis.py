@@ -20,7 +20,7 @@ from qmme.dynamics import DynamicalMap
 from qmme.errors import Defective, InsufficientDecay, SpectralViolation
 from qmme.fourier import FourierOperatorSeries
 from qmme.generator import build_generator
-from qmme.linalg import Superoperator, trace_norm
+from qmme.linalg import Superoperator, choi_of, hermitize, trace_norm, vectorize
 from qmme.model import BathSpectrum, ReducedModel
 from qmme.presets import SIGMA_X, SIGMA_Z
 
@@ -58,6 +58,47 @@ class _MatrixMap:
 
     def propagator(self, t, s):
         return Superoperator(scipy.linalg.expm(float(t - s) * self._gen))
+
+
+class _BareMap:
+    """Only the attributes a certificate may use: ``dim``, ``at`` and ``propagator``."""
+
+    def __init__(self, dmap):
+        self.dim, self.at, self.propagator = dmap.dim, dmap.at, dmap.propagator
+
+
+def _row_by_row_certificate(dmap, ts=None, n_pairs=20, seed=7):
+    """The certificate one row at a time: the reference for the stacked rows."""
+    if ts is None:
+        ts = np.logspace(-3, math.log10(50.0), 20)
+    ts = np.asarray(ts, dtype=float).reshape(-1)
+    rng = np.random.default_rng(seed)
+    d = dmap.dim
+    eye_vec = vectorize(np.eye(d))
+
+    def _row(label, superop):
+        c = choi_of(superop)
+        choi_herm = float(np.linalg.norm(c - c.conj().T))
+        min_eig = float(np.linalg.eigvalsh(hermitize(c))[0])
+        trace_defect = float(
+            np.max(np.abs(superop.matrix.conj().T @ eye_vec - eye_vec))
+        )
+        herm_defect = 0.0
+        for _ in range(3):
+            a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            fwd = superop.apply(a)
+            bwd = superop.apply(a.conj().T)
+            herm_defect = max(herm_defect, float(np.linalg.norm(bwd - fwd.conj().T)))
+        return dict(label, choi_min_eig=min_eig, trace_defect=trace_defect,
+                    hermiticity_defect=herm_defect, choi_hermiticity=choi_herm)
+
+    time_rows = [_row({"t": float(t)}, dmap.at(t)) for t in ts]
+    pair_rows = []
+    horizon = float(ts[-1])
+    for _ in range(int(n_pairs)):
+        a, b = sorted(rng.uniform(0.0, horizon, size=2))
+        pair_rows.append(_row({"s": float(a), "t": float(b)}, dmap.propagator(b, a)))
+    return time_rows, pair_rows
 
 
 class TestSpectrumClassification:
@@ -281,3 +322,27 @@ class TestCptpCertificate:
         d = cptp_certificate(dmap, ts=np.array([0.5]), n_pairs=2).to_dict()
         assert d["passed"] is True
         assert "worst_choi_eig" in d and "times" in d and "propagator_pairs" in d
+
+    @pytest.mark.parametrize("fixture", ["q1", "q2", "q2_periodic", "q3", "q3_static"])
+    @pytest.mark.parametrize("seed", [1, 7, 42])
+    def test_stacked_rows_match_row_by_row(self, fixture, seed, request):
+        _, _, dmap = request.getfixturevalue(fixture)
+        cert = cptp_certificate(dmap, seed=seed)
+        # repr keeps every bit, the sign of a zero included
+        assert repr((cert.time_rows, cert.pair_rows)) == repr(_row_by_row_certificate(dmap, seed=seed))
+
+    def test_stacked_rows_need_only_at_and_propagator(self, q3, q1):
+        _, bundle, dmap = q1
+        for m in (_BareMap(q3[2]), _MatrixMap(bundle.x.matrix - 2.0 * bundle.dissipator.matrix)):
+            ts = np.array([0.2, 0.9, 3.0])
+            cert = cptp_certificate(m, ts=ts, n_pairs=4, seed=3)
+            assert repr((cert.time_rows, cert.pair_rows)) == repr(
+                _row_by_row_certificate(m, ts=ts, n_pairs=4, seed=3))
+
+    def test_no_pairs(self, q3):
+        _, _, dmap = q3
+        cert = cptp_certificate(dmap, ts=np.array([0.5, 2.0]), n_pairs=0)
+        assert cert.pair_rows == [] and len(cert.time_rows) == 2
+        assert repr((cert.time_rows, cert.pair_rows)) == repr(
+            _row_by_row_certificate(dmap, ts=np.array([0.5, 2.0]), n_pairs=0))
+        assert cert.worst_choi_eig == min(r["choi_min_eig"] for r in cert.time_rows)

@@ -259,7 +259,7 @@ class TestInteractionSeries:
     def test_static_frame_passthrough(self):
         p = FourierOperatorSeries.constant(np.eye(2), r=2)
         series = interaction_picture_coupling_series(p, SIGMA_X)
-        assert list(series.indices()) == [(0, 0)]
+        assert list(series.coeffs) == [(0, 0)]
         assert np.allclose(series.coeff((0, 0)), SIGMA_X, atol=0)
 
     def test_matches_pointwise_conjugation(self):
@@ -395,7 +395,7 @@ class TestJumpOperatorSet:
             [{"profile": "sin", "index": [1], "amplitude": 0.3, "matrix": SIGMA_Z}], r=1, trunc=8
         )
         series = interaction_picture_coupling_series(p, SIGMA_X)
-        for n in series.indices():
+        for n in series.coeffs:
             total = sum(
                 s for (mu, nn, _), s in jset.ops.items() if mu == 0 and nn == n
             )

@@ -525,6 +525,34 @@ class TestTrajectories:
             dmap.evolve(np.eye(2) / 2, [0.0, 1e-3, 0.5, 1.0, 2.0])
         assert dmap.evolve(np.eye(2) / 2, [0.0, 1e-3]).shape == (2, 2, 2)
 
+    def test_frobenius_screen_defers_to_the_2_norm(self, q1):
+        # E = p p^dag - I = c I at d = 2 has ||E||_2 = c and ||E||_F = sqrt(2) c:
+        # c = 0.8e-9 is above the screen's 0.5e-9 and passes the 1e-9 gate
+        model, bundle, _ = q1
+        c = 0.8e-9
+        series = FourierOperatorSeries.constant(math.sqrt(1.0 + c) * np.eye(2), r=model.p_series.r)
+        p = DynamicalMap(dataclasses.replace(model, p_series=series), bundle).frames([0.0, 0.5])
+        drift = p @ p.conj().transpose(0, 2, 1) - np.eye(2)
+        assert np.allclose(np.linalg.norm(drift, axis=(1, 2)), math.sqrt(2.0) * c, rtol=1e-6)
+        # p(t) = 1 + a (exp(i t) - 1): residual 2 a (1 - a)(1 - cos t), 6.9e-10 at t = 0.4
+        # and 1.05e-9 at t = 0.5, both above the screen
+        a = 1.05e-9 / (2.0 * (1.0 - math.cos(0.5)))
+        series = FourierOperatorSeries(2, 2, 1, {(0, 0): (1 - a) * np.eye(2), (1, 0): a * np.eye(2)})
+        dmap = DynamicalMap(dataclasses.replace(model, p_series=series), bundle)
+        assert dmap.frames([0.0, 0.4]).shape == (2, 2, 2)
+        with pytest.raises(NotUnitary, match=r"^p\(0\.5\) unitarity residual .* > 1\.0e-09$"):
+            dmap.frames([0.0, 0.4, 0.5, 1.0])
+
+    def test_unitary_frames_take_no_svd(self, q3, monkeypatch):
+        _, _, dmap = q3
+        expect = dmap.frames(np.linspace(0.0, 50.0, 101))
+
+        def no_svd(u):
+            raise AssertionError("unitarity_residuals called on frames below the screen")
+
+        monkeypatch.setattr(dynamics, "unitarity_residuals", no_svd)
+        assert np.array_equal(dmap.frames(np.linspace(0.0, 50.0, 101)), expect)
+
     @pytest.mark.parametrize("fixture", ["q2", "q3"])
     def test_wrong_shaped_state_rejected(self, fixture, request):
         _, _, dmap = request.getfixturevalue(fixture)

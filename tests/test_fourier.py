@@ -10,6 +10,7 @@ from qmme.model import synthesize_hamiltonian
 from qmme.presets import preset
 from qmme.fourier import (
     _MAX_BOX_POINTS,
+    _PHASE_CHUNK,
     FourierOperatorSeries,
     _shells,
     check_rational_independence,
@@ -259,7 +260,7 @@ class TestDenseStorageMatchesDictReference:
         kept, dropped = dict_product(a, b)
         scale = a.l1_norm() * b.l1_norm()
         assert p.trunc == max(a.trunc, b.trunc)
-        assert p.indices() == sorted(kept)
+        assert list(p.coeffs) == sorted(kept)
         assert all(np.max(np.abs(p.coeffs[n] - c)) <= 1e-13 * scale for n, c in kept.items())
         expect = dropped + a.tail_norm * b.l1_norm() + b.tail_norm * a.l1_norm() + a.tail_norm * b.tail_norm
         # both sums round: on O(1) data the FFT's mass can come out a few ulps smaller
@@ -267,7 +268,7 @@ class TestDenseStorageMatchesDictReference:
 
     def test_product_single_modes_stay_single(self):
         a, b = PRODUCT_CASES["single modes inside"]
-        assert a.product(b).indices() == [(-2, 0)]
+        assert list(a.product(b).coeffs) == [(-2, 0)]
         a, b = PRODUCT_CASES["single modes outside"]
         p = a.product(b)
         assert len(p) == 0
@@ -287,7 +288,7 @@ class TestDenseStorageMatchesDictReference:
             tracemalloc.stop()
         assert peak < 3 * box_bytes  # FFTs over the padded 401^2 boxes would take over 12 times that
         kept, _ = dict_product(a, b)
-        assert p.indices() == sorted(kept)
+        assert list(p.coeffs) == sorted(kept)
         assert all(np.max(np.abs(p.coeffs[n] - c)) <= 1e-13 * a.l1_norm() * b.l1_norm() for n, c in kept.items())
 
     @pytest.mark.parametrize("case", sorted(PRODUCT_CASES))
@@ -295,7 +296,7 @@ class TestDenseStorageMatchesDictReference:
         for s in PRODUCT_CASES[case]:
             adj = s.adjoint()
             expect = {tuple(-v for v in n): a.conj().T for n, a in s.coeffs.items()}
-            assert adj.indices() == sorted(expect)
+            assert list(adj.coeffs) == sorted(expect)
             assert all(np.array_equal(adj.coeffs[n], a) for n, a in expect.items())
             assert adj.tail_norm == s.tail_norm
 
@@ -306,7 +307,7 @@ class TestDenseStorageMatchesDictReference:
             cut = s.truncate(new_trunc)
             kept, tail = dict_truncate(s, new_trunc)
             assert cut.trunc == new_trunc
-            assert cut.indices() == sorted(kept)
+            assert list(cut.coeffs) == sorted(kept)
             assert all(np.array_equal(cut.coeffs[n], a) for n, a in kept.items())
             assert cut.tail_norm == tail  # the same running sum of the same norms
 
@@ -319,8 +320,8 @@ class TestDenseStorageMatchesDictReference:
         for n in sorted(norms):
             if norms[n] < eps:
                 dropped += norms[n]
-        assert cut.indices() == sorted(n for n in norms if norms[n] >= eps)
-        assert all(np.array_equal(cut.coeffs[n], s.coeffs[n]) for n in cut.indices())
+        assert list(cut.coeffs) == sorted(n for n in norms if norms[n] >= eps)
+        assert all(np.array_equal(cut.coeffs[n], s.coeffs[n]) for n in cut.coeffs)
         assert cut.tail_norm == s.tail_norm + dropped
         l1 = 0.0
         for n in sorted(norms):
@@ -335,7 +336,7 @@ class TestDenseStorageMatchesDictReference:
             expect[n] = expect[n] + c if n in expect else c
         for total in (a + b, b + a):
             assert total.trunc == 4
-            assert total.indices() == sorted(expect)
+            assert list(total.coeffs) == sorted(expect)
             assert all(np.array_equal(total.coeffs[n], c) for n, c in expect.items())
             assert total.tail_norm == pytest.approx(3e-4, rel=1e-15)
 
@@ -358,7 +359,60 @@ class TestDenseStorageMatchesDictReference:
         with pytest.raises(TypeError):
             s.coeffs[(0, 0)] = np.eye(2)
         with pytest.raises(ValueError):
-            s.coeffs[s.indices()[0]][0, 0] = 1.0
+            s.coeffs[list(s.coeffs)[0]][0, 0] = 1.0
+
+
+def full_table_evaluate_many(series, omega, ts):
+    """evaluate_many with every column of the per-axis phase tables an exponential,
+    m = -k .. k, in the same chunks: the reference for the half tables."""
+    idx = np.array(list(series.coeffs), dtype=np.intp).reshape(-1, series.r)
+    flat = np.array(list(series.coeffs.values())).reshape(len(idx), -1)
+    k = int(np.abs(idx).max(initial=0))
+    axis_freqs = omega[:, None] * np.arange(-k, k + 1)
+    slots = idx.T + k
+    out = np.zeros((ts.size, series.d**2), dtype=complex)
+    rows = max(1, _PHASE_CHUNK // max(1, len(idx)))
+    for lo in range(0, ts.size, rows):
+        chunk = ts[lo : lo + rows, None]
+        phases = np.exp(1j * (chunk * axis_freqs[0]))[:, slots[0]]
+        for j in range(1, series.r):
+            phases *= np.exp(1j * (chunk * axis_freqs[j]))[:, slots[j]]
+        out[lo : lo + rows] = phases @ flat
+    return out.reshape(ts.size, series.d, series.d)
+
+
+class TestHalfPhaseTables:
+    @pytest.mark.parametrize("r,d,trunc,n_terms", [(1, 2, 6, 9), (2, 3, 4, 30), (3, 2, 3, 60)])
+    def test_bit_for_bit_against_full_tables(self, rng, r, d, trunc, n_terms):
+        s = random_series(rng, r, d, trunc, n_terms)
+        omega = np.sqrt(np.arange(2.0, 2.0 + r))
+        # at t = 0, -0.0 and 5e-324 a conjugated column differs from exp in the sign of a zero
+        ts = np.concatenate([[0.0, -0.0, 5e-324], rng.uniform(0.0, 1e4, 1000)])
+        got, expect = s.evaluate_many(omega, ts), full_table_evaluate_many(s, omega, ts)
+        assert np.array_equal(got.view(np.uint64), expect.view(np.uint64))
+
+    def test_zero_sine_sign_stays_out_of_the_sum(self):
+        # at t = 0 the conjugated column -m is 1 - 0j where exp gives 1 + 0j; a coefficient
+        # with imaginary part -0.0 would carry that sign into a product that kept it
+        c = np.full((1, 1), complex(1.0, -0.0))
+        for coeffs in ({(-1, 0): c}, {(-1, -2): c, (1, 2): -c}, {(-1, 1): c, (0, 0): c, (2, -1): c}):
+            s = FourierOperatorSeries(2, 1, 2, coeffs)
+            omega, ts = np.array([1.0, math.sqrt(2.0)]), np.array([0.0, -0.0, 1.0])
+            expect = full_table_evaluate_many(s, omega, ts)
+            assert np.array_equal(s.evaluate_many(omega, ts).view(np.uint64), expect.view(np.uint64))
+
+    @pytest.mark.parametrize("name", ["qubit_driven", "qutrit_thermal"])
+    def test_shipped_frames_bit_for_bit(self, rng, name):
+        model = preset(name)
+        ts = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1e4, 1000))])
+        got = model.p_series.evaluate_many(model.frequencies, ts)
+        expect = full_table_evaluate_many(model.p_series, model.frequencies, ts)
+        assert np.array_equal(got.view(np.uint64), expect.view(np.uint64))
+
+    def test_exponential_of_negated_argument_is_the_conjugate(self):
+        # the half tables rely on it; a libm whose sine is not odd would fail here
+        x = np.random.default_rng(18).uniform(-1e4, 1e4, 10**6)
+        assert np.array_equal(np.exp(-1j * x), np.conj(np.exp(1j * x)))
 
 
 class TestSupportStorage:
@@ -385,9 +439,9 @@ class TestSupportStorage:
         assert np.allclose(s.evaluate_many(omega, ts), expect, atol=1e-14)
         p = s.product(s.adjoint()) + s.derivative(omega)
         assert p.trunc == 10**9
-        assert p.indices() == [(-1, 5), (0, 0), (0, 3), (1, -5), (1, -2)]
+        assert list(p.coeffs) == [(-1, 5), (0, 0), (0, 3), (1, -5), (1, -2)]
         assert np.allclose(p.coeff((0, 0)), 5 * np.eye(2), atol=1e-14)  # |1|^2 + |2i|^2
-        assert s.truncate(2).indices() == [(1, -2)]
+        assert list(s.truncate(2).coeffs) == [(1, -2)]
 
 
     def test_oversized_workspace_rejected_before_allocating(self):

@@ -302,7 +302,7 @@ def _loop_cross_check(bundle, bath, omega, tol_delta=1e-8):
 def _loop_jump_operators(decomp, s_hat_series, drop_tol=1e-14):
     """Projector sums applied one Fourier coefficient at a time."""
     ops = {}
-    for n in s_hat_series.indices():
+    for n in s_hat_series.coeffs:
         s_hat = s_hat_series.coeff(n)
         for w_idx, klist in enumerate(decomp.pairs):
             s = np.zeros_like(s_hat)
@@ -440,7 +440,7 @@ class TestBlockStackMatchesLoop:
             got = {(n, w_idx): jumps.stack[b, mu]
                    for b, (w_idx, n) in enumerate(jumps.blocks) if jumps.present[b, mu]}
             assert set(got) == set(expect)
-            assert {n for n, _ in got} <= set(s_hat.indices())  # nothing where the coupling has no index
+            assert {n for n, _ in got} <= set(s_hat.coeffs)  # nothing where the coupling has no index
             for key, s in expect.items():
                 assert np.max(np.abs(got[key] - s)) <= 1e-15
             keys |= {(w_idx, n) for n, w_idx in got}

@@ -235,6 +235,21 @@ class TestChoi:
         assert min_eig == pytest.approx(-1.0, abs=1e-12)
         assert herm < 1e-12
 
+    def test_stack_matches_per_matrix(self, rng):
+        ms = rng.normal(size=(2, 3, 9, 9)) + 1j * rng.normal(size=(2, 3, 9, 9))
+        ms[0, 1] = conjugation_superop(scipy.linalg.expm(-1j * random_hermitian(rng, 3)))
+        min_eig, herm = choi_min_eigenvalue(ms)
+        assert min_eig.shape == herm.shape == (2, 3)
+        for i, j in np.ndindex(2, 3):
+            assert np.array_equal(choi_of(ms)[i, j], choi_of(ms[i, j]))
+            c = choi_of(ms[i, j])
+            assert (min_eig[i, j], herm[i, j]) == choi_min_eigenvalue(Superoperator(ms[i, j]))
+            # the formulas of the single-matrix path before stacks
+            assert herm[i, j] == float(np.linalg.norm(c - c.conj().T))
+            assert min_eig[i, j] == float(np.linalg.eigvalsh(hermitize(c))[0])
+        with pytest.raises(DimensionMismatch):
+            choi_of(np.zeros((2, 3, 3)))
+
     def test_cptp_choi_of_conjugation(self, rng):
         u = scipy.linalg.expm(-1j * random_hermitian(rng, 3))
         min_eig, herm = choi_min_eigenvalue(Superoperator(conjugation_superop(u)))

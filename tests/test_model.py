@@ -308,11 +308,11 @@ class TestSynthesize:
         full = self._undropped(model)
         floor = 1e-15 * full.l1_norm()
         assert all(np.linalg.norm(c) >= 1e-15 * series.l1_norm() for c in series.coeffs.values())
-        kept = [n for n in full.indices() if np.linalg.norm(full.coeffs[n]) >= floor]
-        assert series.indices() == kept and len(kept) < len(full)
+        kept = [n for n in full.coeffs if np.linalg.norm(full.coeffs[n]) >= floor]
+        assert list(series.coeffs) == kept and len(kept) < len(full)
         assert all(np.array_equal(series.coeffs[n], full.coeffs[n]) for n in kept)
         dropped = 0.0
-        for n in full.indices():
+        for n in full.coeffs:
             if n not in series.coeffs:
                 dropped += np.linalg.norm(full.coeffs[n])
         assert series.tail_norm == full.tail_norm + dropped
