@@ -23,7 +23,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import DimensionMismatch, NoConvergence, UnknownFrequency
-from .fourier import FourierOperatorSeries, _shells, frequency_vector
+from .fourier import _shells, frequency_vector
 from .linalg import _norms, eig_hermitian
 
 __all__ = [
@@ -181,14 +181,10 @@ def check_congruence_freedom(bohr_freqs, omega, box=12, tol=1e-9):
 
 
 def interaction_picture_coupling_series(p_series, coupling):
-    """Fourier series of p(t)^dag S p(t) for a constant coupling S."""
-    coupling = np.asarray(coupling, dtype=complex)
-    if coupling.shape != (p_series.d, p_series.d):
-        raise DimensionMismatch(
-            f"coupling shape {coupling.shape} != {(p_series.d, p_series.d)}"
-        )
-    const = FourierOperatorSeries.constant(coupling, p_series.r)
-    return p_series.adjoint().product(const).product(p_series)
+    """Fourier series of p(t)^dag S p(t) for a constant coupling S: p^dag S
+    multiplies the coefficients of p^dag by S one by one, so it costs one
+    series product."""
+    return p_series.adjoint()._times(coupling).product(p_series)
 
 
 @dataclass

@@ -5,11 +5,12 @@ support: an integer index array of shape (N, r) in lexicographic order and the
 coefficient stack (N, d, d). ``trunc`` is only a bound; no array is sized by it.
 A product convolves dense workspace boxes of radius k, the largest |n_i| on a
 support, by FFTs zero-padded to ``2 (k_a + k_b) + 1`` points per axis, so no index
-sum wraps around; its support is the Minkowski sum of the supports. A workspace
-of more than ``_MAX_BOX_POINTS`` points is refused before it is allocated. Lossy
-operations add the l1 sum of Frobenius norms of what they drop to ``tail_norm``,
-a bound on the sup-over-t error; products add each input's tail times the other's
-l1 norm, and the product of the two tails.
+sum wraps around; its support is the Minkowski sum of the supports. A product
+with a constant matrix needs no convolution: it multiplies the coefficients one by
+one and keeps the support. A workspace of more than ``_MAX_BOX_POINTS`` points is
+refused before it is allocated. Lossy operations add the l1 sum of Frobenius norms
+of what they drop to ``tail_norm``, a bound on the sup-over-t error; products add
+each input's tail times the other's l1 norm, and the product of the two tails.
 """
 
 import math
@@ -183,22 +184,38 @@ class FourierOperatorSeries:
         dots, stack = self._idx @ self._frequencies(omega), self._stack
         return lambda t: np.tensordot(np.exp(1j * dots * t), stack, axes=(0, 0))
 
-    def product(self, other):
+    def product(self, other, *, _spectra=None):
         """Series product (convolution of coefficients) in the box max(trunc,
-        other.trunc); dropped mass and the propagated input tails go to the tail."""
+        other.trunc); dropped mass and the propagated input tails go to the tail.
+        ``_spectra``, a dict its caller holds for repeated products with the same
+        ``other``, keeps other's transform and mask spectrum per workspace size."""
         self._check_compatible(other)
         ka, kb = self._radius(), other._radius()
         _check_box(self.r, ka + kb, f"product workspace of radius {ka + kb}")
-        (a, ma), (b, mb) = self._dense(ka), other._dense(kb)
         size, axes = (2 * (ka + kb) + 1,) * self.r, tuple(range(self.r))  # room for every index sum
-        full = np.fft.ifftn(np.fft.fftn(a, size, axes) @ np.fft.fftn(b, size, axes), axes=axes)
-        pairs = np.fft.irfftn(np.fft.rfftn(ma, size, axes) * np.fft.rfftn(mb, size, axes), size, axes)
+        spectra = {} if _spectra is None else _spectra
+        if size not in spectra:
+            b, mb = other._dense(kb)
+            spectra[size] = np.fft.fftn(b, size, axes), np.fft.rfftn(mb, size, axes)
+        (a, ma), (fb, fmb) = self._dense(ka), spectra[size]
+        full = np.fft.ifftn(np.fft.fftn(a, size, axes) @ fb, axes=axes)
+        pairs = np.fft.irfftn(np.fft.rfftn(ma, size, axes) * fmb, size, axes)
         # the support is the Minkowski sum of the two; truncate puts what lies outside into the tail
         out = self._from_box(full, pairs > 0.5, 0.0).truncate(max(self.trunc, other.trunc))
         # (a + ta)(b + tb) - ab = ta b + a tb + ta tb, each bounded by its norms
         out.tail_norm = (out.tail_norm + self.tail_norm * other.l1_norm() + other.tail_norm * self.l1_norm()
                          + self.tail_norm * other.tail_norm)
         return out
+
+    def _times(self, m):
+        """Right product with a constant matrix, coefficient by coefficient: the
+        support is kept and the tail scales by ||m||_F (no FFT)."""
+        m = np.asarray(m, dtype=complex)
+        if m.shape != (self.d, self.d):
+            raise DimensionMismatch(f"constant factor has shape {m.shape}, expected {(self.d, self.d)}")
+        if not np.isfinite(m).all():
+            raise Overflow("constant factor contains non-finite entries")
+        return self._from_rows(self.trunc, self._idx, self._stack @ m, self.tail_norm * float(np.linalg.norm(m)))
 
     def adjoint(self):
         """Coefficient-wise adjoint: index n maps to -n with A_n^dag (lossless)."""

@@ -259,11 +259,12 @@ def _unitarity_residual(p_series, omega):
 
 
 def synthesize_hamiltonian(p_series, omega, h_bar, tol_unitary=1e-9, tol_truncation=None):
-    """Fourier series of H(t) = i p'(t) p(t)^dag + p(t) h_bar p(t)^dag.
+    """Fourier series of H(t) = (i p'(t) + p(t) h_bar) p(t)^dag.
 
-    Raises NotUnitary if ``p`` drifts from unitarity on the sample grid, and
-    TruncationLoss if ``tol_truncation`` is given and the tail exceeds it.
-    The tail holds the product tails and the coefficients below
+    ``p h_bar`` multiplies p's coefficients by h_bar one by one, so H costs one
+    series product. Raises NotUnitary if ``p`` drifts from unitarity on the
+    sample grid, and TruncationLoss if ``tol_truncation`` is given and the
+    tail exceeds it. The tail holds the product tail and the coefficients below
     ``_H_RESIDUE`` times H's l1 norm, which are dropped. The returned series
     is Hermitian-valued up to the reported tail mass.
     """
@@ -272,10 +273,7 @@ def synthesize_hamiltonian(p_series, omega, h_bar, tol_unitary=1e-9, tol_truncat
     residual = _unitarity_residual(p_series, omega)
     if residual > tol_unitary:
         raise NotUnitary(f"p series unitarity residual {residual:.3e} > {tol_unitary:.1e}")
-    pdag = p_series.adjoint()
-    dp = p_series.derivative(omega)
-    hbar_const = FourierOperatorSeries.constant(h_bar, p_series.r)
-    h_series = (1j * dp).product(pdag) + p_series.product(hbar_const).product(pdag)
+    h_series = (1j * p_series.derivative(omega) + p_series._times(h_bar)).product(p_series.adjoint())
     h_series = h_series.drop_below(_H_RESIDUE * h_series.l1_norm())
     if tol_truncation is not None and h_series.tail_norm > tol_truncation:
         raise TruncationLoss(
@@ -455,9 +453,10 @@ def p_series_from_generator(terms, r, trunc, drop_eps=1e-15):
 
     total = term = FourierOperatorSeries.constant(np.eye(d), r, trunc)
     k, bound = 0, norm  # bound = L^(k+1) / (k+1)!
+    spectra = {}  # -iA transformed once per workspace size
     while norm >= k + 2 or bound / (1.0 - norm / (k + 2)) >= _TAYLOR_REMAINDER:
         k += 1
-        term = (1.0 / k) * term.product(gen)
+        term = (1.0 / k) * term.product(gen, _spectra=spectra)
         total = total + term
         bound *= norm / (k + 1)
     total.tail_norm += bound / (1.0 - norm / (k + 2))

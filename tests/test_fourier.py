@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qmme.errors import DimensionMismatch
+from qmme.errors import DimensionMismatch, Overflow
 from qmme.model import synthesize_hamiltonian
 from qmme.presets import preset
 from qmme.fourier import (
@@ -139,6 +139,37 @@ class TestSeriesAlgebra:
         assert np.allclose(
             diff.evaluate(omega, t), s1.evaluate(omega, t) - s2.evaluate(omega, t)
         )
+
+
+class TestConstantFactor:
+    """``_times(m)``, the right product with a constant matrix, row by row."""
+
+    def series_and_matrix(self, rng, tail=0.0):
+        s = random_series(rng, 2, 3, 4, 9)
+        s = FourierOperatorSeries._from_rows(s.trunc, s._idx, s._stack, tail)
+        return s, rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+
+    def test_rows_times_matrix_bit_for_bit(self, rng):
+        s, m = self.series_and_matrix(rng, tail=0.25)
+        out = s._times(m)
+        assert np.array_equal(out._idx, s._idx) and out.trunc == s.trunc
+        assert np.array_equal(out._stack, s._stack @ m)
+        assert out.tail_norm == 0.25 * np.linalg.norm(m)
+
+    def test_matches_product_with_constant(self, rng):
+        s, m = self.series_and_matrix(rng, tail=1e-3)
+        out, ref = s._times(m), s.product(FourierOperatorSeries.constant(m, s.r))
+        assert list(out.coeffs) == list(ref.coeffs)
+        assert np.max(np.abs(out._stack - ref._stack)) <= 1e-15 * np.max(np.abs(ref._stack))
+        assert abs(out.tail_norm - ref.tail_norm) <= 1e-15 * ref.tail_norm
+
+    def test_wrong_shape_and_non_finite(self, rng):
+        s, m = self.series_and_matrix(rng)
+        with pytest.raises(DimensionMismatch):
+            s._times(np.eye(2))
+        m[1, 2] = np.inf
+        with pytest.raises(Overflow):
+            s._times(m)
 
 
 class TestTruncationBookkeeping:

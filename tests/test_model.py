@@ -10,6 +10,7 @@ import scipy.linalg
 import scipy.special
 
 from conftest import random_hermitian
+from test_generator import scaled_r3_models
 
 from qmme.errors import (
     DimensionMismatch,
@@ -23,6 +24,7 @@ from qmme.errors import (
 from qmme.fourier import FourierOperatorSeries
 from qmme.io import load_model
 from qmme.model import (
+    _H_RESIDUE,
     BathSpectrum,
     ReducedModel,
     bath_from_family,
@@ -257,6 +259,28 @@ class TestGeneratorSeries:
         with pytest.raises(DimensionMismatch):
             p_series_from_profile_terms([_term("tan", [1], 0.1, SIGMA_Z)], r=1, trunc=4)
 
+    def test_generator_transformed_once_per_workspace_size(self, monkeypatch):
+        # every Taylor step multiplies by -iA; its transform is reused at a size seen before
+        others, transforms, sizes = [], [], set()
+        product, fftn = FourierOperatorSeries.product, np.fft.fftn
+
+        def counted_product(a, b, **kw):
+            others.append(b)
+            return product(a, b, **kw)
+
+        def counted_fftn(x, s=None, axes=None):
+            transforms.append(x.shape)
+            sizes.add(tuple(s))
+            return fftn(x, s, axes)
+
+        monkeypatch.setattr(FourierOperatorSeries, "product", counted_product)
+        monkeypatch.setattr(np.fft, "fftn", counted_fftn)
+        terms = [_term("sin", [1, 0], 0.4, SIGMA_Z), _term("cos_minus_one", [0, 1], 0.3, SIGMA_X)]
+        p_series_from_generator(terms, r=2, trunc=4)
+        assert all(b is others[0] for b in others) and len(sizes) < len(others)
+        # one transform of the running term per product, one of -iA per workspace size
+        assert len(transforms) == len(others) + len(sizes)
+
 
 class TestSynthesize:
     def test_constant_frame_returns_static_part(self):
@@ -296,10 +320,36 @@ class TestSynthesize:
 
     @staticmethod
     def _undropped(model):
-        """The products of synthesize_hamiltonian, every Minkowski-sum position kept."""
+        """The product of synthesize_hamiltonian, every Minkowski-sum position kept."""
         p, omega = model.p_series, model.frequencies
-        hbar = FourierOperatorSeries.constant(model.h_bar, p.r)
-        return (1j * p.derivative(omega)).product(p.adjoint()) + p.product(hbar).product(p.adjoint())
+        return (1j * p.derivative(omega) + p._times(model.h_bar)).product(p.adjoint())
+
+    @staticmethod
+    def _two_products(p, omega, h_bar):
+        """H as i p' p^dag + (p h_bar) p^dag, h_bar a constant series, with the same floor."""
+        pdag, hbar = p.adjoint(), FourierOperatorSeries.constant(h_bar, p.r)
+        h = (1j * p.derivative(omega)).product(pdag) + p.product(hbar).product(pdag)
+        return h.drop_below(_H_RESIDUE * h.l1_norm())
+
+    @pytest.mark.parametrize("model", [
+        *[lambda name=name: preset(name) for name in
+          ("qubit_dephasing", "qubit_driven", "qubit_driven_periodic", "qutrit_thermal", "qutrit_thermal_static")],
+        *[lambda seed=seed, i=i: scaled_r3_models(seed)[i] for seed in (1, 2, 3) for i in (0, 1)],
+    ], ids=["qubit_dephasing", "qubit_driven", "qubit_driven_periodic", "qutrit_thermal", "qutrit_thermal_static",
+            *[f"scaled_r3_seed{seed}_d{d}" for seed in (1, 2, 3) for d in (2, 3)]])
+    def test_one_product_matches_two(self, model):
+        model = model()
+        p, omega = model.p_series, model.frequencies
+        series, ref = synthesize_hamiltonian(p, omega, model.h_bar), self._two_products(p, omega, model.h_bar)
+        gap = sum(np.linalg.norm(series.coeff(n) - ref.coeff(n)) for n in set(series.coeffs) | set(ref.coeffs))
+        assert gap <= 1e-14 * ref.l1_norm()
+        assert series.tail_norm <= ref.tail_norm
+
+    def test_one_product_per_synthesis(self, monkeypatch):
+        model, calls, product = preset("qutrit_thermal"), [], FourierOperatorSeries.product
+        monkeypatch.setattr(FourierOperatorSeries, "product", lambda a, b, **kw: calls.append(b) or product(a, b, **kw))
+        synthesize_hamiltonian(model.p_series, model.frequencies, model.h_bar)
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("name", ["qubit_driven", "qutrit_thermal"])
     def test_residue_dropped_into_tail(self, name):
