@@ -38,6 +38,7 @@ __all__ = [
 ]
 
 _WEIGHT_FLOOR = 1e-8  # modes weighted below this fraction of the largest count as absent from rho0
+_FIT_FLOOR = 1e-8  # the decay fit ends above this times max(1, initial distance), clear of rounding
 
 
 def _classify(w, tol_spec):
@@ -216,9 +217,8 @@ def limit_cycle(dmap, rho0, tol_spec=1e-9):
 
     residual = float(np.linalg.norm(v @ c - vectorize(rho0)))
 
-    dec_idx = np.nonzero(dec)[0]
-    rates = np.abs(re[dec_idx])
-    weights = np.array([abs(c[j]) * np.linalg.norm(v[:, j]) for j in dec_idx], dtype=float)
+    rates = np.abs(re[dec])
+    weights = np.abs(c[dec]) * np.linalg.norm(v[:, dec], axis=0)
     return LimitCycle(
         exponents=exponents,
         coefficients=c[keep],
@@ -256,7 +256,8 @@ def decay_rate_fit(dmap, cycle, rho0, ts):
 
     Fits a line to log ||rho_t - cycle(t)||_1 over the window from the first
     time the distance drops below 10% of its initial value to the last time
-    it exceeds a 100x machine-epsilon floor, and compares the slope against
+    it exceeds ``_FIT_FLOOR`` times max(1, initial distance), where rounding
+    is still a negligible share of it, and compares the slope against
     the slowest decaying mode present in the initial state's expansion.
     Raises InsufficientDecay when the distance never falls below 1e-3 or when
     the state is already converged.
@@ -270,8 +271,8 @@ def decay_rate_fit(dmap, cycle, rho0, ts):
             f"distance to the limit cycle never falls below 1e-3 (min {np.min(dists):.3e})"
         )
     d0 = float(dists[0])
-    floor = 100.0 * np.finfo(float).eps * max(1.0, d0)
-    if d0 <= max(floor, 1e-10):
+    floor = _FIT_FLOOR * max(1.0, d0)
+    if d0 <= floor:
         raise InsufficientDecay("initial state is already on the limit cycle")
 
     below = np.nonzero(dists < 0.1 * d0)[0]

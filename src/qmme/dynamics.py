@@ -12,21 +12,21 @@ and ``integrate_direct`` solves it with classical fixed-step RK4 under step
 halving; ``integrate_schrodinger_direct`` solves u' = -i H(t) u with the
 3-stage Gauss-Legendre rule (order 6) on the same halving ladder.
 
-Both cross-checks take their substeps in chunks and evaluate every series
-once per chunk, in one batched call. A substep ends where the next one
-starts, and the last one ends on the last grid node. Both equations are
+Both cross-checks take their substeps in chunks, as many as hold
+``_CHUNK_ENTRIES`` matrix entries at their stage nodes, and evaluate every
+series once per chunk, in one batched call. A substep ends where the next
+one starts, and the last one ends on the last grid node. Both equations are
 linear, y' = A(t) y, with A = -i H(t) on the oracle's d x d state and
 A = L(t) on the column-stacked density matrix, so one substep of size h is a
 step matrix R, held as R - I so that it rounds at the scale of the step:
 
-- RK4 takes the master equation ``_STEP_BLOCK`` substeps at a time. A chunk
-  of n substeps has 2n + 1 stage nodes, its n + 1 edges and n midpoints, and
-  R = I + h/6 (A1 + 2 B2 + 2 B3 + B4), with B2 = A2 (I + h/2 A1),
-  B3 = A2 (I + h/2 B2), B4 = A4 (I + h B3) and A1, A2, A4 the generator at
-  the substep's start, midpoint and end.
-- Gauss-Legendre takes the oracle as many substeps at a time as hold
-  ``_CHUNK_ENTRIES`` matrix entries (3 stage nodes x d^2 per substep: 341 at
-  d = 2, 21 at d = 8). A substep has three nodes t + c_i h, and its stage
+- RK4 marches the master equation. A chunk of n substeps has 2n + 1 stage
+  nodes, its n + 1 edges and n midpoints (2 d^4 entries a substep: 256
+  substeps at d = 2, 16 at d = 4), and R = I + h/6 (A1 + 2 B2 + 2 B3 + B4),
+  with B2 = A2 (I + h/2 A1), B3 = A2 (I + h/2 B2), B4 = A4 (I + h B3) and
+  A1, A2, A4 the generator at the substep's start, midpoint and end.
+- Gauss-Legendre marches the oracle. A substep has three nodes t + c_i h
+  (3 d^2 entries: 682 substeps at d = 2, 42 at d = 8), and its stage
   derivatives solve one (3d, 3d) system, (I - h [a_ij A_i]) K = [A_i], all
   of a chunk in one batched solve; R - I = h sum_i b_i K_i. Gauss methods
   keep quadratic invariants, so u stays unitary up to rounding.
@@ -35,14 +35,15 @@ A chunk's step matrices are multiplied, between consecutive recorded grid
 nodes, by a pairwise tree (log2 depth, about one batched product per
 substep); the state then takes one product per segment. Above
 ``_STEP_MATRIX_MAX_DIM`` the master equation takes RK4 stages on the d x d
-density matrix instead, as they cost less there than d^2 x d^2 products. The
-master equation stays on RK4 below that too: its steps are set by the grid
-spacing as much as by the tolerance, and a Gauss-Legendre march of the five
-shipped models on ``integrate_direct``'s benchmark grid took 0.65 s against
-RK4's 0.24 s. The product form evaluates p once per time grid. What the
-cross-checks share with the product form is only the series evaluation and
-the constant dissipator matrix; no exponential of X enters them, so agreement
-between the paths checks the whole construction.
+density matrix instead (2 d^2 entries a substep), as they cost less there
+than d^2 x d^2 products. The master equation stays on RK4 below that too:
+its steps are set by the grid spacing as much as by the tolerance, and a
+Gauss-Legendre march of the five shipped models on ``integrate_direct``'s
+benchmark grid took 0.65 s against RK4's 0.24 s. The product form evaluates
+p once per time grid. What the cross-checks share with the product form is
+only the series evaluation and the constant dissipator matrix; no
+exponential of X enters them, so agreement between the paths checks the
+whole construction.
 """
 
 import functools
@@ -51,8 +52,7 @@ import math
 import numpy as np
 
 from .errors import Defective, DimensionMismatch, NoConvergence, NotUnitary, OrderViolation
-from .linalg import (Superoperator, ad_superop, conjugation_superop, eigensystem, expm,
-                     trace_norm, unitarity_residuals)
+from .linalg import Superoperator, conjugation_superop, eigensystem, expm, trace_norm, unitarity_residuals
 from .model import synthesize_hamiltonian
 
 __all__ = [
@@ -61,14 +61,12 @@ __all__ = [
     "rk4_path",
 ]
 
-# master-equation substeps whose stage nodes are evaluated together
-_STEP_BLOCK = 64
 # largest d whose master equation marches as d^2 x d^2 step matrices: on the driven
 # r = 1 test model (grid 0:20:200, tol 1e-8) they took 0.13 s against 0.18 s for the
 # per-substep stages at d = 4, but 0.65 s against 0.49 s at d = 5
 _STEP_MATRIX_MAX_DIM = 4
-# most matrix entries (stage nodes x d^2) one chunk of oracle substeps holds
-_CHUNK_ENTRIES = 1 << 12
+# most matrix entries (stage nodes x entries of the generator at a node) one chunk holds
+_CHUNK_ENTRIES = 1 << 13
 # first step (before halving), and the halvings allowed before NoConvergence
 _H_INITIAL, _MAX_REFINEMENTS = 0.05, 12
 # the oracle's 3-stage Gauss-Legendre tableau (order 6): nodes c, coefficients a, weights b
@@ -360,15 +358,24 @@ class DynamicalMap:
     def _hamiltonians(self, ts, p):
         """H(t) + p(t) delta_h p(t)^dag at the times ``ts``, given p = p(ts)."""
         h = self.h_series().evaluate_many(self.model.frequencies, ts)
-        return h + p @ self.bundle.delta_h @ p.conj().transpose(0, 2, 1)
+        p_delta = (p.reshape(-1, self.dim) @ self.bundle.delta_h).reshape(p.shape)  # one flat product
+        return h + p_delta @ p.conj().transpose(0, 2, 1)
 
     def _lindbladians(self, ts, p=None):
         """L(t) at the times ``ts`` as a (len(ts), d^2, d^2) stack acting on
-        column-stacked states; p(ts) is evaluated here unless given."""
+        column-stacked states; p(ts) is evaluated here unless given. D takes one
+        flat product; -i [G, .] = -i (I (x) G - G^T (x) I) is written in place,
+        G on the d diagonal blocks and G^T's entries on the blocks' diagonals."""
         p = self.model.p_series.evaluate_many(self.model.frequencies, ts) if p is None else p
+        d = self.dim
         sigma = conjugation_superop(p)  # rho -> p rho p^dag; its adjoint undoes it
-        rotated = sigma @ self.bundle.dissipator.matrix @ sigma.conj().transpose(0, 2, 1)
-        return rotated - 1j * ad_superop(self._hamiltonians(ts, p))
+        out = ((sigma.reshape(-1, d * d) @ self.bundle.dissipator.matrix).reshape(sigma.shape)
+               @ sigma.conj().transpose(0, 2, 1))
+        g = -1j * self._hamiltonians(ts, p)
+        blocks = out.reshape(-1, d, d, d, d)  # [t, a, i, b, j]: row a d + i, column b d + j
+        np.einsum("taiaj->taij", blocks)[...] += g[:, None]  # einsum's diagonals are views
+        np.einsum("taibi->tabi", blocks)[...] -= g.transpose(0, 2, 1)[..., None]
+        return out
 
     def lindbladian(self, t):
         """Time-local generator L(t) as a superoperator (p(t) checked unitary)."""
@@ -432,10 +439,12 @@ class DynamicalMap:
         the series evaluations and the constant dissipator matrix.
         """
         rho0, d = self._state(rho0), self.dim
+        # two stage nodes a substep, of the d x d generator above the switch and of L(t) below it
+        chunk = max(1, _CHUNK_ENTRIES // (2 * (d * d if d > _STEP_MATRIX_MAX_DIM else d**4)))
         if d > _STEP_MATRIX_MAX_DIM:
-            return _blocked_rk4_path(self._master_advance, _STEP_BLOCK, rho0, ts, tol, trace_norm)
+            return _blocked_rk4_path(self._master_advance, chunk, rho0, ts, tol, trace_norm)
         # column-stacked states: a row-major reshape gives rho^T, which has the same trace norm
-        vecs = _blocked_rk4_path(_linear_advance(self._lindbladians), _STEP_BLOCK,
+        vecs = _blocked_rk4_path(_linear_advance(self._lindbladians), chunk,
                                  rho0.reshape(-1, order="F"), ts, tol, lambda v: trace_norm(v.reshape(d, d)))
         return vecs.reshape(-1, d, d).transpose(0, 2, 1)
 
@@ -450,11 +459,11 @@ def integrate_schrodinger_direct(model, ts, tol=1e-8):
 
     ``H`` is the synthesized Hamiltonian series of the model; this is the
     oracle used to confirm that p(t) exp(-i t h_bar) solves the same equation.
-    Each chunk of substeps (341 at d = 2, 21 at d = 8) evaluates H once, at
-    the three nodes t + c_i h of every substep, and forms its step matrices
-    R - I = h sum_i b_i K_i from one batched solve of the (3d, 3d) stage
-    systems. Gauss methods keep quadratic invariants, so u stays unitary up to
-    rounding.
+    Each chunk of substeps (``_CHUNK_ENTRIES`` at 3 d^2 a substep: 682 at
+    d = 2, 42 at d = 8) evaluates H once, at the three nodes t + c_i h of
+    every substep, and forms its step matrices R - I = h sum_i b_i K_i from
+    one batched solve of the (3d, 3d) stage systems. Gauss methods keep
+    quadratic invariants, so u stays unitary up to rounding.
     """
     h_series = synthesize_hamiltonian(model.p_series, model.frequencies, model.h_bar)
     advance = _linear_advance(lambda times: -1j * h_series.evaluate_many(model.frequencies, times),

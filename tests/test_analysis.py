@@ -8,7 +8,7 @@ import scipy.linalg
 
 from conftest import random_density
 
-from qmme import linalg
+from qmme import analysis, linalg
 from qmme.analysis import (
     cptp_certificate,
     decay_rate_fit,
@@ -221,6 +221,19 @@ class TestLimitCycle:
         late = dmap.evolve(rho0, [t_late])[0]
         assert trace_norm(late - cycle.states_at([t_late])[0]) < 1e-8
 
+    @pytest.mark.parametrize("fixture", ["q2", "q3", "q3_static"])
+    def test_decay_weights_match_per_mode_norms(self, fixture, request, rng):
+        # one column-norm call against the per-mode loop; the summation order
+        # differs, so they agree to rounding (2.8e-17 on the qutrits)
+        _, _, dmap = request.getfixturevalue(fixture)
+        rho0 = random_density(rng, dmap.dim)
+        cycle = limit_cycle(dmap, rho0)
+        w, v, vinv = dmap.eigensystem()
+        c = vinv @ vectorize(rho0)
+        dec = np.flatnonzero(analysis._classify(w, 1e-9)[3])
+        loop = np.array([abs(c[j]) * np.linalg.norm(v[:, j]) for j in dec])
+        assert np.max(np.abs(cycle.decay_weights - loop)) <= 4 * np.finfo(float).eps * np.max(loop)
+
     def test_states_on_grid_match_mode_sum(self, q3, rng):
         # reference: the per-time mode sum, conjugated by p(t) from evaluate
         model, _, dmap = q3
@@ -283,6 +296,22 @@ class TestDecayFit:
         cycle = limit_cycle(dmap, rho0)
         with pytest.raises(InsufficientDecay):
             decay_rate_fit(dmap, cycle, rho0, np.linspace(0.0, 5.0, 50))
+
+    @pytest.mark.parametrize("fixture", ["q2", "q2_periodic"])
+    def test_rate_stable_under_rounding_noise(self, fixture, request, monkeypatch):
+        # the window ends where rounding is a negligible share of the distance,
+        # so noise at its scale leaves the slope (0.8 on the driven qubits) in place
+        _, _, dmap = request.getfixturevalue(fixture)
+        rho0 = np.diag([1.0, 0.0]).astype(complex)
+        ts = np.linspace(0.0, 120.0, 500)
+        cycle = limit_cycle(dmap, rho0)
+        clean = decay_rate_fit(dmap, cycle, rho0, ts)
+        noise = 1e-16 * np.random.default_rng(5).standard_normal((ts.size, 2, 2))
+        evolve = dmap.evolve
+        monkeypatch.setattr(dmap, "evolve", lambda rho, times: evolve(rho, times) + noise)
+        noisy = decay_rate_fit(dmap, cycle, rho0, ts)
+        assert clean.relative_error < 1e-8
+        assert abs(noisy.fitted_rate - clean.fitted_rate) < 1e-8
 
     def test_to_dict(self):
         _, _, dmap = two_rate_qubit()

@@ -331,13 +331,16 @@ class TestStageNodes:
         dmap.h_series()  # synthesized outside the march
         marches = self.record(monkeypatch)
         dmap.integrate_direct(np.eye(3) / 3, [0.0, 1.5, 1.5, 12.0, 20.0], tol=1e-8)
-        self.check(marches, n_series=2, chunk=dynamics._STEP_BLOCK)
+        # two stage nodes of a d^2 x d^2 generator per substep: 50 substeps a
+        # chunk at d = 3, so each march of 400 or more substeps spans several
+        self.check(marches, n_series=2, chunk=dynamics._CHUNK_ENTRIES // (2 * 3**4))
 
     def test_schrodinger_oracle(self, q2, monkeypatch):
         model, _, _ = q2
         marches = self.record(monkeypatch)
-        integrate_schrodinger_direct(model, [0.0, 0.7, 0.7, 3.0, 8.0], tol=1e-10)
-        # three stage nodes of d^2 entries per substep: 341 substeps a chunk at d = 2
+        integrate_schrodinger_direct(model, [0.0, 0.7, 0.7, 3.0, 16.0], tol=1e-10)
+        # three stage nodes of d^2 entries per substep: 682 substeps a chunk at
+        # d = 2, so the last march (1,280 substeps) spans two
         chunk = dynamics._CHUNK_ENTRIES // (3 * 4)
         assert max(len(calls) for *_, evaluated in marches for calls in evaluated.values()) > 1
         for ts, h_target, march_chunk, evaluated in marches:
@@ -374,7 +377,7 @@ def _larger_model(d, rng):
 
 class TestOracleAtLargerDimension:
     def test_working_memory_stays_on_one_chunk(self):
-        # d = 8: the oracle holds one chunk of 64 substeps at a time (0.9 MB
+        # d = 8: the oracle holds one chunk of 42 substeps at a time (1.6 MB
         # traced); a whole march as one chunk peaks at 46 MB
         model = _larger_model(8, np.random.default_rng(8))
         ts = np.linspace(0.0, 20.0, 81)
@@ -616,6 +619,23 @@ class TestLindbladian:
             expect = (-1j * ad_superop(h_eff) + conjugation_superop(p) @ bundle.dissipator.matrix
                       @ conjugation_superop(p.conj().T))
             assert np.max(np.abs(dmap.lindbladian(t).matrix - expect)) < 1e-14
+
+    @pytest.mark.parametrize("fixture", ["q2", "q3", 4])
+    def test_stack_matches_per_node_formula(self, fixture, request):
+        # the stack assembled in place against the dense kernels of linalg, node by node
+        if isinstance(fixture, str):
+            model, bundle, dmap = request.getfixturevalue(fixture)
+        else:
+            model = _larger_model(fixture, np.random.default_rng(fixture))
+            bundle = build_generator(model, validate=False)
+            dmap = DynamicalMap(model, bundle)
+        ts = np.linspace(0.0, 20.0, 50)
+        p = model.p_series.evaluate_many(model.frequencies, ts)
+        h = dmap.h_series().evaluate_many(model.frequencies, ts)
+        expect = np.array([conjugation_superop(p_t) @ bundle.dissipator.matrix @ conjugation_superop(p_t.conj().T)
+                           - 1j * ad_superop(h_t + p_t @ bundle.delta_h @ p_t.conj().T)
+                           for p_t, h_t in zip(p, h)])
+        assert np.max(np.abs(dmap._lindbladians(ts) - expect)) <= 1e-15 * np.max(np.abs(expect))
 
     def test_non_unitary_frame_rejected(self, q1):
         # the frame of test_non_unitary_frame_names_first_bad_time
