@@ -13,9 +13,10 @@ halving; ``integrate_schrodinger_direct`` solves u' = -i H(t) u with the
 3-stage Gauss-Legendre rule (order 6) on the same halving ladder.
 
 Both cross-checks take their substeps in chunks, as many as hold
-``_CHUNK_ENTRIES`` matrix entries at their stage nodes, and evaluate every
-series once per chunk, in one batched call. A substep ends where the next
-one starts, and the last one ends on the last grid node. Both equations are
+``_CHUNK_ENTRIES`` matrix entries at their stage nodes, and evaluate their
+series once per chunk in one batched call: the master equation p and H from one
+phase table over their joint support. A substep ends where the next one starts,
+and the last one ends on the last grid node. Both equations are
 linear, y' = A(t) y, with A = -i H(t) on the oracle's d x d state and
 A = L(t) on the column-stacked density matrix, so one substep of size h is a
 step matrix R, held as R - I so that it rounds at the scale of the step:
@@ -52,6 +53,7 @@ import math
 import numpy as np
 
 from .errors import Defective, DimensionMismatch, NoConvergence, NotUnitary, OrderViolation
+from .fourier import _evaluate_rows
 from .linalg import Superoperator, conjugation_superop, eigensystem, expm, trace_norm, unitarity_residuals
 from .model import synthesize_hamiltonian
 
@@ -228,19 +230,20 @@ def _linear_advance(a_at, step_matrices=_rk4_step_matrices):
 
 def _refine(march, y0, ts, tol, norm, max_refinements, rule):
     """Trajectory ``march(y0, ts, h)`` refined by step halving (see rk4_path);
-    ``rule`` names the step rule in NoConvergence."""
+    ``rule`` names the step rule in NoConvergence. A non-finite end state is not converged."""
     ts = np.asarray(ts, dtype=float).reshape(-1)
     y0 = np.array(y0, dtype=complex)
     if ts.size < 2:
         return np.repeat(y0[None], ts.size, axis=0)
     h = min(_H_INITIAL, max(float(ts[-1] - ts[0]), 1e-12) / 8.0)
-    prev = march(y0, ts, h)
-    for _ in range(max_refinements):
-        h *= 0.5
-        cur = march(y0, ts, h)
-        if norm(cur[-1] - prev[-1]) < tol:
-            return cur
-        prev = cur
+    with np.errstate(over="ignore", invalid="ignore"):  # a level past the rule's stability bound overflows
+        prev = march(y0, ts, h)
+        for _ in range(max_refinements):
+            h *= 0.5
+            cur = march(y0, ts, h)
+            if np.isfinite(gap := cur[-1] - prev[-1]).all() and norm(gap) < tol:
+                return cur
+            prev = cur
     raise NoConvergence(
         f"{rule} did not reach tol={tol:.1e} within {max_refinements} step halvings"
     )
@@ -282,7 +285,7 @@ class DynamicalMap:
         self.dim = model.dim
         self.tol_unitary = float(tol_unitary)
         self._x = bundle.x.matrix
-        self._h_series = None
+        self._h_series = self._joint = None
 
         w, v, vinv, self.eig_cond = eigensystem(self._x)
         self._eig = None if vinv is None else (w, v, vinv)
@@ -355,23 +358,34 @@ class DynamicalMap:
             )
         return self._h_series
 
-    def _hamiltonians(self, ts, p):
-        """H(t) + p(t) delta_h p(t)^dag at the times ``ts``, given p = p(ts)."""
-        h = self.h_series().evaluate_many(self.model.frequencies, ts)
-        p_delta = (p.reshape(-1, self.dim) @ self.bundle.delta_h).reshape(p.shape)  # one flat product
-        return h + p_delta @ p.conj().transpose(0, 2, 1)
+    def _hamiltonians(self, ts, p=None):
+        """p and H(t) + p(t) delta_h p(t)^dag at the times ``ts``. Given p(ts), H is
+        evaluated alone; otherwise p (not checked unitary) and H come from one phase
+        table and one matrix product over their joint support (built on first use)."""
+        d = self.dim
+        if p is not None:
+            h = self.h_series().evaluate_many(self.model.frequencies, ts)
+        else:
+            if self._joint is None:  # the two series on a common box, read off its joint support
+                k = max(self.model.p_series._radius(), self.h_series()._radius())
+                (a, in_a), (b, in_b) = self.model.p_series._dense(k), self.h_series()._dense(k)
+                both = in_a | in_b
+                self._joint = np.argwhere(both) - k, np.stack([a[both], b[both]], 1).reshape(both.sum(), -1)
+            p, h = _evaluate_rows(*self._joint, self.model.frequencies, ts).reshape(-1, 2, d, d).swapaxes(0, 1)
+        p_delta = (p.reshape(-1, d) @ self.bundle.delta_h).reshape(p.shape)  # one flat product
+        return p, h + p_delta @ p.conj().transpose(0, 2, 1)
 
     def _lindbladians(self, ts, p=None):
-        """L(t) at the times ``ts`` as a (len(ts), d^2, d^2) stack acting on
-        column-stacked states; p(ts) is evaluated here unless given. D takes one
-        flat product; -i [G, .] = -i (I (x) G - G^T (x) I) is written in place,
-        G on the d diagonal blocks and G^T's entries on the blocks' diagonals."""
-        p = self.model.p_series.evaluate_many(self.model.frequencies, ts) if p is None else p
+        """L(t) at the times ``ts`` as a (len(ts), d^2, d^2) stack acting on column-stacked
+        states; p(ts) is evaluated with H unless given. D takes one flat product;
+        -i [G, .] = -i (I (x) G - G^T (x) I) is written in place, G on the d diagonal
+        blocks and G^T's entries on the blocks' diagonals."""
+        p, g = self._hamiltonians(ts, p)
         d = self.dim
         sigma = conjugation_superop(p)  # rho -> p rho p^dag; its adjoint undoes it
         out = ((sigma.reshape(-1, d * d) @ self.bundle.dissipator.matrix).reshape(sigma.shape)
                @ sigma.conj().transpose(0, 2, 1))
-        g = -1j * self._hamiltonians(ts, p)
+        g = -1j * g
         blocks = out.reshape(-1, d, d, d, d)  # [t, a, i, b, j]: row a d + i, column b d + j
         np.einsum("taiaj->taij", blocks)[...] += g[:, None]  # einsum's diagonals are views
         np.einsum("taibi->tabi", blocks)[...] -= g.transpose(0, 2, 1)[..., None]
@@ -384,14 +398,12 @@ class DynamicalMap:
     def _master_advance(self, rho, edges, h, cuts):
         """Chunk march of the master equation for d > _STEP_MATRIX_MAX_DIM (see _rk4_blocked).
 
-        p and H are evaluated at every stage node of the chunk at once; the
-        RK4 stages act on the d x d state, O(d^4) per stage for the dissipator.
+        p and H are evaluated at every stage node of the chunk from one phase table;
+        the RK4 stages act on the d x d state, O(d^4) per stage for the dissipator.
         """
         d = self.dim
-        nodes = _stage_nodes(edges, h)
-        p = self.model.p_series.evaluate_many(self.model.frequencies, nodes)
-        pd = p.conj().transpose(0, 2, 1)
-        gen = -1j * self._hamiltonians(nodes, p)
+        p, gen = self._hamiltonians(_stage_nodes(edges, h))
+        pd, gen = p.conj().transpose(0, 2, 1), -1j * gen
         # the dissipator on row-major vectors: vec_F(X) = vec_C(X^T)
         rows = np.arange(d * d).reshape(d, d).T.reshape(-1)
         diss = self.bundle.dissipator.matrix[np.ix_(rows, rows)]

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import DimensionMismatch, Overflow
 from .linalg import _norms
 
-# largest (times x terms) phase block that evaluate_many holds at once
+# largest (times x terms) phase block that a series evaluation holds at once
 _PHASE_CHUNK = 16384
 # most lattice points a scan or a series workspace holds
 _MAX_BOX_POINTS = 10**6
@@ -52,6 +52,33 @@ def _check_box(r, radius, what):
 def _total(values):
     """Left-to-right sum, so a tail is the same number a running sum gives."""
     return float(np.cumsum(values)[-1]) if len(values) else 0.0
+
+
+def _evaluate_rows(idx, flat, omega, ts):
+    """sum_n exp(i (n . omega) t) flat[n] over the index rows ``idx`` (N, r) and the
+    coefficient columns ``flat`` (N, c), at every time of ``ts``, as (len(ts), c),
+    for a valid ``omega``. The phases are products of per-axis factors from a
+    (times x r x (2 k + 1)) table, k the largest |n_i|, contracted with ``flat`` in
+    one matrix product per chunk of at most ``_PHASE_CHUNK`` phase entries (one time
+    at least). Only the columns m > 0 of the table are computed, as cos and sin:
+    column 0 is 1 and column -m the conjugate of column m, bit for bit the
+    exponential it replaces but for the sign of a zero sine at t = 0, which no sum
+    in the product keeps (each starts from +0)."""
+    k, n_terms = int(np.abs(idx).max(initial=0)), len(idx)
+    out = np.zeros((ts.size, flat.shape[1]), dtype=complex)
+    slots = idx.T + k  # column of each term in the table
+    axis_freqs = omega[:, None] * np.arange(1, k + 1)
+    rows = max(1, _PHASE_CHUNK // max(1, n_terms))
+    for lo in range(0, ts.size, rows):
+        x = ts[lo : lo + rows, None, None] * axis_freqs  # (times, r, k)
+        table = np.empty(x.shape[:2] + (2 * k + 1,), dtype=complex)
+        table.real[..., k + 1 :], table.imag[..., k + 1 :] = np.cos(x), np.sin(x)
+        table[..., k], table[..., :k] = 1.0, table[..., :k:-1].conj()
+        phases = table[:, 0, slots[0]]
+        for j in range(1, idx.shape[1]):
+            phases *= table[:, j, slots[j]]
+        out[lo : lo + rows] = phases @ flat
+    return out
 
 
 class FourierOperatorSeries:
@@ -152,32 +179,11 @@ class FourierOperatorSeries:
         return np.tensordot(np.exp(1j * (self._idx @ omega) * float(t)), self._stack, axes=(0, 0))
 
     def evaluate_many(self, omega, ts):
-        """Evaluate at every time of ``ts``; returns an array (len(ts), d, d).
-
-        The phases exp(i (n . omega) t) are products of per-axis factors from
-        a (times x r x (2 k + 1)) table, k the support radius, contracted with
-        the coefficient stack in one matrix product per chunk of at most
-        ``_PHASE_CHUNK`` phase entries (one time at least). Only the columns
-        m > 0 of the table are exponentials: column 0 is exp(0) = 1 and column
-        -m the conjugate of column m, bit for bit the exponential it replaces
-        but for the sign of a zero sine at t = 0, which no sum in the product
-        keeps (each starts from +0)."""
-        omega = self._frequencies(omega)
+        """Evaluate at every time of ``ts``; returns an array (len(ts), d, d)
+        (see _evaluate_rows)."""
         ts = np.asarray(ts, dtype=float).reshape(-1)
-        k, n_terms = self._radius(), len(self)
-        out = np.zeros((ts.size, self.d * self.d), dtype=complex)
-        slots = self._idx.T + k  # column of each term in the table
-        axis_freqs = omega[:, None] * np.arange(1, k + 1)
-        flat = self._stack.reshape(n_terms, self.d * self.d)
-        rows = max(1, _PHASE_CHUNK // max(1, n_terms))
-        for lo in range(0, ts.size, rows):
-            half = np.exp(1j * (ts[lo : lo + rows, None, None] * axis_freqs))  # (times, r, k)
-            table = np.concatenate([half[..., ::-1].conj(), np.ones(half.shape[:2] + (1,)), half], axis=-1)
-            phases = table[:, 0, slots[0]]
-            for j in range(1, self.r):
-                phases *= table[:, j, slots[j]]
-            out[lo : lo + rows] = phases @ flat
-        return out.reshape(ts.size, self.d, self.d)
+        flat = self._stack.reshape(len(self), self.d * self.d)
+        return _evaluate_rows(self._idx, flat, self._frequencies(omega), ts).reshape(ts.size, self.d, self.d)
 
     def sampler(self, omega):
         """Return a fast closure t -> A(t) with frequencies bound."""
@@ -309,6 +315,7 @@ def check_rational_independence(omega, box=12, tol=1e-9):
     with canonical sign.
     """
     omega = frequency_vector(omega)
+    omega = np.ldexp(omega, -np.frexp(omega.max())[1])  # exact: ||omega|| neither overflows nor underflows
     threshold = tol * float(np.linalg.norm(omega))
     pts = _shells(omega.size, box)
     hits = np.flatnonzero(np.abs(pts @ omega) < threshold)

@@ -27,6 +27,7 @@ from qmme.model import (
     p_series_from_profile_terms,
     synthesize_hamiltonian,
 )
+from qmme.presets import PRESETS, preset
 
 
 class TestRk4:
@@ -284,25 +285,28 @@ class TestBatchedIntegratorsMatchCallbacks:
 
 
 class TestStageNodes:
-    """Each chunk of a march evaluates every series once at its stage nodes:
-    for RK4 the 2n + 1 substep starts, their midpoints and the end of the last;
-    for the oracle's Gauss-Legendre rule the 3n nodes t + c_i h."""
+    """Each chunk of a march evaluates its series once at its stage nodes: for
+    RK4 p and H together, at the 2n + 1 substep starts, their midpoints and the
+    end of the last; for the oracle's Gauss-Legendre rule H at the 3n nodes
+    t + c_i h."""
 
-    def record(self, monkeypatch):
+    def record(self, monkeypatch, owner, name, key):
+        """Record, march by march, the times of every call of ``owner.name``
+        (its last argument) under ``key(arguments)``."""
         marches = []
-        march, evaluate_many = dynamics._rk4_blocked, FourierOperatorSeries.evaluate_many
+        march, evaluate = dynamics._rk4_blocked, getattr(owner, name)
 
         def counted_march(advance, chunk, y0, ts, h_target):
             marches.append((np.asarray(ts, dtype=float), h_target, chunk, {}))
             return march(advance, chunk, y0, ts, h_target)
 
-        def counted_evaluate(series, omega, ts):
+        def counted_evaluate(*args):
             if marches:
-                marches[-1][3].setdefault(id(series), []).append(np.array(ts, dtype=float))
-            return evaluate_many(series, omega, ts)
+                marches[-1][3].setdefault(key(args), []).append(np.array(args[-1], dtype=float))
+            return evaluate(*args)
 
         monkeypatch.setattr(dynamics, "_rk4_blocked", counted_march)
-        monkeypatch.setattr(FourierOperatorSeries, "evaluate_many", counted_evaluate)
+        monkeypatch.setattr(owner, name, counted_evaluate)
         return marches
 
     def check(self, marches, n_series, chunk):
@@ -327,17 +331,29 @@ class TestStageNodes:
                 assert every.size - np.unique(every).size == len(calls) - 1
 
     def test_master_equation(self, q3, monkeypatch):
-        _, _, dmap = q3
-        dmap.h_series()  # synthesized outside the march
-        marches = self.record(monkeypatch)
+        model, _, dmap = q3
+        h_series = dmap.h_series()  # synthesized outside the march
+        separate = []
+        monkeypatch.setattr(FourierOperatorSeries, "evaluate_many", lambda *args: separate.append(args))
+        marches = self.record(monkeypatch, dynamics, "_evaluate_rows", lambda args: (id(args[0]), id(args[1])))
         dmap.integrate_direct(np.eye(3) / 3, [0.0, 1.5, 1.5, 12.0, 20.0], tol=1e-8)
         # two stage nodes of a d^2 x d^2 generator per substep: 50 substeps a
         # chunk at d = 3, so each march of 400 or more substeps spans several
-        self.check(marches, n_series=2, chunk=dynamics._CHUNK_ENTRIES // (2 * 3**4))
+        self.check(marches, n_series=1, chunk=dynamics._CHUNK_ENTRIES // (2 * 3**4))
+        assert not separate
+        # the one kernel of every chunk holds p's coefficients and H's side by side
+        idx, flat = dmap._joint
+        assert all(list(evaluated) == [(id(idx), id(flat))] for *_, evaluated in marches)
+        assert flat.shape == (len(idx), 2 * 9)
+        for series, columns in ((model.p_series, flat[:, :9]), (h_series, flat[:, 9:])):
+            rows = {tuple(n): c for n, c in zip(idx.tolist(), columns)}
+            assert set(series.coeffs) <= set(rows)
+            assert all(np.array_equal(rows[n], c.reshape(-1)) for n, c in series.coeffs.items())
+            assert not np.any([rows[n] for n in set(rows) - set(series.coeffs)])
 
     def test_schrodinger_oracle(self, q2, monkeypatch):
         model, _, _ = q2
-        marches = self.record(monkeypatch)
+        marches = self.record(monkeypatch, FourierOperatorSeries, "evaluate_many", lambda args: id(args[0]))
         integrate_schrodinger_direct(model, [0.0, 0.7, 0.7, 3.0, 16.0], tol=1e-10)
         # three stage nodes of d^2 entries per substep: 682 substeps a chunk at
         # d = 2, so the last march (1,280 substeps) spans two
@@ -360,6 +376,48 @@ class TestStageNodes:
             # the nodes lie inside the substeps, so none is evaluated twice
             every = np.concatenate(calls)
             assert np.unique(every).size == every.size
+
+
+class TestJointSeriesEvaluation:
+    """p and H at the march's nodes, from one phase table over their joint
+    support, against separate evaluate_many calls."""
+
+    @pytest.mark.parametrize("name", [*PRESETS, 5])
+    def test_matches_separate_evaluations(self, name):
+        model = preset(name) if isinstance(name, str) else _larger_model(name, np.random.default_rng(name))
+        bundle = build_generator(model, validate=False)
+        dmap = DynamicalMap(model, bundle)
+        ts = np.linspace(0.0, 20.0, 1001)
+        p, g = dmap._hamiltonians(ts)
+        h = g - np.array([p_t @ bundle.delta_h @ p_t.conj().T for p_t in p])
+        for got, series in ((p, model.p_series), (h, dmap.h_series())):
+            expect = series.evaluate_many(model.frequencies, ts)
+            assert np.max(np.abs(got - expect)) <= 1e-15 * np.max(np.abs(expect))
+
+
+class TestStiffLadder:
+    """A level past RK4's stability bound overflows; it counts as not converged,
+    with no warning and no norm taken of its non-finite end state."""
+
+    def stiff_map(self, q1, gamma):
+        model = dataclasses.replace(q1[0], bath=BathSpectrum.flat(gamma, 1))
+        return DynamicalMap(model, build_generator(model))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_stiff_rate_converges(self, q1):
+        # h gamma = 50 on the first level; the halvings reach RK4's stability bound
+        dmap = self.stiff_map(q1, 1e3)
+        rho0, ts = np.full((2, 2), 0.5, dtype=complex), np.linspace(0.0, 1.0, 11)
+        direct, product = dmap.integrate_direct(rho0, ts), dmap.evolve(rho0, ts)
+        assert max(trace_norm(a - b) for a, b in zip(direct, product)) < 1e-8
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_every_level_unstable_raises(self, q1, monkeypatch):
+        # h gamma >= 6250 on all four levels
+        dmap = self.stiff_map(q1, 1e6)
+        monkeypatch.setattr(dynamics, "_MAX_REFINEMENTS", 3)
+        with pytest.raises(NoConvergence, match=r"^RK4 did not reach tol=1\.0e-08 within 3 step halvings$"):
+            dmap.integrate_direct(np.full((2, 2), 0.5, dtype=complex), np.linspace(0.0, 1.0, 11))
 
 
 def _larger_model(d, rng):

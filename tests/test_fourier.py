@@ -547,6 +547,13 @@ class TestLattice:
     def test_small_denominator_found(self):
         assert check_rational_independence([1.0, 1.0 / 3.0]) == (1, -3)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e300, 1e-300])
+    @pytest.mark.parametrize("ratio,witness", [(math.sqrt(2), None), (2.0, (2, -1))])
+    def test_verdict_kept_at_extreme_scales(self, scale, ratio, witness):
+        # ||omega|| overflows at 1e300 (every point was a witness) and underflows at 1e-300 (none was)
+        assert check_rational_independence([scale, ratio * scale]) == witness
+
     def test_normalize_witness(self):
         assert normalize_witness((-2, 1)) == (2, -1)
         assert normalize_witness((0, -3)) == (0, 3)
