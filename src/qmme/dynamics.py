@@ -14,12 +14,11 @@ halving; ``integrate_schrodinger_direct`` solves u' = -i H(t) u with the
 
 Both cross-checks take their substeps in chunks, as many as hold
 ``_CHUNK_ENTRIES`` matrix entries at their stage nodes, and evaluate their
-series once per chunk in one batched call: the master equation p and H from one
-phase table over their joint support. A substep ends where the next one starts,
-and the last one ends on the last grid node. Both equations are
-linear, y' = A(t) y, with A = -i H(t) on the oracle's d x d state and
-A = L(t) on the column-stacked density matrix, so one substep of size h is a
-step matrix R, held as R - I so that it rounds at the scale of the step:
+series once per chunk, the master equation's p and H from one phase table. A
+substep ends where the next one starts, and the last one ends on the last grid
+node. Both equations are linear, y' = A(t) y, A = -i H(t) on the oracle's
+d x d state and A = L(t) on the column-stacked density matrix, so one substep
+of size h is a step matrix R, held as R - I to round at the scale of the step:
 
 - RK4 marches the master equation. A chunk of n substeps has 2n + 1 stage
   nodes, its n + 1 edges and n midpoints (2 d^4 entries a substep: 256
@@ -53,7 +52,7 @@ import math
 import numpy as np
 
 from .errors import Defective, DimensionMismatch, NoConvergence, NotUnitary, OrderViolation
-from .fourier import _evaluate_rows
+from .fourier import joint_sampler
 from .linalg import Superoperator, conjugation_superop, eigensystem, expm, trace_norm, unitarity_residuals
 from .model import synthesize_hamiltonian
 
@@ -230,23 +229,20 @@ def _linear_advance(a_at, step_matrices=_rk4_step_matrices):
 
 def _refine(march, y0, ts, tol, norm, max_refinements, rule):
     """Trajectory ``march(y0, ts, h)`` refined by step halving (see rk4_path);
-    ``rule`` names the step rule in NoConvergence. A non-finite end state is not converged."""
+    ``rule`` names the step rule in NoConvergence."""
     ts = np.asarray(ts, dtype=float).reshape(-1)
     y0 = np.array(y0, dtype=complex)
     if ts.size < 2:
         return np.repeat(y0[None], ts.size, axis=0)
     h = min(_H_INITIAL, max(float(ts[-1] - ts[0]), 1e-12) / 8.0)
-    with np.errstate(over="ignore", invalid="ignore"):  # a level past the rule's stability bound overflows
-        prev = march(y0, ts, h)
-        for _ in range(max_refinements):
-            h *= 0.5
-            cur = march(y0, ts, h)
-            if np.isfinite(gap := cur[-1] - prev[-1]).all() and norm(gap) < tol:
-                return cur
-            prev = cur
-    raise NoConvergence(
-        f"{rule} did not reach tol={tol:.1e} within {max_refinements} step halvings"
-    )
+    prev = march(y0, ts, h)
+    for _ in range(max_refinements):
+        h *= 0.5
+        cur = march(y0, ts, h)
+        if norm(cur[-1] - prev[-1]) < tol:
+            return cur
+        prev = cur
+    raise NoConvergence(f"{rule} did not reach tol={tol:.1e} within {max_refinements} step halvings")
 
 
 def rk4_path(f, y0, ts, tol=1e-8, norm=None, max_refinements=_MAX_REFINEMENTS):
@@ -262,9 +258,11 @@ def rk4_path(f, y0, ts, tol=1e-8, norm=None, max_refinements=_MAX_REFINEMENTS):
 
 
 def _blocked_rk4_path(advance, chunk, y0, ts, tol, norm):
-    """rk4_path marched ``chunk`` substeps at a time with ``advance`` (see _rk4_blocked)."""
-    return _refine(functools.partial(_rk4_blocked, advance, chunk), y0, ts, tol, norm, _MAX_REFINEMENTS,
-                   "RK4")
+    """rk4_path marched ``chunk`` substeps at a time by ``advance`` (see _rk4_blocked) for the master
+    equation, whose L(t) is finite: a level past RK4's stability bound overflows unwarned, unconverged."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _refine(functools.partial(_rk4_blocked, advance, chunk), y0, ts, tol,
+                       lambda y: norm(y) if np.isfinite(y).all() else math.inf, _MAX_REFINEMENTS, "RK4")
 
 
 # ---------------------------------------------------------------------------
@@ -358,29 +356,20 @@ class DynamicalMap:
             )
         return self._h_series
 
-    def _hamiltonians(self, ts, p=None):
-        """p and H(t) + p(t) delta_h p(t)^dag at the times ``ts``. Given p(ts), H is
-        evaluated alone; otherwise p (not checked unitary) and H come from one phase
-        table and one matrix product over their joint support (built on first use)."""
-        d = self.dim
-        if p is not None:
-            h = self.h_series().evaluate_many(self.model.frequencies, ts)
-        else:
-            if self._joint is None:  # the two series on a common box, read off its joint support
-                k = max(self.model.p_series._radius(), self.h_series()._radius())
-                (a, in_a), (b, in_b) = self.model.p_series._dense(k), self.h_series()._dense(k)
-                both = in_a | in_b
-                self._joint = np.argwhere(both) - k, np.stack([a[both], b[both]], 1).reshape(both.sum(), -1)
-            p, h = _evaluate_rows(*self._joint, self.model.frequencies, ts).reshape(-1, 2, d, d).swapaxes(0, 1)
-        p_delta = (p.reshape(-1, d) @ self.bundle.delta_h).reshape(p.shape)  # one flat product
+    def _hamiltonians(self, ts):
+        """p (not checked unitary) and H(t) + p(t) delta_h p(t)^dag at the times ``ts``;
+        p and H come from one joint_sampler, built on first use."""
+        if self._joint is None:
+            self._joint = joint_sampler([self.model.p_series, self.h_series()], self.model.frequencies)
+        p, h = self._joint(ts)
+        p_delta = (p.reshape(-1, self.dim) @ self.bundle.delta_h).reshape(p.shape)  # one flat product
         return p, h + p_delta @ p.conj().transpose(0, 2, 1)
 
-    def _lindbladians(self, ts, p=None):
+    def _lindbladians(self, ts):
         """L(t) at the times ``ts`` as a (len(ts), d^2, d^2) stack acting on column-stacked
-        states; p(ts) is evaluated with H unless given. D takes one flat product;
-        -i [G, .] = -i (I (x) G - G^T (x) I) is written in place, G on the d diagonal
-        blocks and G^T's entries on the blocks' diagonals."""
-        p, g = self._hamiltonians(ts, p)
+        states. D takes one flat product; -i [G, .] = -i (I (x) G - G^T (x) I) is written
+        in place, G on the d diagonal blocks and G^T's entries on the blocks' diagonals."""
+        p, g = self._hamiltonians(ts)
         d = self.dim
         sigma = conjugation_superop(p)  # rho -> p rho p^dag; its adjoint undoes it
         out = ((sigma.reshape(-1, d * d) @ self.bundle.dissipator.matrix).reshape(sigma.shape)
@@ -393,7 +382,8 @@ class DynamicalMap:
 
     def lindbladian(self, t):
         """Time-local generator L(t) as a superoperator (p(t) checked unitary)."""
-        return Superoperator(self._lindbladians(np.array([t], dtype=float), self.frames([t]))[0])
+        self.frames([t])
+        return Superoperator(self._lindbladians(np.array([t], dtype=float))[0])
 
     def _master_advance(self, rho, edges, h, cuts):
         """Chunk march of the master equation for d > _STEP_MATRIX_MAX_DIM (see _rk4_blocked).

@@ -26,7 +26,7 @@ _PHASE_CHUNK = 16384
 # most lattice points a scan or a series workspace holds
 _MAX_BOX_POINTS = 10**6
 
-__all__ = ["FourierOperatorSeries", "frequency_vector", "check_rational_independence",
+__all__ = ["FourierOperatorSeries", "joint_sampler", "frequency_vector", "check_rational_independence",
            "normalize_witness", "sample_times"]
 
 
@@ -55,15 +55,12 @@ def _total(values):
 
 
 def _evaluate_rows(idx, flat, omega, ts):
-    """sum_n exp(i (n . omega) t) flat[n] over the index rows ``idx`` (N, r) and the
-    coefficient columns ``flat`` (N, c), at every time of ``ts``, as (len(ts), c),
-    for a valid ``omega``. The phases are products of per-axis factors from a
-    (times x r x (2 k + 1)) table, k the largest |n_i|, contracted with ``flat`` in
-    one matrix product per chunk of at most ``_PHASE_CHUNK`` phase entries (one time
-    at least). Only the columns m > 0 of the table are computed, as cos and sin:
-    column 0 is 1 and column -m the conjugate of column m, bit for bit the
-    exponential it replaces but for the sign of a zero sine at t = 0, which no sum
-    in the product keeps (each starts from +0)."""
+    """sum_n exp(i (n . omega) t) flat[n] over index rows ``idx`` (N, r) and coefficient columns ``flat``
+    (N, c) at every time of ``ts``, as (len(ts), c), for a valid ``omega``: per-axis factors from a
+    (times x r x (2 k + 1)) table, k the largest |n_i|, are multiplied into phases and contracted with
+    ``flat`` in one matrix product per chunk of at most ``_PHASE_CHUNK`` phase entries (a time at least).
+    Only the columns m > 0 are computed, as cos and sin: column 0 is 1 and column -m is column m
+    conjugated, bit for bit exp(i x) but for a zero sine's sign at t = 0, which no sum keeps."""
     k, n_terms = int(np.abs(idx).max(initial=0)), len(idx)
     out = np.zeros((ts.size, flat.shape[1]), dtype=complex)
     slots = idx.T + k  # column of each term in the table
@@ -179,8 +176,7 @@ class FourierOperatorSeries:
         return np.tensordot(np.exp(1j * (self._idx @ omega) * float(t)), self._stack, axes=(0, 0))
 
     def evaluate_many(self, omega, ts):
-        """Evaluate at every time of ``ts``; returns an array (len(ts), d, d)
-        (see _evaluate_rows)."""
+        """Evaluate at every time of ``ts``; returns an array (len(ts), d, d) (see _evaluate_rows)."""
         ts = np.asarray(ts, dtype=float).reshape(-1)
         flat = self._stack.reshape(len(self), self.d * self.d)
         return _evaluate_rows(self._idx, flat, self._frequencies(omega), ts).reshape(ts.size, self.d, self.d)
@@ -283,6 +279,21 @@ class FourierOperatorSeries:
     def __repr__(self):
         return (f"FourierOperatorSeries(r={self.r}, d={self.d}, trunc={self.trunc}, "
                 f"terms={len(self)}, tail={self.tail_norm:.2e})")
+
+
+def joint_sampler(series, omega):
+    """Return a closure ts -> (len(series), len(ts), d, d) with frequencies bound: the
+    series (one r and d) from one phase table and one matrix product per chunk, their
+    coefficients side by side over the union of their supports (see _evaluate_rows)."""
+    for other in series[1:]:
+        series[0]._check_compatible(other)
+    idx, slot = np.unique(np.vstack([s._idx for s in series]), axis=0, return_inverse=True)
+    d, owner = series[0].d, np.repeat(np.arange(len(series)), [len(s) for s in series])  # of each row
+    flat = np.zeros((len(idx), len(series), d * d), dtype=complex)
+    flat[slot.reshape(-1), owner] = np.vstack([s._stack.reshape(-1, d * d) for s in series])
+    flat, omega = flat.reshape(len(idx), -1), series[0]._frequencies(omega)
+    return lambda ts: (_evaluate_rows(idx, flat, omega, np.asarray(ts, dtype=float).reshape(-1))
+                       .reshape(-1, len(series), d, d).swapaxes(0, 1))
 
 
 def _shells(r, box):

@@ -11,7 +11,7 @@ import scipy.linalg
 
 from conftest import random_density, random_hermitian
 
-from qmme import dynamics, linalg
+from qmme import dynamics, fourier, linalg
 from qmme.dynamics import (
     DynamicalMap,
     integrate_schrodinger_direct,
@@ -56,6 +56,13 @@ class TestRk4:
         with pytest.raises(NoConvergence):
             rk4_path(lambda t, y: -y, np.array([1.0 + 0j]), [0.0, 1.0], tol=1e-30,
                      norm=np.linalg.norm, max_refinements=3)
+
+    def test_caller_warnings_not_hidden(self):
+        # numpy's warnings are off only in the master-equation march, not around a caller's f
+        with pytest.warns(RuntimeWarning) as seen, pytest.raises(NoConvergence):
+            rk4_path(lambda t, y: y * 1e308 * 10.0, np.array([1.0 + 0j]), [0.0, 1.0],
+                     norm=np.linalg.norm, max_refinements=1)
+        assert any("overflow" in str(w.message) for w in seen)
 
     def test_descending_times_rejected(self):
         with pytest.raises(OrderViolation):
@@ -335,15 +342,21 @@ class TestStageNodes:
         h_series = dmap.h_series()  # synthesized outside the march
         separate = []
         monkeypatch.setattr(FourierOperatorSeries, "evaluate_many", lambda *args: separate.append(args))
-        marches = self.record(monkeypatch, dynamics, "_evaluate_rows", lambda args: (id(args[0]), id(args[1])))
+        kernels = {}
+
+        def key(args):  # the coefficient columns of a kernel call name it
+            kernels[id(args[1])] = args[:2]
+            return id(args[1])
+
+        marches = self.record(monkeypatch, fourier, "_evaluate_rows", key)
         dmap.integrate_direct(np.eye(3) / 3, [0.0, 1.5, 1.5, 12.0, 20.0], tol=1e-8)
         # two stage nodes of a d^2 x d^2 generator per substep: 50 substeps a
         # chunk at d = 3, so each march of 400 or more substeps spans several
         self.check(marches, n_series=1, chunk=dynamics._CHUNK_ENTRIES // (2 * 3**4))
         assert not separate
-        # the one kernel of every chunk holds p's coefficients and H's side by side
-        idx, flat = dmap._joint
-        assert all(list(evaluated) == [(id(idx), id(flat))] for *_, evaluated in marches)
+        # one kernel, built once for every march, holds p's coefficients and H's side by side
+        assert len(kernels) == 1
+        idx, flat = next(iter(kernels.values()))
         assert flat.shape == (len(idx), 2 * 9)
         for series, columns in ((model.p_series, flat[:, :9]), (h_series, flat[:, 9:])):
             rows = {tuple(n): c for n, c in zip(idx.tolist(), columns)}

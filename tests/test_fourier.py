@@ -15,6 +15,7 @@ from qmme.fourier import (
     _shells,
     check_rational_independence,
     frequency_vector,
+    joint_sampler,
     normalize_witness,
     sample_times,
 )
@@ -444,6 +445,28 @@ class TestHalfPhaseTables:
         # the half tables rely on it; a libm whose sine is not odd would fail here
         x = np.random.default_rng(18).uniform(-1e4, 1e4, 10**6)
         assert np.array_equal(np.exp(-1j * x), np.conj(np.exp(1j * x)))
+
+
+class TestJointSampler:
+    """Several series from one phase table over the union of their supports."""
+
+    @pytest.mark.parametrize("r,d", [(1, 2), (2, 3), (3, 2)])
+    def test_matches_each_series(self, rng, r, d):
+        # overlapping, disjoint and constant supports side by side
+        series = [random_series(rng, r, d, 4, 6), random_series(rng, r, d, 2, 4),
+                  FourierOperatorSeries.constant(np.eye(d), r)]
+        omega, ts = np.sqrt(np.arange(2.0, 2.0 + r)), rng.uniform(0.0, 50.0, 300)
+        together = joint_sampler(series, omega)(ts)
+        assert together.shape == (3, ts.size, d, d)
+        for got, s in zip(together, series):
+            expect = s.evaluate_many(omega, ts)
+            assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
+
+    def test_shapes_must_agree(self, rng):
+        with pytest.raises(DimensionMismatch):
+            joint_sampler([random_series(rng, 2, 2, 2, 5), random_series(rng, 2, 3, 2, 5)], [1.0, 2.0])
+        with pytest.raises(DimensionMismatch):
+            joint_sampler([random_series(rng, 1, 2, 2, 5)], [1.0, 2.0])
 
 
 class TestSupportStorage:
