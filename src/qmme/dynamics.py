@@ -31,9 +31,10 @@ of size h is a step matrix R, held as R - I to round at the scale of the step:
   of a chunk in one batched solve; R - I = h sum_i b_i K_i. Gauss methods
   keep quadratic invariants, so u stays unitary up to rounding.
 
-A chunk's step matrices are multiplied, between consecutive recorded grid
-nodes, by a pairwise tree (log2 depth, about one batched product per
-substep); the state then takes one product per segment. Above
+A chunk's step matrices are applied to the state in turn, y <- y + (R - I) y,
+and the chunk returns the state after every substep, from which the grid
+nodes it reaches are read. A chunk that ends on a non-finite state ends its
+level of the halving ladder, whose later nodes all take that state. Above
 ``_STEP_MATRIX_MAX_DIM`` the master equation takes RK4 stages on the d x d
 density matrix instead (2 d^2 entries a substep), as they cost less there
 than d^2 x d^2 products. The master equation stays on RK4 below that too:
@@ -63,8 +64,10 @@ __all__ = [
 ]
 
 # largest d whose master equation marches as d^2 x d^2 step matrices: on the driven
-# r = 1 test model (grid 0:20:200, tol 1e-8) they took 0.13 s against 0.18 s for the
-# per-substep stages at d = 4, but 0.65 s against 0.49 s at d = 5
+# r = 1 test model (grid 0:20:200, tol 1e-8, best of 5 in each of two runs, 2-core VM)
+# they took 0.09 s against 0.22 s for the per-substep stages at d = 4, and 0.33-0.37 s
+# against 0.32-0.40 s at d = 5, too close to move the switch with no benchmark workload
+# above d = 3
 _STEP_MATRIX_MAX_DIM = 4
 # most matrix entries (stage nodes x entries of the generator at a node) one chunk holds
 _CHUNK_ENTRIES = 1 << 13
@@ -156,25 +159,13 @@ def _stage_nodes(edges, h):
     return np.concatenate([edges, edges[:-1] + 0.5 * h])
 
 
-def _segment_products(steps, lengths):
-    """Products S_{b-1} ... S_a of the step matrices over consecutive segments
-    [a, b) of the given lengths, as a pairwise tree: each level pads the
-    segments of odd length with the identity and multiplies neighbours, each
-    held as S - I (see _rk4_step_matrices): (I + L)(I + E) = I + L + E + L E."""
-    while np.any(lengths > 1):
-        odd = lengths % 2 == 1
-        steps = np.insert(steps, np.cumsum(lengths)[odd], 0.0, axis=0)
-        lengths = (lengths + 1) // 2
-        steps = steps[1::2] + steps[0::2] + steps[1::2] @ steps[0::2]
-    return steps
-
-
 def _rk4_blocked(advance, chunk, y0, ts, h_target):
     """The substeps of ``_rk4_fixed`` taken ``chunk`` at a time, by either rule.
 
-    ``advance(y, edges, h, cuts)`` marches y through the substeps of sizes
-    ``h`` between consecutive ``edges`` and returns the state after the first
-    ``cuts[j]`` of them for every j; the last cut is the whole chunk.
+    ``advance(y, edges, h)`` marches y through the substeps of sizes ``h``
+    between consecutive ``edges`` and returns the state after each of them.
+    A chunk that ends on a non-finite state ends the march: every later node
+    takes that state, which no further substep could make finite again.
     """
     starts, sizes, reached = _substeps(ts, h_target)
     edges = np.append(starts, ts[-1])  # the last substep ends on the last node
@@ -185,10 +176,12 @@ def _rk4_blocked(advance, chunk, y0, ts, h_target):
     for lo in range(0, starts.size, chunk):
         hi = min(lo + chunk, starts.size)
         i0, i1 = np.searchsorted(reached, [lo, hi], side="right")
-        cuts = np.unique(np.append(reached[i0:i1], hi)) - lo
-        path = advance(y, edges[lo : hi + 1], sizes[lo:hi], cuts)
+        path = advance(y, edges[lo : hi + 1], sizes[lo:hi])
         y = path[-1]
-        out[1 + i0 : 1 + i1] = path[np.searchsorted(cuts, reached[i0:i1] - lo)]
+        out[1 + i0 : 1 + i1] = path[reached[i0:i1] - lo - 1]
+        if not np.isfinite(y).all():
+            out[1 + i1 :] = y
+            break
     return out
 
 
@@ -214,14 +207,14 @@ def _gauss_step_matrices(a_at, edges, h):
 
 def _linear_advance(a_at, step_matrices=_rk4_step_matrices):
     """Chunk march of y' = A(t) y, where ``a_at(times)`` returns the stacked
-    generators A at an array of times: one step matrix per substep (RK4 by
-    default), and one product of them per segment between cuts."""
+    generators A at an array of times: one step matrix S = R - I per substep
+    (RK4 by default), applied in turn, y <- y + S y."""
 
-    def advance(y, edges, h, cuts):
+    def advance(y, edges, h):
         steps = step_matrices(a_at, edges, h)
-        path = np.empty((cuts.size,) + y.shape, dtype=complex)
-        for k, product in enumerate(_segment_products(steps, np.diff(cuts, prepend=0))):
-            y = path[k] = y + product @ y
+        path = np.empty((h.size,) + y.shape, dtype=complex)
+        for k, step in enumerate(steps):  # on these small arrays .dot and out= cost less a call than @ and +
+            y = np.add(y, step.dot(y), out=path[k])
         return path
 
     return advance
@@ -385,8 +378,9 @@ class DynamicalMap:
         self.frames([t])
         return Superoperator(self._lindbladians(np.array([t], dtype=float))[0])
 
-    def _master_advance(self, rho, edges, h, cuts):
-        """Chunk march of the master equation for d > _STEP_MATRIX_MAX_DIM (see _rk4_blocked).
+    def _master_advance(self, rho, edges, h):
+        """Chunk march of the master equation for d > _STEP_MATRIX_MAX_DIM (see _rk4_blocked):
+        the state after each substep.
 
         p and H are evaluated at every stage node of the chunk from one phase table;
         the RK4 stages act on the d x d state, O(d^4) per stage for the dissipator.
@@ -405,9 +399,8 @@ class DynamicalMap:
         n = h.size
         path = np.empty((n, d, d), dtype=complex)
         for k in range(n):
-            rho = _rk4_step(rhs, rho, h[k], k, n + 1 + k, k + 1)
-            path[k] = rho
-        return path[cuts - 1]
+            rho = path[k] = _rk4_step(rhs, rho, h[k], k, n + 1 + k, k + 1)
+        return path
 
     # -- propagation ------------------------------------------------------
 

@@ -263,8 +263,9 @@ def synthesize_hamiltonian(p_series, omega, h_bar, tol_unitary=1e-9, tol_truncat
 
     ``p h_bar`` multiplies p's coefficients by h_bar one by one, so H costs one
     series product. Raises NotUnitary if ``p`` drifts from unitarity on the
-    sample grid, and TruncationLoss if ``tol_truncation`` is given and the
-    tail exceeds it. The tail holds the product tail and the coefficients below
+    sample grid, Overflow if the tail is not finite (the coefficients' norms
+    overflow), and TruncationLoss if ``tol_truncation`` is given and the tail
+    exceeds it. The tail holds the product tail and the coefficients below
     ``_H_RESIDUE`` times H's l1 norm, which are dropped. The returned series
     is Hermitian-valued up to the reported tail mass.
     """
@@ -275,6 +276,8 @@ def synthesize_hamiltonian(p_series, omega, h_bar, tol_unitary=1e-9, tol_truncat
         raise NotUnitary(f"p series unitarity residual {residual:.3e} > {tol_unitary:.1e}")
     h_series = (1j * p_series.derivative(omega) + p_series._times(h_bar)).product(p_series.adjoint())
     h_series = h_series.drop_below(_H_RESIDUE * h_series.l1_norm())
+    if not math.isfinite(h_series.tail_norm):
+        raise Overflow(f"synthesized Hamiltonian tail {h_series.tail_norm} is not finite")
     if tol_truncation is not None and h_series.tail_norm > tol_truncation:
         raise TruncationLoss(
             f"synthesized Hamiltonian dropped {h_series.tail_norm:.3e} > {tol_truncation:.1e}"

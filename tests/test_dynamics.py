@@ -116,15 +116,23 @@ class TestLinearRk4:
         assert np.allclose(linear[-1], expect, atol=1e-9)
 
     def test_segments_across_chunks(self):
-        # 3,100 substeps at d = 2 make four chunks; recorded nodes, a repeated
-        # one among them, fall inside chunks and on their edges
-        ts = np.array([0.0, 0.3, 1.024, 1.024, 2.0, 2.9, 3.1])
         y0 = np.array([1.0, 0.5j])
-        chunked = dynamics._rk4_blocked(dynamics._linear_advance(_rotation), 1024, y0, ts, 1e-3)
-        callback = dynamics._rk4_fixed(lambda t, y: _rotation([t])[0] @ y, y0, ts, 1e-3)
-        assert dynamics._substeps(ts, 1e-3)[0].size > 3 * 1024
-        assert np.max(np.abs(chunked - callback)) < 1e-13
-        assert chunked[2, 0] == chunked[3, 0]
+        for ts, h_target in (
+            # 3,100 substeps at d = 2 make four chunks; recorded nodes, a repeated
+            # one among them, fall inside chunks and on their edges
+            ([0.0, 0.3, 1.024, 1.024, 2.0, 2.9, 3.1], 1e-3),
+            # one interval of 3,200 substeps: the first three chunks record no node.
+            # The substeps are binary fractions, so _rk4_fixed's summed substep starts
+            # are exact; at h 1e-3 over one interval they drift the path by 2.4e-13
+            ([0.0, 3.125], 2.0**-10),
+        ):
+            ts = np.array(ts)
+            chunked = dynamics._rk4_blocked(dynamics._linear_advance(_rotation), 1024, y0, ts, h_target)
+            callback = dynamics._rk4_fixed(lambda t, y: _rotation([t])[0] @ y, y0, ts, h_target)
+            assert dynamics._substeps(ts, h_target)[0].size > 3 * 1024
+            assert np.max(np.abs(chunked - callback)) < 1e-13
+            repeated = np.flatnonzero(np.diff(ts) == 0)
+            assert np.array_equal(chunked[repeated], chunked[repeated + 1])
 
     def test_repeated_node(self):
         path = self.path(_constant([[-1.0]]), [1.0], [0.0, 1.0, 1.0, 2.0])
@@ -431,6 +439,17 @@ class TestStiffLadder:
         monkeypatch.setattr(dynamics, "_MAX_REFINEMENTS", 3)
         with pytest.raises(NoConvergence, match=r"^RK4 did not reach tol=1\.0e-08 within 3 step halvings$"):
             dmap.integrate_direct(np.full((2, 2), 0.5, dtype=complex), np.linspace(0.0, 1.0, 11))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_unstable_level_stops_at_its_first_chunk(self, q1, monkeypatch):
+        # each of the 13 levels overflows in its first chunk and marches no further;
+        # marching every level to its end would take 651 chunks
+        dmap = self.stiff_map(q1, 1e6)
+        calls, lindbladians = [], dmap._lindbladians
+        monkeypatch.setattr(dmap, "_lindbladians", lambda ts: calls.append(ts) or lindbladians(ts))
+        with pytest.raises(NoConvergence, match=r"^RK4 did not reach tol=1\.0e-08 within 12 step halvings$"):
+            dmap.integrate_direct(np.full((2, 2), 0.5, dtype=complex), np.linspace(0.0, 1.0, 11))
+        assert 0 < len(calls) <= dynamics._MAX_REFINEMENTS + 1
 
 
 def _larger_model(d, rng):

@@ -680,6 +680,18 @@ class TestCliDynamics:
         assert payload["r"] == 2
         assert payload["coefficients"]
 
+    def test_synthesize_overflow_is_numerical_failure(self, tmp_path):
+        # H's coefficients stay finite (about 3e299) but their norms overflow, so its tail
+        # is inf; the numerical failure exits 3 and is not left to the JSON writer (exit 2)
+        doc = json.loads((MODELS_DIR / "qubit_driven.json").read_text())
+        doc["frequencies"] = [w * 1e300 for w in doc["frequencies"]]
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        res = run_cli("synthesize", str(path))
+        assert res.returncode == 3, res.stdout
+        error = json.loads(res.stdout)["error"]
+        assert error["type"] == "Overflow" and "tail" in error["message"]
+
 
 _NO_SCIPY_SCRIPT = """
 import contextlib, io, json, sys

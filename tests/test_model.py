@@ -313,6 +313,13 @@ class TestSynthesize:
             h = series.evaluate(omega, t)
             assert np.linalg.norm(h - h.conj().T, 2) < 1e-9
 
+    def test_non_finite_tail_is_overflow(self):
+        # frequencies 1e300 keep H's coefficients finite (about 3e299), but their norms,
+        # and so the tail, overflow; linalg._norms still warns as it does so
+        model = load_model(MODELS_DIR / "qubit_driven.json")
+        with np.errstate(over="ignore"), pytest.raises(Overflow, match=r"Hamiltonian tail inf is not finite"):
+            synthesize_hamiltonian(model.p_series, 1e300 * model.frequencies, model.h_bar)
+
     def test_non_unitary_frame_rejected(self):
         p = FourierOperatorSeries.constant(0.5 * np.eye(2), r=1)
         with pytest.raises(NotUnitary):
