@@ -22,6 +22,7 @@ from .linalg import (
     devectorize,
     eigensystem,
     hermitize,
+    trace_norm,
     vectorize,
 )
 
@@ -264,7 +265,7 @@ def decay_rate_fit(dmap, cycle, rho0, ts):
     """
     ts = np.asarray(ts, dtype=float).reshape(-1)
     gaps = dmap.evolve(rho0, ts) - cycle.states_at(ts)
-    dists = np.sum(np.linalg.svd(gaps, compute_uv=False), axis=1)  # trace norms
+    dists = trace_norm(gaps)
 
     if float(np.min(dists)) > 1e-3:
         raise InsufficientDecay(

@@ -23,7 +23,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import DimensionMismatch, NoConvergence, UnknownFrequency
-from .fourier import _shells, frequency_vector
+from .fourier import _on_union, _shells, frequency_vector
 from .linalg import _norms, eig_hermitian
 
 __all__ = [
@@ -248,14 +248,7 @@ def build_jump_operator_set(decomp, s_hat_list, drop_tol=1e-14):
     coupling's series holds the index and its Frobenius norm is at least
     ``drop_tol``; a block is kept when it holds one.
     """
-    d, m = decomp.dim, len(s_hat_list)
-    supports = [s._idx for s in s_hat_list]
-    idx, where = np.unique(np.concatenate(supports), axis=0, return_inverse=True)
-    rows = np.split(where.reshape(-1), np.cumsum([len(s) for s in supports])[:-1])
-    coeffs = np.zeros((len(idx), m, d, d), dtype=complex)
-    held = np.zeros((len(idx), m), dtype=bool)
-    for mu, (s_hat, r) in enumerate(zip(s_hat_list, rows)):
-        coeffs[r, mu], held[r, mu] = s_hat._stack, True
+    idx, coeffs, held = _on_union(s_hat_list)
     v, entry_frequency = decomp.eigenvectors, decomp.entry_frequency
     rot = v.conj().T @ coeffs @ v
     fourier = [tuple(n) for n in idx.tolist()]

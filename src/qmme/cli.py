@@ -34,6 +34,7 @@ from .errors import (
     UnknownFrequency,
 )
 from .io import (
+    _entry_columns,
     _matrix_to_json,
     _series_to_dict,
     dumps_canonical,
@@ -41,7 +42,7 @@ from .io import (
     load_model,
     write_trajectory_csv,
 )
-from .linalg import _norms
+from .linalg import _norms, eig_hermitian, hermitize, trace_norm
 
 __all__ = ["main", "build_parser"]
 
@@ -139,8 +140,7 @@ def _initial_state(spec, mdl):
     if spec == "plus":
         return np.full((d, d), 1.0 / d, dtype=complex)
     if spec == "ground":
-        w, v = np.linalg.eigh(0.5 * (mdl.h_bar + mdl.h_bar.conj().T))
-        g = v[:, 0]
+        g = eig_hermitian(hermitize(mdl.h_bar))[1][:, 0]
         return np.outer(g, g.conj())
     path = Path(spec)
     if not path.exists():
@@ -262,16 +262,9 @@ def cmd_evolve(args):
     rho0 = _initial_state(args.rho0, mdl)
     product = dmap.evolve(rho0, ts)
     direct = dmap.integrate_direct(rho0, ts, tol=args.tol_integrate)
-    dist = np.linalg.svd(product - direct, compute_uv=False).sum(axis=1)  # trace norms
-    extra = {}
-    d = mdl.dim
-    for i in range(d):
-        for j in range(d):
-            extra[f"direct_re_{i}{j}"] = direct[:, i, j].real
-            extra[f"direct_im_{i}{j}"] = direct[:, i, j].imag
-    extra["dist"] = dist
     buf = io.StringIO()
-    write_trajectory_csv(buf, ts, product, extra=extra)
+    write_trajectory_csv(buf, ts, product,
+                         extra={**_entry_columns(direct, "direct_"), "dist": trace_norm(product - direct)})
     _emit(args, "trajectory.csv", buf.getvalue())
     return 0
 
@@ -374,25 +367,26 @@ def build_parser():
     return parser
 
 
+def _fail(exc, code):
+    """Write the JSON error object of ``exc`` (and its validation report, if any); return ``code``."""
+    payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
+    if (report := getattr(exc, "report", None)) is not None:
+        payload["validation"] = report.to_dict()
+    sys.stdout.write(dumps_canonical(payload))
+    return code
+
+
 def main(argv=None):
     try:
-        parser = build_parser()
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except QmmeError as exc:
-        sys.stdout.write(dumps_canonical({"error": {"type": type(exc).__name__, "message": str(exc)}}))
-        return 2
+        return _fail(exc, 2)
     try:
         return args.func(args)
     except QmmeError as exc:
-        payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-        report = getattr(exc, "report", None)
-        if report is not None:
-            payload["validation"] = report.to_dict()
-        sys.stdout.write(dumps_canonical(payload))
-        return _exit_code_for(exc)
+        return _fail(exc, _exit_code_for(exc))
     except Exception as exc:  # an unanticipated failure is numerical (3), never exit 1
-        sys.stdout.write(dumps_canonical({"error": {"type": type(exc).__name__, "message": str(exc)}}))
-        return 3
+        return _fail(exc, 3)
 
 
 if __name__ == "__main__":

@@ -110,10 +110,9 @@ def _rk4_fixed(f, y0, ts, h_target):
             continue
         m = max(1, int(math.ceil(span / h_target)))
         h = span / m
-        t = float(a)
-        for _ in range(m):
+        for k in range(m):
+            t = float(a) + k * h  # not a running sum, which drifts over many substeps
             y = _rk4_step(f, y, h, t, t + 0.5 * h, t + h)
-            t += h
         out.append(y)
     return np.stack(out)
 
@@ -256,6 +255,14 @@ def _blocked_rk4_path(advance, chunk, y0, ts, tol, norm):
     with np.errstate(over="ignore", invalid="ignore"):
         return _refine(functools.partial(_rk4_blocked, advance, chunk), y0, ts, tol,
                        lambda y: norm(y) if np.isfinite(y).all() else math.inf, _MAX_REFINEMENTS, "RK4")
+
+
+def _nonnegative_times(ts):
+    """``ts`` as a float array; OrderViolation for a negative time (every trajectory starts at t = 0)."""
+    ts = np.asarray(ts, dtype=float).reshape(-1)
+    if np.any(ts < 0):
+        raise OrderViolation("sample times must be nonnegative")
+    return ts
 
 
 # ---------------------------------------------------------------------------
@@ -412,10 +419,7 @@ class DynamicalMap:
 
     def evolve(self, rho0, ts):
         """Product-form trajectory at the sample times, p evaluated once per grid."""
-        rho0 = self._state(rho0)
-        ts = np.asarray(ts, dtype=float).reshape(-1)
-        if np.any(ts < 0):
-            raise OrderViolation("sample times must be nonnegative")
+        rho0, ts = self._state(rho0), _nonnegative_times(ts)
         v0 = rho0.reshape(-1, order="F")
         d = self.dim
         if self._eig is not None:
@@ -428,20 +432,20 @@ class DynamicalMap:
         return p @ u @ p.conj().transpose(0, 2, 1)
 
     def integrate_direct(self, rho0, ts, tol=1e-8):
-        """Trajectory from RK4 on the time-local master equation.
+        """Trajectory from RK4 on the time-local master equation, from ``rho0`` at t = 0.
 
         Deliberately avoids the product form: the only shared ingredients are
         the series evaluations and the constant dissipator matrix.
         """
-        rho0, d = self._state(rho0), self.dim
+        rho0, d, ts = self._state(rho0), self.dim, np.append(0.0, _nonnegative_times(ts))
         # two stage nodes a substep, of the d x d generator above the switch and of L(t) below it
         chunk = max(1, _CHUNK_ENTRIES // (2 * (d * d if d > _STEP_MATRIX_MAX_DIM else d**4)))
         if d > _STEP_MATRIX_MAX_DIM:
-            return _blocked_rk4_path(self._master_advance, chunk, rho0, ts, tol, trace_norm)
+            return _blocked_rk4_path(self._master_advance, chunk, rho0, ts, tol, trace_norm)[1:]
         # column-stacked states: a row-major reshape gives rho^T, which has the same trace norm
         vecs = _blocked_rk4_path(_linear_advance(self._lindbladians), chunk,
                                  rho0.reshape(-1, order="F"), ts, tol, lambda v: trace_norm(v.reshape(d, d)))
-        return vecs.reshape(-1, d, d).transpose(0, 2, 1)
+        return vecs[1:].reshape(-1, d, d).transpose(0, 2, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -449,8 +453,8 @@ class DynamicalMap:
 # ---------------------------------------------------------------------------
 
 def integrate_schrodinger_direct(model, ts, tol=1e-8):
-    """Solution of u' = -i H(t) u with u(ts[0]) = I by the 3-stage
-    Gauss-Legendre rule (order 6) under step halving.
+    """Solution of u' = -i H(t) u with u(0) = I at the nonnegative times ``ts``
+    by the 3-stage Gauss-Legendre rule (order 6) under step halving.
 
     ``H`` is the synthesized Hamiltonian series of the model; this is the
     oracle used to confirm that p(t) exp(-i t h_bar) solves the same equation.
@@ -460,9 +464,10 @@ def integrate_schrodinger_direct(model, ts, tol=1e-8):
     one batched solve of the (3d, 3d) stage systems. Gauss methods keep
     quadratic invariants, so u stays unitary up to rounding.
     """
+    ts = np.append(0.0, _nonnegative_times(ts))
     h_series = synthesize_hamiltonian(model.p_series, model.frequencies, model.h_bar)
     advance = _linear_advance(lambda times: -1j * h_series.evaluate_many(model.frequencies, times),
                               _gauss_step_matrices)
     chunk = max(1, _CHUNK_ENTRIES // (_GL_C.size * model.dim**2))
     return _refine(functools.partial(_rk4_blocked, advance, chunk), np.eye(model.dim, dtype=complex), ts,
-                   tol, np.linalg.norm, _MAX_REFINEMENTS, "Gauss-Legendre")
+                   tol, np.linalg.norm, _MAX_REFINEMENTS, "Gauss-Legendre")[1:]

@@ -281,17 +281,27 @@ class FourierOperatorSeries:
                 f"terms={len(self)}, tail={self.tail_norm:.2e})")
 
 
+def _on_union(series):
+    """The series (one r and d) on the union of their supports: its index rows (N, r) in
+    lexicographic order, each series' coefficients on them (N, len(series), d, d), zero
+    where a series has no term, and the mask (N, len(series)) of the terms each holds."""
+    for other in series[1:]:
+        series[0]._check_compatible(other)
+    idx, slot = np.unique(np.vstack([s._idx for s in series]), axis=0, return_inverse=True)
+    # the union row and the series of each stacked term
+    where = slot.reshape(-1), np.repeat(np.arange(len(series)), [len(s) for s in series])
+    coeffs = np.zeros((len(idx), len(series)) + (series[0].d,) * 2, dtype=complex)
+    held = np.zeros(coeffs.shape[:2], dtype=bool)
+    coeffs[where], held[where] = np.vstack([s._stack for s in series]), True
+    return idx, coeffs, held
+
+
 def joint_sampler(series, omega):
     """Return a closure ts -> (len(series), len(ts), d, d) with frequencies bound: the
     series (one r and d) from one phase table and one matrix product per chunk, their
     coefficients side by side over the union of their supports (see _evaluate_rows)."""
-    for other in series[1:]:
-        series[0]._check_compatible(other)
-    idx, slot = np.unique(np.vstack([s._idx for s in series]), axis=0, return_inverse=True)
-    d, owner = series[0].d, np.repeat(np.arange(len(series)), [len(s) for s in series])  # of each row
-    flat = np.zeros((len(idx), len(series), d * d), dtype=complex)
-    flat[slot.reshape(-1), owner] = np.vstack([s._stack.reshape(-1, d * d) for s in series])
-    flat, omega = flat.reshape(len(idx), -1), series[0]._frequencies(omega)
+    idx, coeffs, _ = _on_union(series)
+    d, flat, omega = series[0].d, coeffs.reshape(len(idx), -1), series[0]._frequencies(omega)
     return lambda ts: (_evaluate_rows(idx, flat, omega, np.asarray(ts, dtype=float).reshape(-1))
                        .reshape(-1, len(series), d, d).swapaxes(0, 1))
 

@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import ParseError, SchemaVersionMismatch
 from .fourier import FourierOperatorSeries
+from .linalg import hermitize
 from .model import _BATH_FAMILIES, ReducedModel, bath_from_family, p_series_from_profile_terms
 
 __all__ = [
@@ -361,6 +362,14 @@ def load_density_matrix(path):
 # trajectory CSV
 # ---------------------------------------------------------------------------
 
+def _entry_columns(states, prefix=""):
+    """The re_ij, im_ij columns of a (T, d, d) stack, row-major, as name (``prefix`` first) -> (T,) array."""
+    d = states.shape[-1]
+    names = [f"{prefix}{part}_{i}{j}" for i in range(d) for j in range(d) for part in ("re", "im")]
+    parts = np.stack([states.real, states.imag], axis=-1).reshape(len(states), -1)
+    return dict(zip(names, parts.T))
+
+
 def write_trajectory_csv(out, ts, states, extra=None):
     """Write a trajectory as CSV to the text file object ``out``.
 
@@ -374,29 +383,15 @@ def write_trajectory_csv(out, ts, states, extra=None):
         raise ParseError(
             f"states must be (len(ts), d, d), got {states.shape} for {ts.size} times"
         )
-    d = states.shape[1]
     extra = dict(extra or {})
     for name, col in extra.items():
         if len(col) != ts.size:
             raise ParseError(f"extra column {name!r} has {len(col)} rows, expected {ts.size}")
-
-    header = ["t"]
-    for i in range(d):
-        for j in range(d):
-            header += [f"re_{i}{j}", f"im_{i}{j}"]
-    header += ["trace_re", "min_eig"]
-    header += list(extra)
-
-    out.write(",".join(header) + "\n")
-    for k, t in enumerate(ts):
-        rho = states[k]
-        vals = [_format_float(t)]
-        for i in range(d):
-            for j in range(d):
-                vals += [_format_float(rho[i, j].real), _format_float(rho[i, j].imag)]
-        vals.append(_format_float(rho.trace().real))
-        herm = 0.5 * (rho + rho.conj().T)
-        vals.append(_format_float(float(np.linalg.eigvalsh(herm)[0])))
-        for name in extra:
-            vals.append(_format_float(float(extra[name][k])))
-        out.write(",".join(vals) + "\n")
+    entries = _entry_columns(states)
+    table = np.column_stack([
+        ts, *entries.values(), np.trace(states, axis1=1, axis2=2).real,
+        np.linalg.eigvalsh(hermitize(states))[:, 0], *(np.asarray(c, dtype=float) for c in extra.values()),
+    ])
+    out.write(",".join(["t", *entries, "trace_re", "min_eig", *extra]) + "\n")
+    for row in table.tolist():
+        out.write(",".join(map(_format_float, row)) + "\n")

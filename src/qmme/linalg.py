@@ -161,11 +161,13 @@ def unitarity_residuals(u):
 
 
 def trace_norm(a):
-    """Sum of singular values (Schatten-1 norm)."""
+    """Sum of singular values (Schatten-1 norm): a float for one matrix, an array
+    over the leading axes for a ``(..., m, n)`` stack, each as for its matrix alone."""
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 2:
+    if a.ndim < 2:
         raise DimensionMismatch(f"trace norm needs a matrix, got shape {a.shape}")
-    return float(np.sum(np.linalg.svd(a, compute_uv=False)))
+    norms = np.linalg.svd(a, compute_uv=False).sum(axis=-1)
+    return float(norms) if a.ndim == 2 else norms
 
 
 def _kron(a, b):

@@ -121,10 +121,11 @@ class TestLinearRk4:
             # 3,100 substeps at d = 2 make four chunks; recorded nodes, a repeated
             # one among them, fall inside chunks and on their edges
             ([0.0, 0.3, 1.024, 1.024, 2.0, 2.9, 3.1], 1e-3),
-            # one interval of 3,200 substeps: the first three chunks record no node.
-            # The substeps are binary fractions, so _rk4_fixed's summed substep starts
-            # are exact; at h 1e-3 over one interval they drift the path by 2.4e-13
+            # one interval of 3,200 or 3,100 substeps: the first three chunks record no
+            # node. Binary-fraction substeps make every substep start exact; at h 1e-3,
+            # summed starts drifted the callback path by 2.4e-13 over the interval
             ([0.0, 3.125], 2.0**-10),
+            ([0.0, 3.1], 1e-3),
         ):
             ts = np.array(ts)
             chunked = dynamics._rk4_blocked(dynamics._linear_advance(_rotation), 1024, y0, ts, h_target)
@@ -603,9 +604,21 @@ class TestTrajectories:
             assert np.allclose(dmap.at(t).apply(rho0), rho, atol=1e-12)
 
     def test_negative_time_rejected(self, q1):
-        _, _, dmap = q1
+        model, _, dmap = q1
         with pytest.raises(OrderViolation):
             dmap.evolve(np.eye(2) / 2, [-1.0, 0.0])
+        with pytest.raises(OrderViolation):
+            dmap.integrate_direct(np.eye(2) / 2, [-1.0, 0.0])
+        with pytest.raises(OrderViolation):
+            integrate_schrodinger_direct(model, [-1.0, 0.0])
+
+    def test_direct_grid_after_zero(self, q2):
+        # rho0 is the state at t = 0, so a grid starting later is reached by marching from 0
+        _, _, dmap = q2
+        rho0 = np.full((2, 2), 0.5, dtype=complex)
+        for ts in ([2.0], [5.0, 6.0, 10.0]):
+            gaps = dmap.integrate_direct(rho0, ts) - dmap.evolve(rho0, ts)
+            assert np.max(trace_norm(gaps)) < 1e-7
 
     def test_non_unitary_frame_names_first_bad_time(self, q1):
         # p(t) = 1 + a (exp(i t) - 1) is unitary at t = 0 only; the residual
@@ -772,6 +785,14 @@ class TestSchrodingerReduction:
     def test_empty_grid(self, q3):
         model, _, _ = q3
         assert integrate_schrodinger_direct(model, []).shape == (0, 3, 3)
+
+    def test_grid_after_zero(self, q3):
+        # u(0) = I, so a grid starting at t = 3 still follows p(t) exp(-i t h_bar)
+        model, _, dmap = q3
+        ts = np.linspace(3.0, 8.0, 11)
+        u_path = integrate_schrodinger_direct(model, ts, tol=1e-10)
+        for t, p, u in zip(ts, dmap.frames(ts), u_path):
+            assert np.linalg.norm(u - p @ scipy.linalg.expm(-1j * t * model.h_bar), 2) <= 1e-10
 
     def test_unitarity_of_integrated_path(self, q2):
         model, _, _ = q2

@@ -12,6 +12,7 @@ from qmme.fourier import (
     _MAX_BOX_POINTS,
     _PHASE_CHUNK,
     FourierOperatorSeries,
+    _on_union,
     _shells,
     check_rational_independence,
     frequency_vector,
@@ -467,6 +468,32 @@ class TestJointSampler:
             joint_sampler([random_series(rng, 2, 2, 2, 5), random_series(rng, 2, 3, 2, 5)], [1.0, 2.0])
         with pytest.raises(DimensionMismatch):
             joint_sampler([random_series(rng, 1, 2, 2, 5)], [1.0, 2.0])
+
+
+class TestOnUnion:
+    """The union of several series' supports, with each series' coefficients on it."""
+
+    def test_overlapping_disjoint_and_empty_supports(self):
+        a = FourierOperatorSeries(2, 2, 3, {(0, 1): np.eye(2), (1, -1): 2 * np.eye(2)})
+        b = FourierOperatorSeries(2, 2, 3, {(0, 1): 3j * np.eye(2), (-2, 0): 4 * np.eye(2)})
+        c = FourierOperatorSeries(2, 2, 3, {(3, 3): 5 * np.eye(2)})
+        empty = FourierOperatorSeries(2, 2, 3, {})
+        idx, coeffs, held = _on_union([a, empty, b, c])
+        assert idx.tolist() == [[-2, 0], [0, 1], [1, -1], [3, 3]]
+        assert held.tolist() == [[False, False, True, False], [True, False, True, False],
+                                 [True, False, False, False], [False, False, False, True]]
+        assert coeffs.shape == (4, 4, 2, 2)
+        for k, n in enumerate(map(tuple, idx.tolist())):
+            for mu, s in enumerate([a, empty, b, c]):
+                assert np.array_equal(coeffs[k, mu], s.coeff(n))
+        idx, coeffs, held = _on_union([empty, empty])
+        assert idx.shape == (0, 2) and coeffs.shape == (0, 2, 2, 2) and held.shape == (0, 2)
+
+    def test_shapes_must_agree(self, rng):
+        with pytest.raises(DimensionMismatch):
+            _on_union([random_series(rng, 2, 2, 2, 5), random_series(rng, 2, 3, 2, 5)])
+        with pytest.raises(DimensionMismatch):
+            _on_union([random_series(rng, 2, 2, 2, 5), random_series(rng, 1, 2, 2, 3)])
 
 
 class TestSupportStorage:

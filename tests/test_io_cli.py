@@ -19,6 +19,7 @@ from qmme import cli, dynamics, presets
 from qmme.errors import ParseError, SchemaVersionMismatch
 from qmme.fourier import FourierOperatorSeries
 from qmme.io import (
+    _format_float,
     dumps_canonical,
     load_density_matrix,
     load_model,
@@ -29,6 +30,8 @@ from qmme.io import (
 )
 from qmme.model import BathSpectrum, ReducedModel, p_series_from_profile_terms, validate_model
 from qmme.presets import PRESETS, SIGMA_Z, preset
+
+from conftest import random_density
 
 REPO = Path(__file__).resolve().parent.parent
 MODELS_DIR = REPO / "models"
@@ -265,6 +268,33 @@ class TestTrajectoryCsv:
         assert float(rows[1][0]) == 0.0
         assert float(rows[1][9]) == 1.0  # trace
         assert float(rows[2][11]) == 1e-9
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_matches_row_by_row_writer(self, rng, d):
+        def reference(out, ts, states, extra):
+            # the writer formatted entry by entry, one eigvalsh per state
+            entries = [f"{part}_{i}{j}" for i in range(d) for j in range(d) for part in ("re", "im")]
+            out.write(",".join(["t", *entries, "trace_re", "min_eig", *extra]) + "\n")
+            for k, t in enumerate(ts):
+                rho = states[k]
+                vals = [_format_float(t)]
+                for i in range(d):
+                    for j in range(d):
+                        vals += [_format_float(rho[i, j].real), _format_float(rho[i, j].imag)]
+                vals.append(_format_float(rho.trace().real))
+                vals.append(_format_float(float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0])))
+                vals += [_format_float(float(extra[name][k])) for name in extra]
+                out.write(",".join(vals) + "\n")
+
+        ts = np.array([0.0, 0.5, 0.5, 3.0, 1e-300, 12.25])  # a repeated time
+        states = np.stack([random_density(rng, d) for _ in ts])
+        states[1] += 1e-3j * rng.normal(size=(d, d))  # not Hermitian
+        extra = {"dist": rng.uniform(size=ts.size), "count": [1, 2, 3, 4, 5, 6],
+                 "neg": -rng.uniform(size=ts.size)}
+        got, expect = io.StringIO(), io.StringIO()
+        write_trajectory_csv(got, ts, states, extra=extra)
+        reference(expect, ts, states, extra)
+        assert got.getvalue() == expect.getvalue()
 
     def test_shape_mismatches(self):
         ts = np.array([0.0, 1.0])
@@ -603,18 +633,15 @@ class TestCliBuild:
 
 class TestCliDynamics:
     def test_evolve_paths_agree(self):
-        res = run_cli(
-            "evolve",
-            str(MODELS_DIR / "qubit_dephasing.json"),
-            "--grid", "0:5:40",
-            "--rho0", "plus",
-        )
-        assert res.returncode == 0, res.stderr
-        rows = list(csv.DictReader(io.StringIO(res.stdout)))
-        assert len(rows) == 40
-        worst = max(float(r["dist"]) for r in rows)
-        assert worst <= 1e-6
-        assert {"re_00", "direct_re_00", "dist"} <= set(rows[0])
+        # qubit_driven's grid starts after t = 0: both paths count its times from rho0 at t = 0
+        for name, grid, count in (("qubit_dephasing", "0:5:40", 40), ("qubit_driven", "5:10:6", 6)):
+            res = run_cli("evolve", str(MODELS_DIR / f"{name}.json"), "--grid", grid, "--rho0", "plus")
+            assert res.returncode == 0, res.stderr
+            rows = list(csv.DictReader(io.StringIO(res.stdout)))
+            assert len(rows) == count
+            worst = max(float(r["dist"]) for r in rows)
+            assert worst <= 1e-6
+            assert {"re_00", "direct_re_00", "dist"} <= set(rows[0])
 
     def test_spectrum_frozen(self):
         res = run_cli("spectrum", str(MODELS_DIR / "qubit_dephasing.json"))

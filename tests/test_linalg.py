@@ -148,6 +148,18 @@ class TestTraceNorm:
         a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         assert trace_norm(a) == pytest.approx(np.linalg.svd(a, compute_uv=False).sum())
 
+    def test_stack_matches_each_matrix(self, rng):
+        for shape in ((7, 2, 2), (2, 3, 3, 3), (4, 2, 3)):
+            a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            norms = trace_norm(a)
+            assert norms.shape == shape[:-2]
+            expect = np.array([trace_norm(m) for m in a.reshape((-1,) + shape[-2:])]).reshape(shape[:-2])
+            assert np.array_equal(norms, expect)
+
+    def test_vector_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            trace_norm(np.ones(3))
+
 
 class TestSuperoperator:
     def test_identity(self, rng):
