@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Defective, InsufficientDecay, SpectralViolation
+from .io import _pairs
 from .linalg import (
     Superoperator,
     _norms,
@@ -70,7 +71,7 @@ class StabilityReport:
 
     def to_dict(self):
         return {
-            "eigenvalues": [[float(z.real), float(z.imag)] for z in self.eigenvalues],
+            "eigenvalues": _pairs(self.eigenvalues),
             "k0": int(self.k0),
             "n_oscillatory": len(self.oscillatory_indices),
             "n_decaying": len(self.decaying_indices),
@@ -187,16 +188,13 @@ class LimitCycle:
 
     def to_dict(self):
         return {
-            "exponents": [[float(z.real), float(z.imag)] for z in self.exponents],
-            "coefficients": [[float(z.real), float(z.imag)] for z in self.coefficients],
-            "mode_matrices": [
-                [[[float(v.real), float(v.imag)] for v in row] for row in m]
-                for m in self.mode_matrices
-            ],
+            "exponents": _pairs(self.exponents),
+            "coefficients": _pairs(self.coefficients),
+            "mode_matrices": _pairs(self.mode_matrices),
             "quasiperiodic": bool(self.quasiperiodic),
             "reconstruction_residual": float(self.reconstruction_residual),
-            "decay_rates": [float(r) for r in self.decay_rates],
-            "decay_weights": [float(wt) for wt in self.decay_weights],
+            "decay_rates": self.decay_rates.tolist(),
+            "decay_weights": self.decay_weights.tolist(),
         }
 
 

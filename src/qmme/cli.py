@@ -35,7 +35,7 @@ from .errors import (
 )
 from .io import (
     _entry_columns,
-    _matrix_to_json,
+    _pairs,
     _series_to_dict,
     dumps_canonical,
     load_density_matrix,
@@ -126,7 +126,10 @@ def _parse_grid(spec):
         raise ParseError(
             f"--grid needs finite 0 <= start < stop and count >= 2, got {spec!r}"
         )
-    return np.linspace(start, stop, count)
+    try:
+        return np.linspace(start, stop, count)
+    except (MemoryError, ValueError):  # numpy refuses more than it can address as a ValueError
+        raise ParseError(f"--grid count {count} is too large to allocate, got {spec!r}") from None
 
 
 def _initial_state(spec, mdl):
@@ -219,35 +222,36 @@ def cmd_build(args):
     cov = generator.check_covariance(bundle)
     decomp, jumps = bundle.jumps.decomp, bundle.jumps
     block, mu = np.nonzero(jumps.present)  # every operator, in (w_idx, n, mu) order
-    norms = _norms(jumps.stack[block, mu])
+    norms = _norms(jumps.stack[block, mu]).tolist()
+    bohr, shifted = decomp.bohr_frequencies.tolist(), bundle.shifted_frequencies.tolist()
     payload = {
         "validation": report.to_dict(),
         "decomposition": {
-            "quasienergies": [float(e) for e in decomp.quasienergies],
-            "bohr_frequencies": [float(w) for w in decomp.bohr_frequencies],
-            "projections": [_matrix_to_json(p) for p in decomp.projections],
+            "quasienergies": decomp.quasienergies.tolist(),
+            "bohr_frequencies": bohr,
+            "projections": _pairs(decomp.projections),
         },
         "jump_operators": [
             {
                 "coupling": m,
                 "n": list(jumps.blocks[b][1]),
-                "frequency": float(decomp.bohr_frequencies[jumps.blocks[b][0]]),
-                "shifted_frequency": float(bundle.shifted_frequencies[b]),
-                "norm": float(norm),
+                "frequency": bohr[jumps.blocks[b][0]],
+                "shifted_frequency": shifted[b],
+                "norm": norm,
             }
             for b, m, norm in zip(block.tolist(), mu.tolist(), norms)
         ],
-        "delta_h": _matrix_to_json(bundle.delta_h),
+        "delta_h": _pairs(bundle.delta_h),
         "kossakowski_blocks": [
             {
-                "n": [int(v) for v in n],
-                "frequency": float(decomp.bohr_frequencies[w_idx]),
-                "shifted_frequency": float(shift),
-                "h_matrix": _matrix_to_json(h),
+                "n": list(n),
+                "frequency": bohr[w_idx],
+                "shifted_frequency": shift,
+                "h_matrix": h,
             }
-            for (w_idx, n), shift, h in zip(jumps.blocks, bundle.shifted_frequencies, bundle.kossakowski)
+            for (w_idx, n), shift, h in zip(jumps.blocks, shifted, _pairs(bundle.kossakowski))
         ],
-        "x_matrix": _matrix_to_json(bundle.x.matrix),
+        "x_matrix": _pairs(bundle.x.matrix),
         "covariance": cov.to_dict(),
     }
     _emit(args, "build.json", dumps_canonical(payload))

@@ -18,9 +18,9 @@ Serialization is canonical: sorted keys, floats at 17 significant digits, so
 identical models produce byte-identical files.
 """
 
-import io as _io
 import json
 import math
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -59,74 +59,49 @@ def _format_float(x):
     return format(x, ".17g")
 
 
-def _write_canonical(obj, out, indent):
-    pad = "  " * indent
-    if obj is None:
-        out.write("null")
-    elif obj is True:
-        out.write("true")
-    elif obj is False:
-        out.write("false")
-    elif isinstance(obj, str):
-        out.write(json.dumps(obj, ensure_ascii=True))
-    elif isinstance(obj, (int, np.integer)):
-        out.write(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.write(_format_float(obj))
-    elif isinstance(obj, dict):
+def _canonical(obj, pad=""):
+    """Canonical JSON text of ``obj`` whose nested lines are indented past ``pad``:
+    sorted keys one a line, a list of numbers on one line, any other list one
+    item a line."""
+    if isinstance(obj, (float, np.floating)):
+        return _format_float(obj)
+    if isinstance(obj, dict):
         if not obj:
-            out.write("{}")
-            return
-        out.write("{\n")
-        keys = sorted(obj, key=str)
-        for i, k in enumerate(keys):
+            return "{}"
+        lines = []
+        for k in sorted(obj, key=str):
             if not isinstance(k, str):
                 raise ParseError(f"JSON object keys must be strings, got {k!r}")
-            out.write(f'{pad}  {json.dumps(k)}: ')
-            _write_canonical(obj[k], out, indent + 1)
-            out.write(",\n" if i + 1 < len(keys) else "\n")
-        out.write(pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        flat = all(isinstance(v, (int, float, np.integer, np.floating)) for v in obj)
+            lines.append(f"{pad}  {encode_basestring_ascii(k)}: {_canonical(obj[k], pad + '  ')}")
+        return "{\n" + ",\n".join(lines) + f"\n{pad}}}"
+    if isinstance(obj, (list, tuple)):
         if not obj:
-            out.write("[]")
-        elif flat:
-            out.write("[")
-            for i, v in enumerate(obj):
-                _write_canonical(v, out, indent)
-                if i + 1 < len(obj):
-                    out.write(", ")
-            out.write("]")
-        else:
-            out.write("[\n")
-            for i, v in enumerate(obj):
-                out.write(pad + "  ")
-                _write_canonical(v, out, indent + 1)
-                out.write(",\n" if i + 1 < len(obj) else "\n")
-            out.write(pad + "]")
-    else:
-        raise ParseError(f"cannot serialize object of type {type(obj).__name__}")
+            return "[]"
+        if all(isinstance(v, (int, float, np.integer, np.floating)) for v in obj):
+            return "[" + ", ".join([_canonical(v) for v in obj]) + "]"
+        return "[\n" + ",\n".join([f"{pad}  {_canonical(v, pad + '  ')}" for v in obj]) + f"\n{pad}]"
+    if obj is None or obj is True or obj is False:
+        return json.dumps(obj)
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    raise ParseError(f"cannot serialize object of type {type(obj).__name__}")
 
 
 def dumps_canonical(obj):
     """Serialize to deterministic JSON text (sorted keys, fixed float format)."""
-    buf = _io.StringIO()
-    _write_canonical(obj, buf, 0)
-    buf.write("\n")
-    return buf.getvalue()
+    return _canonical(obj) + "\n"
 
 
 # ---------------------------------------------------------------------------
 # matrices and complex pairs
 # ---------------------------------------------------------------------------
 
-def _pair(z):
-    return [float(z.real), float(z.imag)]
-
-
-def _matrix_to_json(m):
-    m = np.asarray(m, dtype=complex)
-    return [[_pair(v) for v in row] for row in m]
+def _pairs(a):
+    """A complex array of any shape as nested lists whose innermost items are [re, im]."""
+    a = np.asarray(a, dtype=complex)
+    return np.stack([a.real, a.imag], -1).tolist()
 
 
 def _series_to_dict(series):
@@ -136,8 +111,8 @@ def _series_to_dict(series):
         "dim": series.d,
         "trunc": series.trunc,
         "tail_norm": float(series.tail_norm),
-        "coefficients": [{"n": [int(v) for v in n], "matrix": _matrix_to_json(m)}
-                         for n, m in series.coeffs.items()],
+        "coefficients": [{"n": list(n), "matrix": m}
+                         for n, m in zip(series.coeffs, _pairs(list(series.coeffs.values())))],
     }
 
 
@@ -226,9 +201,9 @@ def model_to_dict(model):
     return {
         "schema": SCHEMA_NAME,
         "version": SCHEMA_VERSION,
-        "frequencies": [float(w) for w in model.frequencies],
-        "h_bar": _matrix_to_json(model.h_bar),
-        "couplings": [_matrix_to_json(s) for s in model.couplings],
+        "frequencies": model.frequencies.tolist(),
+        "h_bar": _pairs(model.h_bar),
+        "couplings": _pairs(model.couplings),
         "bath": {
             "family": model.bath.family,
             "params": {k: float(v) for k, v in sorted(model.bath.params.items())},

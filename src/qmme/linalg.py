@@ -72,9 +72,13 @@ def devectorize(v):
 
 
 def hermiticity_defect(a):
-    """Relative Frobenius defect ||A - A^dag|| / max(1, ||A||)."""
+    """Relative Frobenius defect ||A - A^dag|| / max(1, ||A||): a float for one matrix,
+    an array over the leading axes for a ``(..., d, d)`` stack, each as for its matrix alone."""
     a = np.asarray(a, dtype=complex)
-    return np.linalg.norm(a - a.conj().T) / max(1.0, np.linalg.norm(a))
+    if a.ndim < 2:
+        raise DimensionMismatch(f"Hermiticity defect needs a matrix, got shape {a.shape}")
+    defects = (_norms(a - a.conj().swapaxes(-1, -2)) / np.maximum(1.0, _norms(a))).reshape(a.shape[:-2])
+    return float(defects) if a.ndim == 2 else defects
 
 
 def hermitize(a):

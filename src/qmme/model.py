@@ -109,7 +109,7 @@ class BathSpectrum:
         if bad.size:
             raise Overflow(f"bath {name}({float(at[bad[0]])}) contains non-finite entries")
         g_dag = g.conj().swapaxes(1, 2)
-        bad = np.flatnonzero(_norms(g - g_dag) / np.maximum(1.0, _norms(g)) > 1e-9)
+        bad = np.flatnonzero(hermiticity_defect(g) > 1e-9)
         if bad.size:
             raise not_hermitian(f"bath {name}({float(at[bad[0]])}) is not Hermitian")
         return 0.5 * (g + g_dag), at, np.argsort(calls)[inverse.reshape(-1)]
@@ -362,7 +362,7 @@ class ValidationReport:
                 "passed": bool(self.congruence_ok),
                 "witness": _wit(self.congruence_witness),
             },
-            "bohr_frequencies": [float(w) for w in self.bohr_frequencies],
+            "bohr_frequencies": self.bohr_frequencies.tolist(),
         }
 
 

@@ -20,6 +20,7 @@ from qmme.errors import ParseError, SchemaVersionMismatch
 from qmme.fourier import FourierOperatorSeries
 from qmme.io import (
     _format_float,
+    _pairs,
     dumps_canonical,
     load_density_matrix,
     load_model,
@@ -71,6 +72,162 @@ class TestCanonicalJson:
     def test_deterministic(self):
         doc = {"b": [1.5, 2.5], "a": {"y": 0.1, "x": 0.2}}
         assert dumps_canonical(doc) == dumps_canonical(doc)
+
+
+def _reference_write(obj, out, indent):
+    # the streaming writer that dumps_canonical replaced, kept as the byte reference
+    pad = "  " * indent
+    if obj is None:
+        out.write("null")
+    elif obj is True:
+        out.write("true")
+    elif obj is False:
+        out.write("false")
+    elif isinstance(obj, str):
+        out.write(json.dumps(obj, ensure_ascii=True))
+    elif isinstance(obj, (int, np.integer)):
+        out.write(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        out.write(_format_float(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.write("{}")
+            return
+        out.write("{\n")
+        keys = sorted(obj, key=str)
+        for i, k in enumerate(keys):
+            if not isinstance(k, str):
+                raise ParseError(f"JSON object keys must be strings, got {k!r}")
+            out.write(f'{pad}  {json.dumps(k)}: ')
+            _reference_write(obj[k], out, indent + 1)
+            out.write(",\n" if i + 1 < len(keys) else "\n")
+        out.write(pad + "}")
+    elif isinstance(obj, (list, tuple)):
+        flat = all(isinstance(v, (int, float, np.integer, np.floating)) for v in obj)
+        if not obj:
+            out.write("[]")
+        elif flat:
+            out.write("[")
+            for i, v in enumerate(obj):
+                _reference_write(v, out, indent)
+                if i + 1 < len(obj):
+                    out.write(", ")
+            out.write("]")
+        else:
+            out.write("[\n")
+            for i, v in enumerate(obj):
+                out.write(pad + "  ")
+                _reference_write(v, out, indent + 1)
+                out.write(",\n" if i + 1 < len(obj) else "\n")
+            out.write(pad + "]")
+    else:
+        raise ParseError(f"cannot serialize object of type {type(obj).__name__}")
+
+
+def _reference_dumps(obj):
+    buf = io.StringIO()
+    _reference_write(obj, buf, 0)
+    return buf.getvalue() + "\n"
+
+
+# integral floats on both sides of the 1e16 switch to exponent form, -0.0,
+# subnormals and values that need all 17 digits
+EDGE_FLOATS = [0.0, -0.0, 1.0, -3.0, 1e15, 9999999999999998.0, 1e16, -1e16, 1.5e16, 1e300,
+               5e-324, 2.2250738585072014e-308 / 3, 0.1 + 0.2, 1.0 / 3.0, -2.0 / 3.0, 1e-7,
+               123456789.12345679]
+STRING_PARTS = ["a", "key", '"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "/", "é", "中", "\u2028", "\U0001f600"]
+
+
+def _random_number(rnd):
+    kind = rnd.randrange(7)
+    if kind == 0:
+        return rnd.choice(EDGE_FLOATS)
+    if kind == 1:
+        return rnd.uniform(-1.0, 1.0) * 10.0 ** rnd.randint(-320, 300)
+    if kind == 2:
+        return np.float64(rnd.choice(EDGE_FLOATS + [rnd.gauss(0.0, 1.0)]))
+    if kind == 3:
+        return rnd.choice([True, False])
+    if kind == 4:
+        return np.int64(rnd.randint(-2**63, 2**63 - 1))
+    return rnd.choice([0, -1, 7, 2**70, -(10**20), rnd.randint(-1000, 1000)])
+
+
+def _random_string(rnd):
+    return "".join(rnd.choice(STRING_PARTS) for _ in range(rnd.randrange(4)))
+
+
+def _random_document(rnd, depth=0):
+    kind = rnd.randrange(7 if depth < 4 else 4)
+    if kind == 0:
+        return _random_number(rnd)
+    if kind == 1:
+        return rnd.choice([None, True, False, _random_string(rnd)])
+    if kind == 2:  # a list of numbers, written on one line
+        return [_random_number(rnd) for _ in range(rnd.randrange(5))]
+    if kind == 3:
+        return rnd.choice([{}, [], ()])
+    if kind == 4:
+        return {_random_string(rnd): _random_document(rnd, depth + 1) for _ in range(rnd.randrange(5))}
+    items = [_random_number(rnd) if rnd.random() < 0.4 else _random_document(rnd, depth + 1)
+             for _ in range(1 + rnd.randrange(4))]
+    return tuple(items) if kind == 5 else items
+
+
+class TestCanonicalWriterReference:
+    """dumps_canonical against the streaming writer it replaced, byte for byte."""
+
+    def test_seeded_random_documents(self):
+        rnd = random.Random(20240611)
+        for i in range(400):
+            doc = {"doc": _random_document(rnd), _random_string(rnd): _random_document(rnd)}
+            assert dumps_canonical(doc) == _reference_dumps(doc), i
+
+    def test_top_level_values(self):
+        for doc in (None, True, 1.0, -0.0, 3, np.int64(-4), "q\"", [], {}, (1, [2.0]), [[], {}], [1, True, np.float64(2.5)]):
+            assert dumps_canonical(doc) == _reference_dumps(doc), doc
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_model_documents(self, name):
+        doc = model_to_dict(preset(name))
+        assert dumps_canonical(doc) == _reference_dumps(doc)
+
+    @pytest.mark.parametrize("bad", [
+        {1: 0.0}, {"a": {"b": {None: 1}}}, [1.0, float("nan")], {"x": [float("inf")]}, -math.inf,
+        np.bool_(True), [np.bool_(False)], {"s": {1.0}}, [1j], {"z": complex(1.0, 2.0)},
+    ])
+    def test_unsupported_values_raise(self, bad):
+        with pytest.raises(ParseError):
+            _reference_dumps(bad)
+        with pytest.raises(ParseError):
+            dumps_canonical(bad)
+
+
+class TestComplexPairs:
+    @staticmethod
+    def _per_entry(a):
+        # the per-entry comprehensions _pairs replaced
+        if a.ndim == 1:
+            return [[float(z.real), float(z.imag)] for z in a]
+        if a.ndim == 2:
+            return [[[float(v.real), float(v.imag)] for v in row] for row in a]
+        return [TestComplexPairs._per_entry(m) for m in a]
+
+    @pytest.mark.parametrize("shape", [(5,), (3, 3), (4, 2, 2), (0,), (0, 2, 2)])
+    def test_matches_per_entry_conversion(self, rng, shape):
+        a = rng.normal(size=shape) + 1j * rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+        if a.size:
+            a.flat[0] = complex(-0.0, -0.0)
+            a.flat[-1] = complex(0.0, -0.0)
+        got, expect = _pairs(a), self._per_entry(a)
+        # repr tells -0.0 from 0.0, and every float by its shortest round-trip digits
+        assert repr(got) == repr(expect)
+        assert json.dumps(got) == json.dumps(expect)
+
+    def test_lists_of_matrices_and_real_input(self):
+        mats = [np.eye(2), 1j * np.ones((2, 2))]
+        assert _pairs(mats) == self._per_entry(np.array(mats, dtype=complex))
+        assert repr(_pairs(np.array([-0.0, 2.0]))) == "[[-0.0, 0.0], [2.0, 0.0]]"
 
 
 class TestModelRoundTrip:
@@ -533,6 +690,22 @@ class TestCliExitContract:
             cli.main(["validate", "--help"])
         assert stop.value.code == 0
         assert capsys.readouterr().out.startswith("usage: qmme validate")
+
+    @pytest.mark.parametrize("command", ["evolve", "steady-state", "certify"])
+    def test_unallocatable_grid_is_usage_error(self, command, capsys):
+        # numpy refuses the 711 PiB array (MemoryError) and the count past what it can
+        # address (ValueError) before allocating anything
+        model = str(MODELS_DIR / "qubit_dephasing.json")
+        for count in ("100000000000000000", "10000000000000000000"):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                got = cli.main([command, model, "--grid", f"0:1:{count}"])
+            out, err = capsys.readouterr()
+            assert err == "" and not caught
+            assert got == 2, out
+            message = json.loads(out)["error"]
+            assert message["type"] == "ParseError"
+            assert "--grid" in message["message"] and count in message["message"]
 
     def test_oversized_generator_grid_is_usage_error(self, tmp_path, capsys):
         # trunc is only a bound: at 3000 the Taylor terms of p keep the support they

@@ -58,6 +58,21 @@ class TestHermitian:
         big = 1e6 * np.eye(2) + np.array([[0, 1e-4], [0, 0]])
         assert hermiticity_defect(big) < 1e-9
 
+    def test_defect_of_stack_matches_each_matrix(self, rng):
+        for shape in ((7, 2, 2), (2, 3, 3, 3), (1, 4, 4)):
+            a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            a[0] = 1e3 * hermitize(a[0])  # a Hermitian matrix with a norm past 1
+            defects = hermiticity_defect(a)
+            assert defects.shape == shape[:-2]
+            expect = [hermiticity_defect(m) for m in a.reshape((-1,) + shape[-2:])]
+            assert np.array_equal(defects, np.reshape(expect, shape[:-2]))
+            one = a.reshape((-1,) + shape[-2:])[-1]
+            assert hermiticity_defect(one) == np.linalg.norm(one - one.conj().T) / max(1.0, np.linalg.norm(one))
+
+    def test_defect_of_vector_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            hermiticity_defect(np.ones(3))
+
     def test_hermitize_projects(self, rng):
         a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         h = hermitize(a)
