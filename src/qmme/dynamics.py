@@ -37,7 +37,8 @@ nodes it reaches are read. A chunk that ends on a non-finite state ends its
 level of the halving ladder, whose later nodes all take that state. Above
 ``_STEP_MATRIX_MAX_DIM`` the master equation takes RK4 stages on the d x d
 density matrix instead (2 d^2 entries a substep), as they cost less there
-than d^2 x d^2 products. The master equation stays on RK4 below that too:
+than d^2 x d^2 products, and ``rk4_path`` takes them for any y' = f(t, y).
+The master equation stays on RK4 below that too:
 its steps are set by the grid spacing as much as by the tolerance, and a
 Gauss-Legendre march of the five shipped models on ``integrate_direct``'s
 benchmark grid took 0.65 s against RK4's 0.24 s. The product form evaluates
@@ -96,30 +97,9 @@ def _rk4_step(f, y, h, start, middle, end):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _rk4_fixed(f, y0, ts, h_target):
-    """March y' = f(t, y) through the nodes ``ts`` with uniform substeps of
-    size at most ``h_target`` inside each interval; records y at every node."""
-    out = [np.array(y0, dtype=complex)]
-    y = out[0]
-    for a, b in zip(ts[:-1], ts[1:]):
-        span = float(b - a)
-        if span < 0:
-            raise OrderViolation("sample times must be ascending")
-        if span == 0.0:
-            out.append(y.copy())
-            continue
-        m = max(1, int(math.ceil(span / h_target)))
-        h = span / m
-        for k in range(m):
-            t = float(a) + k * h  # not a running sum, which drifts over many substeps
-            y = _rk4_step(f, y, h, t, t + 0.5 * h, t + h)
-        out.append(y)
-    return np.stack(out)
-
-
 def _substeps(ts, h_target):
-    """The substeps of ``_rk4_fixed`` as arrays: start time and size of each,
-    and for every node after the first the number of substeps that reach it."""
+    """Each interval of ``ts`` in equal substeps of size at most ``h_target``, as arrays: start time and
+    size of each substep, and for every node after the first the number of substeps that reach it."""
     spans = np.diff(ts)
     if np.any(spans < 0):
         raise OrderViolation("sample times must be ascending")
@@ -159,7 +139,7 @@ def _stage_nodes(edges, h):
 
 
 def _rk4_blocked(advance, chunk, y0, ts, h_target):
-    """The substeps of ``_rk4_fixed`` taken ``chunk`` at a time, by either rule.
+    """The substeps of ``_substeps`` taken ``chunk`` at a time, by any rule.
 
     ``advance(y, edges, h)`` marches y through the substeps of sizes ``h``
     between consecutive ``edges`` and returns the state after each of them.
@@ -219,6 +199,21 @@ def _linear_advance(a_at, step_matrices=_rk4_step_matrices):
     return advance
 
 
+def _stage_advance(f_at):
+    """Chunk march of y' = f by RK4 stages, where ``f_at(nodes)`` returns f(i, y),
+    the right-hand side at stage node i of the chunk's 2n + 1 (see _stage_nodes)."""
+
+    def advance(y, edges, h):
+        n = h.size
+        f = f_at(_stage_nodes(edges, h))
+        path = np.empty((n,) + y.shape, dtype=complex)
+        for k in range(n):
+            y = path[k] = _rk4_step(f, y, h[k], k, n + 1 + k, k + 1)
+        return path
+
+    return advance
+
+
 def _refine(march, y0, ts, tol, norm, max_refinements, rule):
     """Trajectory ``march(y0, ts, h)`` refined by step halving (see rk4_path);
     ``rule`` names the step rule in NoConvergence."""
@@ -245,12 +240,14 @@ def rk4_path(f, y0, ts, tol=1e-8, norm=None, max_refinements=_MAX_REFINEMENTS):
     finer trajectory is returned. Raises NoConvergence when the refinement
     budget is exhausted.
     """
-    return _refine(functools.partial(_rk4_fixed, f), y0, ts, tol,
+    advance = _stage_advance(lambda nodes: lambda i, y: f(nodes[i], y))
+    chunk = max(1, _CHUNK_ENTRIES // (2 * max(1, np.size(y0))))  # two stage nodes a substep, of y's entries
+    return _refine(functools.partial(_rk4_blocked, advance, chunk), y0, ts, tol,
                    trace_norm if norm is None else norm, max_refinements, "RK4")
 
 
 def _blocked_rk4_path(advance, chunk, y0, ts, tol, norm):
-    """rk4_path marched ``chunk`` substeps at a time by ``advance`` (see _rk4_blocked) for the master
+    """The halving ladder over ``chunk`` substeps at a time by ``advance`` (see _rk4_blocked) for the master
     equation, whose L(t) is finite: a level past RK4's stability bound overflows unwarned, unconverged."""
     with np.errstate(over="ignore", invalid="ignore"):
         return _refine(functools.partial(_rk4_blocked, advance, chunk), y0, ts, tol,
@@ -385,15 +382,12 @@ class DynamicalMap:
         self.frames([t])
         return Superoperator(self._lindbladians(np.array([t], dtype=float))[0])
 
-    def _master_advance(self, rho, edges, h):
-        """Chunk march of the master equation for d > _STEP_MATRIX_MAX_DIM (see _rk4_blocked):
-        the state after each substep.
-
-        p and H are evaluated at every stage node of the chunk from one phase table;
-        the RK4 stages act on the d x d state, O(d^4) per stage for the dissipator.
-        """
+    def _master_rhs(self, nodes):
+        """The master equation's right-hand side f(i, rho) at stage node i of ``nodes`` for
+        d > _STEP_MATRIX_MAX_DIM (see _stage_advance): p and H at every node from one phase
+        table, and O(d^4) a call on the d x d state for the dissipator."""
         d = self.dim
-        p, gen = self._hamiltonians(_stage_nodes(edges, h))
+        p, gen = self._hamiltonians(nodes)
         pd, gen = p.conj().transpose(0, 2, 1), -1j * gen
         # the dissipator on row-major vectors: vec_F(X) = vec_C(X^T)
         rows = np.arange(d * d).reshape(d, d).T.reshape(-1)
@@ -403,11 +397,7 @@ class DynamicalMap:
             dissipated = (diss @ (pd[i] @ rho @ p[i]).reshape(-1)).reshape(d, d)
             return gen[i] @ rho - rho @ gen[i] + p[i] @ dissipated @ pd[i]
 
-        n = h.size
-        path = np.empty((n, d, d), dtype=complex)
-        for k in range(n):
-            rho = path[k] = _rk4_step(rhs, rho, h[k], k, n + 1 + k, k + 1)
-        return path
+        return rhs
 
     # -- propagation ------------------------------------------------------
 
@@ -420,6 +410,7 @@ class DynamicalMap:
     def evolve(self, rho0, ts):
         """Product-form trajectory at the sample times, p evaluated once per grid."""
         rho0, ts = self._state(rho0), _nonnegative_times(ts)
+        p = self.frames(ts)  # first: a time whose phase overflows raises before exp(t w) overflows
         v0 = rho0.reshape(-1, order="F")
         d = self.dim
         if self._eig is not None:
@@ -428,7 +419,6 @@ class DynamicalMap:
         else:
             vecs = np.array([self.expm_x(t) @ v0 for t in ts], dtype=complex).reshape(ts.size, d * d)
         u = vecs.reshape(ts.size, d, d).transpose(0, 2, 1)  # un-stack the columns
-        p = self.frames(ts)
         return p @ u @ p.conj().transpose(0, 2, 1)
 
     def integrate_direct(self, rho0, ts, tol=1e-8):
@@ -441,7 +431,7 @@ class DynamicalMap:
         # two stage nodes a substep, of the d x d generator above the switch and of L(t) below it
         chunk = max(1, _CHUNK_ENTRIES // (2 * (d * d if d > _STEP_MATRIX_MAX_DIM else d**4)))
         if d > _STEP_MATRIX_MAX_DIM:
-            return _blocked_rk4_path(self._master_advance, chunk, rho0, ts, tol, trace_norm)[1:]
+            return _blocked_rk4_path(_stage_advance(self._master_rhs), chunk, rho0, ts, tol, trace_norm)[1:]
         # column-stacked states: a row-major reshape gives rho^T, which has the same trace norm
         vecs = _blocked_rk4_path(_linear_advance(self._lindbladians), chunk,
                                  rho0.reshape(-1, order="F"), ts, tol, lambda v: trace_norm(v.reshape(d, d)))

@@ -65,6 +65,10 @@ def _evaluate_rows(idx, flat, omega, ts):
     out = np.zeros((ts.size, flat.shape[1]), dtype=complex)
     slots = idx.T + k  # column of each term in the table
     axis_freqs = omega[:, None] * np.arange(1, k + 1)
+    with np.errstate(over="ignore", invalid="ignore"):  # each time's largest phase, in the table's product order
+        top = ts * axis_freqs.max(initial=0.0)
+    if k and not np.isfinite(top).all():  # its cos and sin would be NaN
+        raise Overflow(f"series phase at t = {ts[np.argmin(np.isfinite(top))]} is not finite")
     rows = max(1, _PHASE_CHUNK // max(1, n_terms))
     for lo in range(0, ts.size, rows):
         x = ts[lo : lo + rows, None, None] * axis_freqs  # (times, r, k)
@@ -87,7 +91,7 @@ class FourierOperatorSeries:
     d : matrix dimension of the coefficients.
     trunc : per-axis truncation bound; every stored index has |n_i| <= trunc.
     coeffs : mapping from index tuples to (d, d) arrays.
-    tail_norm : l1 mass already known to be missing from this series.
+    tail_norm : l1 mass already known to be missing from this series, >= 0.
     """
 
     __slots__ = ("r", "d", "trunc", "tail_norm", "_idx", "_stack", "_coeffs")
@@ -95,6 +99,8 @@ class FourierOperatorSeries:
     def __init__(self, r, d, trunc, coeffs, tail_norm=0.0):
         if r < 1 or d < 1 or trunc < 0:
             raise DimensionMismatch(f"bad series shape parameters r={r} d={d} trunc={trunc}")
+        if not float(tail_norm) >= 0:  # a NaN fails this too
+            raise DimensionMismatch(f"series tail_norm {tail_norm} is not a number >= 0")
         r, d, trunc = int(r), int(d), int(trunc)
         keys = sorted(coeffs)
         idx = [tuple(int(v) for v in n) for n in keys]

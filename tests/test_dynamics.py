@@ -30,6 +30,43 @@ from qmme.model import (
 from qmme.presets import PRESETS, preset
 
 
+def _rk4_fixed(f, y0, ts, h_target):
+    """March y' = f(t, y) through the nodes ``ts`` with uniform substeps of
+    size at most ``h_target`` inside each interval; records y at every node."""
+    out = [np.array(y0, dtype=complex)]
+    y = out[0]
+    for a, b in zip(ts[:-1], ts[1:]):
+        span = float(b - a)
+        if span < 0:
+            raise OrderViolation("sample times must be ascending")
+        if span == 0.0:
+            out.append(y.copy())
+            continue
+        m = max(1, int(math.ceil(span / h_target)))
+        h = span / m
+        for k in range(m):
+            t = float(a) + k * h  # not a running sum, which drifts over many substeps
+            y = dynamics._rk4_step(f, y, h, t, t + 0.5 * h, t + h)
+        out.append(y)
+    return np.stack(out)
+
+
+def _rk4_reference(f, y0, ts, tol, norm):
+    """The reference RK4 trajectory: _rk4_fixed, one interval and one substep at a
+    time, under the halving ladder of the marches it checks."""
+    return dynamics._refine(functools.partial(_rk4_fixed, f), y0, ts, tol, norm, dynamics._MAX_REFINEMENTS, "RK4")
+
+
+def _counted(fn, calls):
+    """``fn`` that appends to ``calls`` on every call."""
+
+    def wrapped(*args):
+        calls.append(1)
+        return fn(*args)
+
+    return wrapped
+
+
 class TestRk4:
     def test_exponential_decay(self):
         ts = np.linspace(0.0, 2.0, 21)
@@ -79,6 +116,35 @@ class TestRk4:
         path = rk4_path(lambda t, y: -y, np.array([1.0 + 0j]), ts, tol=1e-10, norm=np.linalg.norm)
         assert path[1, 0] == path[2, 0]
 
+    def test_empty_state(self):
+        path = rk4_path(lambda t, y: -y, np.zeros(0), [0.0, 1.0], norm=np.linalg.norm)
+        assert path.shape == (2, 0)
+
+    def test_matches_reference_march(self, monkeypatch):
+        # uneven spacing and a repeated node; at tol 1e-12 the last levels take 3,846
+        # and 7,684 substeps, two and four chunks of 2,048 at a state of two entries
+        ts = np.concatenate([np.linspace(0.0, 1.0, 7), [1.3, 2.0, 2.0, 2.05, 3.0]])
+        y0 = np.array([1.0, 0.5j])
+
+        def f(t, y):
+            return _rotation([t])[0] @ y
+
+        ref_calls, calls, marches = [], [], []
+        reference = _rk4_reference(f, y0, ts, 1e-12, _counted(np.linalg.norm, ref_calls))
+        march = dynamics._rk4_blocked
+
+        def recorded(advance, chunk, y0, ts, h_target):
+            marches.append((chunk, dynamics._substeps(ts, h_target)[0].size))
+            return march(advance, chunk, y0, ts, h_target)
+
+        monkeypatch.setattr(dynamics, "_rk4_blocked", recorded)
+        path = rk4_path(f, y0, ts, tol=1e-12, norm=_counted(np.linalg.norm, calls))
+        assert len(calls) == len(ref_calls) == len(marches) - 1
+        chunk, substeps = marches[-1]
+        assert chunk == dynamics._CHUNK_ENTRIES // 4 and substeps > 3 * chunk
+        assert np.max(np.abs(path - reference)) < 1e-13
+        assert np.array_equal(path[8], path[9])
+
 
 def _constant(a):
     """Generator callback of the linear path for a constant matrix."""
@@ -108,8 +174,7 @@ class TestLinearRk4:
         ts = np.concatenate([np.linspace(0.0, 1.0, 7), [1.3, 2.0, 2.05, 3.0]])
         y0 = np.array([1.0, 0.5j])
         linear = self.path(_rotation, y0, ts)
-        callback = rk4_path(lambda t, y: _rotation([t])[0] @ y, y0, ts, tol=1e-10,
-                            norm=np.linalg.norm)
+        callback = _rk4_reference(lambda t, y: _rotation([t])[0] @ y, y0, ts, 1e-10, np.linalg.norm)
         assert np.max(np.abs(linear - callback)) < 1e-13
         angle = 0.5 * ts[-1] ** 2
         expect = np.array([[math.cos(angle), math.sin(angle)], [-math.sin(angle), math.cos(angle)]]) @ y0
@@ -129,7 +194,7 @@ class TestLinearRk4:
         ):
             ts = np.array(ts)
             chunked = dynamics._rk4_blocked(dynamics._linear_advance(_rotation), 1024, y0, ts, h_target)
-            callback = dynamics._rk4_fixed(lambda t, y: _rotation([t])[0] @ y, y0, ts, h_target)
+            callback = _rk4_fixed(lambda t, y: _rotation([t])[0] @ y, y0, ts, h_target)
             assert dynamics._substeps(ts, h_target)[0].size > 3 * 1024
             assert np.max(np.abs(chunked - callback)) < 1e-13
             repeated = np.flatnonzero(np.diff(ts) == 0)
@@ -218,7 +283,7 @@ _GL_B = [5 / 18, 4 / 9, 5 / 18]
 
 def _gauss_fixed(a_at, y0, ts, h_target):
     """The oracle's march one substep at a time, for y' = a_at(t) y: the
-    substeps of dynamics._rk4_fixed, each with A at its three nodes t + c_i h
+    substeps of _rk4_fixed, each with A at its three nodes t + c_i h
     and one plain solve of the stage system K_i = A_i (y + h sum_j a_ij K_j)."""
     y = np.array(y0, dtype=complex)
     d = y.shape[0]
@@ -241,26 +306,14 @@ def _gauss_fixed(a_at, y0, ts, h_target):
 
 
 class TestBatchedIntegratorsMatchCallbacks:
-    """Both cross-checks against marches driven by per-step right-hand sides:
-    the master equation against rk4_path, the oracle against _gauss_fixed."""
+    """Both cross-checks against marches driven by per-step right-hand sides, one
+    interval at a time: the master equation against _rk4_fixed, the oracle
+    against _gauss_fixed."""
 
     def halvings(self, monkeypatch, run):
         marches = []
-        march = dynamics._rk4_blocked
-
-        def counted(*args):
-            marches.append(1)
-            return march(*args)
-
-        monkeypatch.setattr(dynamics, "_rk4_blocked", counted)
+        monkeypatch.setattr(dynamics, "_rk4_blocked", _counted(dynamics._rk4_blocked, marches))
         return run(), len(marches) - 1
-
-    def counted_norm(self, norm, calls):
-        def wrapped(a):
-            calls.append(1)
-            return norm(a)
-
-        return wrapped
 
     # the driven models on both sides of the switch from step matrices to RK4 stages on d x d states
     @pytest.mark.parametrize("fixture", ["q2", "q3", dynamics._STEP_MATRIX_MAX_DIM,
@@ -278,7 +331,7 @@ class TestBatchedIntegratorsMatchCallbacks:
         rhs = _master_rhs(model, bundle, dmap)
 
         calls = []
-        reference = rk4_path(rhs, rho0, ts, tol=1e-8, norm=self.counted_norm(trace_norm, calls))
+        reference = _rk4_reference(rhs, rho0, ts, 1e-8, _counted(trace_norm, calls))
         batched, halvings = self.halvings(
             monkeypatch, lambda: dmap.integrate_direct(rho0, ts, tol=1e-8))
         assert np.max(np.abs(batched - reference)) <= 1e-12
@@ -293,7 +346,7 @@ class TestBatchedIntegratorsMatchCallbacks:
         calls = []
         reference = dynamics._refine(
             functools.partial(_gauss_fixed, lambda t: -1j * h_at(t)), np.eye(model.dim), ts, 1e-10,
-            self.counted_norm(np.linalg.norm, calls), dynamics._MAX_REFINEMENTS, "Gauss-Legendre")
+            _counted(np.linalg.norm, calls), dynamics._MAX_REFINEMENTS, "Gauss-Legendre")
         batched, halvings = self.halvings(
             monkeypatch, lambda: integrate_schrodinger_direct(model, ts, tol=1e-10))
         assert np.max(np.abs(batched - reference)) <= 1e-12
@@ -504,7 +557,7 @@ class TestDirectIntegrationAtLargerDimension:
         finally:
             tracemalloc.stop()
         assert peak < 2e6
-        reference = rk4_path(_master_rhs(model, bundle, dmap), rho0, ts, tol=1e-6)
+        reference = _rk4_reference(_master_rhs(model, bundle, dmap), rho0, ts, 1e-6, trace_norm)
         assert np.max(np.abs(direct - reference)) <= 1e-12
 
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -79,6 +80,27 @@ class TestSeriesBasics:
                 expect = s.evaluate(omega, t)
                 assert np.max(np.abs(sampler(t) - expect)) <= bound
                 assert np.max(np.abs(value - expect)) <= bound
+
+    @pytest.mark.parametrize("tail", [-1.0, math.nan])
+    def test_tail_must_be_a_nonnegative_number(self, tail):
+        with pytest.raises(DimensionMismatch, match=r"tail_norm .* is not a number >= 0"):
+            FourierOperatorSeries(1, 2, 0, {(0,): np.eye(2)}, tail_norm=tail)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_phase_names_its_time(self):
+        # the table's largest phase is t * 2 * 3, though no term holds (0, 2) on the
+        # second axis: it overflows from t = 3e307 on, where t and 3 t are finite
+        s = FourierOperatorSeries(2, 1, 2, {(2, 0): [[1.0]], (0, 1): [[1.0]]})
+        omega = np.array([1.0, 3.0])
+        assert np.isfinite(s.evaluate_many(omega, [0.0, 1.0, 2.9e307])).all()
+        for ts, first in (([0.0, 1.0, 3e307, 1e308], "3e+307"), ([-3e307], "-3e+307"), ([1.0, math.inf], "inf")):
+            with pytest.raises(Overflow, match=rf"^series phase at t = {re.escape(first)} is not finite$"):
+                s.evaluate_many(omega, ts)
+        with pytest.raises(Overflow):
+            joint_sampler([s, s], omega)([3e307])
+        # a constant series has no phase to overflow
+        constant = FourierOperatorSeries.constant(np.eye(2), r=1, trunc=3)
+        assert np.array_equal(constant.evaluate_many([1.0], [1e308, math.inf]), np.broadcast_to(np.eye(2), (2, 2, 2)))
 
     def test_evaluate_many_empty(self):
         s = FourierOperatorSeries(2, 2, 3, {})

@@ -611,6 +611,12 @@ class TestCliExitContract:
         ("non-utf8-model", 2, "ParseError"),
         ("nan-grid", 2, "ParseError"),
         ("huge-grid", 2, "DimensionMismatch"),
+        # a p_series tail below 0 would pass as a bound that no series meets
+        ("negative-tail", 2, "DimensionMismatch"),
+        # p's phase at t = 1e308 is not finite: refused before any cosine, exp(t X) or SVD
+        ("phase-overflow-evolve", 3, "Overflow"),
+        ("phase-overflow-steady-state", 3, "Overflow"),
+        ("phase-overflow-certify", 3, "Overflow"),
         ("huge-box", 2, "DimensionMismatch"),
         ("box-zero", 2, "DimensionMismatch"),
         ("box-negative", 2, "DimensionMismatch"),
@@ -665,6 +671,13 @@ class TestCliExitContract:
             bad = tmp_path / "model.json"
             bad.write_bytes(b'\xff\xfe{"schema": "qmme-model"}')
             argv = ["validate", str(bad)]
+        elif case == "negative-tail":
+            doc = json.loads((MODELS_DIR / "qubit_driven.json").read_text())
+            doc["p_series"]["tail_norm"] = -1.0
+            (tmp_path / "model.json").write_text(json.dumps(doc))
+            argv = ["synthesize", str(tmp_path / "model.json")]
+        elif case.startswith("phase-overflow-"):
+            argv = [case[len("phase-overflow-"):], str(MODELS_DIR / "qubit_driven.json"), "--grid", "0:1e308:3"]
         elif case == "huge-box":
             argv = ["validate", model, "--box", "10000000"]  # 2e7 + 1 points even at r = 1
         elif case.startswith("box-"):  # an empty scan would pass any model
