@@ -155,15 +155,17 @@ def check_congruence_freedom(bohr_freqs, omega, box=12, tol=1e-9):
     Returns None on pass, otherwise a witness (w, w', n): the first pair in
     pair-major order, with n its first lattice point in shell order, as a
     point-by-point scan finds it. The lattice values n . omega are computed
-    and sorted once, and each pair is a binary search. Frequency vectors
-    failing rational independence should be caught separately; this check
-    only inspects distinct frequency pairs.
+    and sorted once, and each pair is a binary search. The sort need not be
+    stable: a pair's window holds every point of its value range whatever the
+    order of equal values, and the witness is the window's first point in
+    shell order. Frequency vectors failing rational independence should be
+    caught separately; this check only inspects distinct frequency pairs.
     """
     bohr_freqs = np.asarray(bohr_freqs, dtype=float).reshape(-1)
     omega = frequency_vector(omega)
     pts = _shells(omega.size, box)
     dots = pts @ omega
-    order = np.argsort(dots, kind="stable")
+    order = np.argsort(dots)
     ranked = dots[order]
     targets = bohr_freqs[:, None] - bohr_freqs[None, :]
     # a window of twice the tolerance holds every point the exact test below accepts
@@ -193,17 +195,21 @@ class JumpOperatorSet:
 
     ``blocks`` lists the (frequency_index, n) pairs that hold at least one
     operator, sorted by frequency index first and Fourier index second; the
-    generator sums run in this order. ``stack[b, mu]`` is coupling mu's
-    operator in block b, a read-only array (blocks, couplings, d, d) with
-    zeros where a coupling has none, and the read-only mask ``present[b, mu]``
-    says which entries are operators (with ``drop_tol=0`` a kept operator can
-    be exactly zero).
+    generator sums run in this order. The same keys are held as arrays,
+    ``frequency_index`` (blocks,) and ``fourier_index`` (blocks, r), from
+    which the shifted frequencies are taken. ``stack[b, mu]`` is coupling
+    mu's operator in block b, a read-only array (blocks, couplings, d, d)
+    with zeros where a coupling has none, and the read-only mask
+    ``present[b, mu]`` says which entries are operators (with ``drop_tol=0``
+    a kept operator can be exactly zero).
     """
 
     decomp: BohrDecomposition
     blocks: list  # sorted (w_idx, n_tuple)
     stack: np.ndarray  # (blocks, couplings, d, d)
     present: np.ndarray  # (blocks, couplings) bool
+    frequency_index: np.ndarray  # (blocks,) w_idx of each block
+    fourier_index: np.ndarray  # (blocks, r) n of each block
 
     @property
     def n_couplings(self):
@@ -216,7 +222,7 @@ class JumpOperatorSet:
         b, mu = np.nonzero(self.present)
         mats = self.stack[b, mu]
         mats.setflags(write=False)
-        keys = zip(mu.tolist(), [self.blocks[i][1] for i in b], [self.blocks[i][0] for i in b])
+        keys = zip(mu.tolist(), map(tuple, self.fourier_index[b].tolist()), self.frequency_index[b].tolist())
         return MappingProxyType(dict(zip(keys, mats)))
 
     def op(self, mu, n, w_idx):
@@ -225,16 +231,17 @@ class JumpOperatorSet:
         return np.zeros((self.decomp.dim,) * 2, dtype=complex) if s is None else s
 
     def shifted_frequency(self, n, w_idx, omega):
-        return float(self._shifts([(w_idx, n)], omega)[0])
+        return float(self._shifts([w_idx], [n], omega)[0])
 
     def shifted_frequencies(self, omega):
         """Shifted frequency w + n . omega of each block, as an array."""
-        return self._shifts(self.blocks, omega)
+        return self._shifts(self.frequency_index, self.fourier_index, omega)
 
-    def _shifts(self, keys, omega):
-        """w + n . omega for each (w_idx, n) of ``keys``, each dot product as np.dot takes it."""
-        n = np.array([n for _, n in keys], dtype=float).reshape(len(keys), 1, np.size(omega))
-        return self.decomp.bohr_frequencies[[w for w, _ in keys]] + (n @ np.reshape(omega, (-1, 1))).reshape(-1)
+    def _shifts(self, w_idx, n, omega):
+        """w + n . omega for each frequency index of ``w_idx`` and Fourier index row
+        of ``n``, each dot product as np.dot takes it: one (k, 1, r) @ (r, 1) product."""
+        n = np.asarray(n, dtype=float).reshape(len(w_idx), 1, np.size(omega))
+        return self.decomp.bohr_frequencies[w_idx] + (n @ np.reshape(omega, (-1, 1))).reshape(-1)
 
 
 def build_jump_operator_set(decomp, s_hat_list, drop_tol=1e-14):
@@ -251,18 +258,20 @@ def build_jump_operator_set(decomp, s_hat_list, drop_tol=1e-14):
     idx, coeffs, held = _on_union(s_hat_list)
     v, entry_frequency = decomp.eigenvectors, decomp.entry_frequency
     rot = v.conj().T @ coeffs @ v
-    fourier = [tuple(n) for n in idx.tolist()]
-    blocks, stacks, masks = [], [], []
+    used, stacks, masks = [], [], []
     for w_idx in range(len(decomp.bohr_frequencies)):
         i, j = np.nonzero(entry_frequency == w_idx)  # the eigenbasis entries at w
         s = (v[:, i] * rot[..., None, i, j]) @ v[:, j].conj().T
         kept = held & (_norms(s) >= drop_tol).reshape(held.shape)
         s[~kept] = 0.0
-        used = np.flatnonzero(kept.any(axis=1))
-        blocks += [(w_idx, fourier[u]) for u in used]
-        stacks.append(s[used])
-        masks.append(kept[used])
+        used.append(np.flatnonzero(kept.any(axis=1)))
+        stacks.append(s[used[-1]])
+        masks.append(kept[used[-1]])
+    frequency_index = np.repeat(np.arange(len(used)), [len(u) for u in used])
+    fourier_index = idx[np.concatenate(used)]
+    blocks = list(zip(frequency_index.tolist(), map(tuple, fourier_index.tolist())))
     stack, present = np.concatenate(stacks), np.concatenate(masks)
-    for a in (stack, present):
+    for a in (stack, present, frequency_index, fourier_index):
         a.setflags(write=False)
-    return JumpOperatorSet(decomp=decomp, blocks=blocks, stack=stack, present=present)
+    return JumpOperatorSet(decomp=decomp, blocks=blocks, stack=stack, present=present,
+                           frequency_index=frequency_index, fourier_index=fourier_index)

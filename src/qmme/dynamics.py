@@ -216,7 +216,9 @@ def _stage_advance(f_at):
 
 def _refine(march, y0, ts, tol, norm, max_refinements, rule):
     """Trajectory ``march(y0, ts, h)`` refined by step halving (see rk4_path);
-    ``rule`` names the step rule in NoConvergence."""
+    ``rule`` names the step rule in NoConvergence. A level whose end state
+    differs from the last one's by a non-finite amount has not converged, and
+    ``norm`` never sees it."""
     ts = np.asarray(ts, dtype=float).reshape(-1)
     y0 = np.array(y0, dtype=complex)
     if ts.size < 2:
@@ -226,7 +228,8 @@ def _refine(march, y0, ts, tol, norm, max_refinements, rule):
     for _ in range(max_refinements):
         h *= 0.5
         cur = march(y0, ts, h)
-        if norm(cur[-1] - prev[-1]) < tol:
+        change = cur[-1] - prev[-1]
+        if np.isfinite(change).all() and norm(change) < tol:
             return cur
         prev = cur
     raise NoConvergence(f"{rule} did not reach tol={tol:.1e} within {max_refinements} step halvings")
@@ -250,8 +253,7 @@ def _blocked_rk4_path(advance, chunk, y0, ts, tol, norm):
     """The halving ladder over ``chunk`` substeps at a time by ``advance`` (see _rk4_blocked) for the master
     equation, whose L(t) is finite: a level past RK4's stability bound overflows unwarned, unconverged."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return _refine(functools.partial(_rk4_blocked, advance, chunk), y0, ts, tol,
-                       lambda y: norm(y) if np.isfinite(y).all() else math.inf, _MAX_REFINEMENTS, "RK4")
+        return _refine(functools.partial(_rk4_blocked, advance, chunk), y0, ts, tol, norm, _MAX_REFINEMENTS, "RK4")
 
 
 def _nonnegative_times(ts):

@@ -13,6 +13,7 @@ of what they drop to ``tail_norm``, a bound on the sup-over-t error; products ad
 each input's tail times the other's l1 norm, and the product of the two tails.
 """
 
+import functools
 import math
 from types import MappingProxyType
 
@@ -290,12 +291,20 @@ class FourierOperatorSeries:
 def _on_union(series):
     """The series (one r and d) on the union of their supports: its index rows (N, r) in
     lexicographic order, each series' coefficients on them (N, len(series), d, d), zero
-    where a series has no term, and the mask (N, len(series)) of the terms each holds."""
+    where a series has no term, and the mask (N, len(series)) of the terms each holds. One
+    lexsort puts the stacked rows in order, and each row that differs from the one before
+    it starts a new union row."""
     for other in series[1:]:
         series[0]._check_compatible(other)
-    idx, slot = np.unique(np.vstack([s._idx for s in series]), axis=0, return_inverse=True)
+    stacked = np.vstack([s._idx for s in series])
+    order = np.lexsort(stacked.T[::-1])  # the first column is the primary key
+    ranked = stacked[order]
+    first = np.ones(len(ranked), dtype=bool)
+    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    idx, slot = ranked[first], np.empty(len(ranked), dtype=np.intp)
+    slot[order] = np.cumsum(first) - 1
     # the union row and the series of each stacked term
-    where = slot.reshape(-1), np.repeat(np.arange(len(series)), [len(s) for s in series])
+    where = slot, np.repeat(np.arange(len(series)), [len(s) for s in series])
     coeffs = np.zeros((len(idx), len(series)) + (series[0].d,) * 2, dtype=complex)
     held = np.zeros(coeffs.shape[:2], dtype=bool)
     coeffs[where], held[where] = np.vstack([s._stack for s in series]), True
@@ -316,14 +325,18 @@ def _shells(r, box):
     """Integer points of the box |k_i| <= box, excluding 0, as an (N, r) array
     in shells of increasing Chebyshev radius (lexicographic inside a shell);
     DimensionMismatch for a box below 1, which would scan nothing, and before
-    any allocation above ``_MAX_BOX_POINTS`` points."""
+    any allocation above ``_MAX_BOX_POINTS`` points. The radius of every point
+    is the elementwise max of the r broadcast axes |k_i|, held in the smallest
+    integer type that holds ``box``, whose stable sort is a radix sort; a stable
+    sort keeps the lexicographic (row-major) order inside a shell."""
     if box < 1:
         raise DimensionMismatch(f"lattice box {box} is below 1: the scan would hold no point")
     _check_box(r, box, f"lattice box {box}")
-    axis = np.arange(-box, box + 1)
-    pts = np.stack(np.meshgrid(*[axis] * r, indexing="ij"), axis=-1).reshape(-1, r)
-    order = np.argsort(np.abs(pts).max(axis=1), kind="stable")
-    return pts[order[1:]]  # the origin is the only point of radius 0
+    axis = np.abs(np.arange(-box, box + 1)).astype(np.min_scalar_type(box))
+    radius = functools.reduce(np.maximum, np.ix_(*[axis] * r))
+    order = np.argsort(radius.reshape(-1), kind="stable")
+    # the origin is the only point of radius 0
+    return np.stack(np.unravel_index(order[1:], radius.shape), axis=-1) - box
 
 
 def normalize_witness(k):

@@ -255,6 +255,31 @@ class TestScansMatchLoops:
         assert found >= 20, found
 
 
+class TestCongruenceWitnessWithTiedLattice:
+    """Under a rationally dependent omega many lattice points share one value n . omega,
+    so the scan's sort meets ties; the witness must still be the first point in shell
+    order, as a point-by-point loop finds it, whatever order the sort gives the ties."""
+
+    OMEGA = np.array([1.0, 2.0])
+
+    @pytest.mark.parametrize("freqs", [
+        [-1.0, 0.0, 1.0],
+        [-2.0, 0.0, 2.0],
+        [-3.0, -1.5, 0.0, 1.5, 3.0],
+        [-4.0, -1.0, 0.0, 1.0, 4.0],
+        [-2.5, -0.5, 0.0, 0.5, 2.5],
+        [-7.0, -3.0, 0.0, 3.0, 7.0],
+    ])
+    def test_witness_matches_loop(self, freqs):
+        box = 4
+        dots = [float(np.dot(n, self.OMEGA)) for n in _loop_shells(2, box)]
+        assert len(set(dots)) <= len(dots) // 3  # 25 values for 80 points
+        freqs = np.array(freqs)
+        got = check_congruence_freedom(freqs, self.OMEGA, box=box)
+        assert got is not None
+        assert got == _loop_congruence(freqs, self.OMEGA, box, 1e-9)
+
+
 class TestInteractionSeries:
     def test_static_frame_passthrough(self):
         p = FourierOperatorSeries.constant(np.eye(2), r=2)
@@ -350,6 +375,9 @@ class TestJumpOperators:
         decomp, series = self.static_qubit()
         jset = build_jump_operator_set(decomp, [series], drop_tol=1e6)
         assert jset.blocks == [] and jset.stack.shape == (0, 1, 2, 2) and jset.present.shape == (0, 1)
+        assert jset.frequency_index.shape == (0,) and jset.fourier_index.shape == (0, series.r)
+        shifted = jset.shifted_frequencies(np.array([1.0] * series.r))
+        assert shifted.dtype == float and shifted.shape == (0,)
         assert one_coupling_ops(decomp, series, drop_tol=1e6) == {}
 
     def test_adjoint_pairing(self, rng):

@@ -101,6 +101,17 @@ class TestRk4:
                      norm=np.linalg.norm, max_refinements=1)
         assert any("overflow" in str(w.message) for w in seen)
 
+    def test_non_finite_level_not_converged_under_trace_norm(self):
+        # the default trace norm takes an SVD, which cannot take a non-finite end state:
+        # the level counts as not converged before any norm is taken, and the warning stays
+        seen_by_norm = []
+        with pytest.warns(RuntimeWarning), pytest.raises(NoConvergence, match=r"^RK4 did not reach"):
+            rk4_path(lambda t, y: y * 1e308 * 10.0, np.eye(2), [0.0, 1.0], max_refinements=1)
+        with pytest.warns(RuntimeWarning), pytest.raises(NoConvergence):
+            rk4_path(lambda t, y: y * 1e308 * 10.0, np.eye(2), [0.0, 1.0], max_refinements=2,
+                     norm=lambda y: seen_by_norm.append(y) or trace_norm(y))
+        assert seen_by_norm == []
+
     def test_descending_times_rejected(self):
         with pytest.raises(OrderViolation):
             rk4_path(lambda t, y: -y, np.array([1.0 + 0j]), [0.0, 2.0, 1.0],

@@ -514,6 +514,46 @@ class TestOnUnion:
     def test_shapes_must_agree(self, rng):
         with pytest.raises(DimensionMismatch):
             _on_union([random_series(rng, 2, 2, 2, 5), random_series(rng, 2, 3, 2, 5)])
+
+
+def _unique_union(series):
+    """The union of the supports from ``np.unique(axis=0)``, as _on_union built it before
+    its lexsort: the reference for the index rows, coefficients and mask."""
+    idx, slot = np.unique(np.vstack([s._idx for s in series]), axis=0, return_inverse=True)
+    where = slot.reshape(-1), np.repeat(np.arange(len(series)), [len(s) for s in series])
+    coeffs = np.zeros((len(idx), len(series)) + (series[0].d,) * 2, dtype=complex)
+    held = np.zeros(coeffs.shape[:2], dtype=bool)
+    coeffs[where], held[where] = np.vstack([s._stack for s in series]), True
+    return idx, coeffs, held
+
+
+class TestOnUnionMatchesUnique:
+    """The lexsort union against ``np.unique(axis=0)``, bit for bit and dtype for dtype."""
+
+    @staticmethod
+    def assert_same(series):
+        for got, expect in zip(_on_union(series), _unique_union(series)):
+            assert got.dtype == expect.dtype and got.shape == expect.shape
+            assert got.tobytes() == expect.tobytes()
+
+    def test_special_supports(self):
+        eye = np.eye(2)
+        empty = FourierOperatorSeries(3, 2, 4, {})
+        one = FourierOperatorSeries(3, 2, 4, {(-4, 0, 2): eye})
+        low = FourierOperatorSeries(3, 2, 4, {(-3, -1, -2): eye, (-3, -1, 4): 2 * eye, (-1, 0, 0): 3 * eye})
+        high = FourierOperatorSeries(3, 2, 4, {(0, 0, 1): 4j * eye, (2, -4, -4): 5 * eye})
+        for series in ([empty], [empty, empty], [one], [one, one], [empty, one], [low, high], [high, low],
+                       [low, empty, high, one], [low, low.adjoint(), high]):
+            self.assert_same(series)
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_seeded_series(self, r):
+        rng = np.random.default_rng(100 + r)
+        for trial in range(30):
+            spreads = rng.integers(0, 4, size=int(rng.integers(1, 5)))
+            # at most every point of the spread's box, or random_series would not end
+            self.assert_same([random_series(rng, r, 2, 3, int(rng.integers(0, min(12, (2 * k + 1) ** r) + 1)),
+                                            spread=int(k)) for k in spreads])
         with pytest.raises(DimensionMismatch):
             _on_union([random_series(rng, 2, 2, 2, 5), random_series(rng, 1, 2, 2, 3)])
 
@@ -588,6 +628,31 @@ class TestLattice:
         pts = _shells(r, box)
         assert pts.shape == (len(loop), r)
         assert [tuple(int(v) for v in k) for k in pts] == loop
+
+    @staticmethod
+    def meshgrid_shells(r, box):
+        """The shells as _shells built them before its radix sort: every point of the box
+        from a meshgrid, in a stable argsort of its int64 Chebyshev radius."""
+        axis = np.arange(-box, box + 1)
+        pts = np.stack(np.meshgrid(*[axis] * r, indexing="ij"), axis=-1).reshape(-1, r)
+        order = np.argsort(np.abs(pts).max(axis=1), kind="stable")
+        return pts[order[1:]]
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_shells_match_meshgrid_reference(self, r):
+        # every box under the cap at r = 3 and 4 (up to 49 and 15); at r = 1 and 2, whose
+        # largest boxes are 499999 and 499, the scans' default 12 and the boxes below it, the
+        # radius type's step from uint8 to uint16 and the largest box
+        largest = (round(_MAX_BOX_POINTS ** (1 / r)) + 1) // 2
+        while (2 * largest + 1) ** r > _MAX_BOX_POINTS:
+            largest -= 1
+        boxes = range(1, largest + 1) if r > 2 else [*range(1, 13), 255, 256, largest]
+        for box in boxes:
+            got, expect = _shells(r, box), self.meshgrid_shells(r, box)
+            assert got.dtype == expect.dtype and got.shape == expect.shape
+            assert np.array_equal(got, expect), (r, box)
+        with pytest.raises(DimensionMismatch):
+            _shells(r, largest + 1)
 
     def test_box_below_one_rejected(self):
         # a box below 1 holds no lattice point, so a scan over it would pass anything

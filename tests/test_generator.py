@@ -412,6 +412,31 @@ class TestPairSumMatchesLoops:
         assert np.max(np.abs(bundle.x.matrix - x)) <= 1e-15
 
 
+def _tuple_shifts(jumps, keys, omega):
+    """w + n . omega from the (w_idx, n) tuples of ``keys``, as the jump operator set
+    took them before it held its block keys as arrays."""
+    n = np.array([n for _, n in keys], dtype=float).reshape(len(keys), 1, np.size(omega))
+    return jumps.decomp.bohr_frequencies[[w for w, _ in keys]] + (n @ np.reshape(omega, (-1, 1))).reshape(-1)
+
+
+class TestShiftedFrequenciesFromArrays:
+    """The block key arrays hold ``blocks``, and the shifted frequencies taken from them
+    are bit for bit those taken from the key tuples, all blocks at once or one at a time."""
+
+    @pytest.mark.parametrize("drop_tol", [0.0, 1e-14])
+    @pytest.mark.parametrize("name", sorted(REFERENCE_MODELS))
+    def test_reference_model(self, name, drop_tol):
+        model = REFERENCE_MODELS[name]()
+        jumps, omega = build_generator(model, validate=False, drop_tol=drop_tol).jumps, model.frequencies
+        assert jumps.fourier_index.shape == (len(jumps.blocks), model.p_series.r)
+        assert list(zip(jumps.frequency_index.tolist(), map(tuple, jumps.fourier_index.tolist()))) == jumps.blocks
+        got = jumps.shifted_frequencies(omega)
+        assert got.dtype == float and got.tobytes() == _tuple_shifts(jumps, jumps.blocks, omega).tobytes()
+        per_block = np.concatenate([_tuple_shifts(jumps, [key], omega) for key in jumps.blocks])
+        assert got.tobytes() == per_block.tobytes()
+        assert [jumps.shifted_frequency(n, w_idx, omega) for w_idx, n in jumps.blocks] == got.tolist()
+
+
 class TestBlockStackMatchesLoop:
     """The block stack against the per-coefficient loop, coupling by coupling,
     for two couplings whose series have different supports."""
