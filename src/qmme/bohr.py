@@ -193,27 +193,31 @@ def interaction_picture_coupling_series(p_series, coupling):
 class JumpOperatorSet:
     """All jump operators of a model, stored once as a block stack.
 
-    ``blocks`` lists the (frequency_index, n) pairs that hold at least one
-    operator, sorted by frequency index first and Fourier index second; the
-    generator sums run in this order. The same keys are held as arrays,
-    ``frequency_index`` (blocks,) and ``fourier_index`` (blocks, r), from
-    which the shifted frequencies are taken. ``stack[b, mu]`` is coupling
-    mu's operator in block b, a read-only array (blocks, couplings, d, d)
-    with zeros where a coupling has none, and the read-only mask
-    ``present[b, mu]`` says which entries are operators (with ``drop_tol=0``
-    a kept operator can be exactly zero).
+    A block is a (frequency_index, n) pair that holds at least one operator;
+    the blocks are sorted by frequency index first and Fourier index second,
+    and the generator sums run in this order. Their keys are the read-only
+    arrays ``frequency_index`` (blocks,) and ``fourier_index`` (blocks, r),
+    from which the shifted frequencies are taken; ``blocks`` lists them as
+    (w_idx, n) tuples. ``stack[b, mu]`` is coupling mu's operator in block b,
+    a read-only array (blocks, couplings, d, d) with zeros where a coupling
+    has none, and the read-only mask ``present[b, mu]`` says which entries
+    are operators (with ``drop_tol=0`` a kept operator can be exactly zero).
     """
 
     decomp: BohrDecomposition
-    blocks: list  # sorted (w_idx, n_tuple)
-    stack: np.ndarray  # (blocks, couplings, d, d)
-    present: np.ndarray  # (blocks, couplings) bool
     frequency_index: np.ndarray  # (blocks,) w_idx of each block
     fourier_index: np.ndarray  # (blocks, r) n of each block
+    stack: np.ndarray  # (blocks, couplings, d, d)
+    present: np.ndarray  # (blocks, couplings) bool
 
     @property
     def n_couplings(self):
         return self.stack.shape[1]
+
+    @functools.cached_property
+    def blocks(self):
+        """The sorted (w_idx, n_tuple) key of each block, built on first access."""
+        return list(zip(self.frequency_index.tolist(), map(tuple, self.fourier_index.tolist())))
 
     @functools.cached_property
     def ops(self):
@@ -269,9 +273,8 @@ def build_jump_operator_set(decomp, s_hat_list, drop_tol=1e-14):
         masks.append(kept[used[-1]])
     frequency_index = np.repeat(np.arange(len(used)), [len(u) for u in used])
     fourier_index = idx[np.concatenate(used)]
-    blocks = list(zip(frequency_index.tolist(), map(tuple, fourier_index.tolist())))
     stack, present = np.concatenate(stacks), np.concatenate(masks)
-    for a in (stack, present, frequency_index, fourier_index):
+    for a in (frequency_index, fourier_index, stack, present):
         a.setflags(write=False)
-    return JumpOperatorSet(decomp=decomp, blocks=blocks, stack=stack, present=present,
-                           frequency_index=frequency_index, fourier_index=fourier_index)
+    return JumpOperatorSet(decomp=decomp, frequency_index=frequency_index, fourier_index=fourier_index,
+                           stack=stack, present=present)
