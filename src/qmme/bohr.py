@@ -262,17 +262,18 @@ def build_jump_operator_set(decomp, s_hat_list, drop_tol=1e-14):
     idx, coeffs, held = _on_union(s_hat_list)
     v, entry_frequency = decomp.eigenvectors, decomp.entry_frequency
     rot = v.conj().T @ coeffs @ v
-    used, stacks, masks = [], [], []
+    rows, stacks, masks = [], [], []
     for w_idx in range(len(decomp.bohr_frequencies)):
         i, j = np.nonzero(entry_frequency == w_idx)  # the eigenbasis entries at w
         s = (v[:, i] * rot[..., None, i, j]) @ v[:, j].conj().T
         kept = held & (_norms(s) >= drop_tol).reshape(held.shape)
         s[~kept] = 0.0
-        used.append(np.flatnonzero(kept.any(axis=1)))
-        stacks.append(s[used[-1]])
-        masks.append(kept[used[-1]])
-    frequency_index = np.repeat(np.arange(len(used)), [len(u) for u in used])
-    fourier_index = idx[np.concatenate(used)]
+        used = np.flatnonzero(kept.any(axis=1))
+        rows.append(used)
+        stacks.append(s[used])
+        masks.append(kept[used])
+    frequency_index = np.repeat(np.arange(len(rows)), [len(u) for u in rows])
+    fourier_index = idx[np.concatenate(rows)]
     stack, present = np.concatenate(stacks), np.concatenate(masks)
     for a in (frequency_index, fourier_index, stack, present):
         a.setflags(write=False)

@@ -514,6 +514,8 @@ class TestOnUnion:
     def test_shapes_must_agree(self, rng):
         with pytest.raises(DimensionMismatch):
             _on_union([random_series(rng, 2, 2, 2, 5), random_series(rng, 2, 3, 2, 5)])
+        with pytest.raises(DimensionMismatch):
+            _on_union([random_series(rng, 2, 2, 2, 5), random_series(rng, 1, 2, 2, 3)])
 
 
 def _unique_union(series):
@@ -554,8 +556,6 @@ class TestOnUnionMatchesUnique:
             # at most every point of the spread's box, or random_series would not end
             self.assert_same([random_series(rng, r, 2, 3, int(rng.integers(0, min(12, (2 * k + 1) ** r) + 1)),
                                             spread=int(k)) for k in spreads])
-        with pytest.raises(DimensionMismatch):
-            _on_union([random_series(rng, 2, 2, 2, 5), random_series(rng, 1, 2, 2, 3)])
 
 
 class TestSupportStorage:
