@@ -335,8 +335,10 @@ def _shells(r, box):
     axis = np.abs(np.arange(-box, box + 1)).astype(np.min_scalar_type(box))
     radius = functools.reduce(np.maximum, np.ix_(*[axis] * r))
     order = np.argsort(radius.reshape(-1), kind="stable")
-    # the origin is the only point of radius 0
-    return np.stack(np.unravel_index(order[1:], radius.shape), axis=-1) - box
+    # the origin is the only point of radius 0; shifted in place, so no third copy is held
+    pts = np.stack(np.unravel_index(order[1:], radius.shape), axis=-1)
+    pts -= box
+    return pts
 
 
 def normalize_witness(k):
