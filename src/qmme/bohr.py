@@ -148,7 +148,7 @@ def decompose(h_bar, tol_cluster=1e-9):
     return decomp
 
 
-def check_congruence_freedom(bohr_freqs, omega, box=12, tol=1e-9):
+def check_congruence_freedom(bohr_freqs, omega, box=12, tol=1e-9, *, _points=None):
     """Scan for distinct Bohr frequencies congruent modulo the base lattice.
 
     Looks for |w - w' - n . omega| < tol with w != w' and 0 < max|n_i| <= box.
@@ -158,12 +158,13 @@ def check_congruence_freedom(bohr_freqs, omega, box=12, tol=1e-9):
     and sorted once, and each pair is a binary search. The sort need not be
     stable: a pair's window holds every point of its value range whatever the
     order of equal values, and the witness is the window's first point in
-    shell order. Frequency vectors failing rational independence should be
-    caught separately; this check only inspects distinct frequency pairs.
+    shell order; ``_points`` is ``_shells(r, box)`` if the caller holds it. Frequency
+    vectors failing rational independence should be caught separately; this
+    check only inspects distinct frequency pairs.
     """
     bohr_freqs = np.asarray(bohr_freqs, dtype=float).reshape(-1)
     omega = frequency_vector(omega)
-    pts = _shells(omega.size, box)
+    pts = _shells(omega.size, box) if _points is None else _points
     dots = pts @ omega
     order = np.argsort(dots)
     ranked = dots[order]
@@ -182,11 +183,11 @@ def check_congruence_freedom(bohr_freqs, omega, box=12, tol=1e-9):
     return None
 
 
-def interaction_picture_coupling_series(p_series, coupling):
+def interaction_picture_coupling_series(p_series, coupling, *, _spectra=None):
     """Fourier series of p(t)^dag S p(t) for a constant coupling S: p^dag S
     multiplies the coefficients of p^dag by S one by one, so it costs one
-    series product."""
-    return p_series.adjoint()._times(coupling).product(p_series)
+    series product, whose ``_spectra`` can hold p's transform across couplings."""
+    return p_series.adjoint()._times(coupling).product(p_series, _spectra=_spectra)
 
 
 @dataclass

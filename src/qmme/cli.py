@@ -19,7 +19,6 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, dynamics, generator, model as model_mod
-from .bohr import decompose
 from .errors import (
     DimensionMismatch,
     InadmissibleModel,

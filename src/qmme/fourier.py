@@ -4,13 +4,13 @@ A series A(t) = sum_n A_n exp(i (n . omega) t), |n_i| <= trunc, is stored as its
 support: an integer index array of shape (N, r) in lexicographic order and the
 coefficient stack (N, d, d). ``trunc`` is only a bound; no array is sized by it.
 A product convolves dense workspace boxes of radius k, the largest |n_i| on a
-support, by FFTs zero-padded to ``2 (k_a + k_b) + 1`` points per axis, so no index
-sum wraps around; its support is the Minkowski sum of the supports. A product
-with a constant matrix needs no convolution: it multiplies the coefficients one by
-one and keeps the support. A workspace of more than ``_MAX_BOX_POINTS`` points is
-refused before it is allocated. Lossy operations add the l1 sum of Frobenius norms
-of what they drop to ``tail_norm``, a bound on the sup-over-t error; products add
-each input's tail times the other's l1 norm, and the product of the two tails.
+support, by FFTs zero-padded to the fast length >= ``2 (k_a + k_b) + 1`` per axis,
+so no index sum wraps around, and cropped back; its support is the Minkowski sum
+of the supports. A product with a constant matrix multiplies the coefficients one
+by one and keeps the support. A padded workspace of more than ``_MAX_BOX_POINTS``
+points is refused before it is allocated. Lossy operations add the l1 sum of the
+Frobenius norms they drop to ``tail_norm``, a bound on the sup-over-t error;
+products add each input's tail times the other's l1 norm, and the two tails' product.
 """
 
 import functools
@@ -26,6 +26,9 @@ from .linalg import _norms
 _PHASE_CHUNK = 16384
 # most lattice points a scan or a series workspace holds
 _MAX_BOX_POINTS = 10**6
+# largest d contracted by multiply-adds, not a matmul (a BLAS call per matrix): on 42^2, 14^3, 25^3
+# points (best of 9, one BLAS thread) they took 0.19-0.20 of its time at d = 2, 0.41-0.51 at 3, 1.23-1.46 at 4
+_BROADCAST_MAX_DIM = 3
 
 __all__ = ["FourierOperatorSeries", "joint_sampler", "frequency_vector", "check_rational_independence",
            "normalize_witness", "sample_times"]
@@ -43,11 +46,28 @@ def frequency_vector(omega):
     return omega
 
 
-def _check_box(r, radius, what):
-    """DimensionMismatch when a box of the radius holds more than ``_MAX_BOX_POINTS``
-    points, (2 radius + 1)^r; called before anything is allocated."""
-    if (points := (2 * radius + 1) ** r) > _MAX_BOX_POINTS:
+def _check_box(r, length, what):
+    """DimensionMismatch when a box of ``length`` points per axis holds more than
+    ``_MAX_BOX_POINTS`` points, length^r; called before anything is allocated."""
+    if (points := length**r) > _MAX_BOX_POINTS:
         raise DimensionMismatch(f"{what} at r = {r} has {points} points, more than {_MAX_BOX_POINTS}")
+
+
+def _fast_length(n):
+    """Smallest length >= n with no prime factor above 7, fast in numpy's FFT: 13 -> 14, 41 -> 42, 25 stays 25."""
+    while pow(210, n.bit_length(), n):  # 0 exactly when n divides 210^k, k > log2 n
+        n += 1
+    return n
+
+
+def _contract(fa, fb):
+    """fa @ fb at every point; up to ``_BROADCAST_MAX_DIM`` as d multiply-adds over the inner index."""
+    if (d := fa.shape[-1]) > _BROADCAST_MAX_DIM:
+        return fa @ fb
+    fc = fa[..., :, 0, None] * fb[..., None, 0, :]
+    for j in range(1, d):
+        fc += fa[..., :, j, None] * fb[..., None, j, :]
+    return fc
 
 
 def _total(values):
@@ -196,19 +216,22 @@ class FourierOperatorSeries:
     def product(self, other, *, _spectra=None):
         """Series product (convolution of coefficients) in the box max(trunc,
         other.trunc); dropped mass and the propagated input tails go to the tail.
+        The workspace is ``_fast_length(2 (ka + kb) + 1)`` per axis, contracted by ``_contract``.
         ``_spectra``, a dict its caller holds for repeated products with the same
         ``other``, keeps other's transform and mask spectrum per workspace size."""
         self._check_compatible(other)
         ka, kb = self._radius(), other._radius()
-        _check_box(self.r, ka + kb, f"product workspace of radius {ka + kb}")
-        size, axes = (2 * (ka + kb) + 1,) * self.r, tuple(range(self.r))  # room for every index sum
+        n, what = 2 * (ka + kb) + 1, f"product workspace of radius {ka + kb}"  # room for every index sum
+        _check_box(self.r, n, what)  # first, so that the length search stays short
+        size, axes, box = (_fast_length(n),) * self.r, tuple(range(self.r)), (slice(n),) * self.r
+        _check_box(self.r, size[0], f"{what} padded to {size[0]} points per axis")
         spectra = {} if _spectra is None else _spectra
         if size not in spectra:
             b, mb = other._dense(kb)
             spectra[size] = np.fft.fftn(b, size, axes), np.fft.rfftn(mb, size, axes)
         (a, ma), (fb, fmb) = self._dense(ka), spectra[size]
-        full = np.fft.ifftn(np.fft.fftn(a, size, axes) @ fb, axes=axes)
-        pairs = np.fft.irfftn(np.fft.rfftn(ma, size, axes) * fmb, size, axes)
+        full = np.fft.ifftn(_contract(np.fft.fftn(a, size, axes), fb), axes=axes)[box]
+        pairs = np.fft.irfftn(np.fft.rfftn(ma, size, axes) * fmb, size, axes)[box]
         # the support is the Minkowski sum of the two; truncate puts what lies outside into the tail
         out = self._from_box(full, pairs > 0.5, 0.0).truncate(max(self.trunc, other.trunc))
         # (a + ta)(b + tb) - ab = ta b + a tb + ta tb, each bounded by its norms
@@ -242,7 +265,7 @@ class FourierOperatorSeries:
     def __add__(self, other):
         self._check_compatible(other)
         k = max(self._radius(), other._radius())
-        _check_box(self.r, k, f"sum workspace of radius {k}")
+        _check_box(self.r, 2 * k + 1, f"sum workspace of radius {k}")
         (a, ma), (b, mb) = self._dense(k), other._dense(k)
         total = self._from_box(a + b, ma | mb, self.tail_norm + other.tail_norm)
         return total.truncate(max(self.trunc, other.trunc))  # only raises the bound: lossless
@@ -331,7 +354,7 @@ def _shells(r, box):
     sort keeps the lexicographic (row-major) order inside a shell."""
     if box < 1:
         raise DimensionMismatch(f"lattice box {box} is below 1: the scan would hold no point")
-    _check_box(r, box, f"lattice box {box}")
+    _check_box(r, 2 * box + 1, f"lattice box {box}")
     axis = np.abs(np.arange(-box, box + 1)).astype(np.min_scalar_type(box))
     radius = functools.reduce(np.maximum, np.ix_(*[axis] * r))
     order = np.argsort(radius.reshape(-1), kind="stable")
@@ -349,17 +372,17 @@ def normalize_witness(k):
     return tuple(k)
 
 
-def check_rational_independence(omega, box=12, tol=1e-9):
+def check_rational_independence(omega, box=12, tol=1e-9, *, _points=None):
     """Scan for integer relations k . omega = 0 within the box.
 
     Returns None when no |k . omega| < tol * ||omega|| is found for
     0 < max|k_i| <= box, otherwise the first (smallest-shell) witness tuple
-    with canonical sign.
+    with canonical sign. ``_points`` is ``_shells(r, box)`` if the caller holds it.
     """
     omega = frequency_vector(omega)
     omega = np.ldexp(omega, -np.frexp(omega.max())[1])  # exact: ||omega|| neither overflows nor underflows
     threshold = tol * float(np.linalg.norm(omega))
-    pts = _shells(omega.size, box)
+    pts = _shells(omega.size, box) if _points is None else _points
     hits = np.flatnonzero(np.abs(pts @ omega) < threshold)
     return normalize_witness(tuple(int(v) for v in pts[hits[0]])) if hits.size else None
 

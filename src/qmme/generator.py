@@ -158,8 +158,9 @@ def build_generator(model, validate=True, drop_tol=1e-14, tol_psd=1e-12, tol_clu
                 report,
             )
     decomp = decompose(hermitize(model.h_bar), tol_cluster=tol_cluster)
+    spectra = {}  # p transformed once per workspace size, not once per coupling
     s_hats = [
-        interaction_picture_coupling_series(model.p_series, s) for s in model.couplings
+        interaction_picture_coupling_series(model.p_series, s, _spectra=spectra) for s in model.couplings
     ]
     jumps = build_jump_operator_set(decomp, s_hats, drop_tol=drop_tol)
     delta_h, zeta_blocks = build_lamb_shift(jumps, model.bath, model.frequencies)

@@ -30,7 +30,7 @@ from .errors import (
     Overflow,
     TruncationLoss,
 )
-from .fourier import FourierOperatorSeries, check_rational_independence, frequency_vector, sample_times
+from .fourier import FourierOperatorSeries, _shells, check_rational_independence, frequency_vector, sample_times
 from .linalg import _norms, hermiticity_defect, hermitize, unitarity_residuals
 
 __all__ = [
@@ -376,7 +376,8 @@ def validate_model(model, box=12, tol_independence=1e-9, tol_congruence=1e-9,
     distinct Bohr frequencies differ by a nonzero integer combination of the
     base frequencies within tolerance).
     """
-    witness = check_rational_independence(model.frequencies, box=box, tol=tol_independence)
+    pts = _shells(model.frequencies.size, box)  # one lattice for both scans
+    witness = check_rational_independence(model.frequencies, box=box, tol=tol_independence, _points=pts)
     unit_res = _unitarity_residual(model.p_series, model.frequencies)
     p0_res = float(
         np.linalg.norm(model.p_series.evaluate(model.frequencies, 0.0) - np.eye(model.dim), 2)
@@ -386,7 +387,7 @@ def validate_model(model, box=12, tol_independence=1e-9, tol_congruence=1e-9,
         decomp = _bohr.decompose(hermitize(model.h_bar), tol_cluster=tol_cluster)
         bohr_freqs = decomp.bohr_frequencies
         congruence = _bohr.check_congruence_freedom(
-            bohr_freqs, model.frequencies, box=box, tol=tol_congruence
+            bohr_freqs, model.frequencies, box=box, tol=tol_congruence, _points=pts
         )
     else:
         bohr_freqs = np.zeros(0)

@@ -6,15 +6,21 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from test_generator import scaled_r3_models
+
+from qmme.bohr import interaction_picture_coupling_series
 from qmme.errors import DimensionMismatch, Overflow
+from qmme.generator import build_generator
 from qmme.model import synthesize_hamiltonian
 from qmme.presets import preset
 from qmme.fourier import (
     _MAX_BOX_POINTS,
     _PHASE_CHUNK,
     FourierOperatorSeries,
+    _fast_length,
     _on_union,
     _shells,
+    _total,
     check_rational_independence,
     frequency_vector,
     joint_sampler,
@@ -710,3 +716,140 @@ class TestSampleTimes:
         a = sample_times([2.0], count=16)
         b = sample_times([2.0], count=16)
         assert np.array_equal(a, b)
+
+
+def smooth_lengths(limit):
+    """Every length up to ``limit`` with no prime factor above 7, from the powers."""
+    lengths = {1}
+    for prime in (2, 3, 5, 7):
+        lengths = {m * prime**e for m in lengths for e in range(limit.bit_length()) if m * prime**e <= limit}
+    return sorted(lengths)
+
+
+def long_double_product(a, b):
+    """The double loop over coefficient pairs in extended precision, the kept indices only:
+    on x86 it rounds far below the FFT's few ulps of the largest entry."""
+    acc = {}
+    for n, x in a.coeffs.items():
+        for m, y in b.coeffs.items():
+            idx = tuple(i + j for i, j in zip(n, m))
+            acc[idx] = acc.get(idx, 0) + x.astype(np.clongdouble) @ y.astype(np.clongdouble)
+    return {n: c for n, c in acc.items() if max(map(abs, n)) <= max(a.trunc, b.trunc)}
+
+
+def no_drop(a, b):
+    """The product of a and b in a box that holds every index sum, so nothing is dropped."""
+    k = a._radius() + b._radius()
+    return a.truncate(max(a.trunc, k)).product(b.truncate(max(b.trunc, k)))
+
+
+class TestFastLengthProducts:
+    """Products at fast FFT lengths, contracted by broadcast multiply-adds up to
+    ``_BROADCAST_MAX_DIM`` and by matmul above it."""
+
+    def test_length_rule_is_the_minimal_smooth_length(self):
+        smooth = smooth_lengths(4096)
+        for n in range(1, 2002):
+            assert _fast_length(n) == next(m for m in smooth if m >= n), n
+        assert [_fast_length(n) for n in (13, 25, 31, 41)] == [14, 25, 32, 42]
+
+    @staticmethod
+    def cases(r, d):
+        rng = np.random.default_rng([r, d])
+        k = 3 if r < 3 else 2
+        mats = lambda: rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        a, b = sparse_series(rng, r, d, k, 6, tail=1e-4), sparse_series(rng, r, d, k, 5)
+        upper = FourierOperatorSeries(r, d, k, {(1,) + n: mats() for n in itertools.product(range(-1, 2), repeat=r - 1)})
+        lower = FourierOperatorSeries(r, d, k, {(-2,) + n: mats() for n in itertools.product(range(2), repeat=r - 1)})
+        constant = FourierOperatorSeries.constant(mats(), r, trunc=1)
+        return {
+            "overlapping": (a, b),
+            "disjoint": (upper, lower),
+            "unequal bounds": (sparse_series(rng, r, d, 1, 3), sparse_series(rng, r, d, k + 1, 4)),
+            "radius 0 x series": (constant, b),
+            "series x radius 0": (a, constant),
+            "series x adjoint": (a, a.adjoint()),
+        }
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+    def test_matches_direct_convolution(self, r, d):
+        for name, (a, b) in self.cases(r, d).items():
+            p, kept = a.product(b), long_double_product(a, b)
+            largest = max((np.abs(c).max() for c in kept.values()), default=0.0)
+            assert p.trunc == max(a.trunc, b.trunc), name
+            assert list(p.coeffs) == sorted(kept), name
+            assert all(np.abs(p.coeffs[n] - c).max() <= 1e-15 * largest for n, c in kept.items()), name
+            _, dropped = dict_product(a, b)
+            expect = dropped + a.tail_norm * b.l1_norm() + b.tail_norm * a.l1_norm() + a.tail_norm * b.tail_norm
+            assert abs(p.tail_norm - expect) <= 1e-13 * a.l1_norm() * b.l1_norm(), name
+
+    @staticmethod
+    def recorded_products(monkeypatch, build):
+        calls, product = [], FourierOperatorSeries.product
+        monkeypatch.setattr(FourierOperatorSeries, "product",
+                            lambda a, b, **kw: calls.append((a, b, product(a, b, **kw))) or calls[-1][2])
+        build()
+        monkeypatch.undo()
+        return calls
+
+    @pytest.mark.parametrize("name", ["qubit_dephasing", "qubit_driven", "qubit_driven_periodic", "qutrit_thermal",
+                                      "qutrit_thermal_static", "qubit_congruence_violating", "scaled"])
+    def test_tail_bounds_distance_to_undropped_product(self, monkeypatch, name):
+        def build():
+            models = scaled_r3_models(1) if name == "scaled" else [preset(name)]
+            for model in models:
+                build_generator(model, validate=False)
+                synthesize_hamiltonian(model.p_series, model.frequencies, model.h_bar)
+
+        distances = []
+        for a, b, got in self.recorded_products(monkeypatch, build):
+            full = no_drop(a, b)
+            assert set(got.coeffs) <= set(full.coeffs)
+            distances.append(_total([np.linalg.norm(full.coeffs[n] - got.coeff(n)) for n in sorted(full.coeffs)]))
+            assert distances[-1] <= got.tail_norm * (1 + 1e-12)
+        assert max(distances) > 0 or name in ("qubit_dephasing", "qutrit_thermal_static")  # p constant there
+
+    def test_shared_spectra_are_bit_identical_to_fresh_products(self):
+        # product i has a natural workspace of 2 i + 1 points: 33 and 35 both pad to 35, 37 and 39 to 40
+        rng = np.random.default_rng(7)
+        gen = FourierOperatorSeries(1, 2, 30, {(n,): 0.4 * rng.normal(size=(2, 2)) + 0.1j for n in (-1, 0, 1)}, 1e-9)
+        spectra, shared = {}, FourierOperatorSeries.constant(np.eye(2), 1, trunc=30)
+        fresh = shared
+        for _ in range(20):
+            shared, fresh = shared.product(gen, _spectra=spectra), fresh.product(gen)
+            assert shared.trunc == fresh.trunc and shared.tail_norm == fresh.tail_norm
+            assert np.array_equal(shared._idx, fresh._idx) and np.array_equal(shared._stack, fresh._stack)
+        assert sorted(spectra) == sorted({(_fast_length(2 * i + 1),) for i in range(1, 21)})
+        assert (35,) in spectra and (40,) in spectra and len(spectra) == 18
+
+    def test_build_transforms_p_once_for_all_couplings(self, monkeypatch):
+        dense, boxed = FourierOperatorSeries._dense, []
+        monkeypatch.setattr(FourierOperatorSeries, "_dense", lambda s, k: boxed.append(s) or dense(s, k))
+        for model in [preset("qutrit_thermal"), *scaled_r3_models(2)]:
+            boxed.clear()
+            bundle = build_generator(model, validate=False)
+            assert len(model.couplings) == 2 and sum(s is model.p_series for s in boxed) == 1
+            for s, got in zip(model.couplings, bundle.s_hat_series):
+                fresh = interaction_picture_coupling_series(model.p_series, s)
+                assert np.array_equal(got._idx, fresh._idx) and np.array_equal(got._stack, fresh._stack)
+                assert got.tail_norm == fresh.tail_norm
+
+    @pytest.mark.parametrize("r, largest", [(1, 499_999), (3, 49), (4, 14)])
+    def test_workspace_cap_applies_to_padded_length(self, r, largest):
+        # the largest radius sum whose padded workspace fits, and the next, refused unallocated
+        assert _fast_length(2 * largest + 1) ** r <= _MAX_BOX_POINTS < _fast_length(2 * largest + 3) ** r
+        half = (largest + 1) // 2
+        a = FourierOperatorSeries(r, 1, largest + 1, {(half,) + (0,) * (r - 1): np.eye(1)})
+        b = FourierOperatorSeries(r, 1, largest + 1, {(0,) * (r - 1) + (largest + 1 - half,): np.eye(1)})
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionMismatch, match=f"product workspace of radius {largest + 1}") as caught:
+                a.product(b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+        if r == 4:  # 31^4 = 923,521 points fit; the padded 32^4 do not
+            assert (2 * largest + 3) ** r <= _MAX_BOX_POINTS
+            assert "padded to 32 points per axis at r = 4 has 1048576 points" in str(caught.value)

@@ -12,6 +12,7 @@ import scipy.special
 from conftest import random_hermitian
 from test_generator import scaled_r3_models
 
+from qmme import bohr, fourier, model as model_mod
 from qmme.errors import (
     DimensionMismatch,
     NotHermitian,
@@ -540,3 +541,26 @@ class TestValidateModel:
         assert not report.passed
         assert not report.unitarity_ok
         assert report.unitarity_residual > 0.1
+
+    @pytest.mark.parametrize("box", [1, 5, 12])
+    def test_one_lattice_serves_both_scans(self, monkeypatch, box):
+        # the witnesses are the public scans' own, each of which builds its lattice alone
+        shells, calls = fourier._shells, []
+        counted = lambda r, b: calls.append((r, b)) or shells(r, b)
+        models = {name: preset(name) for name in ("qubit_dephasing", "qubit_driven", "qutrit_thermal",
+                                                   "qubit_congruence_violating")}
+        models.update({f"scaled_d{m.dim}": m for m in scaled_r3_models(1)})
+        dependent = models["qubit_dephasing"]
+        models["dependent"] = ReducedModel(frequencies=np.array([1.0, 2.0]), p_series=dependent.p_series,
+                                           h_bar=dependent.h_bar, couplings=dependent.couplings, bath=dependent.bath)
+        for name, m in models.items():
+            for mod in (fourier, bohr, model_mod):
+                monkeypatch.setattr(mod, "_shells", counted)
+            report = validate_model(m, box=box)
+            monkeypatch.undo()
+            assert calls == [(m.frequencies.size, box)], name
+            calls.clear()
+            freqs = report.bohr_frequencies
+            assert report.independence_witness == fourier.check_rational_independence(m.frequencies, box=box)
+            assert report.congruence_witness == bohr.check_congruence_freedom(freqs, m.frequencies, box=box)
+        assert validate_model(models["dependent"], box=box).independence_witness == ((2, -1) if box >= 2 else None)
