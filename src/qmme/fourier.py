@@ -3,8 +3,8 @@
 A series A(t) = sum_n A_n exp(i (n . omega) t), |n_i| <= trunc, is stored as its
 support: an integer index array of shape (N, r) in lexicographic order and the
 coefficient stack (N, d, d). ``trunc`` is only a bound; no array is sized by it.
-A product convolves dense workspace boxes of radius k, the largest |n_i| on a
-support, by FFTs zero-padded to the fast length >= ``2 (k_a + k_b) + 1`` per axis,
+A product convolves entry-major (d, d, box) workspaces of radius k, the largest |n_i|
+on a support, by FFTs zero-padded to the fast length >= ``2 (k_a + k_b) + 1`` per axis,
 so no index sum wraps around, and cropped back; its support is the Minkowski sum
 of the supports. A product with a constant matrix multiplies the coefficients one
 by one and keeps the support. A padded workspace of more than ``_MAX_BOX_POINTS``
@@ -26,9 +26,6 @@ from .linalg import _norms
 _PHASE_CHUNK = 16384
 # most lattice points a scan or a series workspace holds
 _MAX_BOX_POINTS = 10**6
-# largest d contracted by multiply-adds, not a matmul (a BLAS call per matrix): on 42^2, 14^3, 25^3
-# points (best of 9, one BLAS thread) they took 0.19-0.20 of its time at d = 2, 0.41-0.51 at 3, 1.23-1.46 at 4
-_BROADCAST_MAX_DIM = 3
 
 __all__ = ["FourierOperatorSeries", "joint_sampler", "frequency_vector", "check_rational_independence",
            "normalize_witness", "sample_times"]
@@ -61,12 +58,13 @@ def _fast_length(n):
 
 
 def _contract(fa, fb):
-    """fa @ fb at every point; up to ``_BROADCAST_MAX_DIM`` as d multiply-adds over the inner index."""
-    if (d := fa.shape[-1]) > _BROADCAST_MAX_DIM:
-        return fa @ fb
-    fc = fa[..., :, 0, None] * fb[..., None, 0, :]
-    for j in range(1, d):
-        fc += fa[..., :, j, None] * fb[..., None, j, :]
+    """fa @ fb at every point of two entry-major (d, d, ...) workspaces: row i is the sum over j of
+    fa[i, j] fb[j], multiply-adds whose temporaries are (d, ...) slabs (a matmul calls BLAS per point)."""
+    fc = np.empty_like(fa)
+    for i, row in enumerate(fa):
+        fc[i] = row[0] * fb[0]
+        for j in range(1, len(fa)):
+            fc[i] += row[j] * fb[j]
     return fc
 
 
@@ -155,9 +153,9 @@ class FourierOperatorSeries:
 
     @classmethod
     def _from_box(cls, box, support, tail_norm):
-        """Series from the support entries of a dense box; its radius is the bound (unchecked)."""
+        """Series from the support entries of an entry-major dense box; its radius is the bound (unchecked)."""
         k = support.shape[0] // 2
-        return cls._from_rows(k, np.argwhere(support) - k, box[support], tail_norm)
+        return cls._from_rows(k, np.argwhere(support) - k, box[..., support].transpose(2, 0, 1), tail_norm)
 
     @classmethod
     def constant(cls, matrix, r, trunc=0):
@@ -169,12 +167,12 @@ class FourierOperatorSeries:
         return int(np.abs(self._idx).max(initial=0))
 
     def _dense(self, k):
-        """Workspace box of radius k >= the support radius: the coefficients at
-        their lattice points, zeros elsewhere, and the support mask."""
-        box = np.zeros((2 * k + 1,) * self.r + (self.d, self.d), dtype=complex)
-        support = np.zeros(box.shape[: self.r], dtype=bool)
+        """Entry-major workspace box (d, d, 2 k + 1, ...) of radius k >= the support radius:
+        the coefficients at their lattice points, zeros elsewhere, and the support mask."""
+        box = np.zeros((self.d, self.d) + (2 * k + 1,) * self.r, dtype=complex)
+        support = np.zeros(box.shape[2:], dtype=bool)
         pos = tuple((self._idx + k).T)
-        box[pos], support[pos] = self._stack, True
+        box[(..., *pos)], support[pos] = self._stack.transpose(1, 2, 0), True
         return box, support
 
     @property
@@ -223,7 +221,7 @@ class FourierOperatorSeries:
         ka, kb = self._radius(), other._radius()
         n, what = 2 * (ka + kb) + 1, f"product workspace of radius {ka + kb}"  # room for every index sum
         _check_box(self.r, n, what)  # first, so that the length search stays short
-        size, axes, box = (_fast_length(n),) * self.r, tuple(range(self.r)), (slice(n),) * self.r
+        size, axes, box = (_fast_length(n),) * self.r, tuple(range(-self.r, 0)), (..., *(slice(n),) * self.r)
         _check_box(self.r, size[0], f"{what} padded to {size[0]} points per axis")
         spectra = {} if _spectra is None else _spectra
         if size not in spectra:

@@ -744,8 +744,7 @@ def no_drop(a, b):
 
 
 class TestFastLengthProducts:
-    """Products at fast FFT lengths, contracted by broadcast multiply-adds up to
-    ``_BROADCAST_MAX_DIM`` and by matmul above it."""
+    """Products at fast FFT lengths, contracted by multiply-adds at every d."""
 
     def test_length_rule_is_the_minimal_smooth_length(self):
         smooth = smooth_lengths(4096)
