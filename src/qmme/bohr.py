@@ -11,9 +11,10 @@ by the unitary series ``p``, splits per Fourier index ``n`` into the masks
 
 which satisfy [h_bar, S_{n,w}] = w S_{n,w} and sum over w to S_hat_n. Each
 jump operator carries the shifted frequency w + n . omega at which bath
-spectra are evaluated. A model's jump operators are stored once, in the lab
-basis, as a stack with one block per (w, n) and one slot per coupling, the
-layout the generator sums read.
+spectra are evaluated. In the eigenbasis an operator of frequency w is
+nonzero only at the entries E_w = {(i, j): e_i - e_j = w}, one entry for a
+nonzero w of a generic spectrum, and a model's jump operators are stored
+once as their values there, the layout the generator sums read.
 """
 
 import functools
@@ -83,10 +84,11 @@ class BohrDecomposition:
         return [[tuple(kl) for kl in np.argwhere(self.pair_frequency == i).tolist()]
                 for i in range(len(self.bohr_frequencies))]
 
-    @property
-    def entry_frequency(self):
-        """Bohr frequency index of each eigenbasis entry (i, j)."""
-        return self.pair_frequency[np.ix_(self.levels, self.levels)]
+    @functools.cached_property
+    def frequency_entries(self):
+        """``frequency_entries[w]``: the eigenbasis entries (I, J) at frequency w, row-major index arrays."""
+        entry_frequency = self.pair_frequency[np.ix_(self.levels, self.levels)]
+        return [np.nonzero(entry_frequency == w) for w in range(len(self.bohr_frequencies))]
 
     def frequency_index(self, w):
         """Index of the Bohr frequency nearest ``w`` within ``freq_atol``."""
@@ -100,16 +102,17 @@ class BohrDecomposition:
         return idx
 
     def q_omega(self, w, rho):
-        """Frequency component of a state, sum_{(k,l) ~ w} P_k rho P_l: a mask on
-        its eigenbasis entries. Summing over all Bohr frequencies returns rho;
-        weighting the sum with exp(-i w t) realizes conjugation by exp(-i h_bar t).
+        """Frequency component of a state, sum_{(k,l) ~ w} P_k rho P_l: its eigenbasis
+        entries at w, V[:, I] diag(entries) V[:, J]^dag. Summing over all Bohr
+        frequencies returns rho; weighting the sum with exp(-i w t) realizes
+        conjugation by exp(-i h_bar t).
         """
         rho = np.asarray(rho, dtype=complex)
         if rho.shape != (self.dim, self.dim):
             raise DimensionMismatch(f"state shape {rho.shape} != {(self.dim, self.dim)}")
-        mask = self.entry_frequency == self.frequency_index(w)
+        i, j = self.frequency_entries[self.frequency_index(w)]
         v = self.eigenvectors
-        return v @ (mask * (v.conj().T @ rho @ v)) @ v.conj().T
+        return (v[:, i] * (v.conj().T @ rho @ v)[i, j]) @ v[:, j].conj().T
 
 
 def decompose(h_bar, tol_cluster=1e-9):
@@ -192,33 +195,46 @@ def interaction_picture_coupling_series(p_series, coupling, *, _spectra=None):
 
 @dataclass
 class JumpOperatorSet:
-    """All jump operators of a model, stored once as a block stack.
+    """All jump operators of a model, stored once as their eigenbasis entries.
 
     A block is a (frequency_index, n) pair that holds at least one operator;
     the blocks are sorted by frequency index first and Fourier index second,
     and the generator sums run in this order. Their keys are the read-only
     arrays ``frequency_index`` (blocks,) and ``fourier_index`` (blocks, r),
     from which the shifted frequencies are taken; ``blocks`` lists them as
-    (w_idx, n) tuples. ``stack[b, mu]`` is coupling mu's operator in block b,
-    a read-only array (blocks, couplings, d, d) with zeros where a coupling
-    has none, and the read-only mask ``present[b, mu]`` says which entries
-    are operators (with ``drop_tol=0`` a kept operator can be exactly zero).
+    (w_idx, n) tuples. ``values[w][b, mu]`` holds coupling mu's entries at
+    ``decomp.frequency_entries[w]`` in the b-th block of frequency w, zeros
+    where it has no operator, and the mask ``present`` (blocks, couplings)
+    says which slots are operators (with ``drop_tol=0`` a kept operator can
+    be exactly zero); all are read-only. ``stack``, ``ops`` and ``op`` are
+    lab-basis views built on first access.
     """
 
     decomp: BohrDecomposition
     frequency_index: np.ndarray  # (blocks,) w_idx of each block
     fourier_index: np.ndarray  # (blocks, r) n of each block
-    stack: np.ndarray  # (blocks, couplings, d, d)
+    values: tuple  # values[w]: (blocks at w, couplings, |E_w|)
     present: np.ndarray  # (blocks, couplings) bool
+    norms: np.ndarray  # (blocks, couplings) Frobenius norm of each operator, its entries' 2-norm
 
     @property
     def n_couplings(self):
-        return self.stack.shape[1]
+        return self.present.shape[1]
 
     @functools.cached_property
     def blocks(self):
         """The sorted (w_idx, n_tuple) key of each block, built on first access."""
         return list(zip(self.frequency_index.tolist(), map(tuple, self.fourier_index.tolist())))
+
+    @functools.cached_property
+    def stack(self):
+        """Lab-basis operators V[:, I] diag(entries) V[:, J]^dag, read-only (blocks, couplings, d, d)."""
+        v = self.decomp.eigenvectors
+        stack = np.concatenate([(v[:, i] * x[..., None, :]) @ v[:, j].conj().T
+                                for (i, j), x in zip(self.decomp.frequency_entries, self.values)])
+        stack[~self.present] = 0.0
+        stack.setflags(write=False)
+        return stack
 
     @functools.cached_property
     def ops(self):
@@ -251,32 +267,32 @@ class JumpOperatorSet:
 
 def build_jump_operator_set(decomp, s_hat_list, drop_tol=1e-14):
     """Split every coupling's interaction-picture series into Bohr-frequency
-    components and stack them by block.
+    components and keep their eigenbasis entries by block.
 
     The Fourier indices are the union of the couplings' supports. The
-    coefficients of all couplings are rotated into h_bar's eigenbasis once;
-    frequency w's operators are then V[:, I] diag(rot[..., I, J]) V[:, J]^dag
-    over the eigenbasis entries (I, J) at w. An operator is kept when its
-    coupling's series holds the index and its Frobenius norm is at least
-    ``drop_tol``; a block is kept when it holds one.
+    coefficients of all couplings are rotated into h_bar's eigenbasis once,
+    rot = V^dag S_hat_n V; frequency w's operators are the entries
+    rot[..., I, J] at its eigenbasis entries (I, J). An operator is kept when
+    its coupling's series holds the index and its Frobenius norm (that of its
+    entries, V being unitary) is at least ``drop_tol``; a block is kept when
+    it holds one.
     """
     idx, coeffs, held = _on_union(s_hat_list)
-    v, entry_frequency = decomp.eigenvectors, decomp.entry_frequency
+    v = decomp.eigenvectors
     rot = v.conj().T @ coeffs @ v
-    rows, stacks, masks = [], [], []
-    for w_idx in range(len(decomp.bohr_frequencies)):
-        i, j = np.nonzero(entry_frequency == w_idx)  # the eigenbasis entries at w
-        s = (v[:, i] * rot[..., None, i, j]) @ v[:, j].conj().T
-        kept = held & (_norms(s) >= drop_tol).reshape(held.shape)
-        s[~kept] = 0.0
+    parts = []  # per frequency: the kept rows, their entries, mask and norms
+    for i, j in decomp.frequency_entries:
+        x = rot[..., i, j]
+        norm = _norms(x[..., None, :]).reshape(held.shape)
+        kept = held & (norm >= drop_tol)
+        x[~kept] = 0.0
         used = np.flatnonzero(kept.any(axis=1))
-        rows.append(used)
-        stacks.append(s[used])
-        masks.append(kept[used])
+        parts.append((used, x[used], kept[used], (norm * kept)[used]))
+    rows, values, masks, norms = zip(*parts)
     frequency_index = np.repeat(np.arange(len(rows)), [len(u) for u in rows])
     fourier_index = idx[np.concatenate(rows)]
-    stack, present = np.concatenate(stacks), np.concatenate(masks)
-    for a in (frequency_index, fourier_index, stack, present):
+    present, norms = np.concatenate(masks), np.concatenate(norms)
+    for a in (frequency_index, fourier_index, present, norms, *values):
         a.setflags(write=False)
     return JumpOperatorSet(decomp=decomp, frequency_index=frequency_index, fourier_index=fourier_index,
-                           stack=stack, present=present)
+                           values=values, present=present, norms=norms)

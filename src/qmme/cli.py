@@ -41,7 +41,7 @@ from .io import (
     load_model,
     write_trajectory_csv,
 )
-from .linalg import _norms, eig_hermitian, hermitize, trace_norm
+from .linalg import eig_hermitian, hermitize, trace_norm
 
 __all__ = ["main", "build_parser"]
 
@@ -221,7 +221,7 @@ def cmd_build(args):
     cov = generator.check_covariance(bundle)
     decomp, jumps = bundle.jumps.decomp, bundle.jumps
     block, mu = np.nonzero(jumps.present)  # every operator, in (w_idx, n, mu) order
-    norms = _norms(jumps.stack[block, mu]).tolist()
+    norms = jumps.norms[block, mu].tolist()
     bohr, shifted = decomp.bohr_frequencies.tolist(), bundle.shifted_frequencies.tolist()
     payload = {
         "validation": report.to_dict(),

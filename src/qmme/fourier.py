@@ -152,10 +152,10 @@ class FourierOperatorSeries:
         return cls.__new__(cls)._set(trunc, idx, stack, tail_norm)
 
     @classmethod
-    def _from_box(cls, box, support, tail_norm):
-        """Series from the support entries of an entry-major dense box; its radius is the bound (unchecked)."""
+    def _from_box(cls, box, support, tail_norm, trunc):
+        """Series from the support entries of an entry-major dense box with bound ``trunc`` (unchecked)."""
         k = support.shape[0] // 2
-        return cls._from_rows(k, np.argwhere(support) - k, box[..., support].transpose(2, 0, 1), tail_norm)
+        return cls._from_rows(trunc, np.argwhere(support) - k, box[..., support].transpose(2, 0, 1), tail_norm)
 
     @classmethod
     def constant(cls, matrix, r, trunc=0):
@@ -230,12 +230,16 @@ class FourierOperatorSeries:
         (a, ma), (fb, fmb) = self._dense(ka), spectra[size]
         full = np.fft.ifftn(_contract(np.fft.fftn(a, size, axes), fb), axes=axes)[box]
         pairs = np.fft.irfftn(np.fft.rfftn(ma, size, axes) * fmb, size, axes)[box]
-        # the support is the Minkowski sum of the two; truncate puts what lies outside into the tail
-        out = self._from_box(full, pairs > 0.5, 0.0).truncate(max(self.trunc, other.trunc))
+        # the support is the Minkowski sum of the two; what lies outside the kept box |n|_inf <= trunc
+        # goes to the tail, summed in row order, and the rows are gathered from the kept box alone
+        trunc, support = max(self.trunc, other.trunc), pairs > 0.5
+        kept = (slice(max(ka + kb - trunc, 0), ka + kb + trunc + 1),) * self.r
+        outside = support.copy()
+        outside[kept] = False
         # (a + ta)(b + tb) - ab = ta b + a tb + ta tb, each bounded by its norms
-        out.tail_norm = (out.tail_norm + self.tail_norm * other.l1_norm() + other.tail_norm * self.l1_norm()
-                         + self.tail_norm * other.tail_norm)
-        return out
+        tail = (_total(_norms(full[..., outside].transpose(2, 0, 1))) + self.tail_norm * other.l1_norm()
+                + other.tail_norm * self.l1_norm() + self.tail_norm * other.tail_norm)
+        return self._from_box(full[(..., *kept)], support[kept], tail, trunc)
 
     def _times(self, m):
         """Right product with a constant matrix, coefficient by coefficient: the
@@ -265,8 +269,7 @@ class FourierOperatorSeries:
         k = max(self._radius(), other._radius())
         _check_box(self.r, 2 * k + 1, f"sum workspace of radius {k}")
         (a, ma), (b, mb) = self._dense(k), other._dense(k)
-        total = self._from_box(a + b, ma | mb, self.tail_norm + other.tail_norm)
-        return total.truncate(max(self.trunc, other.trunc))  # only raises the bound: lossless
+        return self._from_box(a + b, ma | mb, self.tail_norm + other.tail_norm, max(self.trunc, other.trunc))
 
     def __sub__(self, other):
         return self + (-1.0) * other

@@ -8,31 +8,26 @@ the pieces are
                   - (1/2) { S_{mu,n,w}^dag S_{nu,n,w}, rho } )
     X          = -i [h_bar + delta_h, . ] + dissipator.
 
-Both sums are array contractions, with no loop over terms. They read the
-jump operators as the set stores them, the stack S with shape (blocks,
-couplings, d, d), one block per (frequency, Fourier index) and zeros where a
-coupling has no operator; the bath matrices at the blocks' shifted
-frequencies are stacked as c with shape (blocks, couplings, couplings).
-With CS_mu = sum_nu c_{mu nu} S_nu per block (Kossakowski form, Breuer &
-Petruccione ch. 3):
-
-    delta_h    = sum S_mu^dag CS_mu                      (c = zeta)
-    dissipator = sum conj(S_mu) (x) CS_mu - (1/2) (I (x) A + A^T (x) I),
-                 A = sum S_mu^dag CS_mu                  (c = h),
-
-where the sums run over blocks and couplings. The sandwich term is one
-matrix product over the stacked operators, reshuffled into d^2 x d^2, and the
-anticommutator collapses to the single d x d matrix A.
+In h_bar's eigenbasis V an operator of frequency w is its entries x at
+E_w = {(i_k, j_k)} (``bohr.JumpOperatorSet``). With the bath matrices c_b of
+the blocks b at w (Kossakowski form, Breuer & Petruccione ch. 3), frequency
+w adds one |E_w| x |E_w| Gram matrix G_w = sum_b x_b^dag c_b x_b, with x_b
+(couplings, |E_w|), at the positions ((i_k, i_l), (j_k, j_l)) of
+sum conj(S_mu) (x) (c S)_mu in the eigenbasis, no two frequencies sharing
+one; its partial trace over i_k = i_l is sum S_mu^dag (c S)_mu, which is A
+(c = h) and delta_h (c = zeta). One rotation per result, V for delta_h and
+K = kron(conj V, V) for the dissipator, returns to the lab basis; no
+lab-basis operator is formed.
 
 ``cross_check_selection_rule`` rebuilds the generator from the raw double sum
 over *pairs* of jump operators, keeping every pair whose shifted frequencies
 agree within a numerical delta. When the admissibility assumptions hold, only
 identical pairs survive and the double sum collapses onto the generator above;
 a congruence violation leaves extra resonant pairs and a visible deviation.
-The pair sum gathers the present operators from the stack, ordered by shifted
-frequency, and is one matrix product per chunk of pairs with one-sided
-weights; it never reads the bundle's bath blocks or the collapsed form, so it
-stays an independent check on them.
+The pair sum reduces the pairs of each (w_a, w_b) to one |E_a| x |E_b| matrix
+per one-sided weight, scattered as above and rotated back once; it never
+reads the bundle's bath blocks or the collapsed form, so it stays an
+independent check on them.
 """
 
 from dataclasses import dataclass
@@ -56,22 +51,31 @@ __all__ = [
 ]
 
 
-# most entries of one gathered pair stack (pairs x d^2) the cross-check holds at once
+# most entries of one gathered pair chunk (pairs x |E|) the cross-check holds at once
 _PAIR_CHUNK = 1 << 15
 
 
-def _dagger_sum(s_conj, cs):
-    """sum over the stacks of S^dag CS, a d x d matrix, from conj(S) and CS."""
-    d = cs.shape[-1]
-    return s_conj.reshape(-1, d).T @ cs.reshape(-1, d)
+def _gram_sum(jumps, c):
+    """sum conj(S_mu) (x) (c S)_mu over blocks and couplings in h_bar's eigenbasis, as
+    (d, d, d, d) [i, i', j, j']: each frequency's Gram matrix G_w at ((i_k, i_l), (j_k, j_l))."""
+    decomp = jumps.decomp
+    t = np.zeros((decomp.dim,) * 4, dtype=complex)
+    per_frequency = np.split(c, np.cumsum([len(x) for x in jumps.values])[:-1])
+    for (i, j), x, cb in zip(decomp.frequency_entries, jumps.values, per_frequency):
+        t[i[:, None], i, j[:, None], j] = x.conj().reshape(-1, i.size).T @ (cb @ x).reshape(-1, i.size)
+    return t
 
 
-def _sandwich_sum(s_conj, cs):
-    """sum over the stacks of conj(S) (x) CS, a d^2 x d^2 matrix, from conj(S)
-    and CS: entry ((a, c), (x, e)) of the product goes to ((a, x), (c, e))."""
-    d = cs.shape[-1]
-    m = s_conj.reshape(-1, d * d).T @ cs.reshape(-1, d * d)
-    return m.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+def _lab_superop(left, right, v):
+    """K (left + right - I (x) tr(left) - tr(right)^T (x) I) K^dag, K = kron(conj V, V): the
+    dissipative action of two eigenbasis sandwich sums (d, d, d, d), rotated to the lab basis;
+    tr is the partial trace over the pairs i = i', which gives the sums of S_a^dag S_b."""
+    d = v.shape[0]
+    eye = np.eye(d)
+    core = ((left + right).reshape(d * d, d * d) - np.kron(eye, np.trace(left, axis1=0, axis2=1))
+            - np.kron(np.trace(right, axis1=0, axis2=1).T, eye))
+    k = np.kron(v.conj(), v)
+    return k @ core @ k.conj().T
 
 
 def build_lamb_shift(jumps, bath, omega):
@@ -80,9 +84,9 @@ def build_lamb_shift(jumps, bath, omega):
     Returns the shift matrix together with the zeta matrices used, stacked
     (blocks, couplings, couplings) in the order of ``jumps.blocks``.
     """
-    s = jumps.stack
+    v = jumps.decomp.eigenvectors
     zeta = bath.zeta_many(jumps.shifted_frequencies(omega))
-    delta_h = _dagger_sum(s.conj(), np.einsum("bmn,bnij->bmij", zeta, s))
+    delta_h = v @ np.trace(_gram_sum(jumps, zeta), axis1=0, axis2=1) @ v.conj().T
     defect = hermiticity_defect(delta_h)
     if defect > 1e-12:
         raise NotHermitian(f"energy shift is not Hermitian: relative defect {defect:.3e}")
@@ -97,7 +101,7 @@ def build_dissipator(jumps, bath, omega, tol_psd=1e-12):
     negative eigenvalue beyond tolerance raises NotPSD naming the first
     offending block.
     """
-    s, shifted = jumps.stack, jumps.shifted_frequencies(omega)
+    shifted = jumps.shifted_frequencies(omega)
     try:
         h = bath.h_many(shifted, tol_psd=tol_psd)
     except NotPSD as exc:
@@ -108,12 +112,8 @@ def build_dissipator(jumps, bath, omega, tol_psd=1e-12):
             f"Kossakowski block at (n={n}, frequency_index={w_idx}, "
             f"shifted={exc.frequency:.6g}) failed: {exc}"
         ) from exc
-    gs = np.einsum("bmn,bnij->bmij", h, s)  # GS_mu = sum_nu h_{mu nu} S_nu per block
-    s_conj = s.conj()
-    a = _dagger_sum(s_conj, gs)
-    eye = np.eye(jumps.decomp.dim)
-    diss = _sandwich_sum(s_conj, gs) - 0.5 * (np.kron(eye, a) + np.kron(a.T, eye))
-    return Superoperator(diss), h, shifted
+    half = 0.5 * _gram_sum(jumps, h)
+    return Superoperator(_lab_superop(half, half, jumps.decomp.eigenvectors)), h, shifted
 
 
 def assemble_x(h_bar, delta_h, dissipator):
@@ -191,12 +191,13 @@ def cross_check_selection_rule(bundle, bath, omega, tol_delta=1e-8):
     bundle's K; near zero exactly when only identical pairs resonate.
     """
     jumps = bundle.jumps
-    d = jumps.decomp.dim
+    decomp, n_freq = jumps.decomp, len(jumps.values)
     block, mu = np.nonzero(jumps.present)  # every operator, in (w_idx, n, mu) order
     shifts = jumps.shifted_frequencies(omega)[block]
     order = np.argsort(shifts, kind="stable")
-    shifts, mu = shifts[order], mu[order]
-    s = jumps.stack[block[order], mu]
+    shifts, mu, block = shifts[order], mu[order], block[order]
+    w = jumps.frequency_index[block]
+    row = block - np.searchsorted(jumps.frequency_index, w)  # its block's row in values[w]
     h, z = bath.h_many(shifts), bath.zeta_many(shifts)
 
     # ordered pairs (a, b) with |shift_b - shift_a| <= tol_delta, a-major
@@ -205,22 +206,29 @@ def cross_check_selection_rule(bundle, bath, omega, tol_delta=1e-8):
     width = hi - lo
     pair_a = np.repeat(np.arange(len(shifts)), width)
     pair_b = np.arange(pair_a.size) - np.repeat(np.cumsum(width) - hi, width)
+    # grouped by their Bohr frequencies (w_a, w_b), a-major within a group
+    key = w[pair_a] * n_freq + w[pair_b]
+    by = np.argsort(key, kind="stable")
+    pair_a, pair_b = pair_a[by], pair_b[by]
+    groups, firsts = np.unique(key[by], return_index=True)
 
-    sandwich = np.zeros((d * d, d * d), dtype=complex)
-    left = np.zeros((d, d), dtype=complex)  # sum c1 S_a^dag S_b
-    right = np.zeros((d, d), dtype=complex)  # sum c2 S_a^dag S_b
-    step = max(1, _PAIR_CHUNK // (d * d))
-    for start in range(0, pair_a.size, step):
-        a, b = pair_a[start:start + step], pair_b[start:start + step]
-        mu_a, mu_b = mu[a], mu[b]
-        c1 = 0.5 * h[a, mu_a, mu_b] + 1j * z[a, mu_a, mu_b]
-        c2 = 0.5 * h[b, mu_a, mu_b] - 1j * z[b, mu_a, mu_b]
-        sa_conj, sb = s[a].conj(), s[b]
-        sandwich += _sandwich_sum(sa_conj, (c1 + c2)[:, None, None] * sb)
-        left += _dagger_sum(sa_conj, c1[:, None, None] * sb)
-        right += _dagger_sum(sa_conj, c2[:, None, None] * sb)
-    eye = np.eye(d)
-    k_double = sandwich - np.kron(eye, left) - np.kron(right.T, eye)
+    # sums c1 conj(M_a) (x) M_b and c2 conj(M_a) (x) M_b in the eigenbasis, [i, i', j, j']
+    t = np.zeros((2,) + (decomp.dim,) * 4, dtype=complex)
+    for group, first, last in zip(groups.tolist(), firsts, [*firsts[1:], by.size]):
+        wa, wb = divmod(group, n_freq)
+        (ia, ja), (ib, jb) = decomp.frequency_entries[wa], decomp.frequency_entries[wb]
+        step = max(1, _PAIR_CHUNK // max(ia.size, ib.size))
+        gram = np.zeros((2, ia.size, ib.size), dtype=complex)
+        for start in range(first, last, step):
+            chunk = slice(start, min(start + step, last))
+            a, b = pair_a[chunk], pair_b[chunk]
+            mu_a, mu_b = mu[a], mu[b]
+            c = np.stack([0.5 * h[a, mu_a, mu_b] + 1j * z[a, mu_a, mu_b],
+                          0.5 * h[b, mu_a, mu_b] - 1j * z[b, mu_a, mu_b]])
+            xa_conj, xb = jumps.values[wa][row[a], mu_a].conj(), jumps.values[wb][row[b], mu_b]
+            gram += (c[..., None] * xa_conj).swapaxes(1, 2) @ xb
+        t[:, ia[:, None], ib, ja[:, None], jb] = gram
+    k_double = _lab_superop(t[0], t[1], decomp.eigenvectors)
     k_diag = -1j * ad_superop(bundle.delta_h) + bundle.dissipator.matrix
     return float(np.linalg.norm(k_double - k_diag, 2))
 

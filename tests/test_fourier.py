@@ -17,6 +17,7 @@ from qmme.fourier import (
     _MAX_BOX_POINTS,
     _PHASE_CHUNK,
     FourierOperatorSeries,
+    _contract,
     _fast_length,
     _on_union,
     _shells,
@@ -852,3 +853,38 @@ class TestFastLengthProducts:
         if r == 4:  # 31^4 = 923,521 points fit; the padded 32^4 do not
             assert (2 * largest + 3) ** r <= _MAX_BOX_POINTS
             assert "padded to 32 points per axis at r = 4 has 1048576 points" in str(caught.value)
+
+
+def box_then_truncate_product(a, b):
+    """The product as built before the mask drop: every row of the natural box of radius
+    ka + kb, then ``truncate`` to the kept bound, input tails propagated as ``product`` does."""
+    ka, kb = a._radius(), b._radius()
+    n = 2 * (ka + kb) + 1
+    size, axes, box = (_fast_length(n),) * a.r, tuple(range(-a.r, 0)), (..., *(slice(n),) * a.r)
+    (x, mx), (y, my) = a._dense(ka), b._dense(kb)
+    full = np.fft.ifftn(_contract(np.fft.fftn(x, size, axes), np.fft.fftn(y, size, axes)), axes=axes)[box]
+    pairs = np.fft.irfftn(np.fft.rfftn(mx, size, axes) * np.fft.rfftn(my, size, axes), size, axes)[box]
+    out = FourierOperatorSeries._from_box(full, pairs > 0.5, 0.0, ka + kb).truncate(max(a.trunc, b.trunc))
+    out.tail_norm = (out.tail_norm + a.tail_norm * b.l1_norm() + b.tail_norm * a.l1_norm()
+                     + a.tail_norm * b.tail_norm)
+    return out
+
+
+class TestMaskedProductMatchesTruncatedBox:
+    """The product that gathers only the kept box is byte for byte the one that built every row of
+    the natural box and truncated it: support, coefficients, bound and tail."""
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    @pytest.mark.parametrize("shift", [-1, 0, 2])  # kept bound below, at and above the natural radius
+    def test_bound_around_natural_radius(self, r, shift):
+        rng = np.random.default_rng([r, shift + 1])
+        k = 3 if r < 3 else 2
+        a = sparse_series(rng, r, 2, k, 6, tail=1e-4)
+        b = sparse_series(rng, r, 2, k, 5, tail=3e-6)
+        natural = a._radius() + b._radius()
+        a = FourierOperatorSeries._from_rows(natural + shift, a._idx, a._stack, a.tail_norm)
+        got, expect = a.product(b), box_then_truncate_product(a, b)
+        assert got.trunc == expect.trunc == natural + shift
+        assert got._idx.tobytes() == expect._idx.tobytes()
+        assert got._stack.tobytes() == expect._stack.tobytes()
+        assert got.tail_norm == expect.tail_norm

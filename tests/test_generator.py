@@ -1,5 +1,6 @@
 """Energy shift, dissipator, and full generator assembly."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -236,14 +237,19 @@ class TestBuildGenerator:
         assert np.linalg.norm(bundle.delta_h - bundle.delta_h.conj().T) < 1e-13
 
     def test_stacks_jump_operators_once(self):
-        # the set holds its operators once, in a read-only stack; neither the
-        # build nor the cross-check asks for the per-key view
+        # the set holds its operators once, as read-only eigenbasis entries; neither
+        # the build nor the cross-check asks for the lab-basis stack or the per-key view
         model = preset("qutrit_thermal")
         bundle = build_generator(model)
         cross_check_selection_rule(bundle, model.bath, model.frequencies)
         jumps = bundle.jumps
+        assert "stack" not in vars(jumps) and "ops" not in vars(jumps)  # no lab-basis copy
+        assert not any(x.flags.writeable for x in jumps.values)
+        assert [x.shape[1:] for x in jumps.values] == [(2, i.size) for i, _ in jumps.decomp.frequency_entries]
         assert not jumps.stack.flags.writeable and not jumps.present.flags.writeable
-        assert "ops" not in vars(jumps)  # no second copy
+        # each operator's norm is its entries' 2-norm, the lab-basis Frobenius norm (V is unitary)
+        lab = np.linalg.norm(jumps.stack, axis=(2, 3))
+        assert np.max(np.abs(jumps.norms - lab)) <= 1e-15 * np.max(lab) and not np.any(jumps.norms[~jumps.present])
         assert jumps.stack.shape == (len(jumps.blocks), 2, 3, 3)
         assert jumps.present.shape == (len(jumps.blocks), 2)
         assert len(jumps.blocks) == len(bundle.kossakowski) == len(bundle.zeta_blocks)
@@ -564,3 +570,121 @@ class TestCrossCheckMemoryAtLargerDimension:
             tracemalloc.stop()
         assert peak < 2 * stacked
         assert dev < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# references: the lab-basis stack sums the eigenbasis Gram sums replace
+# ---------------------------------------------------------------------------
+
+def _dagger_sum(s_conj, cs):
+    """sum over the stacks of S^dag CS, a d x d matrix, from conj(S) and CS."""
+    d = cs.shape[-1]
+    return s_conj.reshape(-1, d).T @ cs.reshape(-1, d)
+
+
+def _sandwich_sum(s_conj, cs):
+    """sum over the stacks of conj(S) (x) CS, a d^2 x d^2 matrix, from conj(S)
+    and CS: entry ((a, c), (x, e)) of the product goes to ((a, x), (c, e))."""
+    d = cs.shape[-1]
+    m = s_conj.reshape(-1, d * d).T @ cs.reshape(-1, d * d)
+    return m.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+
+
+def _stack_generator(bundle, s):
+    """delta_h and the dissipator summed over a lab-basis stack ``s`` (blocks, couplings, d, d)
+    with the bundle's bath blocks, as the generator took them before it read eigenbasis entries."""
+    eye = np.eye(s.shape[-1], dtype=s.dtype)
+    delta_h = _dagger_sum(s.conj(), np.einsum("bmn,bnij->bmij", bundle.zeta_blocks.astype(s.dtype), s))
+    hs = np.einsum("bmn,bnij->bmij", bundle.kossakowski.astype(s.dtype), s)
+    a = _dagger_sum(s.conj(), hs)
+    return delta_h, _sandwich_sum(s.conj(), hs) - 0.5 * (np.kron(eye, a) + np.kron(a.T, eye))
+
+
+def _relative(got, expect):
+    return float(np.max(np.abs(got - expect), initial=0.0) / max(np.max(np.abs(expect)), 1e-300))
+
+
+class TestEntrySumsMatchStackSums:
+    """The Gram sums over eigenbasis entries against the lab-basis stack sums they replace, and
+    both against the same sums in extended precision over operators V[:, I] diag(x) V[:, J]^dag
+    formed from the entries, which on x86 round far below a double's ulp."""
+
+    MODELS = {**REFERENCE_MODELS, **{f"scaled_r3_seed{seed}_d{d}": lambda seed=seed, i=i: scaled_r3_models(seed)[i]
+                                     for seed in (4, 5) for i, d in enumerate((2, 3))}}
+
+    @pytest.mark.parametrize("drop_tol", [0.0, 1e-14])
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_reference_model(self, name, drop_tol):
+        model = self.MODELS[name]()
+        bundle = build_generator(model, validate=False, drop_tol=drop_tol)
+        jumps = bundle.jumps
+        delta_h, diss = _stack_generator(bundle, np.asarray(jumps.stack))
+        x = assemble_x(model.h_bar, delta_h, Superoperator(diss)).matrix
+        assert _relative(bundle.x.matrix, x) <= 1e-15
+        assert _relative(bundle.delta_h, delta_h) <= 1e-15
+        v = jumps.decomp.eigenvectors.astype(np.clongdouble)
+        exact = np.concatenate([(v[:, i] * x.astype(np.clongdouble)[..., None, :]) @ v[:, j].conj().T
+                                for (i, j), x in zip(jumps.decomp.frequency_entries, jumps.values)])
+        exact[~jumps.present] = 0
+        exact_delta_h, exact_diss = _stack_generator(bundle, exact)
+        assert _relative(bundle.dissipator.matrix, exact_diss) <= 1e-15
+        assert _relative(bundle.delta_h, exact_delta_h) <= 1e-15
+        # the stack sums' own rounding reaches 1.0e-15 of the largest entry on these models
+        assert _relative(bundle.dissipator.matrix, diss) <= 2e-15
+
+
+def larger_dimension_model():
+    """d = 10, r = 2, trunc 6, one coupling: the model of TestCrossCheckMemoryAtLargerDimension."""
+    d = 10
+    rng = np.random.default_rng(10)
+    terms = [{"profile": "sin", "index": index, "amplitude": 0.1,
+              "matrix": random_hermitian(rng, d) / d} for index in ((1, 0), (0, 1))]
+    return ReducedModel(
+        frequencies=np.array([1.0, math.sqrt(2.0)]),
+        p_series=p_series_from_profile_terms(terms, r=2, trunc=6),
+        h_bar=random_hermitian(rng, d) / d,
+        couplings=[random_hermitian(rng, d) / (2 * d)],
+        bath=BathSpectrum.ohmic_kms(kappa=0.1, cutoff=5.0, beta=1.0, n_couplings=1),
+    )
+
+
+class TestBuildMemoryAtLargerDimension:
+    def test_build_holds_less_than_one_lab_stack(self):
+        # the lab-basis stack of this model takes about 12.6 MB; the build never forms it
+        model = larger_dimension_model()
+        tracemalloc.start()
+        try:
+            bundle = build_generator(model, validate=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        d = bundle.dim
+        assert peak < int(bundle.jumps.present.sum()) * d * d * 16
+        assert "stack" not in vars(bundle.jumps)
+
+
+class TestCrossCheckIndependence:
+    @pytest.mark.parametrize("name", ["driven_qutrit", "degenerate_qutrit", "qubit_congruence_violating"])
+    def test_ignores_bath_blocks_of_the_bundle(self, name):
+        model = REFERENCE_MODELS[name]()
+        bundle = build_generator(model, validate=False)
+        blank = dataclasses.replace(bundle, kossakowski=np.zeros_like(bundle.kossakowski),
+                                    zeta_blocks=np.zeros_like(bundle.zeta_blocks))
+        got = cross_check_selection_rule(blank, model.bath, model.frequencies)
+        assert got == cross_check_selection_rule(bundle, model.bath, model.frequencies)
+
+
+class TestNearResonantPairs:
+    def test_each_weight_takes_its_own_side(self):
+        # a gap 3e-9 above omega_1 makes pairs of distinct blocks resonate within tol_delta at shifts
+        # that differ, where an ohmic h differs too: c1 takes the bath at w_a and c2 at w_b
+        base = preset("qubit_congruence_violating")
+        model = ReducedModel(frequencies=base.frequencies, p_series=base.p_series, h_bar=0.5 * (1 + 3e-9) * SIGMA_Z,
+                             couplings=base.couplings,
+                             bath=BathSpectrum.ohmic_kms(kappa=0.1, cutoff=5.0, beta=1.0, n_couplings=1))
+        bundle = build_generator(model, validate=False)
+        shifts = np.sort(bundle.shifted_frequencies)
+        assert np.any((np.diff(shifts) > 0) & (np.diff(shifts) <= 1e-8))
+        got = cross_check_selection_rule(bundle, model.bath, model.frequencies)
+        assert got > 1e-3
+        assert got == pytest.approx(_loop_cross_check(bundle, model.bath, model.frequencies), rel=1e-12, abs=0)
