@@ -166,8 +166,11 @@ def _load(args):
 def _emit(args, name, text):
     if args.out:
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / name).write_text(text)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+            (out_dir / name).write_text(text)
+        except OSError as exc:  # the directory the user named cannot be used: exit 2, not 3
+            raise ParseError(f"--out cannot be written: {exc}") from None
         print(str(out_dir / name))
     else:
         sys.stdout.write(text)

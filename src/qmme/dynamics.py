@@ -15,10 +15,11 @@ halving; ``integrate_schrodinger_direct`` solves u' = -i H(t) u with the
 Both cross-checks take their substeps in chunks, as many as hold
 ``_CHUNK_ENTRIES`` matrix entries at their stage nodes, and evaluate their
 series once per chunk, the master equation's p and H from one phase table. A
-substep ends where the next one starts, and the last one ends on the last grid
-node. Both equations are linear, y' = A(t) y, A = -i H(t) on the oracle's
-d x d state and A = L(t) on the column-stacked density matrix, so one substep
-of size h is a step matrix R, held as R - I to round at the scale of the step:
+chunk forms its own substeps from per-interval counts and sizes, so a march
+holds one chunk and arrays over the grid nodes, however long the grid. Both
+equations are linear, y' = A(t) y, A = -i H(t) on the oracle's d x d state and
+A = L(t) on the column-stacked density matrix, so one substep of size h is a
+step matrix R, held as R - I to round at the scale of the step:
 
 - RK4 marches the master equation. A chunk of n substeps has 2n + 1 stage
   nodes, its n + 1 edges and n midpoints (2 d^4 entries a substep: 256
@@ -98,8 +99,8 @@ def _rk4_step(f, y, h, start, middle, end):
 
 
 def _substeps(ts, h_target):
-    """Each interval of ``ts`` in equal substeps of size at most ``h_target``, as arrays: start time and
-    size of each substep, and for every node after the first the number of substeps that reach it."""
+    """Each interval of ``ts`` in equal substeps of size at most ``h_target``, as arrays over the
+    intervals: the number of substeps that reach its end node, its substep count and its substep size."""
     spans = np.diff(ts)
     if np.any(spans < 0):
         raise OrderViolation("sample times must be ascending")
@@ -109,10 +110,7 @@ def _substeps(ts, h_target):
         raise DimensionMismatch(
             f"time grid needs about {total:.3g} RK4 substeps, more than an index can count")
     counts = np.ceil(spans / h_target).astype(np.intp)  # 0 only for a repeated node
-    sizes = np.repeat(spans / np.maximum(counts, 1), counts)
-    reached = np.cumsum(counts)
-    k = np.arange(sizes.size) - np.repeat(reached - counts, counts)
-    return np.repeat(ts[:-1], counts) + k * sizes, sizes, reached
+    return np.cumsum(counts), counts, spans / np.maximum(counts, 1)
 
 
 def _rk4_step_matrices(a_at, edges, h):
@@ -143,23 +141,26 @@ def _rk4_blocked(advance, chunk, y0, ts, h_target):
 
     ``advance(y, edges, h)`` marches y through the substeps of sizes ``h``
     between consecutive ``edges`` and returns the state after each of them.
+    Only the current chunk's edges exist at a time: substep k of interval i
+    starts at ts[i] + k size[i], and the grid's last substep ends on ts[-1].
     A chunk that ends on a non-finite state ends the march: every later node
     takes that state, which no further substep could make finite again.
     """
-    starts, sizes, reached = _substeps(ts, h_target)
-    edges = np.append(starts, ts[-1])  # the last substep ends on the last node
+    reached, counts, sizes = _substeps(ts, h_target)
+    total = counts.sum()
+    first, sizes = np.append(reached - counts, total), np.append(sizes, 0.0)  # past the last interval: ts[-1] + 0
     out = np.empty((ts.size,) + y0.shape, dtype=complex)
-    out[0] = y0
-    out[1:][reached == 0] = y0
+    out[np.append(0, reached) == 0] = y0  # the nodes no substep reaches, the first among them
     y = y0
-    for lo in range(0, starts.size, chunk):
-        hi = min(lo + chunk, starts.size)
-        i0, i1 = np.searchsorted(reached, [lo, hi], side="right")
-        path = advance(y, edges[lo : hi + 1], sizes[lo:hi])
+    for lo in range(0, total, chunk):
+        hi = min(lo + chunk, total)
+        j = np.arange(lo, hi + 1)  # the chunk's substeps, then the next one (or the grid's end)
+        i = np.searchsorted(reached, j, side="right")  # the interval of each
+        path = advance(y, ts[i] + (j - first[i]) * sizes[i], sizes[i[:-1]])
         y = path[-1]
-        out[1 + i0 : 1 + i1] = path[reached[i0:i1] - lo - 1]
+        out[1 + i[0] : 1 + i[-1]] = path[reached[i[0] : i[-1]] - lo - 1]
         if not np.isfinite(y).all():
-            out[1 + i1 :] = y
+            out[1 + i[-1] :] = y
             break
     return out
 
@@ -247,13 +248,6 @@ def rk4_path(f, y0, ts, tol=1e-8, norm=None, max_refinements=_MAX_REFINEMENTS):
     chunk = max(1, _CHUNK_ENTRIES // (2 * max(1, np.size(y0))))  # two stage nodes a substep, of y's entries
     return _refine(functools.partial(_rk4_blocked, advance, chunk), y0, ts, tol,
                    trace_norm if norm is None else norm, max_refinements, "RK4")
-
-
-def _blocked_rk4_path(advance, chunk, y0, ts, tol, norm):
-    """The halving ladder over ``chunk`` substeps at a time by ``advance`` (see _rk4_blocked) for the master
-    equation, whose L(t) is finite: a level past RK4's stability bound overflows unwarned, unconverged."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _refine(functools.partial(_rk4_blocked, advance, chunk), y0, ts, tol, norm, _MAX_REFINEMENTS, "RK4")
 
 
 def _nonnegative_times(ts):
@@ -433,11 +427,14 @@ class DynamicalMap:
         # two stage nodes a substep, of the d x d generator above the switch and of L(t) below it
         chunk = max(1, _CHUNK_ENTRIES // (2 * (d * d if d > _STEP_MATRIX_MAX_DIM else d**4)))
         if d > _STEP_MATRIX_MAX_DIM:
-            return _blocked_rk4_path(_stage_advance(self._master_rhs), chunk, rho0, ts, tol, trace_norm)[1:]
-        # column-stacked states: a row-major reshape gives rho^T, which has the same trace norm
-        vecs = _blocked_rk4_path(_linear_advance(self._lindbladians), chunk,
-                                 rho0.reshape(-1, order="F"), ts, tol, lambda v: trace_norm(v.reshape(d, d)))
-        return vecs[1:].reshape(-1, d, d).transpose(0, 2, 1)
+            advance, y0 = _stage_advance(self._master_rhs), rho0
+        else:  # column-stacked states: a row-major reshape gives rho^T, which has the same trace norm
+            advance, y0 = _linear_advance(self._lindbladians), rho0.reshape(-1, order="F")
+        # L(t) is finite: a level past RK4's stability bound overflows unwarned, and unconverged
+        with np.errstate(over="ignore", invalid="ignore"):
+            path = _refine(functools.partial(_rk4_blocked, advance, chunk), y0, ts, tol,
+                           lambda y: trace_norm(y.reshape(d, d)), _MAX_REFINEMENTS, "RK4")[1:]
+        return path if d > _STEP_MATRIX_MAX_DIM else path.reshape(-1, d, d).transpose(0, 2, 1)
 
 
 # ---------------------------------------------------------------------------

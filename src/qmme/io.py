@@ -28,7 +28,7 @@ import numpy as np
 from .errors import ParseError, SchemaVersionMismatch
 from .fourier import FourierOperatorSeries
 from .linalg import hermitize
-from .model import _BATH_FAMILIES, ReducedModel, bath_from_family, p_series_from_profile_terms
+from .model import _BATH_FAMILIES, ReducedModel, bath_from_family, p_series_from_generator
 
 __all__ = [
     "SCHEMA_NAME",
@@ -286,7 +286,7 @@ def model_from_dict(data):
                     "matrix": _matrix_from_json(_require(td, "matrix", where), where),
                 }
             )
-        p_series = p_series_from_profile_terms(terms, r=omega.size, trunc=trunc)
+        p_series = p_series_from_generator(terms, r=omega.size, trunc=trunc)
     else:
         raise ParseError("model: needs either 'p_series' or 'p_generator'")
 

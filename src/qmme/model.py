@@ -467,4 +467,4 @@ def p_series_from_generator(terms, r, trunc, drop_eps=1e-15):
     return total.drop_below(drop_eps)
 
 
-p_series_from_profile_terms = p_series_from_generator
+p_series_from_profile_terms = p_series_from_generator  # the old name, kept because perfbench/workloads.py calls it

@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from .fourier import FourierOperatorSeries
-from .model import BathSpectrum, ReducedModel, p_series_from_profile_terms
+from .model import BathSpectrum, ReducedModel, p_series_from_generator
 
 __all__ = [
     "PRESETS",
@@ -107,7 +107,7 @@ def qubit_driven(trunc=10):
     stay off the frequency lattice, which fails for (1, sqrt(2)).
     """
     omega = np.array([math.sqrt(2.0), math.pi])
-    p = p_series_from_profile_terms(_driven_terms(0.3, 0.2), r=2, trunc=trunc)
+    p = p_series_from_generator(_driven_terms(0.3, 0.2), r=2, trunc=trunc)
     return ReducedModel(
         frequencies=omega,
         p_series=p,
@@ -123,7 +123,7 @@ def qubit_driven_periodic(trunc=10):
     terms = [
         {"profile": "sin", "index": (1,), "amplitude": 0.3, "matrix": SIGMA_Z},
     ]
-    p = p_series_from_profile_terms(terms, r=1, trunc=trunc)
+    p = p_series_from_generator(terms, r=1, trunc=trunc)
     return ReducedModel(
         frequencies=omega,
         p_series=p,
@@ -140,7 +140,7 @@ def qutrit_thermal(trunc=10):
         {"profile": "sin", "index": (1, 0), "amplitude": 0.2, "matrix": QUTRIT_ROT_1},
         {"profile": "sin", "index": (0, 1), "amplitude": 0.15, "matrix": QUTRIT_ROT_2},
     ]
-    p = p_series_from_profile_terms(terms, r=2, trunc=trunc)
+    p = p_series_from_generator(terms, r=2, trunc=trunc)
     return ReducedModel(
         frequencies=omega,
         p_series=p,
@@ -178,7 +178,7 @@ def qubit_congruence_violating(trunc=10):
     terms = [
         {"profile": "sin", "index": (1, 0), "amplitude": 0.3, "matrix": SIGMA_Z},
     ]
-    p = p_series_from_profile_terms(terms, r=2, trunc=trunc)
+    p = p_series_from_generator(terms, r=2, trunc=trunc)
     return ReducedModel(
         frequencies=omega,
         p_series=p,

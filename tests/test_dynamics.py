@@ -51,6 +51,18 @@ def _rk4_fixed(f, y0, ts, h_target):
     return np.stack(out)
 
 
+def _level_substeps(ts, h_target):
+    """The whole level of substeps that dynamics._rk4_blocked marches chunk by chunk:
+    start time and size of each substep, and for every node after the first the
+    number of substeps that reach it."""
+    spans = np.diff(ts)
+    counts = np.ceil(spans / h_target).astype(np.intp)
+    sizes = np.repeat(spans / np.maximum(counts, 1), counts)
+    reached = np.cumsum(counts)
+    k = np.arange(sizes.size) - np.repeat(reached - counts, counts)
+    return np.repeat(ts[:-1], counts) + k * sizes, sizes, reached
+
+
 def _rk4_reference(f, y0, ts, tol, norm):
     """The reference RK4 trajectory: _rk4_fixed, one interval and one substep at a
     time, under the halving ladder of the marches it checks."""
@@ -145,7 +157,7 @@ class TestRk4:
         march = dynamics._rk4_blocked
 
         def recorded(advance, chunk, y0, ts, h_target):
-            marches.append((chunk, dynamics._substeps(ts, h_target)[0].size))
+            marches.append((chunk, _level_substeps(ts, h_target)[0].size))
             return march(advance, chunk, y0, ts, h_target)
 
         monkeypatch.setattr(dynamics, "_rk4_blocked", recorded)
@@ -173,12 +185,12 @@ def _rotation(times):
 class TestLinearRk4:
     """The blocked step-matrix march against the callback integrator."""
 
-    def path(self, a_at, y0, ts, **kwargs):
-        kwargs.setdefault("tol", 1e-10)
-        kwargs.setdefault("norm", np.linalg.norm)
-        return dynamics._blocked_rk4_path(dynamics._linear_advance(a_at),
-                                          dynamics._CHUNK_ENTRIES // len(y0) ** 2,
-                                          np.asarray(y0, dtype=complex), ts, **kwargs)
+    def path(self, a_at, y0, ts, tol=1e-10, norm=np.linalg.norm):
+        march = functools.partial(dynamics._rk4_blocked, dynamics._linear_advance(a_at),
+                                  dynamics._CHUNK_ENTRIES // len(y0) ** 2)
+        with np.errstate(over="ignore", invalid="ignore"):  # as integrate_direct marches
+            return dynamics._refine(march, np.asarray(y0, dtype=complex), ts, tol, norm,
+                                    dynamics._MAX_REFINEMENTS, "RK4")
 
     def test_matches_callback_scheme(self):
         # uneven node spacing, so the substeps of several intervals share blocks
@@ -206,7 +218,7 @@ class TestLinearRk4:
             ts = np.array(ts)
             chunked = dynamics._rk4_blocked(dynamics._linear_advance(_rotation), 1024, y0, ts, h_target)
             callback = _rk4_fixed(lambda t, y: _rotation([t])[0] @ y, y0, ts, h_target)
-            assert dynamics._substeps(ts, h_target)[0].size > 3 * 1024
+            assert _level_substeps(ts, h_target)[0].size > 3 * 1024
             assert np.max(np.abs(chunked - callback)) < 1e-13
             repeated = np.flatnonzero(np.diff(ts) == 0)
             assert np.array_equal(chunked[repeated], chunked[repeated + 1])
@@ -223,6 +235,39 @@ class TestLinearRk4:
     def test_descending_times_rejected(self):
         with pytest.raises(OrderViolation):
             self.path(_constant([[-1.0]]), [1.0], [0.0, 2.0, 1.0])
+
+
+class TestChunkEdges:
+    """The edges and sizes each chunk hands its rule, formed inside the chunk,
+    against slices of the whole level of _level_substeps, bit for bit."""
+
+    @pytest.mark.parametrize("ts, h_target", [
+        ([0.0, 0.0, 0.3, 1.0], 1e-3),  # a repeated first node
+        ([0.0, 0.5, 0.5, 1.7], 1e-3),  # a repeated inner node
+        ([0.0, 0.013, 0.4, 0.41, 2.0, 2.9], 7e-4),  # uneven spacing
+        ([0.0, 0.25, 0.75, 3.125], 2.0**-9),  # binary fractions: every substep start is exact
+        ([0.0, 0.875, 1.75, 3.0], 0.125),  # 7, 7 and 10 substeps: chunks of 7 end on nodes
+    ])
+    def test_edges_match_whole_level(self, ts, h_target):
+        ts = np.array(ts)
+        starts, sizes, reached = _level_substeps(ts, h_target)
+        edges = np.append(starts, ts[-1])
+        for chunk in (1, 7, 1024, sizes.size, sizes.size + 5):
+            seen = []
+
+            def advance(y, chunk_edges, h):  # the state counts the substeps taken
+                seen.append((chunk_edges, h))
+                return y + np.arange(1.0, h.size + 1)
+
+            out = dynamics._rk4_blocked(advance, chunk, np.zeros(()), ts, h_target)
+            lo = 0
+            for chunk_edges, h in seen:
+                n = min(chunk, sizes.size - lo)
+                assert chunk_edges.tobytes() == edges[lo : lo + n + 1].tobytes()
+                assert h.tobytes() == sizes[lo : lo + n].tobytes()
+                lo += n
+            assert lo == sizes.size
+            assert np.array_equal(out, np.append(0, reached))
 
 
 class TestGaussStepMatrix:
@@ -393,7 +438,7 @@ class TestStageNodes:
         assert max(len(calls) for *_, evaluated in marches for calls in evaluated.values()) > 1
         for ts, h_target, march_chunk, evaluated in marches:
             assert march_chunk == chunk
-            starts, sizes, _ = dynamics._substeps(ts, h_target)
+            starts, sizes, _ = _level_substeps(ts, h_target)
             edges = np.append(starts, ts[-1])
             assert len(evaluated) == n_series
             for calls in evaluated.values():
@@ -447,7 +492,7 @@ class TestStageNodes:
         assert max(len(calls) for *_, evaluated in marches for calls in evaluated.values()) > 1
         for ts, h_target, march_chunk, evaluated in marches:
             assert march_chunk == chunk
-            starts, sizes, _ = dynamics._substeps(ts, h_target)
+            starts, sizes, _ = _level_substeps(ts, h_target)
             assert len(evaluated) == 1
             (calls,) = evaluated.values()
             assert len(calls) == -(-starts.size // chunk)  # one call per chunk
@@ -570,6 +615,44 @@ class TestDirectIntegrationAtLargerDimension:
         assert peak < 2e6
         reference = _rk4_reference(_master_rhs(model, bundle, dmap), rho0, ts, 1e-6, trace_norm)
         assert np.max(np.abs(direct - reference)) <= 1e-12
+
+
+def _traced_peak(run):
+    """The tracemalloc peak, in bytes, of ``run()``."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMarchMemoryFollowsTheChunk:
+    """Each chunk forms its own substeps, so a long grid costs one chunk's
+    arrays and per-node arrays, not arrays over every substep of a level."""
+
+    def test_rk4_path_on_a_long_interval(self):
+        # one chunk of 4,096 substeps (a state of one entry) holds its edges, their
+        # indices and 8,193 stage nodes, about 0.3 MB; the last level's 80,000
+        # substeps took 2.6 MB as whole-level start, size and index arrays
+        peak = _traced_peak(lambda: rk4_path(lambda t, y: -0.01 * y, [1.0], [0.0, 2000.0], tol=1e-12,
+                                             norm=np.linalg.norm))
+        assert peak < 1e6
+
+    # qubit_driven over 0:2000:50: the last levels take 80,017 substeps (master
+    # equation) and 160,034 (oracle); whole-level arrays took 2.7 MB and 5.3 MB
+    long_grid = np.linspace(0.0, 2000.0, 50)
+
+    def test_master_equation_on_a_long_grid(self):
+        model = preset("qubit_driven")
+        dmap = DynamicalMap(model, build_generator(model))
+        dmap.h_series()  # synthesized outside the traced march
+        rho0 = np.full((2, 2), 0.5, dtype=complex)
+        assert _traced_peak(lambda: dmap.integrate_direct(rho0, self.long_grid)) < 1.5e6
+
+    def test_oracle_on_a_long_grid(self):
+        model = preset("qubit_driven")
+        assert _traced_peak(lambda: integrate_schrodinger_direct(model, self.long_grid)) < 3e6
 
 
 class TestMapBasics:

@@ -704,6 +704,20 @@ class TestCliExitContract:
         assert stop.value.code == 0
         assert capsys.readouterr().out.startswith("usage: qmme validate")
 
+    @pytest.mark.parametrize("under", [False, True])
+    def test_unusable_out_is_usage_error(self, under, tmp_path, capsys):
+        # --out names a directory: an existing file cannot become one, nor hold one
+        taken = tmp_path / "taken.json"
+        taken.write_text("{}")
+        out_dir = taken / "sub" if under else taken
+        got = cli.main(["validate", str(MODELS_DIR / "qubit_dephasing.json"), "--out", str(out_dir)])
+        out, err = capsys.readouterr()
+        assert err == "" and got == 2, out
+        message = json.loads(out)["error"]
+        assert message["type"] == "ParseError"
+        assert "--out" in message["message"] and str(out_dir) in message["message"]
+        assert taken.read_text() == "{}"
+
     @pytest.mark.parametrize("command", ["evolve", "steady-state", "certify"])
     def test_unallocatable_grid_is_usage_error(self, command, capsys):
         # numpy refuses the 711 PiB array (MemoryError) and the count past what it can
