@@ -212,7 +212,7 @@ def limit_cycle(dmap, rho0, tol_spec=1e-9):
     re, zero, osc, dec = _classify(w, tol_spec)
     keep = np.nonzero(zero | osc)[0]
     exponents = np.where(zero, 0.0, 1j * w.imag)[keep]
-    modes = [devectorize(v[:, j]) for j in keep]
+    modes = list(devectorize(v[:, keep].T))
 
     residual = float(np.linalg.norm(v @ c - vectorize(rho0)))
 
@@ -367,10 +367,10 @@ def cptp_certificate(dmap, ts=None, n_pairs=20, seed=7, tol_choi=1e-10, tol_trac
     min_eig, choi_herm = choi_min_eigenvalue(m)
     eye_vec = vectorize(np.eye(d))
     trace = np.max(np.abs(m.conj().swapaxes(-1, -2) @ eye_vec - eye_vec), axis=-1)
-    # each row maps its probes A and A^dag, column-stacked, and un-stacks the images
+    # each row maps its probes A and A^dag
     a = np.array(inputs)
-    vecs = np.stack([a, a.conj().swapaxes(-1, -2)], axis=2).swapaxes(-1, -2).reshape(a.shape[:2] + (2, d * d))
-    images = (m[:, None, None] @ vecs[..., None]).reshape(vecs.shape[:3] + (d, d)).swapaxes(-1, -2)
+    vecs = vectorize(np.stack([a, a.conj().swapaxes(-1, -2)], axis=2))
+    images = devectorize((m[:, None, None] @ vecs[..., None])[..., 0])
     fwd, bwd = images[:, :, 0], images[:, :, 1]
     herm = _norms(bwd - fwd.conj().swapaxes(-1, -2)).reshape(-1, 3).max(axis=1)
     rows = [dict(label, choi_min_eig=float(e), trace_defect=float(t), hermiticity_defect=float(h),

@@ -67,22 +67,11 @@ class BohrDecomposition:
     def dim(self):
         return self.h_bar.shape[0]
 
-    @property
-    def n_levels(self):
-        return len(self.quasienergies)
-
     @functools.cached_property
     def projections(self):
         """Spectral projector of each quasienergy level."""
         v = self.eigenvectors
-        return [v[:, self.levels == k] @ v[:, self.levels == k].conj().T for k in range(self.n_levels)]
-
-    @property
-    def pairs(self):
-        """``pairs[i]``: the sorted level pairs (k, l) whose difference is
-        Bohr frequency ``bohr_frequencies[i]``."""
-        return [[tuple(kl) for kl in np.argwhere(self.pair_frequency == i).tolist()]
-                for i in range(len(self.bohr_frequencies))]
+        return [v[:, self.levels == k] @ v[:, self.levels == k].conj().T for k in range(len(self.quasienergies))]
 
     @functools.cached_property
     def frequency_entries(self):
@@ -206,8 +195,8 @@ class JumpOperatorSet:
     ``decomp.frequency_entries[w]`` in the b-th block of frequency w, zeros
     where it has no operator, and the mask ``present`` (blocks, couplings)
     says which slots are operators (with ``drop_tol=0`` a kept operator can
-    be exactly zero); all are read-only. ``stack``, ``ops`` and ``op`` are
-    lab-basis views built on first access.
+    be exactly zero); all are read-only. ``stack`` and ``ops`` are lab-basis
+    views built on first access.
     """
 
     decomp: BohrDecomposition
@@ -216,10 +205,6 @@ class JumpOperatorSet:
     values: tuple  # values[w]: (blocks at w, couplings, |E_w|)
     present: np.ndarray  # (blocks, couplings) bool
     norms: np.ndarray  # (blocks, couplings) Frobenius norm of each operator, its entries' 2-norm
-
-    @property
-    def n_couplings(self):
-        return self.present.shape[1]
 
     @functools.cached_property
     def blocks(self):
@@ -245,11 +230,6 @@ class JumpOperatorSet:
         mats.setflags(write=False)
         keys = zip(mu.tolist(), map(tuple, self.fourier_index[b].tolist()), self.frequency_index[b].tolist())
         return MappingProxyType(dict(zip(keys, mats)))
-
-    def op(self, mu, n, w_idx):
-        """Coupling mu's operator at (n, w_idx); zeros where it has none."""
-        s = self.ops.get((mu, tuple(n), w_idx))
-        return np.zeros((self.decomp.dim,) * 2, dtype=complex) if s is None else s
 
     def shifted_frequency(self, n, w_idx, omega):
         return float(self._shifts([w_idx], [n], omega)[0])

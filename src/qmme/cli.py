@@ -5,7 +5,9 @@ parse error, 3 numerical failure. Module errors and argparse's usage errors
 become a machine-readable JSON object on stdout. Every tolerance flag can also
 be set through an environment variable with the ``QMME_`` prefix
 (``--tol-herm`` reads ``QMME_TOL_HERM``, and so on); the flag wins when both
-are present. A tolerance must be finite and nonnegative, and
+are present, and a variable reaches only the subcommands that take its flag:
+``synthesize`` validates nothing and takes ``--out``, ``--trunc`` and
+``--tol-unitary`` alone. A tolerance must be finite and nonnegative, and
 ``--tol-integrate`` positive, or the run exits 2.
 """
 
@@ -99,16 +101,21 @@ def _nonnegative_int(raw):
 
 
 def _add_common(parser):
+    """The flags of every subcommand."""
     parser.add_argument("model", help="model JSON file")
     parser.add_argument("--out", metavar="DIR", default=None,
                         help="write artifacts into DIR instead of stdout")
     parser.add_argument("--trunc", type=int, default=None, metavar="N",
                         help="re-truncate the unitary series to box N")
+    _add_tol(parser, "--tol-unitary", 1e-9, "unitarity drift bound for p(t)")
+
+
+def _add_validation(parser):
+    """The flags of the admissibility checks, for the subcommands that validate."""
     parser.add_argument("--box", type=int, default=12, metavar="K",
                         help="integer lattice box for independence/congruence scans")
     _add_tol(parser, "--tol-herm", 1e-10, "Hermiticity residual bound")
     _add_tol(parser, "--tol-cluster", 1e-9, "relative eigenvalue clustering width")
-    _add_tol(parser, "--tol-unitary", 1e-9, "unitarity drift bound for p(t)")
     _add_tol(parser, "--tol-independence", 1e-9, "rational-independence scan tolerance")
     _add_tol(parser, "--tol-congruence", 1e-9, "congruence-freedom scan tolerance")
 
@@ -336,16 +343,19 @@ def build_parser():
     spectral = ("--tol-spectral", 1e-9, "spectral snapping tolerance")
 
     def command(name, help_text, func, *tols):
-        """A subcommand with the common flags, then the tolerance flags ``tols``."""
+        """A validating subcommand: the common and validation flags, then the tolerance flags ``tols``."""
         p = sub.add_parser(name, help=help_text)
         _add_common(p)
+        _add_validation(p)
         for tol in tols:
             _add_tol(p, *tol)
         p.set_defaults(func=func)
         return p
 
     command("validate", "check model admissibility", cmd_validate)
-    command("synthesize", "emit the lab-frame Hamiltonian series", cmd_synthesize)
+    p = sub.add_parser("synthesize", help="emit the lab-frame Hamiltonian series")
+    _add_common(p)
+    p.set_defaults(func=cmd_synthesize)
     command("build", "emit decomposition, shift, rates, and generator", cmd_build, psd)
     p = command("evolve", "trajectory CSV from both dynamics paths", cmd_evolve, psd,
                 ("--tol-integrate", 1e-8, "step-halving convergence bound", True))

@@ -56,7 +56,8 @@ import numpy as np
 
 from .errors import Defective, DimensionMismatch, NoConvergence, NotUnitary, OrderViolation
 from .fourier import joint_sampler
-from .linalg import Superoperator, conjugation_superop, eigensystem, expm, trace_norm, unitarity_residuals
+from .linalg import (Superoperator, conjugation_superop, devectorize, eigensystem, expm, trace_norm,
+                     unitarity_residuals, vectorize)
 from .model import synthesize_hamiltonian
 
 __all__ = [
@@ -240,14 +241,17 @@ def rk4_path(f, y0, ts, tol=1e-8, norm=None, max_refinements=_MAX_REFINEMENTS):
     """RK4 trajectory over ``ts``, refined by step halving.
 
     The step is halved until the end state moves by less than ``tol`` in the
-    given norm (trace norm by default) between successive refinements; the
-    finer trajectory is returned. Raises NoConvergence when the refinement
-    budget is exhausted.
+    given norm between successive refinements; the finer trajectory is
+    returned. The default trace norm takes only a matrix state, and any other
+    raises DimensionMismatch before the first step. Raises NoConvergence when
+    the refinement budget is exhausted.
     """
+    if norm is None:
+        norm = trace_norm
+        norm(np.zeros(np.shape(y0), dtype=complex))  # a state it cannot take fails here
     advance = _stage_advance(lambda nodes: lambda i, y: f(nodes[i], y))
     chunk = max(1, _CHUNK_ENTRIES // (2 * max(1, np.size(y0))))  # two stage nodes a substep, of y's entries
-    return _refine(functools.partial(_rk4_blocked, advance, chunk), y0, ts, tol,
-                   trace_norm if norm is None else norm, max_refinements, "RK4")
+    return _refine(functools.partial(_rk4_blocked, advance, chunk), y0, ts, tol, norm, max_refinements, "RK4")
 
 
 def _nonnegative_times(ts):
@@ -407,15 +411,13 @@ class DynamicalMap:
         """Product-form trajectory at the sample times, p evaluated once per grid."""
         rho0, ts = self._state(rho0), _nonnegative_times(ts)
         p = self.frames(ts)  # first: a time whose phase overflows raises before exp(t w) overflows
-        v0 = rho0.reshape(-1, order="F")
-        d = self.dim
+        v0 = vectorize(rho0)
         if self._eig is not None:
             w, v, vinv = self._eig
             vecs = (v @ (np.exp(np.outer(w, ts)) * (vinv @ v0)[:, None])).T
         else:
-            vecs = np.array([self.expm_x(t) @ v0 for t in ts], dtype=complex).reshape(ts.size, d * d)
-        u = vecs.reshape(ts.size, d, d).transpose(0, 2, 1)  # un-stack the columns
-        return p @ u @ p.conj().transpose(0, 2, 1)
+            vecs = np.array([self.expm_x(t) @ v0 for t in ts], dtype=complex).reshape(ts.size, v0.size)
+        return p @ devectorize(vecs) @ p.conj().transpose(0, 2, 1)
 
     def integrate_direct(self, rho0, ts, tol=1e-8):
         """Trajectory from RK4 on the time-local master equation, from ``rho0`` at t = 0.
@@ -429,12 +431,12 @@ class DynamicalMap:
         if d > _STEP_MATRIX_MAX_DIM:
             advance, y0 = _stage_advance(self._master_rhs), rho0
         else:  # column-stacked states: a row-major reshape gives rho^T, which has the same trace norm
-            advance, y0 = _linear_advance(self._lindbladians), rho0.reshape(-1, order="F")
+            advance, y0 = _linear_advance(self._lindbladians), vectorize(rho0)
         # L(t) is finite: a level past RK4's stability bound overflows unwarned, and unconverged
         with np.errstate(over="ignore", invalid="ignore"):
             path = _refine(functools.partial(_rk4_blocked, advance, chunk), y0, ts, tol,
                            lambda y: trace_norm(y.reshape(d, d)), _MAX_REFINEMENTS, "RK4")[1:]
-        return path if d > _STEP_MATRIX_MAX_DIM else path.reshape(-1, d, d).transpose(0, 2, 1)
+        return path if d > _STEP_MATRIX_MAX_DIM else devectorize(path)
 
 
 # ---------------------------------------------------------------------------

@@ -295,11 +295,6 @@ class FourierOperatorSeries:
         kept, dropped = norms >= eps, _total(norms[norms < eps])
         return self._from_rows(self.trunc, self._idx[kept], self._stack[kept], self.tail_norm + dropped)
 
-    def coeff(self, n):
-        """Coefficient at index ``n`` (zeros if absent)."""
-        idx = tuple(int(v) for v in n)
-        return self.coeffs[idx].copy() if idx in self.coeffs else np.zeros((self.d, self.d), dtype=complex)
-
     def l1_norm(self):
         """Sum of coefficient Frobenius norms; bounds sup_t ||A(t)||_F."""
         return _total(_norms(self._stack))

@@ -36,7 +36,7 @@ import numpy as np
 
 from .bohr import build_jump_operator_set, decompose, interaction_picture_coupling_series
 from .errors import InadmissibleModel, NotHermitian, NotPSD
-from .linalg import Superoperator, ad_superop, hermiticity_defect, hermitize
+from .linalg import Superoperator, ad_superop, conjugation_superop, hermiticity_defect, hermitize
 from .model import validate_model
 
 __all__ = [
@@ -74,7 +74,7 @@ def _lab_superop(left, right, v):
     eye = np.eye(d)
     core = ((left + right).reshape(d * d, d * d) - np.kron(eye, np.trace(left, axis1=0, axis2=1))
             - np.kron(np.trace(right, axis1=0, axis2=1).T, eye))
-    k = np.kron(v.conj(), v)
+    k = conjugation_superop(v)
     return k @ core @ k.conj().T
 
 

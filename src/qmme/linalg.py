@@ -2,7 +2,9 @@
 
 Everything downstream relies on the conventions fixed here:
 
-* ``vectorize`` stacks matrix COLUMNS, so ``vec(A @ rho @ B) = kron(B.T, A) @ vec(rho)``.
+* ``vectorize`` stacks matrix COLUMNS, so ``vec(A @ rho @ B) = kron(B.T, A) @ vec(rho)``;
+  it and ``devectorize`` act on the trailing axes of a stack, and the other
+  modules stack and un-stack states through them.
 * A superoperator is a ``(d*d, d*d)`` complex matrix acting on column-stacked
   states; composition of maps is plain matrix multiplication.
 * The Choi matrix of a map ``S`` is ``sum_ij E_ij kron S(E_ij)`` with ``E_ij``
@@ -53,22 +55,24 @@ def _as_square(a, name="matrix", stacked=False):
 
 
 def vectorize(rho):
-    """Column-stack a d x d matrix into a length d*d vector.
+    """Column-stack a d x d matrix into a length d*d vector, or each matrix of a
+    ``(..., d, d)`` stack into a ``(..., d*d)`` stack.
 
     The identity on d=2 maps to (1, 0, 0, 1); the unit matrix with a one in
     row 0, column 1 maps to (0, 0, 1, 0).
     """
-    rho = _as_square(rho, "state")
-    return rho.reshape(-1, order="F").copy()
+    rho = _as_square(rho, "state", stacked=True)
+    return np.array(rho.swapaxes(-1, -2)).reshape(rho.shape[:-2] + (rho.shape[-1] ** 2,))
 
 
 def devectorize(v):
-    """Inverse of :func:`vectorize`; requires a perfect-square length."""
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    d = int(round(np.sqrt(v.size)))
-    if d * d != v.size:
-        raise DimensionMismatch(f"vector length {v.size} is not a perfect square")
-    return v.reshape((d, d), order="F").copy()
+    """Inverse of :func:`vectorize`: a ``(..., d*d)`` stack to ``(..., d, d)``, a
+    1-d (or 0-d) input to one matrix. Requires a perfect-square length."""
+    v = np.atleast_1d(np.asarray(v, dtype=complex))
+    d = math.isqrt(v.shape[-1])
+    if d * d != v.shape[-1]:
+        raise DimensionMismatch(f"vector length {v.shape[-1]} is not a perfect square")
+    return v.reshape(v.shape[:-1] + (d, d)).swapaxes(-1, -2).copy()
 
 
 def hermiticity_defect(a):
@@ -198,10 +202,8 @@ def conjugation_superop(u):
 
 class Superoperator:
     """A linear map on d x d matrices, stored as a (d*d, d*d) matrix in the
-    column-stacking convention.
-
-    ``apply`` acts on a matrix and returns a matrix. Instances are treated as
-    immutable values.
+    column-stacking convention; ``devectorize(matrix @ vectorize(rho))`` applies it.
+    Instances are treated as immutable values.
     """
 
     __slots__ = ("matrix", "dim")
@@ -213,12 +215,6 @@ class Superoperator:
             raise DimensionMismatch(f"superoperator side {matrix.shape[0]} is not a perfect square")
         self.matrix = matrix
         self.dim = d
-
-    def apply(self, rho):
-        rho = _as_square(rho, "state")
-        if rho.shape[0] != self.dim:
-            raise DimensionMismatch(f"state dim {rho.shape[0]} != superoperator dim {self.dim}")
-        return devectorize(self.matrix @ vectorize(rho))
 
     def __repr__(self):
         return f"Superoperator(dim={self.dim})"

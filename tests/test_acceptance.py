@@ -84,7 +84,7 @@ def _structural_residuals(model, bundle):
                 s for (m2, n2, _), s in jumps.ops.items() if m2 == mu and n2 == n
             )
             worst_complete = max(
-                worst_complete, float(np.linalg.norm(total - series.coeff(n)))
+                worst_complete, float(np.linalg.norm(total - series.coeffs[n]))
             )
     return worst_comm, worst_complete
 

@@ -20,7 +20,7 @@ from qmme.dynamics import DynamicalMap
 from qmme.errors import Defective, InsufficientDecay, SpectralViolation
 from qmme.fourier import FourierOperatorSeries
 from qmme.generator import build_generator
-from qmme.linalg import Superoperator, choi_of, hermitize, trace_norm, vectorize
+from qmme.linalg import Superoperator, choi_of, devectorize, hermitize, trace_norm, vectorize
 from qmme.model import BathSpectrum, ReducedModel
 from qmme.presets import SIGMA_X, SIGMA_Z
 
@@ -86,8 +86,8 @@ def _row_by_row_certificate(dmap, ts=None, n_pairs=20, seed=7):
         herm_defect = 0.0
         for _ in range(3):
             a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-            fwd = superop.apply(a)
-            bwd = superop.apply(a.conj().T)
+            fwd = devectorize(superop.matrix @ vectorize(a))
+            bwd = devectorize(superop.matrix @ vectorize(a.conj().T))
             herm_defect = max(herm_defect, float(np.linalg.norm(bwd - fwd.conj().T)))
         return dict(label, choi_min_eig=min_eig, trace_defect=trace_defect,
                     hermiticity_defect=herm_defect, choi_hermiticity=choi_herm)

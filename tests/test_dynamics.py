@@ -124,6 +124,15 @@ class TestRk4:
                      norm=lambda y: seen_by_norm.append(y) or trace_norm(y))
         assert seen_by_norm == []
 
+    def test_state_the_trace_norm_cannot_take_fails_before_the_march(self):
+        # the default norm takes only matrices: a vector state is refused with no call of f,
+        # where it took two whole levels (480,000 calls) before the first convergence test
+        calls = []
+        f = _counted(lambda t, y: -0.01 * y, calls)
+        with pytest.raises(DimensionMismatch, match=r"^trace norm needs a matrix, got shape \(1,\)$"):
+            rk4_path(f, [1.0], [0.0, 2000.0], tol=1e-12)
+        assert calls == []
+
     def test_descending_times_rejected(self):
         with pytest.raises(OrderViolation):
             rk4_path(lambda t, y: -y, np.array([1.0 + 0j]), [0.0, 2.0, 1.0],
@@ -308,7 +317,7 @@ class TestNoConvergenceNamesRule:
         with pytest.raises(NoConvergence, match=r"^Gauss-Legendre did not reach tol=1\.0e-10 "):
             integrate_schrodinger_direct(model, ts, tol=1e-10)
         with pytest.raises(NoConvergence, match=r"^RK4 did not reach"):
-            rk4_path(lambda t, y: -y, np.array([1.0 + 0j]), ts, max_refinements=0)
+            rk4_path(lambda t, y: -y, np.array([[1.0 + 0j]]), ts, max_refinements=0)
 
 
 def _master_rhs(model, bundle, dmap):
@@ -748,7 +757,7 @@ class TestTrajectories:
         ts = np.array([0.0, 0.8, 2.9, 7.3])
         states = dmap.evolve(rho0, ts)
         for t, rho in zip(ts, states):
-            assert np.allclose(dmap.at(t).apply(rho0), rho, atol=1e-12)
+            assert np.allclose(devectorize(dmap.at(t).matrix @ vectorize(rho0)), rho, atol=1e-12)
 
     def test_negative_time_rejected(self, q1):
         model, _, dmap = q1

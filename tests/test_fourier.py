@@ -68,10 +68,6 @@ class TestSeriesBasics:
         with pytest.raises(DimensionMismatch):
             FourierOperatorSeries(1, 2, 1, {(2,): np.eye(2)})
 
-    def test_coeff_returns_zero_for_missing(self):
-        s = FourierOperatorSeries.constant(np.eye(2), r=1, trunc=3)
-        assert np.array_equal(s.coeff((2,)), np.zeros((2, 2)))
-
     def test_sampler_matches_evaluate(self, rng):
         # sampler and evaluate_many against evaluate, out to t = 200; with
         # 60 terms (r = 3) the grid spans three evaluate_many chunks
@@ -122,7 +118,7 @@ class TestSeriesAlgebra:
         s1 = FourierOperatorSeries(1, 2, 2, {(1,): a})
         s2 = FourierOperatorSeries(1, 2, 2, {(-1,): b})
         p = s1.product(s2)
-        assert np.allclose(p.coeff((0,)), a @ b)
+        assert np.allclose(p.coeffs[(0,)], a @ b)
         assert len(p) == 1
 
     def test_product_matches_pointwise(self, rng):
@@ -334,7 +330,7 @@ class TestDenseStorageMatchesDictReference:
         a, b = PRODUCT_CASES["single modes outside"]
         p = a.product(b)
         assert len(p) == 0
-        assert p.tail_norm == pytest.approx(np.linalg.norm(a.coeff((3, 1)) @ b.coeff((1, 0))), rel=1e-14)
+        assert p.tail_norm == pytest.approx(np.linalg.norm(a.coeffs[(3, 1)] @ b.coeffs[(1, 0)]), rel=1e-14)
 
     def test_product_transforms_supports_not_boxes(self, rng):
         # a box of 201^2 points holding a 3 x 3 support: the FFTs span the supports only
@@ -514,7 +510,7 @@ class TestOnUnion:
         assert coeffs.shape == (4, 4, 2, 2)
         for k, n in enumerate(map(tuple, idx.tolist())):
             for mu, s in enumerate([a, empty, b, c]):
-                assert np.array_equal(coeffs[k, mu], s.coeff(n))
+                assert np.array_equal(coeffs[k, mu], s.coeffs.get(n, np.zeros((2, 2))))
         idx, coeffs, held = _on_union([empty, empty])
         assert idx.shape == (0, 2) and coeffs.shape == (0, 2, 2, 2) and held.shape == (0, 2)
 
@@ -590,7 +586,7 @@ class TestSupportStorage:
         p = s.product(s.adjoint()) + s.derivative(omega)
         assert p.trunc == 10**9
         assert list(p.coeffs) == [(-1, 5), (0, 0), (0, 3), (1, -5), (1, -2)]
-        assert np.allclose(p.coeff((0, 0)), 5 * np.eye(2), atol=1e-14)  # |1|^2 + |2i|^2
+        assert np.allclose(p.coeffs[(0, 0)], 5 * np.eye(2), atol=1e-14)  # |1|^2 + |2i|^2
         assert list(s.truncate(2).coeffs) == [(1, -2)]
 
 
@@ -806,7 +802,7 @@ class TestFastLengthProducts:
         for a, b, got in self.recorded_products(monkeypatch, build):
             full = no_drop(a, b)
             assert set(got.coeffs) <= set(full.coeffs)
-            distances.append(_total([np.linalg.norm(full.coeffs[n] - got.coeff(n)) for n in sorted(full.coeffs)]))
+            distances.append(_total([np.linalg.norm(full.coeffs[n] - got.coeffs.get(n, 0)) for n in sorted(full.coeffs)]))
             assert distances[-1] <= got.tail_norm * (1 + 1e-12)
         assert max(distances) > 0 or name in ("qubit_dephasing", "qutrit_thermal_static")  # p constant there
 

@@ -309,10 +309,10 @@ def _loop_jump_operators(decomp, s_hat_series, drop_tol=1e-14):
     """Projector sums applied one Fourier coefficient at a time."""
     ops = {}
     for n in s_hat_series.coeffs:
-        s_hat = s_hat_series.coeff(n)
-        for w_idx, klist in enumerate(decomp.pairs):
+        s_hat = s_hat_series.coeffs[n]
+        for w_idx in range(len(decomp.bohr_frequencies)):
             s = np.zeros_like(s_hat)
-            for k, l in klist:
+            for k, l in np.argwhere(decomp.pair_frequency == w_idx):
                 s += decomp.projections[k] @ s_hat @ decomp.projections[l]
             if np.linalg.norm(s) >= drop_tol:
                 ops[(n, w_idx)] = s
@@ -330,14 +330,14 @@ def _term_generator(model, bundle):
     """delta_h and X summed term by term, exactly rounded, from scalar bath
     calls per block."""
     jumps, d = bundle.jumps, bundle.dim
-    eye = np.eye(d)
+    eye, zero = np.eye(d), np.zeros((d, d), dtype=complex)
     shift_terms, diss_terms = [], []
     for (w_idx, n) in jumps.blocks:
         w = jumps.shifted_frequency(n, w_idx, model.frequencies)
         h, zeta = model.bath.h(w), model.bath.zeta(w)
-        for mu in range(jumps.n_couplings):
-            for nu in range(jumps.n_couplings):
-                s_mu, s_nu = jumps.op(mu, n, w_idx), jumps.op(nu, n, w_idx)
+        for mu in range(jumps.present.shape[1]):
+            for nu in range(jumps.present.shape[1]):
+                s_mu, s_nu = jumps.ops.get((mu, n, w_idx), zero), jumps.ops.get((nu, n, w_idx), zero)
                 prod = s_mu.conj().T @ s_nu
                 shift_terms.append(zeta[mu, nu] * prod)
                 diss_terms.append(h[mu, nu] * (np.kron(s_mu.conj(), s_nu)

@@ -15,12 +15,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qmme import cli, dynamics, presets
+from qmme import cli, dynamics, generator, presets
 from qmme.errors import ParseError, SchemaVersionMismatch
 from qmme.fourier import FourierOperatorSeries
 from qmme.io import (
     _format_float,
     _pairs,
+    _series_to_dict,
     dumps_canonical,
     load_density_matrix,
     load_model,
@@ -29,7 +30,7 @@ from qmme.io import (
     save_model,
     write_trajectory_csv,
 )
-from qmme.model import BathSpectrum, ReducedModel, p_series_from_profile_terms, validate_model
+from qmme.model import BathSpectrum, ReducedModel, p_series_from_profile_terms, synthesize_hamiltonian, validate_model
 from qmme.presets import PRESETS, SIGMA_Z, preset
 
 from conftest import random_density
@@ -920,6 +921,39 @@ class TestCliDynamics:
         assert error["type"] == "Overflow" and "tail" in error["message"]
 
 
+class TestCliSynthesizeFlags:
+    """synthesize validates nothing: it takes the model, --out, --trunc and --tol-unitary alone."""
+
+    MODEL = str(MODELS_DIR / "qubit_driven.json")
+
+    @pytest.mark.parametrize("flag, value", [("--box", "3"), ("--tol-herm", "5"), ("--tol-cluster", "1e-3"),
+                                             ("--tol-independence", "1e-3"), ("--tol-congruence", "1e-3")])
+    def test_validation_flags_are_usage_errors(self, flag, value, capsys):
+        got = cli.main(["synthesize", self.MODEL, flag, value])
+        out, err = capsys.readouterr()
+        assert got == 2 and err == ""
+        error = json.loads(out)["error"]
+        assert error["type"] == "ParseError" and flag in error["message"]
+
+    def test_validation_variables_do_not_reach_it(self, capsys, monkeypatch):
+        monkeypatch.setenv("QMME_TOL_HERM", "nan")
+        assert cli.main(["validate", self.MODEL]) == 2
+        assert "QMME_TOL_HERM" in json.loads(capsys.readouterr().out)["error"]["message"]
+        assert cli.main(["synthesize", self.MODEL]) == 0
+        assert json.loads(capsys.readouterr().out)["r"] == 2
+
+    def test_trunc_out_and_tol_unitary(self, tmp_path, capsys):
+        # p cut to trunc 2 drifts from unitary by 6.2e-4: the default bound refuses it
+        mdl = load_model(self.MODEL)
+        expect = synthesize_hamiltonian(mdl.p_series.truncate(2), mdl.frequencies, mdl.h_bar, tol_unitary=1e-3)
+        argv = ["synthesize", self.MODEL, "--trunc", "2"]
+        assert cli.main(argv + ["--tol-unitary", "1e-3", "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().out == f"{tmp_path / 'h_series.json'}\n"
+        assert (tmp_path / "h_series.json").read_text() == dumps_canonical(_series_to_dict(expect))
+        assert cli.main(argv) == 1
+        assert json.loads(capsys.readouterr().out)["error"]["type"] == "NotUnitary"
+
+
 _NO_SCIPY_SCRIPT = """
 import contextlib, io, json, sys
 import qmme, qmme.cli
@@ -975,13 +1009,29 @@ class TestBenchmarkTracer:
         spec = importlib.util.spec_from_file_location("perfbench_tracer", REPO / "perfbench" / "tracer.py")
         tracer = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(tracer)
-        rk4, sampler = dynamics.rk4_path, FourierOperatorSeries.__dict__["sampler"]
+
+        def attributes():
+            """Every attribute of every loaded qmme module and of the classes they define."""
+            modules = [m for name, m in sys.modules.items() if name == "qmme" or name.startswith("qmme.")]
+            owners = modules + [c for m in modules for c in vars(m).values()
+                                if isinstance(c, type) and c.__module__ == m.__name__]
+            return {(owner, attr): value for owner in owners for attr, value in vars(owner).items()}
+
+        before = attributes()
         traced = tracer.Tracer()
         try:
             traced.install()
-            assert dynamics.rk4_path is not rk4
-            assert FourierOperatorSeries.__dict__["sampler"] is not sampler
+            patched = [key for key, value in attributes().items() if before.get(key) is not value]
+            recorded = [(owner, attr) for owner, attr, _ in traced._undo]
+            # the traced counters read jump operators and shifted frequencies by name
+            mdl = preset("qutrit_thermal")
+            bundle = generator.build_generator(mdl, validate=False)
+            generator.cross_check_selection_rule(bundle, mdl.bath, mdl.frequencies)
         finally:
             traced.uninstall()
-        assert dynamics.rk4_path is rk4
-        assert FourierOperatorSeries.__dict__["sampler"] is sampler
+        assert (dynamics, "rk4_path") in patched and (FourierOperatorSeries, "sampler") in patched
+        assert len(patched) == len(recorded) and set(patched) == set(recorded) <= set(before)
+        after = attributes()
+        assert after.keys() == before.keys()
+        assert [key for key, value in after.items() if before[key] is not value] == []
+        assert traced.counts["bohr.jump_ops"] > 0 and traced.counts["generator.selection_pairs"] > 0

@@ -42,6 +42,22 @@ class TestVectorize:
         with pytest.raises(DimensionMismatch):
             devectorize(np.zeros(5))
 
+    @pytest.mark.parametrize("lead", [(), (4,), (2, 3)])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_stacks_match_per_matrix_calls(self, rng, lead, d):
+        a = rng.normal(size=lead + (d, d)) + 1j * rng.normal(size=lead + (d, d))
+        vecs = vectorize(a)
+        assert vecs.shape == lead + (d * d,)
+        back = devectorize(vecs)
+        assert back.shape == a.shape and np.array_equal(back, a)
+        for k in np.ndindex(lead):
+            assert np.array_equal(vecs[k], vectorize(a[k]))
+            assert np.array_equal(back[k], devectorize(vecs[k]))
+        # fresh arrays: writing to the result leaves the input alone
+        vecs[...] = 0.0
+        back[...] = 0.0
+        assert np.array_equal(devectorize(vectorize(a)), a)
+
     def test_sandwich_identity(self, rng):
         # vec(A rho B) = kron(B^T, A) vec(rho), the convention everything
         # else in the package leans on
@@ -180,7 +196,7 @@ class TestSuperoperator:
     def test_identity(self, rng):
         s = Superoperator(np.eye(9))
         rho = random_density(rng, 3)
-        assert np.allclose(s.apply(rho), rho)
+        assert np.allclose(devectorize(s.matrix @ vectorize(rho)), rho)
 
     def test_ad_spectrum_is_eigenvalue_differences(self):
         h = np.diag([1.0, 2.0, 4.0])
@@ -219,7 +235,9 @@ class TestStackedSuperoperators:
         with pytest.raises(Overflow):
             conjugation_superop(np.full((2, 2, 2), np.nan))
         with pytest.raises(DimensionMismatch):
-            vectorize(np.zeros((2, 2, 2)))
+            vectorize(np.zeros((2, 2, 3)))
+        with pytest.raises(DimensionMismatch):
+            devectorize(np.zeros((2, 5)))
 
     def test_unitarity_residuals_match_per_matrix_norms(self, rng):
         us = scipy.linalg.expm(-1j * np.stack([random_hermitian(rng, 3) for _ in range(5)]))
@@ -240,7 +258,7 @@ class TestChoi:
             for j in range(d):
                 e = np.zeros((d, d))
                 e[i, j] = 1.0
-                expect += np.kron(e, s.apply(e))
+                expect += np.kron(e, devectorize(s.matrix @ vectorize(e)))
         assert np.array_equal(choi_of(s), expect)
         assert np.array_equal(choi_of(m), expect)
 
