@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Defective, InsufficientDecay, SpectralViolation
+from .errors import Defective, DimensionMismatch, InsufficientDecay, SpectralViolation
 from .io import _pairs
 from .linalg import (
     Superoperator,
@@ -262,6 +262,8 @@ def decay_rate_fit(dmap, cycle, rho0, ts):
     the state is already converged.
     """
     ts = np.asarray(ts, dtype=float).reshape(-1)
+    if ts.size == 0:
+        raise InsufficientDecay("the time grid is empty")
     gaps = dmap.evolve(rho0, ts) - cycle.states_at(ts)
     dists = trace_norm(gaps)
 
@@ -347,6 +349,8 @@ def cptp_certificate(dmap, ts=None, n_pairs=20, seed=7, tol_choi=1e-10, tol_trac
     if ts is None:
         ts = np.logspace(-3, math.log10(50.0), 20)
     ts = np.asarray(ts, dtype=float).reshape(-1)
+    if ts.size == 0:
+        raise DimensionMismatch("the certificate needs at least one sample time")
     rng = np.random.default_rng(seed)
     d = dmap.dim
 

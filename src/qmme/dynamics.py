@@ -54,7 +54,7 @@ import math
 
 import numpy as np
 
-from .errors import Defective, DimensionMismatch, NoConvergence, NotUnitary, OrderViolation
+from .errors import Defective, DimensionMismatch, NoConvergence, NotUnitary, OrderViolation, Overflow
 from .fourier import joint_sampler
 from .linalg import (Superoperator, conjugation_superop, devectorize, eigensystem, expm, trace_norm,
                      unitarity_residuals, vectorize)
@@ -255,10 +255,13 @@ def rk4_path(f, y0, ts, tol=1e-8, norm=None, max_refinements=_MAX_REFINEMENTS):
 
 
 def _nonnegative_times(ts):
-    """``ts`` as a float array; OrderViolation for a negative time (every trajectory starts at t = 0)."""
+    """``ts`` as a float array; OrderViolation for a negative time (every trajectory starts at t = 0)
+    and Overflow for a time that is not finite."""
     ts = np.asarray(ts, dtype=float).reshape(-1)
     if np.any(ts < 0):
         raise OrderViolation("sample times must be nonnegative")
+    if not np.isfinite(ts).all():
+        raise Overflow(f"sample time {ts[np.argmin(np.isfinite(ts))]} is not finite")
     return ts
 
 
@@ -405,6 +408,8 @@ class DynamicalMap:
         rho0 = np.asarray(rho0, dtype=complex)
         if rho0.shape != (self.dim, self.dim):
             raise DimensionMismatch(f"initial state has shape {rho0.shape}, map dimension is {self.dim}")
+        if not np.isfinite(rho0).all():  # a march would carry it through every step halving
+            raise Overflow("state contains non-finite entries")
         return rho0
 
     def evolve(self, rho0, ts):

@@ -17,7 +17,7 @@ from qmme.analysis import (
     spectrum_classification,
 )
 from qmme.dynamics import DynamicalMap
-from qmme.errors import Defective, InsufficientDecay, SpectralViolation
+from qmme.errors import Defective, DimensionMismatch, InsufficientDecay, SpectralViolation
 from qmme.fourier import FourierOperatorSeries
 from qmme.generator import build_generator
 from qmme.linalg import Superoperator, choi_of, devectorize, hermitize, trace_norm, vectorize
@@ -283,6 +283,13 @@ class TestDecayFit:
         assert fit.expected_rate == pytest.approx(1.0, abs=1e-8)
         assert fit.relative_error < 0.05
 
+    def test_empty_grid(self):
+        # the CLI's --grid holds at least 2 times; an empty grid has no distance to fit
+        _, _, dmap = two_rate_qubit()
+        rho0 = np.diag([1.0, 0.0]).astype(complex)
+        with pytest.raises(InsufficientDecay, match="^the time grid is empty$"):
+            decay_rate_fit(dmap, limit_cycle(dmap, rho0), rho0, [])
+
     def test_already_converged(self):
         _, _, dmap = two_rate_qubit()
         rho0 = np.eye(2, dtype=complex) / 2
@@ -330,6 +337,14 @@ class TestCptpCertificate:
         assert cert.worst_trace_defect <= 1e-12
         assert len(cert.time_rows) == 6
         assert len(cert.pair_rows) == 5
+
+    def test_empty_grid(self, q2):
+        # the pairs are drawn on [0, last time]: no time, no horizon
+        _, _, dmap = q2
+        with pytest.raises(DimensionMismatch, match="at least one sample time"):
+            cptp_certificate(dmap, ts=[], n_pairs=0)
+        with pytest.raises(DimensionMismatch, match="at least one sample time"):
+            cptp_certificate(dmap, ts=[])
 
     def test_positivity_violation_detected(self, q1):
         # reversing the dissipator amplifies coherence, which cannot be CP

@@ -17,7 +17,7 @@ from qmme.dynamics import (
     integrate_schrodinger_direct,
     rk4_path,
 )
-from qmme.errors import Defective, DimensionMismatch, NoConvergence, NotUnitary, OrderViolation
+from qmme.errors import Defective, DimensionMismatch, NoConvergence, NotUnitary, OrderViolation, Overflow
 from qmme.fourier import FourierOperatorSeries
 from qmme.generator import build_generator
 from qmme.linalg import ad_superop, conjugation_superop, devectorize, trace_norm, vectorize
@@ -584,6 +584,14 @@ def _larger_model(d, rng):
     )
 
 
+@functools.cache
+def _five_level():
+    """_larger_model at d = 5, above the step-matrix march, with its generator and map."""
+    model = _larger_model(5, np.random.default_rng(5))
+    bundle = build_generator(model)
+    return model, bundle, DynamicalMap(model, bundle)
+
+
 class TestOracleAtLargerDimension:
     def test_working_memory_stays_on_one_chunk(self):
         # d = 8: the oracle holds one chunk of 42 substeps at a time (1.6 MB
@@ -656,8 +664,10 @@ class TestMarchMemoryFollowsTheChunk:
         model = preset("qubit_driven")
         dmap = DynamicalMap(model, build_generator(model))
         dmap.h_series()  # synthesized outside the traced march
-        rho0 = np.full((2, 2), 0.5, dtype=complex)
-        assert _traced_peak(lambda: dmap.integrate_direct(rho0, self.long_grid)) < 1.5e6
+        rho0, direct = np.full((2, 2), 0.5, dtype=complex), []
+        assert _traced_peak(lambda: direct.append(dmap.integrate_direct(rho0, self.long_grid))) < 1.5e6
+        # qmme evolve --rho0 plus --grid 0:2000:50 holds the march within 1e-6 of the product form
+        assert np.max(trace_norm(direct[0] - dmap.evolve(rho0, self.long_grid))) <= 1e-6
 
     def test_oracle_on_a_long_grid(self):
         model = preset("qubit_driven")
@@ -767,6 +777,24 @@ class TestTrajectories:
             dmap.integrate_direct(np.eye(2) / 2, [-1.0, 0.0])
         with pytest.raises(OrderViolation):
             integrate_schrodinger_direct(model, [-1.0, 0.0])
+
+    @pytest.mark.parametrize("path, bad", [
+        (path, bad) for path in ("evolve", "direct-step-matrices", "direct-stages", "oracle")
+        for bad in ("rho0-nan", "rho0-inf", "t-nan", "t-inf") if path != "oracle" or bad.startswith("t-")])
+    def test_non_finite_input_is_overflow(self, path, bad, q1):
+        # refused before any march: above d = 4 a NaN state went through all 12 step
+        # halvings to NoConvergence, and a NaN or infinite time counted its substeps
+        model, _, dmap = _five_level() if path == "direct-stages" else q1
+        value, d = (np.nan if bad.endswith("nan") else np.inf), dmap.dim
+        rho0, ts = np.eye(d, dtype=complex) / d, np.array([0.0, 1.0])
+        if bad.startswith("rho0"):
+            rho0[0, 1] = value
+        else:
+            ts[1] = value
+        run = {"evolve": lambda: dmap.evolve(rho0, ts),
+               "oracle": lambda: integrate_schrodinger_direct(model, ts)}.get(path, lambda: dmap.integrate_direct(rho0, ts))
+        with pytest.raises(Overflow, match=r"^(state contains non-finite entries|sample time (nan|inf) is not finite)$"):
+            run()
 
     def test_direct_grid_after_zero(self, q2):
         # rho0 is the state at t = 0, so a grid starting later is reached by marching from 0

@@ -1,8 +1,10 @@
 """Energy shift, dissipator, and full generator assembly."""
 
 import dataclasses
+import importlib.util
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from qmme.generator import (
     check_covariance,
     cross_check_selection_rule,
 )
+from qmme.io import dumps_canonical, model_to_dict
 from qmme.linalg import Superoperator, ad_superop, devectorize, vectorize
 from qmme.model import BathSpectrum, ReducedModel, p_series_from_profile_terms
 from qmme.presets import PRESETS, SIGMA_X, SIGMA_Z, preset
@@ -346,13 +349,13 @@ def _term_generator(model, bundle):
     return delta_h, assemble_x(model.h_bar, delta_h, Superoperator(diss)).matrix
 
 
-def scaled_r3_models(seed):
-    """The benchmark's seeded r = 3 models, d = 2 and 3: random Hermitian
-    h_bar (norm 1), two couplings (norm 0.5), an ohmic bath, and
-    p = exp(-i sum_j 0.008 sin(theta_j) G_j) at trunc 3 with every
-    coefficient kept."""
+def scaled_r3_models(seed, dims=(2, 3)):
+    """The benchmark's seeded r = 3 models, one per dimension of ``dims``:
+    random Hermitian h_bar (norm 1), two couplings (norm 0.5), an ohmic bath,
+    and p = exp(-i sum_j 0.008 sin(theta_j) G_j) at trunc 3 with every
+    coefficient kept. Each dimension draws from its own rng, seeded [seed, d]."""
     models = []
-    for d in (2, 3):
+    for d in dims:
         rng = np.random.default_rng([seed, d])
 
         def herm(norm):
@@ -371,6 +374,25 @@ def scaled_r3_models(seed):
             bath=BathSpectrum.ohmic_kms(kappa=0.1, cutoff=5.0, beta=1.0, n_couplings=2),
         ))
     return models
+
+
+class TestScaledRecipeMatchesBenchmark:
+    """perfbench/workloads.py writes the recipe of scaled_r3_models again; the two
+    copies must give the same models, bit for bit (17 digits a float)."""
+
+    def test_seeds_and_dimensions(self, monkeypatch):
+        perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+        monkeypatch.syspath_prepend(str(perfbench))  # workloads imports its siblings
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", perfbench / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        for seed in (1, 2, 3):
+            family = workloads.scaled_family(seed)
+            ours = scaled_r3_models(seed)
+            assert sorted(family) == [f"r3_d{m.dim}" for m in ours] == ["r3_d2", "r3_d3"]
+            for model in ours:
+                assert (dumps_canonical(model_to_dict(family[f"r3_d{model.dim}"]))
+                        == dumps_canonical(model_to_dict(model))), (seed, model.dim)
 
 
 REFERENCE_MODELS = {

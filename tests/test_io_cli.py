@@ -34,6 +34,7 @@ from qmme.model import BathSpectrum, ReducedModel, p_series_from_profile_terms, 
 from qmme.presets import PRESETS, SIGMA_Z, preset
 
 from conftest import random_density
+from test_generator import scaled_r3_models
 
 REPO = Path(__file__).resolve().parent.parent
 MODELS_DIR = REPO / "models"
@@ -614,6 +615,9 @@ class TestCliExitContract:
         ("huge-grid", 2, "DimensionMismatch"),
         # a p_series tail below 0 would pass as a bound that no series meets
         ("negative-tail", 2, "DimensionMismatch"),
+        # qubit_driven's frequencies times 1e300 validate silently; synthesize's overflow
+        # is test_synthesize_overflow_is_numerical_failure
+        ("huge-frequencies", 0, None),
         # p's phase at t = 1e308 is not finite: refused before any cosine, exp(t X) or SVD
         ("phase-overflow-evolve", 3, "Overflow"),
         ("phase-overflow-steady-state", 3, "Overflow"),
@@ -672,11 +676,14 @@ class TestCliExitContract:
             bad = tmp_path / "model.json"
             bad.write_bytes(b'\xff\xfe{"schema": "qmme-model"}')
             argv = ["validate", str(bad)]
-        elif case == "negative-tail":
+        elif case in ("negative-tail", "huge-frequencies"):
             doc = json.loads((MODELS_DIR / "qubit_driven.json").read_text())
-            doc["p_series"]["tail_norm"] = -1.0
+            if case == "negative-tail":
+                doc["p_series"]["tail_norm"] = -1.0
+            else:
+                doc["frequencies"] = [w * 1e300 for w in doc["frequencies"]]
             (tmp_path / "model.json").write_text(json.dumps(doc))
-            argv = ["synthesize", str(tmp_path / "model.json")]
+            argv = ["synthesize" if case == "negative-tail" else "validate", str(tmp_path / "model.json")]
         elif case.startswith("phase-overflow-"):
             argv = [case[len("phase-overflow-"):], str(MODELS_DIR / "qubit_driven.json"), "--grid", "0:1e308:3"]
         elif case == "huge-box":
@@ -812,7 +819,31 @@ class TestCliSeededMutations:
                 ), (i, what, payload)
 
 
+@pytest.fixture(scope="module")
+def scaled_model_files(tmp_path_factory):
+    """scaled_r3_models(1) at d = 3, 6 and 10, written as model files: r = 3, where
+    every shipped model has r <= 2, up to the north star's d = 10."""
+    root = tmp_path_factory.mktemp("scaled")
+    paths = {}
+    for model in scaled_r3_models(1, (3, 6, 10)):
+        paths[model.dim] = str(root / f"r3_d{model.dim}.json")
+        save_model(model, paths[model.dim])
+    return paths
+
+
 class TestCliBuild:
+    @pytest.mark.parametrize("d", [3, 6, 10])
+    def test_scaled_models_validate_and_build(self, d, scaled_model_files, capsys):
+        # at d = 10 the build sums eigenbasis entries over 13,273 blocks
+        for command in ("validate", "build"):
+            got = cli.main([command, scaled_model_files[d]])
+            out, err = capsys.readouterr()
+            assert got == 0 and err == "", out[:500]
+        if d == 10:  # a fresh process, under another hash seed, writes the same document
+            res = run_cli("build", scaled_model_files[d], env_extra={"PYTHONHASHSEED": "random"})
+            assert res.returncode == 0 and res.stderr == ""
+            assert res.stdout == out
+
     def test_build_reports_structure(self):
         res = run_cli("build", str(MODELS_DIR / "qubit_dephasing.json"))
         assert res.returncode == 0, res.stderr
@@ -843,6 +874,21 @@ class TestCliDynamics:
             worst = max(float(r["dist"]) for r in rows)
             assert worst <= 1e-6
             assert {"re_00", "direct_re_00", "dist"} <= set(rows[0])
+
+    @pytest.mark.parametrize("name, grid, count", [
+        ("qutrit_thermal_static", None, 200),
+        # above the step-matrix march (d <= 4): the master equation by per-substep stages
+        ("r3_d6", None, 200),
+        ("r3_d6", "0:200:21", 21),  # 71 chunks of 113 substeps on the last level
+    ])
+    def test_evolve_in_process_tracks_master_equation(self, name, grid, count, scaled_model_files, capsys):
+        path = scaled_model_files[6] if name == "r3_d6" else str(MODELS_DIR / f"{name}.json")
+        got = cli.main(["evolve", path, "--rho0", "plus", *(["--grid", grid] if grid else [])])
+        out, err = capsys.readouterr()
+        assert got == 0 and err == "", out[:500]
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len(rows) == count
+        assert max(float(r["dist"]) for r in rows) <= 1e-6
 
     def test_spectrum_frozen(self):
         res = run_cli("spectrum", str(MODELS_DIR / "qubit_dephasing.json"))
