@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Defective, DimensionMismatch, InsufficientDecay, SpectralViolation
-from .io import _pairs
 from .linalg import (
     Superoperator,
     _norms,
@@ -71,17 +70,15 @@ class StabilityReport:
 
     def to_dict(self):
         return {
-            "eigenvalues": _pairs(self.eigenvalues),
+            "eigenvalues": self.eigenvalues,
             "k0": int(self.k0),
             "n_oscillatory": len(self.oscillatory_indices),
             "n_decaying": len(self.decaying_indices),
             "eigvec_cond": float(self.eigvec_cond),
             "diagonalizable": bool(self.diagonalizable),
             "quasiperiodic_steady_state": bool(self.quasiperiodic_steady_state),
-            "decay_rate": None if self.decay_rate is None else float(self.decay_rate),
-            "slowest_decay_rate": None
-            if self.slowest_decay_rate is None
-            else float(self.slowest_decay_rate),
+            "decay_rate": self.decay_rate,  # a float, or None without decaying modes
+            "slowest_decay_rate": self.slowest_decay_rate,
             "conjugation_defect": float(self.conjugation_defect),
             "tol_spec": float(self.tol_spec),
         }
@@ -187,15 +184,7 @@ class LimitCycle:
         return p @ base @ p.conj().transpose(0, 2, 1)
 
     def to_dict(self):
-        return {
-            "exponents": _pairs(self.exponents),
-            "coefficients": _pairs(self.coefficients),
-            "mode_matrices": _pairs(self.mode_matrices),
-            "quasiperiodic": bool(self.quasiperiodic),
-            "reconstruction_residual": float(self.reconstruction_residual),
-            "decay_rates": self.decay_rates.tolist(),
-            "decay_weights": self.decay_weights.tolist(),
-        }
+        return {k: v for k, v in vars(self).items() if k != "_dmap"}
 
 
 def limit_cycle(dmap, rho0, tol_spec=1e-9):
@@ -241,13 +230,7 @@ class DecayFit:
     n_points: int
 
     def to_dict(self):
-        return {
-            "fitted_rate": float(self.fitted_rate),
-            "expected_rate": float(self.expected_rate),
-            "relative_error": float(self.relative_error),
-            "window": [int(self.window[0]), int(self.window[1])],
-            "n_points": int(self.n_points),
-        }
+        return dict(vars(self))
 
 
 def decay_rate_fit(dmap, cycle, rho0, ts):

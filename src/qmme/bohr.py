@@ -190,13 +190,12 @@ class JumpOperatorSet:
     the blocks are sorted by frequency index first and Fourier index second,
     and the generator sums run in this order. Their keys are the read-only
     arrays ``frequency_index`` (blocks,) and ``fourier_index`` (blocks, r),
-    from which the shifted frequencies are taken; ``blocks`` lists them as
-    (w_idx, n) tuples. ``values[w][b, mu]`` holds coupling mu's entries at
-    ``decomp.frequency_entries[w]`` in the b-th block of frequency w, zeros
-    where it has no operator, and the mask ``present`` (blocks, couplings)
-    says which slots are operators (with ``drop_tol=0`` a kept operator can
-    be exactly zero); all are read-only. ``stack`` and ``ops`` are lab-basis
-    views built on first access.
+    from which the shifted frequencies are taken. ``values[w][b, mu]`` holds
+    coupling mu's entries at ``decomp.frequency_entries[w]`` in the b-th block
+    of frequency w, zeros where it has no operator, and the mask ``present``
+    (blocks, couplings) says which slots are operators (with ``drop_tol=0`` a
+    kept operator can be exactly zero); all are read-only. ``stack`` and
+    ``ops`` are lab-basis views built on first access.
     """
 
     decomp: BohrDecomposition
@@ -205,11 +204,6 @@ class JumpOperatorSet:
     values: tuple  # values[w]: (blocks at w, couplings, |E_w|)
     present: np.ndarray  # (blocks, couplings) bool
     norms: np.ndarray  # (blocks, couplings) Frobenius norm of each operator, its entries' 2-norm
-
-    @functools.cached_property
-    def blocks(self):
-        """The sorted (w_idx, n_tuple) key of each block, built on first access."""
-        return list(zip(self.frequency_index.tolist(), map(tuple, self.fourier_index.tolist())))
 
     @functools.cached_property
     def stack(self):

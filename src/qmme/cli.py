@@ -36,7 +36,6 @@ from .errors import (
 )
 from .io import (
     _entry_columns,
-    _pairs,
     _series_to_dict,
     dumps_canonical,
     load_density_matrix,
@@ -228,40 +227,27 @@ def cmd_synthesize(args):
 def cmd_build(args):
     mdl = _load(args)
     report, bundle = _build(args, mdl)
-    cov = generator.check_covariance(bundle)
-    decomp, jumps = bundle.jumps.decomp, bundle.jumps
+    jumps, decomp, shifted = bundle.jumps, bundle.jumps.decomp, bundle.shifted_frequencies
+    n, frequency = jumps.fourier_index, decomp.bohr_frequencies[jumps.frequency_index]
     block, mu = np.nonzero(jumps.present)  # every operator, in (w_idx, n, mu) order
-    norms = jumps.norms[block, mu].tolist()
-    bohr, shifted = decomp.bohr_frequencies.tolist(), bundle.shifted_frequencies.tolist()
     payload = {
         "validation": report.to_dict(),
         "decomposition": {
-            "quasienergies": decomp.quasienergies.tolist(),
-            "bohr_frequencies": bohr,
-            "projections": _pairs(decomp.projections),
+            "quasienergies": decomp.quasienergies,
+            "bohr_frequencies": decomp.bohr_frequencies,
+            "projections": decomp.projections,
         },
         "jump_operators": [
-            {
-                "coupling": m,
-                "n": list(jumps.blocks[b][1]),
-                "frequency": bohr[jumps.blocks[b][0]],
-                "shifted_frequency": shifted[b],
-                "norm": norm,
-            }
-            for b, m, norm in zip(block.tolist(), mu.tolist(), norms)
+            {"coupling": m, "n": nb, "frequency": w, "shifted_frequency": s, "norm": norm}
+            for m, nb, w, s, norm in zip(mu, n[block], frequency[block], shifted[block], jumps.norms[block, mu])
         ],
-        "delta_h": _pairs(bundle.delta_h),
+        "delta_h": bundle.delta_h,
         "kossakowski_blocks": [
-            {
-                "n": list(n),
-                "frequency": bohr[w_idx],
-                "shifted_frequency": shift,
-                "h_matrix": h,
-            }
-            for (w_idx, n), shift, h in zip(jumps.blocks, shifted, _pairs(bundle.kossakowski))
+            {"n": nb, "frequency": w, "shifted_frequency": s, "h_matrix": h}
+            for nb, w, s, h in zip(n, frequency, shifted, bundle.kossakowski)
         ],
-        "x_matrix": _pairs(bundle.x.matrix),
-        "covariance": cov.to_dict(),
+        "x_matrix": bundle.x.matrix,
+        "covariance": generator.check_covariance(bundle).to_dict(),
     }
     _emit(args, "build.json", dumps_canonical(payload))
     return 0

@@ -323,12 +323,22 @@ class DynamicalMap:
         """Evaluate the unitary series at ``t`` (unitarity enforced)."""
         return self.frames([t])[0]
 
+    def _exp_w(self, ts):
+        """exp(w t) for X's eigenvalues w (rows) at the times ``ts`` (columns), without a
+        numpy warning; Overflow names the first time at which it is not finite."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            e = np.exp(np.outer(self._eig[0], ts))
+        if not np.isfinite(e).all():
+            raise Overflow(f"exp(t X) is not finite at t = {ts[np.argmin(np.isfinite(e).all(axis=0))]}")
+        return e
+
     def expm_x(self, t):
-        """Matrix of exp(t X)."""
+        """Matrix of exp(t X); Overflow where it is not finite."""
         if self._eig is not None:
-            w, v, vinv = self._eig
-            return (v * np.exp(w * float(t))) @ vinv
-        return expm(float(t) * self._x)
+            _, v, vinv = self._eig
+            return (v * self._exp_w(np.array([float(t)]))[:, 0]) @ vinv
+        with np.errstate(over="ignore", invalid="ignore"):  # expm refuses a non-finite t X
+            return expm(float(t) * self._x)
 
     def at(self, t):
         """The dynamical map at time t >= 0 as a superoperator."""
@@ -418,8 +428,8 @@ class DynamicalMap:
         p = self.frames(ts)  # first: a time whose phase overflows raises before exp(t w) overflows
         v0 = vectorize(rho0)
         if self._eig is not None:
-            w, v, vinv = self._eig
-            vecs = (v @ (np.exp(np.outer(w, ts)) * (vinv @ v0)[:, None])).T
+            _, v, vinv = self._eig
+            vecs = (v @ (self._exp_w(ts) * (vinv @ v0)[:, None])).T
         else:
             vecs = np.array([self.expm_x(t) @ v0 for t in ts], dtype=complex).reshape(ts.size, v0.size)
         return p @ devectorize(vecs) @ p.conj().transpose(0, 2, 1)

@@ -82,7 +82,7 @@ def build_lamb_shift(jumps, bath, omega):
     """Hermitian energy-shift operator from the principal-value bath data.
 
     Returns the shift matrix together with the zeta matrices used, stacked
-    (blocks, couplings, couplings) in the order of ``jumps.blocks``.
+    (blocks, couplings, couplings) in the block order of ``jumps``.
     """
     v = jumps.decomp.eigenvectors
     zeta = bath.zeta_many(jumps.shifted_frequencies(omega))
@@ -95,7 +95,7 @@ def build_lamb_shift(jumps, bath, omega):
 
 def build_dissipator(jumps, bath, omega, tol_psd=1e-12):
     """Dissipative part as a superoperator, plus its Kossakowski blocks and
-    their shifted frequencies, both in the order of ``jumps.blocks``.
+    their shifted frequencies, both in the block order of ``jumps``.
 
     Each block is the bath matrix h evaluated at one shifted frequency; a
     negative eigenvalue beyond tolerance raises NotPSD naming the first
@@ -107,10 +107,10 @@ def build_dissipator(jumps, bath, omega, tol_psd=1e-12):
     except NotPSD as exc:
         if exc.frequency is None:
             raise
-        w_idx, n = jumps.blocks[int(np.flatnonzero(shifted == exc.frequency)[0])]
+        b = np.flatnonzero(shifted == exc.frequency)[0]
         raise NotPSD(
-            f"Kossakowski block at (n={n}, frequency_index={w_idx}, "
-            f"shifted={exc.frequency:.6g}) failed: {exc}"
+            f"Kossakowski block at (n={tuple(jumps.fourier_index[b].tolist())}, "
+            f"frequency_index={jumps.frequency_index[b]}, shifted={exc.frequency:.6g}) failed: {exc}"
         ) from exc
     half = 0.5 * _gram_sum(jumps, h)
     return Superoperator(_lab_superop(half, half, jumps.decomp.eigenvectors)), h, shifted
@@ -129,7 +129,7 @@ class GeneratorBundle:
     delta_h: np.ndarray
     dissipator: Superoperator
     x: Superoperator
-    kossakowski: np.ndarray  # bath h per block of jumps.blocks: (blocks, couplings, couplings)
+    kossakowski: np.ndarray  # bath h per block of jumps, in its order: (blocks, couplings, couplings)
     zeta_blocks: np.ndarray  # bath zeta per block, same shape
     shifted_frequencies: np.ndarray  # shifted frequency per block: (blocks,)
     jumps: object
@@ -245,11 +245,7 @@ class CovarianceCheck:
         return self.superop_residual <= 1e-10 and self.shift_commutator_residual <= 1e-10
 
     def to_dict(self):
-        return {
-            "superop_residual": float(self.superop_residual),
-            "shift_commutator_residual": float(self.shift_commutator_residual),
-            "passed": bool(self.passed),
-        }
+        return {**vars(self), "passed": self.passed}
 
 
 def check_covariance(bundle):

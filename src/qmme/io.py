@@ -12,8 +12,10 @@ Schema (version 1): an object with
                    "coefficients": [{"n": [...], "matrix": ...}, ...]}
 
 Complex scalars are written as [re, im] pairs, matrices as nested lists of
-pairs. On load, ``p_generator`` with serializable profile terms is accepted
-in place of ``p_series``; saving always writes explicit coefficients.
+pairs; the writer takes numeric arrays as leaves, and this module alone
+knows the pair layout. On load, ``p_generator`` with serializable profile
+terms is accepted in place of ``p_series``; saving always writes explicit
+coefficients.
 Serialization is canonical: sorted keys, floats at 17 significant digits, so
 identical models produce byte-identical files.
 """
@@ -59,10 +61,37 @@ def _format_float(x):
     return format(x, ".17g")
 
 
+def _real_array(a):
+    """The real array a document holds for the numeric array ``a``: a complex
+    one gains a last axis [re, im]. Bool and object arrays raise ParseError."""
+    if a.dtype.kind == "c":
+        return np.stack([a.real, a.imag], -1)
+    if a.dtype.kind not in "iuf":
+        raise ParseError(f"cannot serialize an array of dtype {a.dtype}")
+    return a
+
+
+def _array_text(a, pad):
+    """Canonical text of a numeric array, the text of its nested lists: the
+    innermost axis on one line, every other axis one item a line."""
+    a = _real_array(a)
+    fmt = _format_float if a.dtype.kind == "f" else str
+    if a.ndim == 0:
+        return fmt(a.item())
+    axes = a.shape.index(0) if 0 in a.shape else a.ndim - 1  # the nested lists end at an empty axis
+    items, width = list(map(fmt, a.ravel().tolist())), a.shape[axes]
+    lines = ["[" + ", ".join(items[i * width : (i + 1) * width]) + "]" for i in range(math.prod(a.shape[:axes]))]
+    for axis in reversed(range(axes)):
+        n, inner, outer = a.shape[axis], pad + "  " * (axis + 1), pad + "  " * axis
+        lines = ["[\n" + ",\n".join([inner + s for s in lines[i : i + n]]) + f"\n{outer}]"
+                 for i in range(0, len(lines), n)]
+    return lines[0]
+
+
 def _canonical(obj, pad=""):
     """Canonical JSON text of ``obj`` whose nested lines are indented past ``pad``:
     sorted keys one a line, a list of numbers on one line, any other list one
-    item a line."""
+    item a line. A numeric array is written as its nested lists would be."""
     if isinstance(obj, (float, np.floating)):
         return _format_float(obj)
     if isinstance(obj, dict):
@@ -77,9 +106,12 @@ def _canonical(obj, pad=""):
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        if all(isinstance(v, (int, float, np.integer, np.floating)) for v in obj):
+        if all(isinstance(v, (int, float, np.integer, np.floating))  # a 0-d real array is its number
+               or isinstance(v, np.ndarray) and v.ndim == 0 and v.dtype.kind in "iuf" for v in obj):
             return "[" + ", ".join([_canonical(v) for v in obj]) + "]"
         return "[\n" + ",\n".join([f"{pad}  {_canonical(v, pad + '  ')}" for v in obj]) + f"\n{pad}]"
+    if isinstance(obj, np.ndarray):
+        return _array_text(obj, pad)
     if obj is None or obj is True or obj is False:
         return json.dumps(obj)
     if isinstance(obj, str):
@@ -90,19 +122,23 @@ def _canonical(obj, pad=""):
 
 
 def dumps_canonical(obj):
-    """Serialize to deterministic JSON text (sorted keys, fixed float format)."""
+    """Serialize to deterministic JSON text (sorted keys, fixed float format);
+    numeric arrays are leaves (see _array_text)."""
     return _canonical(obj) + "\n"
+
+
+def _lists(obj):
+    """``obj`` with every array leaf replaced by the nested lists the writer writes for it."""
+    if isinstance(obj, dict):
+        return {k: _lists(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_lists(v) for v in obj]
+    return _real_array(obj).tolist() if isinstance(obj, np.ndarray) else obj
 
 
 # ---------------------------------------------------------------------------
 # matrices and complex pairs
 # ---------------------------------------------------------------------------
-
-def _pairs(a):
-    """A complex array of any shape as nested lists whose innermost items are [re, im]."""
-    a = np.asarray(a, dtype=complex)
-    return np.stack([a.real, a.imag], -1).tolist()
-
 
 def _series_to_dict(series):
     """A Fourier series as the schema's ``p_series`` object, coefficients in index order."""
@@ -111,8 +147,7 @@ def _series_to_dict(series):
         "dim": series.d,
         "trunc": series.trunc,
         "tail_norm": float(series.tail_norm),
-        "coefficients": [{"n": list(n), "matrix": m}
-                         for n, m in zip(series.coeffs, _pairs(list(series.coeffs.values())))],
+        "coefficients": [{"n": list(n), "matrix": m} for n, m in series.coeffs.items()],
     }
 
 
@@ -198,18 +233,18 @@ def model_to_dict(model):
             "a bath built from raw callables has no serializable form; "
             f"build it from one of the named families {sorted(_BATH_FAMILIES)}"
         )
-    return {
+    return _lists({
         "schema": SCHEMA_NAME,
         "version": SCHEMA_VERSION,
-        "frequencies": model.frequencies.tolist(),
-        "h_bar": _pairs(model.h_bar),
-        "couplings": _pairs(model.couplings),
+        "frequencies": model.frequencies,
+        "h_bar": model.h_bar,
+        "couplings": model.couplings,
         "bath": {
             "family": model.bath.family,
             "params": {k: float(v) for k, v in sorted(model.bath.params.items())},
         },
         "p_series": _series_to_dict(model.p_series),
-    }
+    })
 
 
 def model_from_dict(data):

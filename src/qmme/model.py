@@ -332,16 +332,7 @@ class ValidationReport:
         )
 
     def to_dict(self):
-        def _wit(w):
-            if w is None:
-                return None
-            wa, wb, n = w
-            return {
-                "frequency_a": float(wa),
-                "frequency_b": float(wb),
-                "lattice_vector": [int(v) for v in n],
-            }
-
+        cw = self.congruence_witness  # (frequency a, frequency b, lattice vector) or None
         return {
             "passed": bool(self.passed),
             "rational_independence": {
@@ -360,9 +351,13 @@ class ValidationReport:
             },
             "congruence_freedom": {
                 "passed": bool(self.congruence_ok),
-                "witness": _wit(self.congruence_witness),
+                "witness": None if cw is None else {
+                    "frequency_a": float(cw[0]),
+                    "frequency_b": float(cw[1]),
+                    "lattice_vector": [int(v) for v in cw[2]],
+                },
             },
-            "bohr_frequencies": self.bohr_frequencies.tolist(),
+            "bohr_frequencies": self.bohr_frequencies,
         }
 
 

@@ -50,6 +50,11 @@ def random_density(rng, d):
     return rho / rho.trace()
 
 
+def block_keys(jumps):
+    """The (frequency_index, n) tuple of each block of a jump operator set, from its key arrays."""
+    return list(zip(jumps.frequency_index.tolist(), map(tuple, jumps.fourier_index.tolist())))
+
+
 def random_hermitian(rng, d):
     a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     return 0.5 * (a + a.conj().T)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_density, random_hermitian
+from conftest import block_keys, random_density, random_hermitian
 
 from qmme.bohr import (
     JumpOperatorSet,
@@ -332,7 +332,7 @@ def one_coupling_ops(decomp, series, drop_tol=1e-14):
     from the block stack."""
     jset = build_jump_operator_set(decomp, [series], drop_tol=drop_tol)
     return {(n, w_idx): jset.stack[b, 0]
-            for b, (w_idx, n) in enumerate(jset.blocks) if jset.present[b, 0]}
+            for b, (w_idx, n) in enumerate(block_keys(jset)) if jset.present[b, 0]}
 
 
 class TestJumpOperators:
@@ -380,7 +380,7 @@ class TestJumpOperators:
     def test_drop_tol(self):
         decomp, series = self.static_qubit()
         jset = build_jump_operator_set(decomp, [series], drop_tol=1e6)
-        assert jset.blocks == [] and jset.stack.shape == (0, 1, 2, 2) and jset.present.shape == (0, 1)
+        assert block_keys(jset) == [] and jset.stack.shape == (0, 1, 2, 2) and jset.present.shape == (0, 1)
         assert jset.frequency_index.shape == (0,) and jset.fourier_index.shape == (0, series.r)
         shifted = jset.shifted_frequencies(np.array([1.0] * series.r))
         assert shifted.dtype == float and shifted.shape == (0,)
@@ -424,9 +424,9 @@ class TestJumpOperatorSet:
 
     def test_block_keys_sorted(self):
         _, jset = self.build()
-        keys = jset.blocks
+        keys = block_keys(jset)
         assert keys == sorted(keys)
-        assert all(isinstance(w_idx, int) and isinstance(n, tuple) for w_idx, n in keys)
+        assert jset.frequency_index.dtype.kind == jset.fourier_index.dtype.kind == "i"
         assert jset.stack.shape == (len(keys), 2, 2, 2) and jset.present.shape == (len(keys), 2)
         assert jset.present.any(axis=1).all()  # every block holds an operator
         assert list(jset.ops) == sorted(jset.ops, key=lambda k: (k[2], k[1], k[0]))
@@ -437,7 +437,7 @@ class TestJumpOperatorSet:
         for (mu, n, w_idx) in jset.ops:
             expect = decomp.bohr_frequencies[w_idx] + np.dot(n, omega)
             assert jset.shifted_frequency(n, w_idx, omega) == pytest.approx(expect, abs=1e-15)
-        per_block = [jset.shifted_frequency(n, w_idx, omega) for w_idx, n in jset.blocks]
+        per_block = [jset.shifted_frequency(n, w_idx, omega) for w_idx, n in block_keys(jset)]
         assert jset.shifted_frequencies(omega).tolist() == per_block
 
     def test_per_coupling_completeness(self):

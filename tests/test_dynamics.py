@@ -669,6 +669,15 @@ class TestMarchMemoryFollowsTheChunk:
         # qmme evolve --rho0 plus --grid 0:2000:50 holds the march within 1e-6 of the product form
         assert np.max(trace_norm(direct[0] - dmap.evolve(rho0, self.long_grid))) <= 1e-6
 
+    def test_master_equation_on_a_long_grid_non_unital(self):
+        # qubit_driven's flat bath is unital and reaches I/2 by the second node; qutrit_thermal
+        # still moves at t = 400, where the two paths agree to 1.5e-10. Frames evaluated at
+        # float32 times move the product form by 2.1e-6, and a dissipator scaled by 1.01 fails too
+        model = preset("qutrit_thermal")
+        dmap = DynamicalMap(model, build_generator(model))
+        ts, rho0 = np.linspace(0.0, 400.0, 50), np.full((3, 3), 1.0 / 3.0, dtype=complex)
+        assert np.max(trace_norm(dmap.integrate_direct(rho0, ts) - dmap.evolve(rho0, ts))) <= 1e-9
+
     def test_oracle_on_a_long_grid(self):
         model = preset("qubit_driven")
         assert _traced_peak(lambda: integrate_schrodinger_direct(model, self.long_grid)) < 3e6

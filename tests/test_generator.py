@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_density, random_hermitian
+from conftest import block_keys, random_density, random_hermitian
 from test_bohr import rotated_degenerate
 
 from qmme.bohr import (
@@ -86,7 +86,7 @@ class TestLambShift:
         )
         delta_h, zeta_blocks = build_lamb_shift(jumps, bath, np.array([math.sqrt(2.0)]))
         assert np.allclose(delta_h, 0.1 * SIGMA_Z, atol=1e-14)
-        assert len(zeta_blocks) == len(jumps.blocks)
+        assert len(zeta_blocks) == len(jumps.frequency_index)
         got = {float(z[0, 0].real) for z in zeta_blocks}
         assert got == {0.1, -0.1}
 
@@ -108,7 +108,7 @@ class TestDissipator:
         for block in bundle.kossakowski:
             assert np.allclose(block, 0.25 * np.eye(1), atol=0)
         # one block and one shifted frequency per block of the jump operators
-        assert len(bundle.kossakowski) == len(bundle.shifted_frequencies) == len(bundle.jumps.blocks)
+        assert len(bundle.kossakowski) == len(bundle.shifted_frequencies) == len(bundle.jumps.frequency_index)
 
     def test_indefinite_bath_rejected(self):
         _, jumps = static_qubit_jumps(SIGMA_X)
@@ -203,7 +203,7 @@ class TestSelectionRule:
         # mu != nu terms and the orientation of both bath matrices matter
         model = driven_qutrit()
         bundle = build_generator(model)
-        assert len({n for (_, n) in bundle.jumps.blocks}) > 1  # sidebands present
+        assert len({n for (_, n) in block_keys(bundle.jumps)}) > 1  # sidebands present
         assert np.linalg.norm(bundle.delta_h) > 1e-2
         assert cross_check_selection_rule(bundle, model.bath, model.frequencies) < 1e-12
         assert check_covariance(bundle).passed
@@ -253,9 +253,9 @@ class TestBuildGenerator:
         # each operator's norm is its entries' 2-norm, the lab-basis Frobenius norm (V is unitary)
         lab = np.linalg.norm(jumps.stack, axis=(2, 3))
         assert np.max(np.abs(jumps.norms - lab)) <= 1e-15 * np.max(lab) and not np.any(jumps.norms[~jumps.present])
-        assert jumps.stack.shape == (len(jumps.blocks), 2, 3, 3)
-        assert jumps.present.shape == (len(jumps.blocks), 2)
-        assert len(jumps.blocks) == len(bundle.kossakowski) == len(bundle.zeta_blocks)
+        assert jumps.stack.shape == (len(jumps.frequency_index), 2, 3, 3)
+        assert jumps.present.shape == (len(jumps.frequency_index), 2)
+        assert len(jumps.frequency_index) == len(bundle.kossakowski) == len(bundle.zeta_blocks)
 
 
 class TestCovariance:
@@ -335,7 +335,7 @@ def _term_generator(model, bundle):
     jumps, d = bundle.jumps, bundle.dim
     eye, zero = np.eye(d), np.zeros((d, d), dtype=complex)
     shift_terms, diss_terms = [], []
-    for (w_idx, n) in jumps.blocks:
+    for (w_idx, n) in block_keys(jumps):
         w = jumps.shifted_frequency(n, w_idx, model.frequencies)
         h, zeta = model.bath.h(w), model.bath.zeta(w)
         for mu in range(jumps.present.shape[1]):
@@ -456,12 +456,12 @@ class TestShiftedFrequenciesFromArrays:
     def test_reference_model(self, name, drop_tol):
         model = REFERENCE_MODELS[name]()
         jumps, omega = build_generator(model, validate=False, drop_tol=drop_tol).jumps, model.frequencies
-        assert jumps.fourier_index.shape == (len(jumps.blocks), model.p_series.r)
+        assert jumps.fourier_index.shape == (len(jumps.frequency_index), model.p_series.r)
         got = jumps.shifted_frequencies(omega)
-        assert got.dtype == float and got.tobytes() == _tuple_shifts(jumps, jumps.blocks, omega).tobytes()
-        per_block = np.concatenate([_tuple_shifts(jumps, [key], omega) for key in jumps.blocks])
+        assert got.dtype == float and got.tobytes() == _tuple_shifts(jumps, block_keys(jumps), omega).tobytes()
+        per_block = np.concatenate([_tuple_shifts(jumps, [key], omega) for key in block_keys(jumps)])
         assert got.tobytes() == per_block.tobytes()
-        assert [jumps.shifted_frequency(n, w_idx, omega) for w_idx, n in jumps.blocks] == got.tolist()
+        assert [jumps.shifted_frequency(n, w_idx, omega) for w_idx, n in block_keys(jumps)] == got.tolist()
 
 
 class TestBlockStackMatchesLoop:
@@ -490,13 +490,13 @@ class TestBlockStackMatchesLoop:
         for mu, s_hat in enumerate(series):
             expect = _loop_jump_operators(decomp, s_hat, drop_tol)
             got = {(n, w_idx): jumps.stack[b, mu]
-                   for b, (w_idx, n) in enumerate(jumps.blocks) if jumps.present[b, mu]}
+                   for b, (w_idx, n) in enumerate(block_keys(jumps)) if jumps.present[b, mu]}
             assert set(got) == set(expect)
             assert {n for n, _ in got} <= set(s_hat.coeffs)  # nothing where the coupling has no index
             for key, s in expect.items():
                 assert np.max(np.abs(got[key] - s)) <= 1e-15
             keys |= {(w_idx, n) for n, w_idx in got}
-        assert jumps.blocks == sorted(keys)
+        assert block_keys(jumps) == sorted(keys)
         assert not np.any(jumps.stack[~jumps.present])  # zeros where no operator is
         zero = decomp.frequency_index(0.0)
         exact_zeros = [(n, w_idx) for (mu, n, w_idx), s in jumps.ops.items() if mu == 1 and not np.any(s)]
@@ -559,7 +559,7 @@ class TestBathBatches:
             build_generator(model)
         assert f"bath {which}({target})" in str(exc.value)
         if error is NotPSD:
-            w_idx, n = min(key for key, w in zip(bundle.jumps.blocks, shifted) if w == target)
+            w_idx, n = min(key for key, w in zip(block_keys(bundle.jumps), shifted) if w == target)
             assert f"block at (n={n}, frequency_index={w_idx}, shifted={target:.6g})" in str(exc.value)
             assert exc.value.__cause__.frequency == target
         with pytest.raises(error) as exc:

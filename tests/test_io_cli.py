@@ -20,7 +20,6 @@ from qmme.errors import ParseError, SchemaVersionMismatch
 from qmme.fourier import FourierOperatorSeries
 from qmme.io import (
     _format_float,
-    _pairs,
     _series_to_dict,
     dumps_canonical,
     load_density_matrix,
@@ -140,7 +139,45 @@ EDGE_FLOATS = [0.0, -0.0, 1.0, -3.0, 1e15, 9999999999999998.0, 1e16, -1e16, 1.5e
 STRING_PARTS = ["a", "key", '"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "/", "é", "中", "\u2028", "\U0001f600"]
 
 
-def _random_number(rnd):
+def _per_entry(a):
+    """Nested lists of an array built entry by entry, a complex entry as [re, im]:
+    what the writer must write for an array leaf."""
+    if a.ndim == 0:
+        z = a.item()
+        return [z.real, z.imag] if isinstance(z, complex) else z
+    return [_per_entry(x) for x in a]
+
+
+def _entry_lists(doc):
+    """``doc`` with every array leaf replaced by its per-entry lists."""
+    if isinstance(doc, np.ndarray):
+        return _per_entry(doc)
+    if isinstance(doc, dict):
+        return {k: _entry_lists(v) for k, v in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return type(doc)(_entry_lists(v) for v in doc)
+    return doc
+
+
+def _random_array(rnd):
+    """A real, complex or integer array of up to three axes, some of them empty,
+    with entries drawn from EDGE_FLOATS and their negatives."""
+    shape = tuple(rnd.choice([0, 1, 2, 3]) for _ in range(rnd.randrange(4)))
+    kind, size = rnd.choice("fci"), math.prod(shape)
+    if kind == "i":
+        return np.array([rnd.randint(-2**63, 2**63 - 1) for _ in range(size)], dtype=np.int64).reshape(shape)
+    parts = [np.array([rnd.choice((1, -1)) * rnd.choice(EDGE_FLOATS) for _ in range(size)]).reshape(shape)
+             for _ in range(2)]
+    if kind == "f":
+        return parts[0]
+    a = np.empty(shape, dtype=complex)
+    a.real, a.imag = parts
+    return a
+
+
+def _random_number(rnd, arrays=False):
+    if arrays and rnd.random() < 0.3:
+        return np.array(rnd.choice(EDGE_FLOATS + [7, -2**63]))  # a 0-d array is written as its number
     kind = rnd.randrange(7)
     if kind == 0:
         return rnd.choice(EDGE_FLOATS)
@@ -159,19 +196,22 @@ def _random_string(rnd):
     return "".join(rnd.choice(STRING_PARTS) for _ in range(rnd.randrange(4)))
 
 
-def _random_document(rnd, depth=0):
+def _random_document(rnd, depth=0, arrays=False):
+    """A random JSON document; with ``arrays``, array leaves too."""
+    if arrays and rnd.random() < 0.3:
+        return _random_array(rnd)
     kind = rnd.randrange(7 if depth < 4 else 4)
     if kind == 0:
-        return _random_number(rnd)
+        return _random_number(rnd, arrays)
     if kind == 1:
         return rnd.choice([None, True, False, _random_string(rnd)])
     if kind == 2:  # a list of numbers, written on one line
-        return [_random_number(rnd) for _ in range(rnd.randrange(5))]
+        return [_random_number(rnd, arrays) for _ in range(rnd.randrange(5))]
     if kind == 3:
         return rnd.choice([{}, [], ()])
     if kind == 4:
-        return {_random_string(rnd): _random_document(rnd, depth + 1) for _ in range(rnd.randrange(5))}
-    items = [_random_number(rnd) if rnd.random() < 0.4 else _random_document(rnd, depth + 1)
+        return {_random_string(rnd): _random_document(rnd, depth + 1, arrays) for _ in range(rnd.randrange(5))}
+    items = [_random_number(rnd, arrays) if rnd.random() < 0.4 else _random_document(rnd, depth + 1, arrays)
              for _ in range(1 + rnd.randrange(4))]
     return tuple(items) if kind == 5 else items
 
@@ -185,18 +225,42 @@ class TestCanonicalWriterReference:
             doc = {"doc": _random_document(rnd), _random_string(rnd): _random_document(rnd)}
             assert dumps_canonical(doc) == _reference_dumps(doc), i
 
+    def test_seeded_random_documents_with_array_leaves(self):
+        rnd = random.Random(20261020)
+        for i in range(400):
+            doc = {"doc": _random_document(rnd, arrays=True), _random_string(rnd): _random_array(rnd)}
+            assert dumps_canonical(doc) == _reference_dumps(_entry_lists(doc)), i
+
     def test_top_level_values(self):
         for doc in (None, True, 1.0, -0.0, 3, np.int64(-4), "q\"", [], {}, (1, [2.0]), [[], {}], [1, True, np.float64(2.5)]):
             assert dumps_canonical(doc) == _reference_dumps(doc), doc
+
+    @pytest.mark.parametrize("a", [
+        np.array(-0.0), np.array(2.5e-300), np.array(3), np.array(1 + 2j), np.arange(-3, 3).reshape(2, 3),
+        np.array([2**63 - 1, -2**63]), np.arange(4, dtype=np.uint8), np.zeros((3, 0)), np.zeros((3, 0), dtype=complex),
+        np.zeros((2, 0, 4)), np.zeros((0, 3)), np.array([0.1, -0.2], dtype=np.float32),
+    ])
+    def test_array_leaves(self, a):
+        for doc in (a, [a], [1.5, a], {"k": {"m": a}}):
+            assert dumps_canonical(doc) == _reference_dumps(_entry_lists(doc)), doc
 
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_model_documents(self, name):
         doc = model_to_dict(preset(name))
         assert dumps_canonical(doc) == _reference_dumps(doc)
 
+    @pytest.mark.parametrize("command", ["validate", "synthesize", "build", "spectrum", "steady-state", "certify"])
+    def test_cli_documents(self, command, capsys):
+        # written from array leaves; the reference writes the values they parse to
+        assert cli.main([command, str(MODELS_DIR / "qutrit_thermal.json")]) == 0
+        text = capsys.readouterr().out
+        assert _reference_dumps(json.loads(text)) == text
+
     @pytest.mark.parametrize("bad", [
         {1: 0.0}, {"a": {"b": {None: 1}}}, [1.0, float("nan")], {"x": [float("inf")]}, -math.inf,
         np.bool_(True), [np.bool_(False)], {"s": {1.0}}, [1j], {"z": complex(1.0, 2.0)},
+        np.array([True, False]), {"b": np.zeros((2, 0), dtype=bool)}, np.array(["a"]), np.array([1, None]),
+        np.array([1.0, np.nan]), [np.array(np.inf)], {"c": np.array([[1.0, complex(0.0, -np.inf)]])},
     ])
     def test_unsupported_values_raise(self, bad):
         with pytest.raises(ParseError):
@@ -206,14 +270,7 @@ class TestCanonicalWriterReference:
 
 
 class TestComplexPairs:
-    @staticmethod
-    def _per_entry(a):
-        # the per-entry comprehensions _pairs replaced
-        if a.ndim == 1:
-            return [[float(z.real), float(z.imag)] for z in a]
-        if a.ndim == 2:
-            return [[[float(v.real), float(v.imag)] for v in row] for row in a]
-        return [TestComplexPairs._per_entry(m) for m in a]
+    """The writer puts [re, im] innermost in a complex array, entry by entry."""
 
     @pytest.mark.parametrize("shape", [(5,), (3, 3), (4, 2, 2), (0,), (0, 2, 2)])
     def test_matches_per_entry_conversion(self, rng, shape):
@@ -221,15 +278,15 @@ class TestComplexPairs:
         if a.size:
             a.flat[0] = complex(-0.0, -0.0)
             a.flat[-1] = complex(0.0, -0.0)
-        got, expect = _pairs(a), self._per_entry(a)
-        # repr tells -0.0 from 0.0, and every float by its shortest round-trip digits
-        assert repr(got) == repr(expect)
-        assert json.dumps(got) == json.dumps(expect)
+        # the reference writes -0.0 as -0.0, and every float at 17 digits
+        for doc in (a, {"pad": [a]}):
+            assert dumps_canonical(doc) == _reference_dumps(_entry_lists(doc))
 
     def test_lists_of_matrices_and_real_input(self):
-        mats = [np.eye(2), 1j * np.ones((2, 2))]
-        assert _pairs(mats) == self._per_entry(np.array(mats, dtype=complex))
-        assert repr(_pairs(np.array([-0.0, 2.0]))) == "[[-0.0, 0.0], [2.0, 0.0]]"
+        mats = [np.eye(2, dtype=complex), 1j * np.ones((2, 2))]
+        assert dumps_canonical(mats) == _reference_dumps(_per_entry(np.array(mats)))
+        assert dumps_canonical(np.array([-0.0, 2.0]).astype(complex)) == "[\n  [-0.0, 0.0],\n  [2.0, 0.0]\n]\n"
+        assert dumps_canonical(np.array([-0.0, 2.0])) == "[-0.0, 2.0]\n"  # a real array has no pairs
 
 
 class TestModelRoundTrip:
@@ -622,6 +679,10 @@ class TestCliExitContract:
         ("phase-overflow-evolve", 3, "Overflow"),
         ("phase-overflow-steady-state", 3, "Overflow"),
         ("phase-overflow-certify", 3, "Overflow"),
+        # qutrit_thermal_static's p is constant, so no phase refuses t = 1e308; exp(t X) is refused
+        ("phase-overflow-evolve-static", 3, "Overflow"),
+        ("phase-overflow-steady-state-static", 3, "Overflow"),
+        ("phase-overflow-certify-static", 3, "Overflow"),
         ("huge-box", 2, "DimensionMismatch"),
         ("box-zero", 2, "DimensionMismatch"),
         ("box-negative", 2, "DimensionMismatch"),
@@ -685,7 +746,9 @@ class TestCliExitContract:
             (tmp_path / "model.json").write_text(json.dumps(doc))
             argv = ["synthesize" if case == "negative-tail" else "validate", str(tmp_path / "model.json")]
         elif case.startswith("phase-overflow-"):
-            argv = [case[len("phase-overflow-"):], str(MODELS_DIR / "qubit_driven.json"), "--grid", "0:1e308:3"]
+            name = "qutrit_thermal_static" if case.endswith("-static") else "qubit_driven"
+            command = case.removeprefix("phase-overflow-").removesuffix("-static")
+            argv = [command, str(MODELS_DIR / f"{name}.json"), "--grid", "0:1e308:3"]
         elif case == "huge-box":
             argv = ["validate", model, "--box", "10000000"]  # 2e7 + 1 points even at r = 1
         elif case.startswith("box-"):  # an empty scan would pass any model
@@ -1081,3 +1144,33 @@ class TestBenchmarkTracer:
         assert after.keys() == before.keys()
         assert [key for key, value in after.items() if before[key] is not value] == []
         assert traced.counts["bohr.jump_ops"] > 0 and traced.counts["generator.selection_pairs"] > 0
+
+
+class TestCliOutputsDiffer:
+    """tests/cli_outputs.py, which compares the command line's outputs between two trees."""
+
+    def test_src_against_itself(self):
+        src = str(REPO / "src")
+        labels = ["qubit_dephasing validate", "qubit_driven evolve --rho0 plus"]
+        res = subprocess.run([sys.executable, str(REPO / "tests" / "cli_outputs.py"), src, src, *labels],
+                             capture_output=True, text=True)
+        assert res.returncode == 0 and res.stderr == ""
+        assert res.stdout.splitlines() == [f"{label}: identical" for label in labels] + ["2 of 2 calls identical"]
+
+    def test_reports_each_changed_column_and_field(self, capsys):
+        import cli_outputs
+
+        assert cli.main(["evolve", str(MODELS_DIR / "qubit_driven.json"), "--grid", "0:1:3"]) == 0
+        text = capsys.readouterr().out
+        header, row, *rest = text.splitlines()
+        cells = row.split(",")
+        at = header.split(",").index("re_01")
+        cells[at] = _format_float(np.nextafter(float(cells[at]), np.inf))  # one ulp
+        planted = "\n".join([header, ",".join(cells), *rest]) + "\n"
+        spacing = abs(float(cells[at]) - float(row.split(",")[at]))
+        assert cli_outputs.compare((0, text, ""), (0, text, "")) == ["identical"]
+        assert cli_outputs.compare((0, text, ""), (0, planted, "")) == [
+            "  exit 0 -> 0", f"  re_01: 1 changed, largest {spacing:.3g}"]
+        assert cli_outputs.compare((0, '{"a": [[1.0, 2.0]], "b": true}\n', ""), (1, '{"a": [[1.0, 2.5]], "b": 1}\n', "w")) == [
+            "  exit 0 -> 1", "  stderr parent: ''", "  stderr child:  'w'",
+            "  a[][]: 1 changed, largest 0.5", "  b: 1 changed, largest (not a number)"]
