@@ -77,8 +77,10 @@ class StabilityReport:
             "eigvec_cond": float(self.eigvec_cond),
             "diagonalizable": bool(self.diagonalizable),
             "quasiperiodic_steady_state": bool(self.quasiperiodic_steady_state),
-            "decay_rate": self.decay_rate,  # a float, or None without decaying modes
-            "slowest_decay_rate": self.slowest_decay_rate,
+            "decay_rate": None if self.decay_rate is None else float(self.decay_rate),
+            "slowest_decay_rate": None
+            if self.slowest_decay_rate is None
+            else float(self.slowest_decay_rate),
             "conjugation_defect": float(self.conjugation_defect),
             "tol_spec": float(self.tol_spec),
         }
@@ -184,7 +186,15 @@ class LimitCycle:
         return p @ base @ p.conj().transpose(0, 2, 1)
 
     def to_dict(self):
-        return {k: v for k, v in vars(self).items() if k != "_dmap"}
+        return {
+            "exponents": self.exponents,
+            "coefficients": self.coefficients,
+            "mode_matrices": self.mode_matrices,
+            "quasiperiodic": bool(self.quasiperiodic),
+            "reconstruction_residual": float(self.reconstruction_residual),
+            "decay_rates": self.decay_rates,
+            "decay_weights": self.decay_weights,
+        }
 
 
 def limit_cycle(dmap, rho0, tol_spec=1e-9):
@@ -230,7 +240,13 @@ class DecayFit:
     n_points: int
 
     def to_dict(self):
-        return dict(vars(self))
+        return {
+            "fitted_rate": float(self.fitted_rate),
+            "expected_rate": float(self.expected_rate),
+            "relative_error": float(self.relative_error),
+            "window": [int(self.window[0]), int(self.window[1])],
+            "n_points": int(self.n_points),
+        }
 
 
 def decay_rate_fit(dmap, cycle, rho0, ts):

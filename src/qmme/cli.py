@@ -238,12 +238,25 @@ def cmd_build(args):
             "projections": decomp.projections,
         },
         "jump_operators": [
-            {"coupling": m, "n": nb, "frequency": w, "shifted_frequency": s, "norm": norm}
-            for m, nb, w, s, norm in zip(mu, n[block], frequency[block], shifted[block], jumps.norms[block, mu])
+            {
+                "coupling": m,
+                "n": nb,
+                "frequency": w,
+                "shifted_frequency": s,
+                "norm": norm,
+            }
+            for m, nb, w, s, norm in zip(
+                mu, n[block], frequency[block], shifted[block], jumps.norms[block, mu]
+            )
         ],
         "delta_h": bundle.delta_h,
         "kossakowski_blocks": [
-            {"n": nb, "frequency": w, "shifted_frequency": s, "h_matrix": h}
+            {
+                "n": nb,
+                "frequency": w,
+                "shifted_frequency": s,
+                "h_matrix": h,
+            }
             for nb, w, s, h in zip(n, frequency, shifted, bundle.kossakowski)
         ],
         "x_matrix": bundle.x.matrix,

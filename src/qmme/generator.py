@@ -245,7 +245,11 @@ class CovarianceCheck:
         return self.superop_residual <= 1e-10 and self.shift_commutator_residual <= 1e-10
 
     def to_dict(self):
-        return {**vars(self), "passed": self.passed}
+        return {
+            "superop_residual": float(self.superop_residual),
+            "shift_commutator_residual": float(self.shift_commutator_residual),
+            "passed": bool(self.passed),
+        }
 
 
 def check_covariance(bundle):

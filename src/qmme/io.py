@@ -12,10 +12,9 @@ Schema (version 1): an object with
                    "coefficients": [{"n": [...], "matrix": ...}, ...]}
 
 Complex scalars are written as [re, im] pairs, matrices as nested lists of
-pairs; the writer takes numeric arrays as leaves, and this module alone
-knows the pair layout. On load, ``p_generator`` with serializable profile
-terms is accepted in place of ``p_series``; saving always writes explicit
-coefficients.
+pairs; the writer takes numeric arrays as they are. On load, ``p_generator``
+with serializable profile terms is accepted in place of ``p_series``; saving
+always writes explicit coefficients.
 Serialization is canonical: sorted keys, floats at 17 significant digits, so
 identical models produce byte-identical files.
 """
@@ -61,31 +60,14 @@ def _format_float(x):
     return format(x, ".17g")
 
 
-def _real_array(a):
-    """The real array a document holds for the numeric array ``a``: a complex
-    one gains a last axis [re, im]. Bool and object arrays raise ParseError."""
-    if a.dtype.kind == "c":
-        return np.stack([a.real, a.imag], -1)
-    if a.dtype.kind not in "iuf":
+def _array_lists(a):
+    """The nested lists a document holds for the numeric array ``a``: a complex
+    one gains an innermost [re, im]. Bool and object arrays raise ParseError."""
+    if a.dtype.kind == "c":  # a C-ordered complex array's memory is its [re, im] pairs
+        a = np.ascontiguousarray(a).reshape(-1).view(a.real.dtype).reshape(*a.shape, 2)
+    elif a.dtype.kind not in "iuf":
         raise ParseError(f"cannot serialize an array of dtype {a.dtype}")
-    return a
-
-
-def _array_text(a, pad):
-    """Canonical text of a numeric array, the text of its nested lists: the
-    innermost axis on one line, every other axis one item a line."""
-    a = _real_array(a)
-    fmt = _format_float if a.dtype.kind == "f" else str
-    if a.ndim == 0:
-        return fmt(a.item())
-    axes = a.shape.index(0) if 0 in a.shape else a.ndim - 1  # the nested lists end at an empty axis
-    items, width = list(map(fmt, a.ravel().tolist())), a.shape[axes]
-    lines = ["[" + ", ".join(items[i * width : (i + 1) * width]) + "]" for i in range(math.prod(a.shape[:axes]))]
-    for axis in reversed(range(axes)):
-        n, inner, outer = a.shape[axis], pad + "  " * (axis + 1), pad + "  " * axis
-        lines = ["[\n" + ",\n".join([inner + s for s in lines[i : i + n]]) + f"\n{outer}]"
-                 for i in range(0, len(lines), n)]
-    return lines[0]
+    return a.tolist()
 
 
 def _canonical(obj, pad=""):
@@ -106,12 +88,11 @@ def _canonical(obj, pad=""):
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        if all(isinstance(v, (int, float, np.integer, np.floating))  # a 0-d real array is its number
-               or isinstance(v, np.ndarray) and v.ndim == 0 and v.dtype.kind in "iuf" for v in obj):
+        if all(isinstance(v, (int, float, np.integer, np.floating)) for v in obj):
             return "[" + ", ".join([_canonical(v) for v in obj]) + "]"
         return "[\n" + ",\n".join([f"{pad}  {_canonical(v, pad + '  ')}" for v in obj]) + f"\n{pad}]"
     if isinstance(obj, np.ndarray):
-        return _array_text(obj, pad)
+        return _canonical(_array_lists(obj), pad)
     if obj is None or obj is True or obj is False:
         return json.dumps(obj)
     if isinstance(obj, str):
@@ -122,18 +103,8 @@ def _canonical(obj, pad=""):
 
 
 def dumps_canonical(obj):
-    """Serialize to deterministic JSON text (sorted keys, fixed float format);
-    numeric arrays are leaves (see _array_text)."""
+    """Serialize to deterministic JSON text (sorted keys, fixed float format)."""
     return _canonical(obj) + "\n"
-
-
-def _lists(obj):
-    """``obj`` with every array leaf replaced by the nested lists the writer writes for it."""
-    if isinstance(obj, dict):
-        return {k: _lists(v) for k, v in obj.items()}
-    if isinstance(obj, list):
-        return [_lists(v) for v in obj]
-    return _real_array(obj).tolist() if isinstance(obj, np.ndarray) else obj
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +118,8 @@ def _series_to_dict(series):
         "dim": series.d,
         "trunc": series.trunc,
         "tail_norm": float(series.tail_norm),
-        "coefficients": [{"n": list(n), "matrix": m} for n, m in series.coeffs.items()],
+        "coefficients": [{"n": list(n), "matrix": _array_lists(m)}
+                         for n, m in series.coeffs.items()],
     }
 
 
@@ -233,18 +205,18 @@ def model_to_dict(model):
             "a bath built from raw callables has no serializable form; "
             f"build it from one of the named families {sorted(_BATH_FAMILIES)}"
         )
-    return _lists({
+    return {
         "schema": SCHEMA_NAME,
         "version": SCHEMA_VERSION,
-        "frequencies": model.frequencies,
-        "h_bar": model.h_bar,
-        "couplings": model.couplings,
+        "frequencies": _array_lists(model.frequencies),
+        "h_bar": _array_lists(model.h_bar),
+        "couplings": [_array_lists(s) for s in model.couplings],
         "bath": {
             "family": model.bath.family,
             "params": {k: float(v) for k, v in sorted(model.bath.params.items())},
         },
         "p_series": _series_to_dict(model.p_series),
-    })
+    }
 
 
 def model_from_dict(data):

@@ -332,7 +332,16 @@ class ValidationReport:
         )
 
     def to_dict(self):
-        cw = self.congruence_witness  # (frequency a, frequency b, lattice vector) or None
+        def _wit(w):
+            if w is None:
+                return None
+            wa, wb, n = w
+            return {
+                "frequency_a": float(wa),
+                "frequency_b": float(wb),
+                "lattice_vector": [int(v) for v in n],
+            }
+
         return {
             "passed": bool(self.passed),
             "rational_independence": {
@@ -351,11 +360,7 @@ class ValidationReport:
             },
             "congruence_freedom": {
                 "passed": bool(self.congruence_ok),
-                "witness": None if cw is None else {
-                    "frequency_a": float(cw[0]),
-                    "frequency_b": float(cw[1]),
-                    "lattice_vector": [int(v) for v in cw[2]],
-                },
+                "witness": _wit(self.congruence_witness),
             },
             "bohr_frequencies": self.bohr_frequencies,
         }
