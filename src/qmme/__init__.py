@@ -51,7 +51,6 @@ from .errors import (
     QmmeError,
     SchemaVersionMismatch,
     SpectralViolation,
-    TruncationLoss,
     UnknownFrequency,
 )
 from .fourier import (
@@ -159,7 +158,6 @@ __all__ = [
     "NotPSD",
     "NoConvergence",
     "Overflow",
-    "TruncationLoss",
     "UnknownFrequency",
     "OrderViolation",
     "SpectralViolation",

@@ -39,10 +39,6 @@ class Overflow(QmmeError, ArithmeticError):
     """A computation produced non-finite intermediates."""
 
 
-class TruncationLoss(QmmeError, ValueError):
-    """A Fourier-series operation dropped more coefficient mass than allowed."""
-
-
 class UnknownFrequency(QmmeError, KeyError):
     """A requested frequency is not in the decomposition's frequency set."""
 

@@ -383,8 +383,8 @@ def check_rational_independence(omega, box=12, tol=1e-9, *, _points=None):
     return normalize_witness(tuple(int(v) for v in pts[hits[0]])) if hits.size else None
 
 
-def sample_times(omega, count=64):
-    """Quasi-uniform sample grid on [0, 2*pi / min(omega)].
+def sample_times(omega):
+    """Quasi-uniform grid of 64 times on [0, 2*pi / min(omega)].
 
     Uniform spacing with a deterministic golden-ratio stagger so the samples
     are not commensurate with any single base frequency.
@@ -392,6 +392,6 @@ def sample_times(omega, count=64):
     omega = frequency_vector(omega)
     t_max = 2.0 * math.pi / float(np.min(omega))
     golden = (math.sqrt(5.0) - 1.0) / 2.0
-    k = np.arange(count, dtype=float)
+    k = np.arange(64.0)
     stagger = 0.5 * np.modf((k + 1.0) * golden)[0]
-    return (k + stagger) * (t_max / count)
+    return (k + stagger) * (t_max / k.size)

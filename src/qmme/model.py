@@ -28,7 +28,6 @@ from .errors import (
     NotPSD,
     NotUnitary,
     Overflow,
-    TruncationLoss,
 )
 from .fourier import FourierOperatorSeries, _shells, check_rational_independence, frequency_vector, sample_times
 from .linalg import _norms, hermiticity_defect, hermitize, unitarity_residuals
@@ -126,10 +125,10 @@ class BathSpectrum:
 
     @classmethod
     def flat(cls, gamma, n_couplings):
-        """Frequency-independent rate: h(w) = gamma * I, zeta = 0."""
+        """Frequency-independent rate: h(w) = gamma * I, zeta = 0, for gamma >= 0."""
         gamma = float(gamma)
-        if gamma < 0:
-            raise NotPSD(f"flat bath rate must be nonnegative, got {gamma}")
+        if not gamma >= 0:
+            raise DimensionMismatch(f"flat bath needs gamma >= 0, got {gamma}")
         return cls._diagonal(lambda ws: np.full(ws.size, gamma), n_couplings, "flat", {"gamma": gamma})
 
     @classmethod
@@ -141,13 +140,16 @@ class BathSpectrum:
             h(w) = 2 pi kappa w exp(-|w| / cutoff) / (exp(beta w) - 1),
             h(0) = 2 pi kappa / beta,
 
-        which is positive for all w and satisfies h(w) = exp(-beta w) h(-w),
-        so jumps that raise the averaged energy are exponentially suppressed
-        against those that lower it.
+        which is positive for all w (0 at kappa = 0) and satisfies
+        h(w) = exp(-beta w) h(-w), so jumps that raise the averaged energy are
+        exponentially suppressed against those that lower it. The rate
+        ``kappa`` may be 0 or more; the scales ``cutoff`` and ``beta`` divide,
+        so they must be positive.
         """
         kappa, cutoff, beta = float(kappa), float(cutoff), float(beta)
-        if kappa <= 0 or cutoff <= 0 or beta <= 0:
-            raise DimensionMismatch("ohmic_kms needs positive kappa, cutoff, beta")
+        if not (kappa >= 0 and cutoff > 0 and beta > 0):
+            raise DimensionMismatch(f"ohmic_kms needs kappa >= 0, cutoff > 0 and beta > 0, "
+                                    f"got {kappa}, {cutoff}, {beta}")
 
         def profile(ws):
             scale = 2.0 * math.pi * kappa * np.exp(-np.abs(ws) / cutoff)
@@ -181,7 +183,6 @@ class BathSpectrum:
         return cls(stacked(h_fn, "h"), stacked(zeta_fn, "zeta"), m)
 
 
-_UNITARITY_SAMPLES = 64  # times of the grid on which p's unitarity is checked
 # H coefficients below this fraction of H's l1 norm are cancellation residue of the
 # products; relative, because H carries the energy units of the model
 _H_RESIDUE = 1e-15
@@ -254,20 +255,19 @@ class ReducedModel:
 # ---------------------------------------------------------------------------
 
 def _unitarity_residual(p_series, omega):
-    ts = sample_times(omega, _UNITARITY_SAMPLES)
+    ts = sample_times(omega)
     return float(np.max(unitarity_residuals(p_series.evaluate_many(omega, ts))))
 
 
-def synthesize_hamiltonian(p_series, omega, h_bar, tol_unitary=1e-9, tol_truncation=None):
+def synthesize_hamiltonian(p_series, omega, h_bar, tol_unitary=1e-9):
     """Fourier series of H(t) = (i p'(t) + p(t) h_bar) p(t)^dag.
 
     ``p h_bar`` multiplies p's coefficients by h_bar one by one, so H costs one
     series product. Raises NotUnitary if ``p`` drifts from unitarity on the
-    sample grid, Overflow if the tail is not finite (the coefficients' norms
-    overflow), and TruncationLoss if ``tol_truncation`` is given and the tail
-    exceeds it. The tail holds the product tail and the coefficients below
-    ``_H_RESIDUE`` times H's l1 norm, which are dropped. The returned series
-    is Hermitian-valued up to the reported tail mass.
+    sample grid and Overflow if the tail is not finite (the coefficients'
+    norms overflow). The tail holds the product tail and the coefficients
+    below ``_H_RESIDUE`` times H's l1 norm, which are dropped. The returned
+    series is Hermitian-valued up to the reported tail mass.
     """
     omega = frequency_vector(omega)
     h_bar = np.asarray(h_bar, dtype=complex)
@@ -278,10 +278,6 @@ def synthesize_hamiltonian(p_series, omega, h_bar, tol_unitary=1e-9, tol_truncat
     h_series = h_series.drop_below(_H_RESIDUE * h_series.l1_norm())
     if not math.isfinite(h_series.tail_norm):
         raise Overflow(f"synthesized Hamiltonian tail {h_series.tail_norm} is not finite")
-    if tol_truncation is not None and h_series.tail_norm > tol_truncation:
-        raise TruncationLoss(
-            f"synthesized Hamiltonian dropped {h_series.tail_norm:.3e} > {tol_truncation:.1e}"
-        )
     return h_series
 
 

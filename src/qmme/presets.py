@@ -75,6 +75,33 @@ QUTRIT_ROT_2 = np.array(
 )
 
 
+def _model(omega, h_bar, couplings, bath, terms=None):
+    """The reduced model of these data. p = I for a constant frame, and
+    otherwise exp(-iA) of the profile ``terms`` in the box 10."""
+    omega = np.asarray(omega, dtype=float)
+    if terms is None:
+        p = FourierOperatorSeries.constant(np.eye(len(h_bar), dtype=complex), r=omega.size)
+    else:
+        p = p_series_from_generator(terms, r=omega.size, trunc=10)
+    return ReducedModel(frequencies=omega, p_series=p, h_bar=np.array(h_bar),
+                        couplings=[np.array(s) for s in couplings], bath=bath)
+
+
+def _sin(index, amplitude, matrix):
+    return {"profile": "sin", "index": index, "amplitude": amplitude, "matrix": matrix}
+
+
+def _driven_qubit(omega, terms):
+    """Qubit with gap 1.0 in the frame of ``terms``, a transverse coupling and a flat rate 0.4."""
+    return _model(omega, 0.5 * SIGMA_Z, [SIGMA_X], BathSpectrum.flat(0.4, 1), terms)
+
+
+def _thermal_qutrit(terms):
+    """Qutrit with two couplings and a thermal bath, base frequencies (1, sqrt(2))."""
+    bath = BathSpectrum.ohmic_kms(kappa=0.15, cutoff=5.0, beta=1.0, n_couplings=2)
+    return _model([1.0, math.sqrt(2.0)], QUTRIT_H_BAR, [QUTRIT_COUPLING_1, QUTRIT_COUPLING_2], bath, terms)
+
+
 def qubit_dephasing():
     """Qubit, constant frame, coupling along the energy axis.
 
@@ -82,72 +109,26 @@ def qubit_dephasing():
     (two zero modes) and each coherence decays at rate 2*gamma while rotating
     at the transition gap 0.6.
     """
-    omega = np.array([1.0, math.sqrt(2.0)])
-    p = FourierOperatorSeries.constant(np.eye(2, dtype=complex), r=2)
-    return ReducedModel(
-        frequencies=omega,
-        p_series=p,
-        h_bar=0.3 * SIGMA_Z,
-        couplings=[SIGMA_Z.copy()],
-        bath=BathSpectrum.flat(0.25, 1),
-    )
+    return _model([1.0, math.sqrt(2.0)], 0.3 * SIGMA_Z, [SIGMA_Z], BathSpectrum.flat(0.25, 1))
 
 
-def _driven_terms(amp1, amp2):
-    return [
-        {"profile": "sin", "index": (1, 0), "amplitude": amp1, "matrix": SIGMA_Z},
-        {"profile": "sin", "index": (0, 1), "amplitude": amp2, "matrix": SIGMA_Z},
-    ]
-
-
-def qubit_driven(trunc=10):
+def qubit_driven():
     """Qubit in a two-frequency rotating frame with a transverse coupling.
 
     Base frequencies (sqrt(2), pi): the transition gap 1.0 and its doubles
     stay off the frequency lattice, which fails for (1, sqrt(2)).
     """
-    omega = np.array([math.sqrt(2.0), math.pi])
-    p = p_series_from_generator(_driven_terms(0.3, 0.2), r=2, trunc=trunc)
-    return ReducedModel(
-        frequencies=omega,
-        p_series=p,
-        h_bar=0.5 * SIGMA_Z,
-        couplings=[SIGMA_X.copy()],
-        bath=BathSpectrum.flat(0.4, 1),
-    )
+    return _driven_qubit([math.sqrt(2.0), math.pi], [_sin((1, 0), 0.3, SIGMA_Z), _sin((0, 1), 0.2, SIGMA_Z)])
 
 
-def qubit_driven_periodic(trunc=10):
+def qubit_driven_periodic():
     """Single-frequency (periodic) restriction of :func:`qubit_driven`."""
-    omega = np.array([math.sqrt(2.0)])
-    terms = [
-        {"profile": "sin", "index": (1,), "amplitude": 0.3, "matrix": SIGMA_Z},
-    ]
-    p = p_series_from_generator(terms, r=1, trunc=trunc)
-    return ReducedModel(
-        frequencies=omega,
-        p_series=p,
-        h_bar=0.5 * SIGMA_Z,
-        couplings=[SIGMA_X.copy()],
-        bath=BathSpectrum.flat(0.4, 1),
-    )
+    return _driven_qubit([math.sqrt(2.0)], [_sin((1,), 0.3, SIGMA_Z)])
 
 
-def qutrit_thermal(trunc=10):
+def qutrit_thermal():
     """Qutrit with two couplings and a thermal bath in a rotating frame."""
-    omega = np.array([1.0, math.sqrt(2.0)])
-    terms = [
-        {"profile": "sin", "index": (1, 0), "amplitude": 0.2, "matrix": QUTRIT_ROT_1},
-        {"profile": "sin", "index": (0, 1), "amplitude": 0.15, "matrix": QUTRIT_ROT_2},
-    ]
-    p = p_series_from_generator(terms, r=2, trunc=trunc)
-    return ReducedModel(
-        frequencies=omega,
-        p_series=p,
-        h_bar=QUTRIT_H_BAR.copy(),
-        couplings=[QUTRIT_COUPLING_1.copy(), QUTRIT_COUPLING_2.copy()],
-        bath=BathSpectrum.ohmic_kms(kappa=0.15, cutoff=5.0, beta=1.0, n_couplings=2),
-    )
+    return _thermal_qutrit([_sin((1, 0), 0.2, QUTRIT_ROT_1), _sin((0, 1), 0.15, QUTRIT_ROT_2)])
 
 
 def qutrit_thermal_static():
@@ -156,36 +137,17 @@ def qutrit_thermal_static():
     With the frame frozen the thermal detailed-balance of the bath makes the
     Gibbs state of ``h_bar`` an exact fixed point of the constant generator.
     """
-    omega = np.array([1.0, math.sqrt(2.0)])
-    p = FourierOperatorSeries.constant(np.eye(3, dtype=complex), r=2)
-    return ReducedModel(
-        frequencies=omega,
-        p_series=p,
-        h_bar=QUTRIT_H_BAR.copy(),
-        couplings=[QUTRIT_COUPLING_1.copy(), QUTRIT_COUPLING_2.copy()],
-        bath=BathSpectrum.ohmic_kms(kappa=0.15, cutoff=5.0, beta=1.0, n_couplings=2),
-    )
+    return _thermal_qutrit(None)
 
 
-def qubit_congruence_violating(trunc=10):
+def qubit_congruence_violating():
     """Inadmissible on purpose: the transition gap 1.0 equals frequency 1.
 
     Validation must report a congruence witness, and assembling the constant
     generator from its jump operators without the frequency-matching rule
     gives a visibly different map.
     """
-    omega = np.array([1.0, math.sqrt(2.0)])
-    terms = [
-        {"profile": "sin", "index": (1, 0), "amplitude": 0.3, "matrix": SIGMA_Z},
-    ]
-    p = p_series_from_generator(terms, r=2, trunc=trunc)
-    return ReducedModel(
-        frequencies=omega,
-        p_series=p,
-        h_bar=0.5 * SIGMA_Z,
-        couplings=[SIGMA_X.copy()],
-        bath=BathSpectrum.flat(0.4, 1),
-    )
+    return _driven_qubit([1.0, math.sqrt(2.0)], [_sin((1, 0), 0.3, SIGMA_Z)])
 
 
 PRESETS = {

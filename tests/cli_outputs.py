@@ -6,10 +6,12 @@ Runs each call as a fresh ``python -m qmme`` process, once with each
 ``src`` directory on PYTHONPATH, on the models in ``models/``: the seven
 subcommands on every model, ``evolve`` and ``steady-state`` under each
 named ``--rho0``, ``certify`` at its default seed and at ``--seed 3`` (84
-calls on the six shipped models), and ``build`` on the seeded r = 3,
-d = 10 model of ``test_generator.scaled_r3_models``, written by the child
-tree. A LABEL (as printed, e.g. ``"qubit_dephasing validate"``) limits the
-run to the calls it names.
+calls on the six shipped models), and two calls on the seed-1, r = 3 models
+of ``test_generator.scaled_r3_models``, written by the child tree: ``build``
+at d = 10 and ``evolve --rho0 plus`` at d = 6, whose master equation is
+marched above ``dynamics._STEP_MATRIX_MAX_DIM`` (86 calls in all). A LABEL
+(as printed, e.g. ``"qubit_dephasing validate"``) limits the run to the calls
+it names.
 
 Each call prints "identical" when exit code, stdout and stderr agree.
 Otherwise it prints both exit codes, both stderrs when they differ, and each
@@ -33,14 +35,16 @@ MODELS = TESTS.parent / "models"
 STATES = ("mixed", "basis0", "plus", "ground")
 
 
-def calls(d10_model):
-    """(label, argv) of every call, models in name order."""
+def calls(scaled):
+    """(label, argv) of every call, models in name order; ``scaled[d]`` is the
+    path of the seeded r = 3 model of dimension d."""
     out = []
     for path in sorted(MODELS.glob("*.json")):
         per_model = [["validate"], ["synthesize"], ["build"], ["spectrum"], ["certify"], ["certify", "--seed", "3"]]
         per_model += [[cmd, "--rho0", s] for cmd in ("evolve", "steady-state") for s in STATES]
         out += [(" ".join([path.stem, cmd[0], *cmd[1:]]), [cmd[0], str(path), *cmd[1:]]) for cmd in per_model]
-    out.append(("r3_d10 build", ["build", str(d10_model)]))
+    out.append(("r3_d10 build", ["build", str(scaled[10])]))
+    out.append(("r3_d6 evolve --rho0 plus", ["evolve", str(scaled[6]), "--rho0", "plus"]))
     return out
 
 
@@ -108,13 +112,15 @@ def compare(parent, child):
     return lines
 
 
-def _write_d10_model(src, path):
-    """The seeded r = 3, d = 10 model, built and saved by the tree ``src``."""
+def _write_scaled_models(src, out_dir):
+    """The seeded r = 3 models at d = 6 and 10, built by the tree ``src`` and
+    saved as ``out_dir/r3_d{d}.json``."""
     code = ("import sys; sys.path[:0] = sys.argv[1:3]\n"
             "from test_generator import scaled_r3_models\n"
             "from qmme.io import save_model\n"
-            "save_model(scaled_r3_models(1, dims=(10,))[0], sys.argv[3])\n")
-    subprocess.run([sys.executable, "-c", code, str(Path(src).resolve()), str(TESTS), str(path)], check=True)
+            "for model in scaled_r3_models(1, dims=(6, 10)):\n"
+            "    save_model(model, f'{sys.argv[3]}/r3_d{model.dim}.json')\n")
+    subprocess.run([sys.executable, "-c", code, str(Path(src).resolve()), str(TESTS), str(out_dir)], check=True)
 
 
 def main(argv):
@@ -123,10 +129,10 @@ def main(argv):
         return 2
     parent_src, child_src, labels = argv[0], argv[1], set(argv[2:])
     with tempfile.TemporaryDirectory() as tmp:
-        d10 = Path(tmp) / "r3_d10.json"
-        todo = [(label, cmd) for label, cmd in calls(d10) if not labels or label in labels]
-        if any(cmd[1] == str(d10) for _, cmd in todo):
-            _write_d10_model(child_src, d10)
+        scaled = {d: Path(tmp) / f"r3_d{d}.json" for d in (6, 10)}
+        todo = [(label, cmd) for label, cmd in calls(scaled) if not labels or label in labels]
+        if any(cmd[1] in map(str, scaled.values()) for _, cmd in todo):
+            _write_scaled_models(child_src, tmp)
         differ = 0
         for label, cmd in todo:
             lines = compare(run(parent_src, cmd), run(child_src, cmd))

@@ -127,7 +127,7 @@ class TestSeriesAlgebra:
         s2 = random_series(rng, 2, 2, 3, 6, spread=1)
         p = s1.product(s2)
         omega = np.array([1.0, math.sqrt(2)])
-        for t in sample_times(omega, count=7):
+        for t in sample_times(omega):
             assert np.allclose(
                 p.evaluate(omega, t),
                 s1.evaluate(omega, t) @ s2.evaluate(omega, t),
@@ -710,8 +710,8 @@ class TestSampleTimes:
         assert np.all(np.diff(ts) > 0)
 
     def test_deterministic(self):
-        a = sample_times([2.0], count=16)
-        b = sample_times([2.0], count=16)
+        a = sample_times([2.0])
+        b = sample_times([2.0])
         assert np.array_equal(a, b)
 
 

@@ -662,6 +662,15 @@ def _run_in_process(argv, capsys):
     return code, json.loads(out)
 
 
+BATH_PARAMETERS = {  # case: (model, bath parameters it sets)
+    "gamma-negative": ("qubit_dephasing", {"gamma": -1.0}),
+    "kappa-zero": ("qutrit_thermal", {"kappa": 0.0}),
+    "kappa-negative": ("qutrit_thermal", {"kappa": -1.0}),
+    "cutoff-zero": ("qutrit_thermal", {"cutoff": 0.0}),
+    "beta-zero": ("qutrit_thermal", {"beta": 0.0}),
+}
+
+
 class TestCliExitContract:
     """Bad inputs end in a contract exit code and a JSON error, run in-process."""
 
@@ -682,6 +691,12 @@ class TestCliExitContract:
         ("phase-overflow-evolve-static", 3, "Overflow"),
         ("phase-overflow-steady-state-static", 3, "Overflow"),
         ("phase-overflow-certify-static", 3, "Overflow"),
+        # a bath rate (gamma, kappa) may be 0 or more; a scale (cutoff, beta) must be positive
+        ("gamma-negative", 2, "DimensionMismatch"),
+        ("kappa-zero", 0, None),
+        ("kappa-negative", 2, "DimensionMismatch"),
+        ("cutoff-zero", 2, "DimensionMismatch"),
+        ("beta-zero", 2, "DimensionMismatch"),
         ("huge-box", 2, "DimensionMismatch"),
         ("box-zero", 2, "DimensionMismatch"),
         ("box-negative", 2, "DimensionMismatch"),
@@ -744,6 +759,13 @@ class TestCliExitContract:
                 doc["frequencies"] = [w * 1e300 for w in doc["frequencies"]]
             (tmp_path / "model.json").write_text(json.dumps(doc))
             argv = ["synthesize" if case == "negative-tail" else "validate", str(tmp_path / "model.json")]
+        elif case in BATH_PARAMETERS:
+            name, value = BATH_PARAMETERS[case]
+            doc = json.loads((MODELS_DIR / f"{name}.json").read_text())
+            doc["bath"]["params"].update(value)
+            (tmp_path / "model.json").write_text(json.dumps(doc))
+            # build evaluates the zero bath; the refusals come at load, before validate checks anything
+            argv = ["build" if case == "kappa-zero" else "validate", str(tmp_path / "model.json")]
         elif case.startswith("phase-overflow-"):
             name = "qutrit_thermal_static" if case.endswith("-static") else "qubit_driven"
             command = case.removeprefix("phase-overflow-").removesuffix("-static")
