@@ -2,19 +2,15 @@
 
 Exit codes: 0 success, 1 validation or certification failure, 2 usage or
 parse error, 3 numerical failure. Module errors and argparse's usage errors
-become a machine-readable JSON object on stdout. Every tolerance flag can also
-be set through an environment variable with the ``QMME_`` prefix
-(``--tol-herm`` reads ``QMME_TOL_HERM``, and so on); the flag wins when both
-are present, and a variable reaches only the subcommands that take its flag:
-``synthesize`` validates nothing and takes ``--out``, ``--trunc`` and
-``--tol-unitary`` alone. A tolerance must be finite and nonnegative, and
-``--tol-integrate`` positive, or the run exits 2.
+become a machine-readable JSON object on stdout. A tolerance comes from its
+flag or its default; ``synthesize`` validates nothing and takes ``--out``,
+``--trunc`` and ``--tol-unitary`` alone. A tolerance must be finite and
+nonnegative, and ``--tol-integrate`` positive, or the run exits 2.
 """
 
 import argparse
 import dataclasses
 import io
-import os
 import sys
 from pathlib import Path
 
@@ -66,26 +62,23 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(f"{self.prog}: {message}")
 
 
-def _add_tol(parser, flag, fallback, help_text, positive=False):
-    """A tolerance flag, also read from its QMME_ variable: a finite float
-    >= 0, or > 0 if ``positive``. A NaN or negative bound would switch its
-    check off, and a step-halving bound of 0 is never met. The variable is the
-    raw string default, which argparse parses only for the subcommand it
-    parses and only when the flag is absent."""
-    name = "QMME_" + flag.strip("-").upper().replace("-", "_")
+def _add_tol(parser, flag, default, help_text, positive=False):
+    """A tolerance flag: a finite float >= 0, or > 0 if ``positive``. A NaN or
+    negative bound would switch its check off, and a step-halving bound of 0
+    is never met."""
 
     def parse(raw):
         try:
             value = float(raw)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"{raw!r} is not a number (flag value or {name})") from None
+            raise argparse.ArgumentTypeError(f"{raw!r} is not a number") from None
         if not (np.isfinite(value) and (value > 0 if positive else value >= 0)):
             bound = "> 0" if positive else ">= 0"
-            raise argparse.ArgumentTypeError(f"{raw!r} is not a finite number {bound} (flag value or {name})")
+            raise argparse.ArgumentTypeError(f"{raw!r} is not a finite number {bound}")
         return value
 
-    parser.add_argument(flag, type=parse, default=os.environ.get(name, fallback), metavar="X",
-                        help=f"{help_text} (default {fallback:g}, env {name})")
+    parser.add_argument(flag, type=parse, default=default, metavar="X",
+                        help=f"{help_text} (default {default:g})")
 
 
 def _nonnegative_int(raw):

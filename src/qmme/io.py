@@ -12,9 +12,8 @@ Schema (version 1): an object with
                    "coefficients": [{"n": [...], "matrix": ...}, ...]}
 
 Complex scalars are written as [re, im] pairs, matrices as nested lists of
-pairs; the writer takes numeric arrays as they are. On load, ``p_generator``
-with serializable profile terms is accepted in place of ``p_series``; saving
-always writes explicit coefficients.
+pairs; the writer takes numeric arrays as they are. p(t) is given only by its
+coefficients: a document without ``p_series`` is a ParseError.
 Serialization is canonical: sorted keys, floats at 17 significant digits, so
 identical models produce byte-identical files.
 """
@@ -29,7 +28,7 @@ import numpy as np
 from .errors import ParseError, SchemaVersionMismatch
 from .fourier import FourierOperatorSeries
 from .linalg import hermitize
-from .model import _BATH_FAMILIES, ReducedModel, bath_from_family, p_series_from_generator
+from .model import _BATH_FAMILIES, ReducedModel, bath_from_family
 
 __all__ = [
     "SCHEMA_NAME",
@@ -252,50 +251,25 @@ def model_from_dict(data):
     except KeyError as exc:
         raise ParseError(f"model.bath: missing parameter {exc}") from None
 
-    if "p_series" in data:
-        ps = data["p_series"]
-        r = _number(_require(ps, "r", "model.p_series"), "model.p_series.r", integer=True)
-        trunc = _number(_require(ps, "trunc", "model.p_series"), "model.p_series.trunc", integer=True)
-        coeff_list = _require(ps, "coefficients", "model.p_series")
-        if not isinstance(coeff_list, list):
-            raise ParseError("model.p_series.coefficients: expected a list")
-        positions, matrices = {}, []
-        for i, entry in enumerate(coeff_list):
-            where = f"model.p_series.coefficients[{i}]"
-            idx = tuple(_numbers(_require(entry, "n", where), f"{where}.n", integer=True))
-            if idx in positions:
-                raise ParseError(f"{where}: duplicate index {idx}")
-            positions[idx] = i
-            matrices.append(_require(entry, "matrix", where))
-        stacked = _matrices_from_json(matrices, "model.p_series.coefficients")
-        coeffs = {idx: stacked[i] for idx, i in positions.items()}
-        dim = _number(ps.get("dim", h_bar.shape[0]), "model.p_series.dim", integer=True)
-        tail = _number(ps.get("tail_norm", 0.0), "model.p_series.tail_norm")
-        p_series = FourierOperatorSeries(r, dim, trunc, coeffs, tail_norm=tail)
-    elif "p_generator" in data:
-        pg = data["p_generator"]
-        trunc = _number(_require(pg, "trunc", "model.p_generator"), "model.p_generator.trunc",
-                        integer=True)
-        raw_terms = _require(pg, "terms", "model.p_generator")
-        if not isinstance(raw_terms, list) or not raw_terms:
-            raise ParseError("model.p_generator.terms: expected a nonempty list")
-        terms = []
-        for i, td in enumerate(raw_terms):
-            where = f"model.p_generator.terms[{i}]"
-            index = _numbers(_require(td, "index", where), f"{where}.index", integer=True)
-            if len(index) != omega.size:
-                raise ParseError(f"{where}.index: has {len(index)} entries, expected r = {omega.size}")
-            terms.append(
-                {
-                    "profile": _require(td, "profile", where),
-                    "index": index,
-                    "amplitude": _number(_require(td, "amplitude", where), f"{where}.amplitude"),
-                    "matrix": _matrix_from_json(_require(td, "matrix", where), where),
-                }
-            )
-        p_series = p_series_from_generator(terms, r=omega.size, trunc=trunc)
-    else:
-        raise ParseError("model: needs either 'p_series' or 'p_generator'")
+    ps = _require(data, "p_series", "model")
+    r = _number(_require(ps, "r", "model.p_series"), "model.p_series.r", integer=True)
+    trunc = _number(_require(ps, "trunc", "model.p_series"), "model.p_series.trunc", integer=True)
+    coeff_list = _require(ps, "coefficients", "model.p_series")
+    if not isinstance(coeff_list, list):
+        raise ParseError("model.p_series.coefficients: expected a list")
+    positions, matrices = {}, []
+    for i, entry in enumerate(coeff_list):
+        where = f"model.p_series.coefficients[{i}]"
+        idx = tuple(_numbers(_require(entry, "n", where), f"{where}.n", integer=True))
+        if idx in positions:
+            raise ParseError(f"{where}: duplicate index {idx}")
+        positions[idx] = i
+        matrices.append(_require(entry, "matrix", where))
+    stacked = _matrices_from_json(matrices, "model.p_series.coefficients")
+    coeffs = {idx: stacked[i] for idx, i in positions.items()}
+    dim = _number(ps.get("dim", h_bar.shape[0]), "model.p_series.dim", integer=True)
+    tail = _number(ps.get("tail_norm", 0.0), "model.p_series.tail_norm")
+    p_series = FourierOperatorSeries(r, dim, trunc, coeffs, tail_norm=tail)
 
     return ReducedModel(
         frequencies=omega,
@@ -328,7 +302,7 @@ def load_model(path):
 
 
 def save_model(model, path):
-    """Write a model as canonical JSON (always explicit coefficients)."""
+    """Write a model as canonical JSON."""
     Path(path).write_text(dumps_canonical(model_to_dict(model)))
 
 

@@ -93,10 +93,19 @@ def hermitize(a):
 
 def _norms(stack):
     """Frobenius norms of a stack of matrices, bit for bit those of
-    ``np.linalg.norm`` (one dot product of real and of imaginary parts each)."""
+    ``np.linalg.norm`` (one dot product of real and of imaginary parts each)
+    where the sum of squares is finite. A norm whose squares overflow is taken
+    again from its matrix scaled by its largest part, so it is inf only past
+    the float range, and no warning is raised."""
     flat = stack.reshape(-1, 1, stack.shape[-1] * stack.shape[-2])
     re, im = flat.real, flat.imag
-    return np.sqrt(re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2)).reshape(-1)
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2)).reshape(-1)
+        if np.isinf(norms).any():
+            rows = np.isinf(norms) & np.isfinite(flat).all(axis=(1, 2))
+            scale = np.maximum(abs(re[rows, 0]), abs(im[rows, 0])).max(axis=1)
+            norms[rows] = scale * np.linalg.norm(flat[rows, 0] / scale[:, None], axis=1)
+    return norms
 
 
 def eig_hermitian(h):

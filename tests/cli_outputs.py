@@ -6,12 +6,14 @@ Runs each call as a fresh ``python -m qmme`` process, once with each
 ``src`` directory on PYTHONPATH, on the models in ``models/``: the seven
 subcommands on every model, ``evolve`` and ``steady-state`` under each
 named ``--rho0``, ``certify`` at its default seed and at ``--seed 3`` (84
-calls on the six shipped models), and two calls on the seed-1, r = 3 models
-of ``test_generator.scaled_r3_models``, written by the child tree: ``build``
-at d = 10 and ``evolve --rho0 plus`` at d = 6, whose master equation is
-marched above ``dynamics._STEP_MATRIX_MAX_DIM`` (86 calls in all). A LABEL
+calls on the six shipped models); ``evolve`` of ``qubit_driven`` from the plus
+state written to a file (``--rho0 FILE``); and two calls on the seed-1, r = 3
+models of ``test_generator.scaled_r3_models``, written by the child tree:
+``build`` at d = 10 and ``evolve --rho0 plus`` at d = 6, whose master equation
+is marched above ``dynamics._STEP_MATRIX_MAX_DIM`` (87 calls in all). A LABEL
 (as printed, e.g. ``"qubit_dephasing validate"``) limits the run to the calls
-it names.
+it names. Every call runs without the environment's ``QMME_*`` variables, so
+trees that read them and trees that do not see the same inputs.
 
 Each call prints "identical" when exit code, stdout and stderr agree.
 Otherwise it prints both exit codes, both stderrs when they differ, and each
@@ -35,22 +37,26 @@ MODELS = TESTS.parent / "models"
 STATES = ("mixed", "basis0", "plus", "ground")
 
 
-def calls(scaled):
-    """(label, argv) of every call, models in name order; ``scaled[d]`` is the
-    path of the seeded r = 3 model of dimension d."""
+def calls(tmp):
+    """(label, argv) of every call, models in name order; the plus state and the
+    seeded r = 3 model of dimension d are read from ``tmp`` as ``plus.json`` and
+    ``r3_d{d}.json``."""
     out = []
     for path in sorted(MODELS.glob("*.json")):
         per_model = [["validate"], ["synthesize"], ["build"], ["spectrum"], ["certify"], ["certify", "--seed", "3"]]
         per_model += [[cmd, "--rho0", s] for cmd in ("evolve", "steady-state") for s in STATES]
         out += [(" ".join([path.stem, cmd[0], *cmd[1:]]), [cmd[0], str(path), *cmd[1:]]) for cmd in per_model]
-    out.append(("r3_d10 build", ["build", str(scaled[10])]))
-    out.append(("r3_d6 evolve --rho0 plus", ["evolve", str(scaled[6]), "--rho0", "plus"]))
+    out.append(("qubit_driven evolve --rho0 FILE", ["evolve", str(MODELS / "qubit_driven.json"),
+                                                    "--rho0", str(tmp / "plus.json")]))
+    out.append(("r3_d10 build", ["build", str(tmp / "r3_d10.json")]))
+    out.append(("r3_d6 evolve --rho0 plus", ["evolve", str(tmp / "r3_d6.json"), "--rho0", "plus"]))
     return out
 
 
 def run(src, argv):
     """Exit code, stdout and stderr of ``python -m qmme argv`` with ``src`` on the path."""
-    env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()))
+    env = {k: v for k, v in os.environ.items() if not k.startswith("QMME_")}
+    env["PYTHONPATH"] = str(Path(src).resolve())
     env.setdefault("OPENBLAS_NUM_THREADS", "1")
     done = subprocess.run([sys.executable, "-m", "qmme", *argv], capture_output=True, text=True, env=env)
     return done.returncode, done.stdout, done.stderr
@@ -129,9 +135,10 @@ def main(argv):
         return 2
     parent_src, child_src, labels = argv[0], argv[1], set(argv[2:])
     with tempfile.TemporaryDirectory() as tmp:
-        scaled = {d: Path(tmp) / f"r3_d{d}.json" for d in (6, 10)}
-        todo = [(label, cmd) for label, cmd in calls(scaled) if not labels or label in labels]
-        if any(cmd[1] in map(str, scaled.values()) for _, cmd in todo):
+        tmp = Path(tmp)
+        todo = [(label, cmd) for label, cmd in calls(tmp) if not labels or label in labels]
+        (tmp / "plus.json").write_text(json.dumps({"matrix": [[[0.5, 0.0], [0.5, 0.0]]] * 2}))
+        if any(label.startswith("r3_") for label, _ in todo):
             _write_scaled_models(child_src, tmp)
         differ = 0
         for label, cmd in todo:

@@ -29,8 +29,8 @@ from qmme.io import (
     save_model,
     write_trajectory_csv,
 )
-from qmme.model import BathSpectrum, ReducedModel, p_series_from_profile_terms, synthesize_hamiltonian, validate_model
-from qmme.presets import PRESETS, SIGMA_Z, preset
+from qmme.model import BathSpectrum, ReducedModel, synthesize_hamiltonian, validate_model
+from qmme.presets import PRESETS, preset
 
 from conftest import random_density
 from test_generator import scaled_r3_models
@@ -356,30 +356,6 @@ def _assert_numbers_close(a, b, where):
         assert a == b, where
 
 
-class TestGeneratorDocument:
-    def test_expands_profile_terms(self):
-        base = model_to_dict(preset("qubit_dephasing"))
-        terms = [
-            {
-                "profile": "sin",
-                "index": [1, 0],
-                "amplitude": 0.3,
-                "matrix": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]],
-            }
-        ]
-        doc = {k: v for k, v in base.items() if k != "p_series"}
-        doc["p_generator"] = {"trunc": 8, "terms": terms}
-        model = model_from_dict(doc)
-        direct = p_series_from_profile_terms(
-            [dict(t, matrix=np.array(SIGMA_Z)) for t in terms], r=2, trunc=8
-        )
-        omega = model.frequencies
-        for t in (0.0, 1.1, 4.7):
-            assert np.allclose(
-                model.p_series.evaluate(omega, t), direct.evaluate(omega, t), atol=1e-14
-            )
-
-
 class TestParseErrors:
     def doc(self):
         return model_to_dict(preset("qubit_dephasing"))
@@ -436,7 +412,7 @@ class TestParseErrors:
         del doc["p_series"]
         with pytest.raises(ParseError) as exc:
             model_from_dict(doc)
-        assert "p_series" in str(exc.value) and "p_generator" in str(exc.value)
+        assert str(exc.value) == "model: missing required key 'p_series'"
 
     def test_parse_validate_separation(self):
         # a structurally sound file with a non-Hermitian static part parses
@@ -548,6 +524,27 @@ class TestCliValidate:
         assert payload["passed"] is False
         assert payload["rational_independence"]["witness"] == [2, -1]
 
+    def test_environment_sets_no_tolerance(self, monkeypatch, capsys):
+        model = str(MODELS_DIR / "qubit_dephasing.json")
+        assert cli.main(["validate", model]) == 0
+        expect = capsys.readouterr().out
+        monkeypatch.setenv("QMME_TOL_HERM", "nan")
+        assert cli.build_parser().parse_args(["validate", model]).tol_herm == 1e-10
+        assert cli.main(["validate", model]) == 0
+        assert capsys.readouterr().out == expect
+
+    def test_p_generator_document_is_refused(self, tmp_path, capsys):
+        # p is read from its coefficients alone; a recipe for building them is not a model
+        doc = model_to_dict(preset("qubit_driven"))
+        del doc["p_series"]
+        doc["p_generator"] = {"trunc": 8, "terms": [{"profile": "sin", "index": [1, 0], "amplitude": 0.3,
+                                                     "matrix": doc["h_bar"]}]}
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["validate", str(path)]) == 2
+        assert json.loads(capsys.readouterr().out)["error"] == {
+            "type": "ParseError", "message": "model: missing required key 'p_series'"}
+
     def test_congruence_violation_witnessed(self):
         res = run_cli("validate", str(MODELS_DIR / "qubit_congruence_violating.json"))
         assert res.returncode == 1
@@ -576,17 +573,6 @@ class TestCliValidate:
         payload = json.loads(res.stdout)
         assert payload["error"]["type"] == "ParseError"
 
-    def test_env_tolerance_override(self):
-        # a congruence tolerance wide enough to swallow the real margin
-        # flips the verdict without any flag
-        res = run_cli(
-            "validate",
-            str(MODELS_DIR / "qubit_dephasing.json"),
-            env_extra={"QMME_TOL_CONGRUENCE": "0.1"},
-        )
-        assert res.returncode == 1
-        payload = json.loads(res.stdout)
-        assert payload["congruence_freedom"]["passed"] is False
 
 
 def _mutated(doc, edit):
@@ -595,26 +581,12 @@ def _mutated(doc, edit):
     return json.dumps(doc)
 
 
-def _generator_with_short_index(doc):
-    term = {"profile": "sin", "index": [1], "amplitude": 0.3, "matrix": doc["h_bar"]}
-    doc["p_generator"] = {"trunc": 4, "terms": [term]}
-    del doc["p_series"]
-
-
-def _generator_with_negative_trunc(doc):
-    term = {"profile": "sin", "index": [1, 0], "amplitude": 0.3, "matrix": doc["h_bar"]}
-    doc["p_generator"] = {"trunc": -1, "terms": [term]}
-    del doc["p_series"]
-
-
 MALFORMED = {
     "family-not-a-name": lambda d: d["bath"].update(family=["flat"]),
     "gamma-not-a-number": lambda d: d["bath"]["params"].update(gamma="abc"),
     "trunc-not-a-number": lambda d: d["p_series"].update(trunc="x"),
     "trunc-not-an-integer": lambda d: d["p_series"].update(trunc=1.5),
     "index-wrong-length": lambda d: d["p_series"]["coefficients"][0].update(n=[0]),
-    "generator-index-wrong-length": _generator_with_short_index,
-    "generator-trunc-negative": _generator_with_negative_trunc,
 }
 
 
@@ -680,9 +652,16 @@ class TestCliExitContract:
         ("huge-grid", 2, "DimensionMismatch"),
         # a p_series tail below 0 would pass as a bound that no series meets
         ("negative-tail", 2, "DimensionMismatch"),
-        # qubit_driven's frequencies times 1e300 validate silently; synthesize's overflow
-        # is test_synthesize_overflow_is_numerical_failure
+        # qubit_driven's frequencies times 1e300 give coefficients of about 3e299, whose
+        # squares overflow but whose norms do not: validate and synthesize pass silently
         ("huge-frequencies", 0, None),
+        ("huge-frequencies-synthesize", 0, None),
+        # qubit_dephasing's gamma 1e300: norms taken past overflowing squares raise no warning
+        ("huge-gamma-build", 0, None),
+        ("huge-gamma-spectrum", 0, None),
+        ("huge-gamma-steady-state", 0, None),
+        ("huge-gamma-certify", 0, None),
+        ("huge-gamma-evolve", 3, "NoConvergence"),
         # p's phase at t = 1e308 is not finite: refused before any cosine, exp(t X) or SVD
         ("phase-overflow-evolve", 3, "Overflow"),
         ("phase-overflow-steady-state", 3, "Overflow"),
@@ -706,11 +685,6 @@ class TestCliExitContract:
         ("tol-negative", 2, "ParseError"),
         ("tol-integrate-zero", 2, "ParseError"),
         ("tol-integrate-inf", 2, "ParseError"),
-        ("env-tol-nan", 2, "ParseError"),
-        ("env-tol-integrate-negative", 2, "ParseError"),
-        # a variable is read only by the subcommands that have its flag, and the flag wins
-        ("env-tol-integrate-negative-validate", 0, None),
-        ("env-tol-integrate-negative-flag-wins", 0, None),
         # numpy refuses a negative seed, and a negative pair count would certify no pair
         ("seed-negative", 2, "ParseError"),
         ("pairs-negative", 2, "ParseError"),
@@ -720,7 +694,7 @@ class TestCliExitContract:
         ("command-missing", 2, "ParseError"),
         ("grid-like-an-option", 2, "ParseError"),
     ])
-    def test_exit_code_and_json(self, case, code, kind, tmp_path, capsys, monkeypatch):
+    def test_exit_code_and_json(self, case, code, kind, tmp_path, capsys):
         model = str(MODELS_DIR / "qubit_dephasing.json")
         violating = str(MODELS_DIR / "qubit_congruence_violating.json")
         table = {
@@ -728,11 +702,6 @@ class TestCliExitContract:
             "tol-negative": ["validate", violating, "--tol-congruence", "-1"],
             "tol-integrate-zero": ["evolve", model, "--tol-integrate", "0"],
             "tol-integrate-inf": ["evolve", model, "--tol-integrate", "inf"],
-            "env-tol-nan": ["validate", violating],
-            "env-tol-integrate-negative": ["evolve", model],
-            "env-tol-integrate-negative-validate": ["validate", model],
-            "env-tol-integrate-negative-flag-wins": ["evolve", model, "--grid", "0:1:3",
-                                                     "--tol-integrate", "1e-8"],
             "seed-negative": ["certify", model, "--seed", "-1"],
             "pairs-negative": ["certify", model, "--pairs", "-3"],
             "box-not-a-number": ["validate", model, "--box", "x"],
@@ -740,25 +709,25 @@ class TestCliExitContract:
             "command-missing": [],
             "grid-like-an-option": ["evolve", model, "--grid", "-1:1:3"],
         }
-        env = {"env-tol-nan": ("QMME_TOL_CONGRUENCE", "nan")}
-        for suffix in ("", "-validate", "-flag-wins"):
-            env["env-tol-integrate-negative" + suffix] = ("QMME_TOL_INTEGRATE", "-1")
-        if case in env:
-            monkeypatch.setenv(*env[case])
         if case in table:
             argv = table[case]
         elif case == "non-utf8-model":
             bad = tmp_path / "model.json"
             bad.write_bytes(b'\xff\xfe{"schema": "qmme-model"}')
             argv = ["validate", str(bad)]
-        elif case in ("negative-tail", "huge-frequencies"):
+        elif case in ("negative-tail", "huge-frequencies", "huge-frequencies-synthesize"):
             doc = json.loads((MODELS_DIR / "qubit_driven.json").read_text())
             if case == "negative-tail":
                 doc["p_series"]["tail_norm"] = -1.0
             else:
                 doc["frequencies"] = [w * 1e300 for w in doc["frequencies"]]
             (tmp_path / "model.json").write_text(json.dumps(doc))
-            argv = ["synthesize" if case == "negative-tail" else "validate", str(tmp_path / "model.json")]
+            argv = ["validate" if case == "huge-frequencies" else "synthesize", str(tmp_path / "model.json")]
+        elif case.startswith("huge-gamma-"):
+            doc = json.loads(Path(model).read_text())
+            doc["bath"]["params"]["gamma"] = 1e300
+            (tmp_path / "model.json").write_text(json.dumps(doc))
+            argv = [case.removeprefix("huge-gamma-"), str(tmp_path / "model.json")]
         elif case in BATH_PARAMETERS:
             name, value = BATH_PARAMETERS[case]
             doc = json.loads((MODELS_DIR / f"{name}.json").read_text())
@@ -787,8 +756,6 @@ class TestCliExitContract:
         payload = json.loads(out)
         assert set(payload["error"]) == {"type", "message"}
         assert payload["error"]["type"] == kind
-        if case in env:  # the message names the variable
-            assert env[case][0] in payload["error"]["message"]
 
     def test_help_still_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as stop:
@@ -827,20 +794,19 @@ class TestCliExitContract:
             assert "--grid" in message["message"] and count in message["message"]
 
     def test_oversized_generator_grid_is_usage_error(self, tmp_path, capsys):
-        # trunc is only a bound: at 3000 the Taylor terms of p keep the support they
-        # reach, and validate passes; a term at index (400, 0) needs a product
-        # workspace of radius 800, 1601^2 points, which is refused before allocating
-        doc = {k: v for k, v in model_to_dict(preset("qubit_driven")).items() if k != "p_series"}
-        sigma_z = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]
+        # p = diag(exp(-400 i theta1), exp(400 i theta1)) is exactly unitary, and validate
+        # forms no product; build's products need a workspace of radius 800, 1601^2
+        # points, which is refused before allocating
+        doc = model_to_dict(preset("qubit_driven"))
+        doc["p_series"] = {"r": 2, "dim": 2, "trunc": 400, "tail_norm": 0.0, "coefficients": [
+            {"n": [sign * 400, 0], "matrix": [[[1.0 - k, 0.0], [0.0, 0.0]], [[0.0, 0.0], [k, 0.0]]]}
+            for k, sign in ((0.0, -1), (1.0, 1))]}
         path = tmp_path / "model.json"
-        for second, code in (([0, 1], 0), ([400, 0], 2)):
-            doc["p_generator"] = {"trunc": 3000, "terms": [
-                {"profile": "sin", "index": index, "amplitude": amplitude, "matrix": sigma_z}
-                for index, amplitude in (([1, 0], 0.3), (second, 0.2))]}
-            path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(doc))
+        for command, code in (("validate", 0), ("build", 2)):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                got = cli.main(["validate", str(path)])
+                got = cli.main([command, str(path)])
             out, err = capsys.readouterr()
             assert err == "" and not caught
             assert got == code, out
@@ -850,7 +816,6 @@ class TestCliExitContract:
             else:
                 assert payload["error"]["type"] == "DimensionMismatch"
                 assert "2563201 points" in payload["error"]["message"]
-
 
 # error types that may come with exit 1: a failed physics check
 CONTRACT_TYPES = {"InadmissibleModel", "NotPSD", "NotHermitian", "NotUnitary", "SpectralViolation"}
@@ -974,6 +939,43 @@ class TestCliDynamics:
         assert len(rows) == count
         assert max(float(r["dist"]) for r in rows) <= 1e-6
 
+    @staticmethod
+    def _evolve_driven(rho0, capsys):
+        """Exit code and stdout of a short in-process evolve of qubit_driven from ``rho0``."""
+        got = cli.main(["evolve", str(MODELS_DIR / "qubit_driven.json"), "--grid", "0:2:3", "--rho0", rho0])
+        out, err = capsys.readouterr()
+        assert err == ""
+        return got, out
+
+    @pytest.mark.parametrize("wrapped", [False, True])
+    def test_rho0_file_matches_named_state(self, wrapped, tmp_path, capsys):
+        plus = [[[0.5, 0.0], [0.5, 0.0]], [[0.5, 0.0], [0.5, 0.0]]]
+        path = tmp_path / "plus.json"
+        path.write_text(json.dumps({"matrix": plus} if wrapped else plus))
+        from_file = self._evolve_driven(str(path), capsys)
+        assert from_file[0] == 0
+        assert from_file == self._evolve_driven("plus", capsys)
+
+    def test_rho0_ground_is_the_lowest_level(self, capsys):
+        got, out = self._evolve_driven("ground", capsys)
+        assert got == 0, out
+        row = next(csv.DictReader(io.StringIO(out)))  # t = 0, where p(0) = I
+        rho = np.array([[float(row[f"re_{i}{j}"]) + 1j * float(row[f"im_{i}{j}"]) for j in range(2)]
+                        for i in range(2)])
+        h_bar = load_model(MODELS_DIR / "qubit_driven.json").h_bar
+        assert np.trace(rho @ rho).real == pytest.approx(1.0, abs=1e-12)
+        assert np.trace(rho @ h_bar).real == pytest.approx(np.linalg.eigvalsh(h_bar)[0], abs=1e-12)
+
+    @pytest.mark.parametrize("rho0, kind", [("qutrit.json", "DimensionMismatch"), ("excited", "ParseError")])
+    def test_rho0_refused(self, rho0, kind, tmp_path, capsys):
+        # a state of the wrong dimension, and a name that is neither a named state nor a file
+        if rho0.endswith(".json"):
+            rho0 = str(tmp_path / rho0)
+            Path(rho0).write_text(json.dumps({"matrix": np.stack([np.eye(3) / 3, np.zeros((3, 3))], -1).tolist()}))
+        got, out = self._evolve_driven(rho0, capsys)
+        assert got == 2
+        assert json.loads(out)["error"]["type"] == kind
+
     def test_spectrum_frozen(self):
         res = run_cli("spectrum", str(MODELS_DIR / "qubit_dephasing.json"))
         assert res.returncode == 0, res.stderr
@@ -1039,16 +1041,16 @@ class TestCliDynamics:
         assert payload["coefficients"]
 
     def test_synthesize_overflow_is_numerical_failure(self, tmp_path):
-        # H's coefficients stay finite (about 3e299) but their norms overflow, so its tail
-        # is inf; the numerical failure exits 3 and is not left to the JSON writer (exit 2)
+        # a p tail of 1e300 times itself makes H's tail inf; the numerical failure
+        # exits 3 and is not left to the JSON writer (exit 2)
         doc = json.loads((MODELS_DIR / "qubit_driven.json").read_text())
-        doc["frequencies"] = [w * 1e300 for w in doc["frequencies"]]
+        doc["p_series"]["tail_norm"] = 1e300
         path = tmp_path / "huge.json"
         path.write_text(json.dumps(doc))
         res = run_cli("synthesize", str(path))
-        assert res.returncode == 3, res.stdout
+        assert res.returncode == 3 and res.stderr == "", res.stdout
         error = json.loads(res.stdout)["error"]
-        assert error["type"] == "Overflow" and "tail" in error["message"]
+        assert error == {"type": "Overflow", "message": "synthesized Hamiltonian tail inf is not finite"}
 
 
 class TestCliSynthesizeFlags:
@@ -1064,13 +1066,6 @@ class TestCliSynthesizeFlags:
         assert got == 2 and err == ""
         error = json.loads(out)["error"]
         assert error["type"] == "ParseError" and flag in error["message"]
-
-    def test_validation_variables_do_not_reach_it(self, capsys, monkeypatch):
-        monkeypatch.setenv("QMME_TOL_HERM", "nan")
-        assert cli.main(["validate", self.MODEL]) == 2
-        assert "QMME_TOL_HERM" in json.loads(capsys.readouterr().out)["error"]["message"]
-        assert cli.main(["synthesize", self.MODEL]) == 0
-        assert json.loads(capsys.readouterr().out)["r"] == 2
 
     def test_trunc_out_and_tol_unitary(self, tmp_path, capsys):
         # p cut to trunc 2 drifts from unitary by 6.2e-4: the default bound refuses it
@@ -1172,11 +1167,11 @@ class TestCliOutputsDiffer:
 
     def test_src_against_itself(self):
         src = str(REPO / "src")
-        labels = ["qubit_dephasing validate", "qubit_driven evolve --rho0 plus"]
+        labels = ["qubit_dephasing validate", "qubit_driven evolve --rho0 plus", "qubit_driven evolve --rho0 FILE"]
         res = subprocess.run([sys.executable, str(REPO / "tests" / "cli_outputs.py"), src, src, *labels],
                              capture_output=True, text=True)
         assert res.returncode == 0 and res.stderr == ""
-        assert res.stdout.splitlines() == [f"{label}: identical" for label in labels] + ["2 of 2 calls identical"]
+        assert res.stdout.splitlines() == [f"{label}: identical" for label in labels] + ["3 of 3 calls identical"]
 
     def test_reports_each_changed_column_and_field(self, capsys):
         import cli_outputs

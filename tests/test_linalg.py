@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -84,6 +86,22 @@ class TestHermitian:
             assert np.array_equal(defects, np.reshape(expect, shape[:-2]))
             one = a.reshape((-1,) + shape[-2:])[-1]
             assert hermiticity_defect(one) == np.linalg.norm(one - one.conj().T) / max(1.0, np.linalg.norm(one))
+
+    @pytest.mark.parametrize("scale", [1e200, 1e300, -1e300j])
+    def test_defect_survives_overflowing_squares(self, scale):
+        # the squares of 1e200 overflow; the norms are taken again from the scaled matrix
+        a = np.array([[1.0, 2.0], [0.0, 1.0]]) * scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert hermiticity_defect(a) == pytest.approx(hermiticity_defect(a / abs(scale)), rel=1e-14)
+            with pytest.raises(NotHermitian):
+                eig_hermitian(a)
+
+    def test_norms_past_the_float_range_stay_inf(self):
+        stack = np.array([np.full((2, 2), 1.5e308), np.diag([np.inf, 1.0]), np.eye(2)], dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert linalg._norms(stack).tolist() == [np.inf, np.inf, np.sqrt(2.0)]
 
     def test_defect_of_vector_rejected(self):
         with pytest.raises(DimensionMismatch):

@@ -152,6 +152,16 @@ class TestBathCallableGates:
         with pytest.raises(NotPSD):
             bath.h(1.0)
 
+    @pytest.mark.parametrize("low", [-1e100, -1e200])
+    def test_indefinite_h_past_overflowing_squares(self, low):
+        # the relative slack scales with ||h||, whose squares overflow at -1e200
+        bath = BathSpectrum(lambda ws: np.diag([low, 1.0])[None].repeat(ws.size, 0),
+                            lambda ws: np.zeros((ws.size, 2, 2)), n_couplings=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotPSD):
+                bath.h_many([0.5, 1.5])
+
     def test_non_hermitian_zeta(self):
         bath = BathSpectrum.from_callables(
             lambda w: np.eye(2),
@@ -319,11 +329,23 @@ class TestSynthesize:
             assert np.linalg.norm(h - h.conj().T, 2) < 1e-9
 
     def test_non_finite_tail_is_overflow(self):
-        # frequencies 1e300 keep H's coefficients finite (about 3e299), but their norms,
-        # and so the tail, overflow; linalg._norms still warns as it does so
+        # a p tail of 1e300 times itself is past the float range, so H's tail is inf
         model = load_model(MODELS_DIR / "qubit_driven.json")
-        with np.errstate(over="ignore"), pytest.raises(Overflow, match=r"Hamiltonian tail inf is not finite"):
-            synthesize_hamiltonian(model.p_series, 1e300 * model.frequencies, model.h_bar)
+        p = model.p_series
+        p = FourierOperatorSeries(p.r, p.d, p.trunc, p.coeffs, tail_norm=1e300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(Overflow, match=r"Hamiltonian tail inf is not finite"):
+                synthesize_hamiltonian(p, model.frequencies, model.h_bar)
+
+    def test_huge_frequencies_keep_a_finite_tail(self):
+        # frequencies 1e300 give coefficients of about 3e299, whose squares overflow but
+        # whose norms do not: the tail is finite and no warning is raised
+        model = load_model(MODELS_DIR / "qubit_driven.json")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            h = synthesize_hamiltonian(model.p_series, 1e300 * model.frequencies, model.h_bar)
+        assert 1e280 < h.tail_norm < 1e300 and np.isfinite(h.l1_norm())
 
     def test_non_unitary_frame_rejected(self):
         p = FourierOperatorSeries.constant(0.5 * np.eye(2), r=1)
