@@ -82,16 +82,6 @@ from .model import (
 __version__ = "0.1.0"
 
 
-def __getattr__(name):
-    # presets is loaded on first use, so ``python -m qmme.presets`` runs it
-    # as a fresh module rather than one the package already imported
-    if name in ("PRESETS", "preset"):
-        from . import presets
-
-        return getattr(presets, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "__version__",
     # model
@@ -146,9 +136,6 @@ __all__ = [
     "save_model",
     "dumps_canonical",
     "write_trajectory_csv",
-    # presets
-    "PRESETS",
-    "preset",
     # errors
     "QmmeError",
     "DimensionMismatch",

@@ -3,13 +3,13 @@
 Exit codes: 0 success, 1 validation or certification failure, 2 usage or
 parse error, 3 numerical failure. Module errors and argparse's usage errors
 become a machine-readable JSON object on stdout. A tolerance comes from its
-flag or its default; ``synthesize`` validates nothing and takes ``--out``,
-``--trunc`` and ``--tol-unitary`` alone. A tolerance must be finite and
-nonnegative, and ``--tol-integrate`` positive, or the run exits 2.
+flag or its default; ``synthesize`` validates nothing and takes ``--out``
+and ``--tol-unitary`` alone. A tolerance must be finite and nonnegative, and
+``--tol-integrate`` positive, or the run exits 2. The model is read once, from
+its file, after the parser has checked every flag.
 """
 
 import argparse
-import dataclasses
 import io
 import sys
 from pathlib import Path
@@ -97,8 +97,6 @@ def _add_common(parser):
     parser.add_argument("model", help="model JSON file")
     parser.add_argument("--out", metavar="DIR", default=None,
                         help="write artifacts into DIR instead of stdout")
-    parser.add_argument("--trunc", type=int, default=None, metavar="N",
-                        help="re-truncate the unitary series to box N")
     _add_tol(parser, "--tol-unitary", 1e-9, "unitarity drift bound for p(t)")
 
 
@@ -112,22 +110,22 @@ def _add_validation(parser):
     _add_tol(parser, "--tol-congruence", 1e-9, "congruence-freedom scan tolerance")
 
 
-def _parse_grid(spec):
+def _grid(spec):
+    """A ``--grid`` value start:stop:count: ``count`` >= 2 times from a finite 0 <= start
+    to a finite stop > start."""
     parts = spec.split(":")
     if len(parts) != 3:
-        raise ParseError(f"--grid needs start:stop:count, got {spec!r}")
+        raise argparse.ArgumentTypeError(f"needs start:stop:count, got {spec!r}")
     try:
         start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
-        raise ParseError(f"--grid needs numeric start:stop and integer count, got {spec!r}") from None
+        raise argparse.ArgumentTypeError(f"needs numeric start:stop, integer count, got {spec!r}") from None
     if not (np.isfinite(start) and np.isfinite(stop)) or start < 0 or stop <= start or count < 2:
-        raise ParseError(
-            f"--grid needs finite 0 <= start < stop and count >= 2, got {spec!r}"
-        )
+        raise argparse.ArgumentTypeError(f"needs finite 0 <= start < stop and count >= 2, got {spec!r}")
     try:
         return np.linspace(start, stop, count)
     except (MemoryError, ValueError):  # numpy refuses more than it can address as a ValueError
-        raise ParseError(f"--grid count {count} is too large to allocate, got {spec!r}") from None
+        raise argparse.ArgumentTypeError(f"count {count} is too large to allocate, got {spec!r}") from None
 
 
 def _initial_state(spec, mdl):
@@ -153,13 +151,6 @@ def _initial_state(spec, mdl):
     if rho.shape != (d, d):
         raise DimensionMismatch(f"initial state has shape {rho.shape}, model dimension is {d}")
     return rho
-
-
-def _load(args):
-    mdl = load_model(args.model)
-    if args.trunc is not None:
-        mdl = dataclasses.replace(mdl, p_series=mdl.p_series.truncate(args.trunc))
-    return mdl
 
 
 def _emit(args, name, text):
@@ -201,15 +192,13 @@ def _build(args, mdl):
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_validate(args):
-    mdl = _load(args)
+def cmd_validate(args, mdl):
     report = _validate(args, mdl)
     _emit(args, "validate.json", dumps_canonical(report.to_dict()))
     return 0 if report.passed else 1
 
 
-def cmd_synthesize(args):
-    mdl = _load(args)
+def cmd_synthesize(args, mdl):
     h_series = model_mod.synthesize_hamiltonian(
         mdl.p_series, mdl.frequencies, mdl.h_bar, tol_unitary=args.tol_unitary
     )
@@ -217,8 +206,7 @@ def cmd_synthesize(args):
     return 0
 
 
-def cmd_build(args):
-    mdl = _load(args)
+def cmd_build(args, mdl):
     report, bundle = _build(args, mdl)
     jumps, decomp, shifted = bundle.jumps, bundle.jumps.decomp, bundle.shifted_frequencies
     n, frequency = jumps.fourier_index, decomp.bohr_frequencies[jumps.frequency_index]
@@ -259,39 +247,34 @@ def cmd_build(args):
     return 0
 
 
-def cmd_evolve(args):
-    mdl = _load(args)
+def cmd_evolve(args, mdl):
     _, bundle = _build(args, mdl)
     dmap = dynamics.DynamicalMap(mdl, bundle, tol_unitary=args.tol_unitary)
-    ts = _parse_grid(args.grid)
     rho0 = _initial_state(args.rho0, mdl)
-    product = dmap.evolve(rho0, ts)
-    direct = dmap.integrate_direct(rho0, ts, tol=args.tol_integrate)
+    product = dmap.evolve(rho0, args.grid)
+    direct = dmap.integrate_direct(rho0, args.grid, tol=args.tol_integrate)
     buf = io.StringIO()
-    write_trajectory_csv(buf, ts, product,
+    write_trajectory_csv(buf, args.grid, product,
                          extra={**_entry_columns(direct, "direct_"), "dist": trace_norm(product - direct)})
     _emit(args, "trajectory.csv", buf.getvalue())
     return 0
 
 
-def cmd_spectrum(args):
-    mdl = _load(args)
+def cmd_spectrum(args, mdl):
     _, bundle = _build(args, mdl)
     report = analysis.spectrum_classification(bundle.x, tol_spec=args.tol_spectral)
     _emit(args, "spectrum.json", dumps_canonical(report.to_dict()))
     return 0
 
 
-def cmd_steady_state(args):
-    mdl = _load(args)
+def cmd_steady_state(args, mdl):
     _, bundle = _build(args, mdl)
     dmap = dynamics.DynamicalMap(mdl, bundle, tol_unitary=args.tol_unitary)
     stability = analysis.spectrum_classification(bundle.x, tol_spec=args.tol_spectral)
     rho0 = _initial_state(args.rho0, mdl)
     cycle = analysis.limit_cycle(dmap, rho0, tol_spec=args.tol_spectral)
-    ts = _parse_grid(args.grid)
     try:
-        fit = analysis.decay_rate_fit(dmap, cycle, rho0, ts).to_dict()
+        fit = analysis.decay_rate_fit(dmap, cycle, rho0, args.grid).to_dict()
     except InsufficientDecay as exc:
         fit = {"error": str(exc)}
     payload = {
@@ -303,14 +286,12 @@ def cmd_steady_state(args):
     return 0
 
 
-def cmd_certify(args):
-    mdl = _load(args)
+def cmd_certify(args, mdl):
     _, bundle = _build(args, mdl)
     dmap = dynamics.DynamicalMap(mdl, bundle, tol_unitary=args.tol_unitary)
-    ts = _parse_grid(args.grid) if args.grid else None
     cert = analysis.cptp_certificate(
         dmap,
-        ts=ts,
+        ts=args.grid,
         n_pairs=args.pairs,
         seed=args.seed,
         tol_choi=args.tol_choi,
@@ -351,13 +332,13 @@ def build_parser():
     command("build", "emit decomposition, shift, rates, and generator", cmd_build, psd)
     p = command("evolve", "trajectory CSV from both dynamics paths", cmd_evolve, psd,
                 ("--tol-integrate", 1e-8, "step-halving convergence bound", True))
-    p.add_argument("--grid", default="0:20:200", metavar="A:B:N",
+    p.add_argument("--grid", type=_grid, default="0:20:200", metavar="A:B:N",
                    help="time grid start:stop:count (default 0:20:200)")
     p.add_argument("--rho0", default="mixed", metavar="STATE",
                    help="initial state: mixed, basis0, plus, ground, or a JSON file")
     command("spectrum", "classify the constant generator spectrum", cmd_spectrum, psd, spectral)
     p = command("steady-state", "limit cycle and decay-rate report", cmd_steady_state, psd, spectral)
-    p.add_argument("--grid", default="0:120:500", metavar="A:B:N",
+    p.add_argument("--grid", type=_grid, default="0:120:500", metavar="A:B:N",
                    help="time grid for the decay fit (default 0:120:500, long enough for "
                         "the slowest decaying mode of the shipped models)")
     p.add_argument("--rho0", default="basis0", metavar="STATE",
@@ -365,7 +346,7 @@ def build_parser():
     p = command("certify", "complete-positivity certificate", cmd_certify, psd,
                 ("--tol-choi", 1e-10, "lowest admissible Choi eigenvalue"),
                 ("--tol-trace", 1e-12, "trace-preservation defect bound"))
-    p.add_argument("--grid", default=None, metavar="A:B:N",
+    p.add_argument("--grid", type=_grid, default=None, metavar="A:B:N",
                    help="sample times (default: 20 log-spaced points up to t=50)")
     p.add_argument("--pairs", type=_nonnegative_int, default=20, metavar="N",
                    help="number of random two-time propagators to certify")
@@ -390,7 +371,7 @@ def main(argv=None):
     except QmmeError as exc:
         return _fail(exc, 2)
     try:
-        return args.func(args)
+        return args.func(args, load_model(args.model))
     except QmmeError as exc:
         return _fail(exc, _exit_code_for(exc))
     except Exception as exc:  # an unanticipated failure is numerical (3), never exit 1

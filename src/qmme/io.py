@@ -307,11 +307,8 @@ def save_model(model, path):
 
 
 def load_density_matrix(path):
-    """Read a density matrix from JSON: either {'matrix': ...} or a bare array."""
-    data = _read_json(Path(path))
-    if isinstance(data, dict):
-        data = _require(data, "matrix", "density matrix")
-    return _matrix_from_json(data, "density matrix")
+    """Read a density matrix from JSON: a bare d x d array of [re, im] pairs."""
+    return _matrix_from_json(_read_json(Path(path)), "density matrix")
 
 
 # ---------------------------------------------------------------------------

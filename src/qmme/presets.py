@@ -7,21 +7,22 @@ lattice (checked numerically in the tests, box 12). ``qubit_congruence_violating
 is the deliberate exception: its transition gap equals the first base
 frequency, so validation must reject it.
 
-Run ``python -m qmme.presets [out_dir]`` to write each preset as JSON
-(default ``models/``).
+``PRESETS[name]()`` builds a preset by name. Run ``python -m qmme.presets
+[out_dir]`` to write each preset as JSON (default ``models/``).
 """
 
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 
 from .fourier import FourierOperatorSeries
+from .io import save_model
 from .model import BathSpectrum, ReducedModel, p_series_from_generator
 
 __all__ = [
     "PRESETS",
-    "preset",
     "qubit_dephasing",
     "qubit_driven",
     "qubit_driven_periodic",
@@ -160,20 +161,7 @@ PRESETS = {
 }
 
 
-def preset(name):
-    """Instantiate a preset by name (KeyError lists the known names)."""
-    try:
-        builder = PRESETS[name]
-    except KeyError:
-        raise KeyError(f"unknown preset {name!r}; known: {sorted(PRESETS)}") from None
-    return builder()
-
-
 def main(argv=None):
-    from pathlib import Path
-
-    from .io import save_model
-
     argv = list(sys.argv[1:] if argv is None else argv)
     out_dir = Path(argv[0]) if argv else Path("models")
     out_dir.mkdir(parents=True, exist_ok=True)

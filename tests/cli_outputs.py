@@ -7,7 +7,7 @@ Runs each call as a fresh ``python -m qmme`` process, once with each
 subcommands on every model, ``evolve`` and ``steady-state`` under each
 named ``--rho0``, ``certify`` at its default seed and at ``--seed 3`` (84
 calls on the six shipped models); ``evolve`` of ``qubit_driven`` from the plus
-state written to a file (``--rho0 FILE``); and two calls on the seed-1, r = 3
+state written to a file as a bare matrix (``--rho0 FILE``); and two calls on the seed-1, r = 3
 models of ``test_generator.scaled_r3_models``, written by the child tree:
 ``build`` at d = 10 and ``evolve --rho0 plus`` at d = 6, whose master equation
 is marched above ``dynamics._STEP_MATRIX_MAX_DIM`` (87 calls in all). A LABEL
@@ -137,7 +137,7 @@ def main(argv):
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         todo = [(label, cmd) for label, cmd in calls(tmp) if not labels or label in labels]
-        (tmp / "plus.json").write_text(json.dumps({"matrix": [[[0.5, 0.0], [0.5, 0.0]]] * 2}))
+        (tmp / "plus.json").write_text(json.dumps([[[0.5, 0.0], [0.5, 0.0]]] * 2))
         if any(label.startswith("r3_") for label, _ in todo):
             _write_scaled_models(child_src, tmp)
         differ = 0

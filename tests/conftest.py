@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 import qmme
+from qmme.presets import PRESETS
 
 MODELS = {}
 
 
 def _bundle_for(name):
     if name not in MODELS:
-        model = qmme.preset(name)
+        model = PRESETS[name]()
         bundle = qmme.build_generator(model)
         MODELS[name] = (model, bundle, qmme.DynamicalMap(model, bundle))
     return MODELS[name]

@@ -24,7 +24,7 @@ from qmme.dynamics import integrate_schrodinger_direct
 from qmme.generator import build_generator, check_covariance, cross_check_selection_rule
 from qmme.linalg import Superoperator, trace_norm, vectorize
 from qmme.model import validate_model
-from qmme.presets import preset
+from qmme.presets import PRESETS
 
 
 def _report(num, name, ok, detail=""):
@@ -196,7 +196,7 @@ def test_criterion_06_selection_rule(q2, q3):
         dev = cross_check_selection_rule(bundle, model.bath, model.frequencies)
         parts.append(f"{label} {dev:.1e}")
         ok = ok and dev <= 1e-10
-    violating = preset("qubit_congruence_violating")
+    violating = PRESETS["qubit_congruence_violating"]()
     report = validate_model(violating)
     bundle = build_generator(violating, validate=False)
     dev = cross_check_selection_rule(bundle, violating.bath, violating.frequencies)

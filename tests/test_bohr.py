@@ -19,7 +19,7 @@ from qmme.errors import DimensionMismatch, NotHermitian, UnknownFrequency
 from qmme.fourier import FourierOperatorSeries, check_rational_independence, normalize_witness
 from qmme.linalg import _norms, eig_hermitian
 from qmme.model import p_series_from_generator
-from qmme.presets import SIGMA_X, SIGMA_Z, preset
+from qmme.presets import PRESETS, SIGMA_X, SIGMA_Z
 
 E01 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 E10 = E01.conj().T
@@ -312,7 +312,7 @@ class TestInteractionSeries:
     @pytest.mark.parametrize("name", ["qubit_driven", "qubit_driven_periodic", "qutrit_thermal"])
     def test_matches_two_products(self, name, rng):
         # p^dag S as a row product against p^dag times the constant series S
-        p = preset(name).p_series
+        p = PRESETS[name]().p_series
         for s in (random_hermitian(rng, p.d), random_hermitian(rng, p.d)):
             series = interaction_picture_coupling_series(p, s)
             ref = p.adjoint().product(FourierOperatorSeries.constant(s, p.r)).product(p)
@@ -321,7 +321,7 @@ class TestInteractionSeries:
             assert abs(series.tail_norm - ref.tail_norm) <= 1e-15 * ref.l1_norm()
 
     def test_one_product_per_coupling(self, monkeypatch, rng):
-        p, calls, product = preset("qutrit_thermal").p_series, [], FourierOperatorSeries.product
+        p, calls, product = PRESETS["qutrit_thermal"]().p_series, [], FourierOperatorSeries.product
         monkeypatch.setattr(FourierOperatorSeries, "product", lambda a, b, **kw: calls.append(b) or product(a, b, **kw))
         interaction_picture_coupling_series(p, random_hermitian(rng, 3))
         assert len(calls) == 1

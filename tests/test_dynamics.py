@@ -27,7 +27,7 @@ from qmme.model import (
     p_series_from_profile_terms,
     synthesize_hamiltonian,
 )
-from qmme.presets import PRESETS, preset
+from qmme.presets import PRESETS
 
 
 def _rk4_fixed(f, y0, ts, h_target):
@@ -524,7 +524,7 @@ class TestJointSeriesEvaluation:
 
     @pytest.mark.parametrize("name", [*PRESETS, 5])
     def test_matches_separate_evaluations(self, name):
-        model = preset(name) if isinstance(name, str) else _larger_model(name, np.random.default_rng(name))
+        model = PRESETS[name]() if isinstance(name, str) else _larger_model(name, np.random.default_rng(name))
         bundle = build_generator(model, validate=False)
         dmap = DynamicalMap(model, bundle)
         ts = np.linspace(0.0, 20.0, 1001)
@@ -661,7 +661,7 @@ class TestMarchMemoryFollowsTheChunk:
     long_grid = np.linspace(0.0, 2000.0, 50)
 
     def test_master_equation_on_a_long_grid(self):
-        model = preset("qubit_driven")
+        model = PRESETS["qubit_driven"]()
         dmap = DynamicalMap(model, build_generator(model))
         dmap.h_series()  # synthesized outside the traced march
         rho0, direct = np.full((2, 2), 0.5, dtype=complex), []
@@ -673,13 +673,13 @@ class TestMarchMemoryFollowsTheChunk:
         # qubit_driven's flat bath is unital and reaches I/2 by the second node; qutrit_thermal
         # still moves at t = 400, where the two paths agree to 1.5e-10. Frames evaluated at
         # float32 times move the product form by 2.1e-6, and a dissipator scaled by 1.01 fails too
-        model = preset("qutrit_thermal")
+        model = PRESETS["qutrit_thermal"]()
         dmap = DynamicalMap(model, build_generator(model))
         ts, rho0 = np.linspace(0.0, 400.0, 50), np.full((3, 3), 1.0 / 3.0, dtype=complex)
         assert np.max(trace_norm(dmap.integrate_direct(rho0, ts) - dmap.evolve(rho0, ts))) <= 1e-9
 
     def test_oracle_on_a_long_grid(self):
-        model = preset("qubit_driven")
+        model = PRESETS["qubit_driven"]()
         assert _traced_peak(lambda: integrate_schrodinger_direct(model, self.long_grid)) < 3e6
 
 

@@ -12,7 +12,7 @@ from qmme.bohr import interaction_picture_coupling_series
 from qmme.errors import DimensionMismatch, Overflow
 from qmme.generator import build_generator
 from qmme.model import synthesize_hamiltonian
-from qmme.presets import preset
+from qmme.presets import PRESETS
 from qmme.fourier import (
     _MAX_BOX_POINTS,
     _PHASE_CHUNK,
@@ -461,7 +461,7 @@ class TestHalfPhaseTables:
 
     @pytest.mark.parametrize("name", ["qubit_driven", "qutrit_thermal"])
     def test_shipped_frames_bit_for_bit(self, rng, name):
-        model = preset(name)
+        model = PRESETS[name]()
         ts = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1e4, 1000))])
         got = model.p_series.evaluate_many(model.frequencies, ts)
         expect = full_table_evaluate_many(model.p_series, model.frequencies, ts)
@@ -565,7 +565,7 @@ class TestSupportStorage:
     def test_memory_follows_support_not_trunc(self):
         # trunc 150 over qubit_driven's radius-10 support: the whole synthesis
         # stays below the bytes of a single coefficient box of radius 150
-        model = preset("qubit_driven")
+        model = PRESETS["qubit_driven"]()
         box_bytes = 301**2 * 4 * 16
         tracemalloc.start()
         try:
@@ -793,7 +793,7 @@ class TestFastLengthProducts:
                                       "qutrit_thermal_static", "qubit_congruence_violating", "scaled"])
     def test_tail_bounds_distance_to_undropped_product(self, monkeypatch, name):
         def build():
-            models = scaled_r3_models(1) if name == "scaled" else [preset(name)]
+            models = scaled_r3_models(1) if name == "scaled" else [PRESETS[name]()]
             for model in models:
                 build_generator(model, validate=False)
                 synthesize_hamiltonian(model.p_series, model.frequencies, model.h_bar)
@@ -822,7 +822,7 @@ class TestFastLengthProducts:
     def test_build_transforms_p_once_for_all_couplings(self, monkeypatch):
         dense, boxed = FourierOperatorSeries._dense, []
         monkeypatch.setattr(FourierOperatorSeries, "_dense", lambda s, k: boxed.append(s) or dense(s, k))
-        for model in [preset("qutrit_thermal"), *scaled_r3_models(2)]:
+        for model in [PRESETS["qutrit_thermal"](), *scaled_r3_models(2)]:
             boxed.clear()
             bundle = build_generator(model, validate=False)
             assert len(model.couplings) == 2 and sum(s is model.p_series for s in boxed) == 1

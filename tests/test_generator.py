@@ -30,7 +30,7 @@ from qmme.generator import (
 from qmme.io import dumps_canonical, model_to_dict
 from qmme.linalg import Superoperator, ad_superop, devectorize, vectorize
 from qmme.model import BathSpectrum, ReducedModel, p_series_from_profile_terms
-from qmme.presets import PRESETS, SIGMA_X, SIGMA_Z, preset
+from qmme.presets import PRESETS, SIGMA_X, SIGMA_Z
 
 
 def static_qubit_jumps(coupling, r=1):
@@ -209,7 +209,7 @@ class TestSelectionRule:
         assert check_covariance(bundle).passed
 
     def test_congruent_model_deviates(self):
-        model = preset("qubit_congruence_violating")
+        model = PRESETS["qubit_congruence_violating"]()
         bundle = build_generator(model, validate=False)
         dev = cross_check_selection_rule(bundle, model.bath, model.frequencies)
         assert dev > 1e-3
@@ -218,13 +218,13 @@ class TestSelectionRule:
 class TestBuildGenerator:
     def test_refuses_inadmissible(self):
         with pytest.raises(InadmissibleModel) as exc:
-            build_generator(preset("qubit_congruence_violating"))
+            build_generator(PRESETS["qubit_congruence_violating"]())
         assert exc.value.report is not None
         assert exc.value.report.passed is False
         assert exc.value.report.congruence_witness is not None
 
     def test_validate_false_bypasses(self):
-        bundle = build_generator(preset("qubit_congruence_violating"), validate=False)
+        bundle = build_generator(PRESETS["qubit_congruence_violating"](), validate=False)
         assert bundle.dim == 2
 
     def test_bundle_contents(self, q3):
@@ -242,7 +242,7 @@ class TestBuildGenerator:
     def test_stacks_jump_operators_once(self):
         # the set holds its operators once, as read-only eigenbasis entries; neither
         # the build nor the cross-check asks for the lab-basis stack or the per-key view
-        model = preset("qutrit_thermal")
+        model = PRESETS["qutrit_thermal"]()
         bundle = build_generator(model)
         cross_check_selection_rule(bundle, model.bath, model.frequencies)
         jumps = bundle.jumps
@@ -700,7 +700,7 @@ class TestNearResonantPairs:
     def test_each_weight_takes_its_own_side(self):
         # a gap 3e-9 above omega_1 makes pairs of distinct blocks resonate within tol_delta at shifts
         # that differ, where an ohmic h differs too: c1 takes the bath at w_a and c2 at w_b
-        base = preset("qubit_congruence_violating")
+        base = PRESETS["qubit_congruence_violating"]()
         model = ReducedModel(frequencies=base.frequencies, p_series=base.p_series, h_bar=0.5 * (1 + 3e-9) * SIGMA_Z,
                              couplings=base.couplings,
                              bath=BathSpectrum.ohmic_kms(kappa=0.1, cutoff=5.0, beta=1.0, n_couplings=1))

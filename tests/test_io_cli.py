@@ -1,6 +1,7 @@
 """Serialization round trips and the command-line surface."""
 
 import csv
+import dataclasses
 import importlib.util
 import io
 import json
@@ -30,7 +31,7 @@ from qmme.io import (
     write_trajectory_csv,
 )
 from qmme.model import BathSpectrum, ReducedModel, synthesize_hamiltonian, validate_model
-from qmme.presets import PRESETS, preset
+from qmme.presets import PRESETS
 
 from conftest import random_density
 from test_generator import scaled_r3_models
@@ -245,7 +246,7 @@ class TestCanonicalWriterReference:
 
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_model_documents(self, name):
-        doc = model_to_dict(preset(name))
+        doc = model_to_dict(PRESETS[name]())
         assert dumps_canonical(doc) == _reference_dumps(doc)
 
     @pytest.mark.parametrize("command", ["validate", "synthesize", "build", "spectrum", "steady-state", "certify"])
@@ -291,14 +292,14 @@ class TestComplexPairs:
 class TestModelRoundTrip:
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_dict_round_trip(self, name):
-        model = preset(name)
+        model = PRESETS[name]()
         doc = model_to_dict(model)
         clone = model_from_dict(json.loads(dumps_canonical(doc)))
         # canonical text is reproducible through the round trip
         assert dumps_canonical(model_to_dict(clone)) == dumps_canonical(doc)
 
     def test_file_round_trip(self, tmp_path):
-        model = preset("qubit_driven")
+        model = PRESETS["qubit_driven"]()
         path = tmp_path / "m.json"
         save_model(model, path)
         clone = load_model(path)
@@ -306,7 +307,7 @@ class TestModelRoundTrip:
         assert (tmp_path / "m.json").read_bytes() == (tmp_path / "m2.json").read_bytes()
 
     def test_custom_bath_not_serializable(self):
-        m = preset("qubit_dephasing")
+        m = PRESETS["qubit_dephasing"]()
         custom = ReducedModel(
             frequencies=m.frequencies,
             p_series=m.p_series,
@@ -358,7 +359,7 @@ def _assert_numbers_close(a, b, where):
 
 class TestParseErrors:
     def doc(self):
-        return model_to_dict(preset("qubit_dephasing"))
+        return model_to_dict(PRESETS["qubit_dephasing"]())
 
     def test_corrupt_json_reports_position(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -427,12 +428,14 @@ class TestParseErrors:
 
 class TestDensityMatrixIO:
     def test_wrapped_and_bare(self, tmp_path):
+        # a state file is a bare matrix of [re, im] pairs; a {"matrix": ...} wrapper is refused
         pairs = [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]
         a = tmp_path / "a.json"
         a.write_text(json.dumps({"matrix": pairs}))
         b = tmp_path / "b.json"
         b.write_text(json.dumps(pairs))
-        assert np.allclose(load_density_matrix(a), np.eye(2) / 2, atol=0)
+        with pytest.raises(ParseError, match="density matrix: not a numeric array"):
+            load_density_matrix(a)
         assert np.allclose(load_density_matrix(b), np.eye(2) / 2, atol=0)
 
     def test_corrupt(self, tmp_path):
@@ -514,7 +517,7 @@ class TestCliValidate:
         assert res.stdout.strip() == str(written)
 
     def test_dependent_frequencies_witnessed(self, tmp_path):
-        doc = model_to_dict(preset("qubit_dephasing"))
+        doc = model_to_dict(PRESETS["qubit_dephasing"]())
         doc["frequencies"] = [1.0, 2.0]
         path = tmp_path / "dep.json"
         path.write_text(dumps_canonical(doc))
@@ -535,7 +538,7 @@ class TestCliValidate:
 
     def test_p_generator_document_is_refused(self, tmp_path, capsys):
         # p is read from its coefficients alone; a recipe for building them is not a model
-        doc = model_to_dict(preset("qubit_driven"))
+        doc = model_to_dict(PRESETS["qubit_driven"]())
         del doc["p_series"]
         doc["p_generator"] = {"trunc": 8, "terms": [{"profile": "sin", "index": [1, 0], "amplitude": 0.3,
                                                      "matrix": doc["h_bar"]}]}
@@ -607,21 +610,21 @@ class TestCliMalformedInput:
         assert "message" in json.loads(res.stdout)["error"]
 
     def test_error_names_json_path(self):
-        doc = model_to_dict(preset("qubit_dephasing"))
+        doc = model_to_dict(PRESETS["qubit_dephasing"]())
         doc["bath"]["params"]["gamma"] = "abc"
         with pytest.raises(ParseError, match=r"model\.bath\.params\.gamma"):
             model_from_dict(doc)
-        doc = model_to_dict(preset("qubit_dephasing"))
+        doc = model_to_dict(PRESETS["qubit_dephasing"]())
         doc["p_series"]["coefficients"][0]["n"] = [0, True]
         with pytest.raises(ParseError, match=r"coefficients\[0\]\.n\[1\]"):
             model_from_dict(doc)
 
     def test_bad_coefficient_matrix_named(self):
-        doc = model_to_dict(preset("qubit_driven"))
+        doc = model_to_dict(PRESETS["qubit_driven"]())
         doc["p_series"]["coefficients"][3]["matrix"][0][1] = [1e400, 0.0]
         with pytest.raises(ParseError, match=r"coefficients\[3\]: non-finite entry"):
             model_from_dict(doc)
-        doc = model_to_dict(preset("qubit_driven"))
+        doc = model_to_dict(PRESETS["qubit_driven"]())
         doc["p_series"]["coefficients"][3]["matrix"] = [[[1.0, 0.0]]]
         with pytest.raises(ParseError, match=r"different shapes \[\(1, 1\), \(2, 2\)\]"):
             model_from_dict(doc)
@@ -693,6 +696,9 @@ class TestCliExitContract:
         ("model-missing", 2, "ParseError"),
         ("command-missing", 2, "ParseError"),
         ("grid-like-an-option", 2, "ParseError"),
+        # the parser refuses a malformed --grid before the model is read or validated
+        ("grid-before-missing-model", 2, "ParseError"),
+        ("grid-before-inadmissible-model", 2, "ParseError"),
     ])
     def test_exit_code_and_json(self, case, code, kind, tmp_path, capsys):
         model = str(MODELS_DIR / "qubit_dephasing.json")
@@ -708,6 +714,8 @@ class TestCliExitContract:
             "model-missing": ["validate"],
             "command-missing": [],
             "grid-like-an-option": ["evolve", model, "--grid", "-1:1:3"],
+            "grid-before-missing-model": ["evolve", str(tmp_path / "missing.json"), "--grid", "0:1:1"],
+            "grid-before-inadmissible-model": ["evolve", violating, "--grid", "5:0:10"],
         }
         if case in table:
             argv = table[case]
@@ -756,6 +764,8 @@ class TestCliExitContract:
         payload = json.loads(out)
         assert set(payload["error"]) == {"type", "message"}
         assert payload["error"]["type"] == kind
+        if case.startswith("grid-before-"):
+            assert "--grid" in payload["error"]["message"]
 
     def test_help_still_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as stop:
@@ -797,7 +807,7 @@ class TestCliExitContract:
         # p = diag(exp(-400 i theta1), exp(400 i theta1)) is exactly unitary, and validate
         # forms no product; build's products need a workspace of radius 800, 1601^2
         # points, which is refused before allocating
-        doc = model_to_dict(preset("qubit_driven"))
+        doc = model_to_dict(PRESETS["qubit_driven"]())
         doc["p_series"] = {"r": 2, "dim": 2, "trunc": 400, "tail_norm": 0.0, "coefficients": [
             {"n": [sign * 400, 0], "matrix": [[[1.0 - k, 0.0], [0.0, 0.0]], [[0.0, 0.0], [k, 0.0]]]}
             for k, sign in ((0.0, -1), (1.0, 1))]}
@@ -953,8 +963,12 @@ class TestCliDynamics:
         path = tmp_path / "plus.json"
         path.write_text(json.dumps({"matrix": plus} if wrapped else plus))
         from_file = self._evolve_driven(str(path), capsys)
-        assert from_file[0] == 0
-        assert from_file == self._evolve_driven("plus", capsys)
+        if wrapped:  # a state file is a bare matrix: the {"matrix": ...} form is a usage error
+            assert from_file[0] == 2
+            assert json.loads(from_file[1])["error"]["type"] == "ParseError"
+        else:
+            assert from_file[0] == 0
+            assert from_file == self._evolve_driven("plus", capsys)
 
     def test_rho0_ground_is_the_lowest_level(self, capsys):
         got, out = self._evolve_driven("ground", capsys)
@@ -971,7 +985,7 @@ class TestCliDynamics:
         # a state of the wrong dimension, and a name that is neither a named state nor a file
         if rho0.endswith(".json"):
             rho0 = str(tmp_path / rho0)
-            Path(rho0).write_text(json.dumps({"matrix": np.stack([np.eye(3) / 3, np.zeros((3, 3))], -1).tolist()}))
+            Path(rho0).write_text(json.dumps(np.stack([np.eye(3) / 3, np.zeros((3, 3))], -1).tolist()))
         got, out = self._evolve_driven(rho0, capsys)
         assert got == 2
         assert json.loads(out)["error"]["type"] == kind
@@ -1054,7 +1068,7 @@ class TestCliDynamics:
 
 
 class TestCliSynthesizeFlags:
-    """synthesize validates nothing: it takes the model, --out, --trunc and --tol-unitary alone."""
+    """synthesize validates nothing: it takes the model, --out and --tol-unitary alone."""
 
     MODEL = str(MODELS_DIR / "qubit_driven.json")
 
@@ -1068,13 +1082,20 @@ class TestCliSynthesizeFlags:
         assert error["type"] == "ParseError" and flag in error["message"]
 
     def test_trunc_out_and_tol_unitary(self, tmp_path, capsys):
-        # p cut to trunc 2 drifts from unitary by 6.2e-4: the default bound refuses it
+        # p cut to trunc 2 drifts from unitary by 6.2e-4: the default bound refuses it. A
+        # truncated model is a model file; there is no flag that edits p after it is read.
         mdl = load_model(self.MODEL)
-        expect = synthesize_hamiltonian(mdl.p_series.truncate(2), mdl.frequencies, mdl.h_bar, tol_unitary=1e-3)
-        argv = ["synthesize", self.MODEL, "--trunc", "2"]
-        assert cli.main(argv + ["--tol-unitary", "1e-3", "--out", str(tmp_path)]) == 0
-        assert capsys.readouterr().out == f"{tmp_path / 'h_series.json'}\n"
-        assert (tmp_path / "h_series.json").read_text() == dumps_canonical(_series_to_dict(expect))
+        mdl = dataclasses.replace(mdl, p_series=mdl.p_series.truncate(2))
+        save_model(mdl, tmp_path / "trunc2.json")
+        expect = synthesize_hamiltonian(mdl.p_series, mdl.frequencies, mdl.h_bar, tol_unitary=1e-3)
+        assert cli.main(["synthesize", self.MODEL, "--trunc", "2"]) == 2
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["type"] == "ParseError" and "--trunc" in error["message"]
+        argv = ["synthesize", str(tmp_path / "trunc2.json")]
+        out_dir = tmp_path / "out"
+        assert cli.main(argv + ["--tol-unitary", "1e-3", "--out", str(out_dir)]) == 0
+        assert capsys.readouterr().out == f"{out_dir / 'h_series.json'}\n"
+        assert (out_dir / "h_series.json").read_text() == dumps_canonical(_series_to_dict(expect))
         assert cli.main(argv) == 1
         assert json.loads(capsys.readouterr().out)["error"]["type"] == "NotUnitary"
 
@@ -1149,7 +1170,7 @@ class TestBenchmarkTracer:
             patched = [key for key, value in attributes().items() if before.get(key) is not value]
             recorded = [(owner, attr) for owner, attr, _ in traced._undo]
             # the traced counters read jump operators and shifted frequencies by name
-            mdl = preset("qutrit_thermal")
+            mdl = PRESETS["qutrit_thermal"]()
             bundle = generator.build_generator(mdl, validate=False)
             generator.cross_check_selection_rule(bundle, mdl.bath, mdl.frequencies)
         finally:

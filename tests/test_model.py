@@ -33,7 +33,7 @@ from qmme.model import (
     synthesize_hamiltonian,
     validate_model,
 )
-from qmme.presets import SIGMA_X, SIGMA_Z, preset
+from qmme.presets import PRESETS, SIGMA_X, SIGMA_Z
 
 MODELS_DIR = Path(__file__).resolve().parents[1] / "models"
 
@@ -366,7 +366,7 @@ class TestSynthesize:
         return h.drop_below(_H_RESIDUE * h.l1_norm())
 
     @pytest.mark.parametrize("model", [
-        *[lambda name=name: preset(name) for name in
+        *[lambda name=name: PRESETS[name]() for name in
           ("qubit_dephasing", "qubit_driven", "qubit_driven_periodic", "qutrit_thermal", "qutrit_thermal_static")],
         *[lambda seed=seed, i=i: scaled_r3_models(seed)[i] for seed in (1, 2, 3) for i in (0, 1)],
     ], ids=["qubit_dephasing", "qubit_driven", "qubit_driven_periodic", "qutrit_thermal", "qutrit_thermal_static",
@@ -380,7 +380,7 @@ class TestSynthesize:
         assert series.tail_norm <= ref.tail_norm
 
     def test_one_product_per_synthesis(self, monkeypatch):
-        model, calls, product = preset("qutrit_thermal"), [], FourierOperatorSeries.product
+        model, calls, product = PRESETS["qutrit_thermal"](), [], FourierOperatorSeries.product
         monkeypatch.setattr(FourierOperatorSeries, "product", lambda a, b, **kw: calls.append(b) or product(a, b, **kw))
         synthesize_hamiltonian(model.p_series, model.frequencies, model.h_bar)
         assert len(calls) == 1
@@ -486,11 +486,11 @@ class TestReducedModelConstruction:
 class TestValidateModel:
     def test_reference_models_pass(self):
         for name in ("qubit_dephasing", "qubit_driven", "qutrit_thermal"):
-            report = validate_model(preset(name))
+            report = validate_model(PRESETS[name]())
             assert report.passed, name
 
     def test_dephasing_report_contents(self):
-        report = validate_model(preset("qubit_dephasing"))
+        report = validate_model(PRESETS["qubit_dephasing"]())
         assert report.independence_witness is None
         assert report.unitarity_residual < 1e-12
         assert report.p0_residual < 1e-12
@@ -500,7 +500,7 @@ class TestValidateModel:
         assert np.allclose(np.sort(report.bohr_frequencies), [-0.6, 0.0, 0.6], atol=1e-12)
 
     def test_dependent_frequencies(self):
-        m = preset("qubit_dephasing")
+        m = PRESETS["qubit_dephasing"]()
         bad = ReducedModel(
             frequencies=np.array([1.0, 2.0]),
             p_series=m.p_series,
@@ -515,18 +515,18 @@ class TestValidateModel:
         assert d["rational_independence"]["witness"] == [2, -1]
 
     def test_congruence_violation(self):
-        report = validate_model(preset("qubit_congruence_violating"))
+        report = validate_model(PRESETS["qubit_congruence_violating"]())
         assert not report.passed
         assert report.congruence_ok is False
         wa, wb, n = report.congruence_witness
-        omega = preset("qubit_congruence_violating").frequencies
+        omega = PRESETS["qubit_congruence_violating"]().frequencies
         # witness must satisfy the congruence it claims
         assert abs((wa - wb) - np.dot(n, omega)) < 1e-12
         d = report.to_dict()["congruence_freedom"]["witness"]
         assert d["lattice_vector"] == [int(v) for v in n]
 
     def test_non_hermitian_static_part(self):
-        m = preset("qubit_dephasing")
+        m = PRESETS["qubit_dephasing"]()
         bad = ReducedModel(
             frequencies=m.frequencies,
             p_series=m.p_series,
@@ -542,7 +542,7 @@ class TestValidateModel:
         assert report.to_dict()["hbar_hermiticity"]["passed"] is False
 
     def test_unitarity_violation(self):
-        m = preset("qubit_dephasing")
+        m = PRESETS["qubit_dephasing"]()
         bad = ReducedModel(
             frequencies=m.frequencies,
             p_series=FourierOperatorSeries.constant(0.9 * np.eye(2), r=2),
@@ -560,7 +560,7 @@ class TestValidateModel:
         # the witnesses are the public scans' own, each of which builds its lattice alone
         shells, calls = fourier._shells, []
         counted = lambda r, b: calls.append((r, b)) or shells(r, b)
-        models = {name: preset(name) for name in ("qubit_dephasing", "qubit_driven", "qutrit_thermal",
+        models = {name: PRESETS[name]() for name in ("qubit_dephasing", "qubit_driven", "qutrit_thermal",
                                                    "qubit_congruence_violating")}
         models.update({f"scaled_d{m.dim}": m for m in scaled_r3_models(1)})
         dependent = models["qubit_dephasing"]
