@@ -274,7 +274,9 @@ class DynamicalMap:
 
     Caches the eigendecomposition of X when ``linalg.eigensystem`` admits it
     (eigenvector condition number ``eig_cond`` below its limit); otherwise
-    every exponential falls back to scaling-and-squaring.
+    every exponential falls back to scaling-and-squaring. An eigenvalue with
+    ``|w| <= d^2 eps ||X||_1`` is cached as exactly 0: it is the kernel's, and
+    its rounding error would grow as exp(t w) at large t.
     """
 
     def __init__(self, model, bundle, tol_unitary=1e-9):
@@ -286,6 +288,7 @@ class DynamicalMap:
         self._h_series = self._joint = None
 
         w, v, vinv, self.eig_cond = eigensystem(self._x)
+        w = np.where(np.abs(w) <= w.size * np.finfo(float).eps * np.linalg.norm(self._x, 1), 0.0, w)
         self._eig = None if vinv is None else (w, v, vinv)
 
     # -- pieces ---------------------------------------------------------

@@ -749,6 +749,14 @@ class TestMapBasics:
 
 
 class TestTrajectories:
+    def test_trace_holds_at_large_times(self, q3_static):
+        # X's kernel eigenvalue is cached as exactly 0: its rounding error of about 1e-16, taken
+        # through exp(t w), put the trace of I/3 at 1.009 at t = 1e14 and at 6898 at t = 1e17
+        _, _, dmap = q3_static
+        assert np.count_nonzero(dmap.eigensystem()[0] == 0) == 1
+        states = dmap.evolve(np.eye(3) / 3, [1e14, 1e16, 1e17])
+        assert np.max(np.abs(np.trace(states, axis1=1, axis2=2) - 1.0)) <= 1e-12
+
     def test_trace_and_hermiticity_preserved(self, q2, rng):
         _, _, dmap = q2
         rho0 = random_density(rng, 2)

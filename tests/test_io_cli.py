@@ -669,10 +669,12 @@ class TestCliExitContract:
         ("phase-overflow-evolve", 3, "Overflow"),
         ("phase-overflow-steady-state", 3, "Overflow"),
         ("phase-overflow-certify", 3, "Overflow"),
-        # qutrit_thermal_static's p is constant, so no phase refuses t = 1e308; exp(t X) is refused
-        ("phase-overflow-evolve-static", 3, "Overflow"),
-        ("phase-overflow-steady-state-static", 3, "Overflow"),
-        ("phase-overflow-certify-static", 3, "Overflow"),
+        # qutrit_thermal_static's p is constant, so no phase refuses t = 1e308, and exp(t X) is
+        # finite there: its kernel eigenvalue is exactly 0 and the map is the projector onto the
+        # Gibbs state, which certifies; only the direct march refuses a grid of that length
+        ("phase-overflow-evolve-static", 2, "DimensionMismatch"),
+        ("phase-overflow-steady-state-static", 0, None),
+        ("phase-overflow-certify-static", 0, None),
         # a bath rate (gamma, kappa) may be 0 or more; a scale (cutoff, beta) must be positive
         ("gamma-negative", 2, "DimensionMismatch"),
         ("kappa-zero", 0, None),
