@@ -1102,6 +1102,60 @@ class TestCliSynthesizeFlags:
         assert json.loads(capsys.readouterr().out)["error"]["type"] == "NotUnitary"
 
 
+class TestCliToleranceFlags:
+    """--tol-trace, --tol-choi, --tol-spectral and --tol-psd each reach their check: a value
+    that moves the outcome from the default's, echoed where the document holds it."""
+
+    DEPHASING = str(MODELS_DIR / "qubit_dephasing.json")
+
+    @staticmethod
+    def _run(argv, capsys):
+        got = cli.main(argv)
+        out, err = capsys.readouterr()
+        assert err == ""
+        return got, json.loads(out)
+
+    def test_tol_trace(self, capsys):
+        # qubit_driven's worst trace defect, about 6e-15, is within the default 1e-12
+        argv = ["certify", str(MODELS_DIR / "qubit_driven.json")]
+        got, cert = self._run(argv, capsys)
+        assert got == 0 and cert["passed"] is True and cert["tol_trace"] == 1e-12
+        got, cert = self._run(argv + ["--tol-trace", "1e-15"], capsys)
+        assert got == 1 and cert["passed"] is False and cert["tol_trace"] == 1e-15
+        assert 1e-15 < cert["worst_trace_defect"] <= 1e-12
+
+    def test_tol_choi(self, capsys):
+        # qubit_dephasing's lowest Choi eigenvalue is -2.2e-16, a rounding below 0
+        got, cert = self._run(["certify", self.DEPHASING], capsys)
+        assert got == 0 and cert["passed"] is True and cert["tol_choi"] == 1e-10
+        got, cert = self._run(["certify", self.DEPHASING, "--tol-choi", "0"], capsys)
+        assert got == 1 and cert["passed"] is False and cert["tol_choi"] == 0.0
+        assert -1e-10 <= cert["worst_choi_eig"] < 0
+
+    def test_tol_spectral(self, capsys):
+        # at 1 the two coherences, decaying at rate 0.5, count as kernel modes
+        got, report = self._run(["spectrum", self.DEPHASING], capsys)
+        assert got == 0 and (report["k0"], report["n_decaying"], report["tol_spec"]) == (2, 2, 1e-9)
+        got, report = self._run(["spectrum", self.DEPHASING, "--tol-spectral", "1"], capsys)
+        assert got == 0 and (report["k0"], report["n_decaying"], report["tol_spec"]) == (4, 0, 1.0)
+
+    @pytest.mark.parametrize("command", ["build", "evolve", "spectrum", "steady-state", "certify"])
+    def test_tol_psd_reaches_the_build(self, command, monkeypatch, capsys):
+        # no shipped bath has a negative h, so a spy shows the value that build_generator gets
+        seen, build = [], generator.build_generator
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs["tol_psd"])
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(generator, "build_generator", spy)
+        argv = [command, self.DEPHASING, *{"evolve": ["--grid", "0:1:3"],
+                                          "certify": ["--grid", "0.1:1:2", "--pairs", "1"]}.get(command, [])]
+        assert cli.main(argv + ["--tol-psd", "0.5"]) == 0 and cli.main(argv) == 0
+        assert capsys.readouterr().err == ""
+        assert seen == [0.5, 1e-12]
+
+
 _NO_SCIPY_SCRIPT = """
 import contextlib, io, json, sys
 import qmme, qmme.cli
