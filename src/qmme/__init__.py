@@ -57,7 +57,6 @@ from .fourier import (
     FourierOperatorSeries,
     check_rational_independence,
     frequency_vector,
-    sample_times,
 )
 from .generator import (
     CovarianceCheck,
@@ -97,7 +96,6 @@ __all__ = [
     "FourierOperatorSeries",
     "frequency_vector",
     "check_rational_independence",
-    "sample_times",
     # decomposition
     "BohrDecomposition",
     "decompose",

@@ -86,15 +86,18 @@ class StabilityReport:
         }
 
 
-def spectrum_classification(x, tol_spec=1e-9):
+def spectrum_classification(x, tol_spec=1e-9, *, _eigensystem=None):
     """Classify the generator spectrum and verify its structural guarantees.
 
     Raises SpectralViolation when an eigenvalue has real part above
     ``tol_spec``, when no eigenvalue sits at 0, or when the spectrum is not
     conjugation-symmetric within ``tol_spec``. ``diagonalizable`` is
-    ``linalg.eigensystem``'s verdict on the eigenvectors.
+    ``linalg.eigensystem``'s verdict on the eigenvectors. ``_eigensystem`` is
+    X's ``linalg.eigensystem`` if the caller holds it (a ``DynamicalMap``'s,
+    whose kernel eigenvalue is exactly 0).
     """
-    w, _, vinv, cond = eigensystem(x.matrix if isinstance(x, Superoperator) else x)
+    w, _, vinv, cond = (eigensystem(x.matrix if isinstance(x, Superoperator) else x)
+                        if _eigensystem is None else _eigensystem)
     # a conjugate pair sorts on its mean real part, the same bits for both, then on Im
     dist = np.abs(w[:, None] - np.conj(w)[None, :])
     mate = np.argmin(dist, axis=1)

@@ -183,7 +183,7 @@ def _build(args, mdl):
     if not report.passed:
         raise InadmissibleModel("model failed admissibility checks", report=report)
     bundle = generator.build_generator(
-        mdl, validate=False, tol_psd=args.tol_psd, tol_cluster=args.tol_cluster
+        mdl, validate=False, tol_psd=args.tol_psd, tol_cluster=args.tol_cluster, _decomp=report.decomposition
     )
     return report, bundle
 
@@ -270,7 +270,8 @@ def cmd_spectrum(args, mdl):
 def cmd_steady_state(args, mdl):
     _, bundle = _build(args, mdl)
     dmap = dynamics.DynamicalMap(mdl, bundle, tol_unitary=args.tol_unitary)
-    stability = analysis.spectrum_classification(bundle.x, tol_spec=args.tol_spectral)
+    stability = analysis.spectrum_classification(bundle.x, tol_spec=args.tol_spectral,
+                                                 _eigensystem=dmap._x_eig)  # X decomposed once
     rho0 = _initial_state(args.rho0, mdl)
     cycle = analysis.limit_cycle(dmap, rho0, tol_spec=args.tol_spectral)
     try:

@@ -54,11 +54,10 @@ import math
 
 import numpy as np
 
-from .errors import Defective, DimensionMismatch, NoConvergence, NotUnitary, OrderViolation, Overflow
+from .errors import Defective, DimensionMismatch, NoConvergence, OrderViolation, Overflow
 from .fourier import joint_sampler
-from .linalg import (Superoperator, conjugation_superop, devectorize, eigensystem, expm, trace_norm,
-                     unitarity_residuals, vectorize)
-from .model import synthesize_hamiltonian
+from .linalg import Superoperator, conjugation_superop, devectorize, eigensystem, expm, trace_norm, vectorize
+from .model import _require_unitary, synthesize_hamiltonian
 
 __all__ = [
     "DynamicalMap",
@@ -276,10 +275,12 @@ class DynamicalMap:
     (eigenvector condition number ``eig_cond`` below its limit); otherwise
     every exponential falls back to scaling-and-squaring. An eigenvalue with
     ``|w| <= d^2 eps ||X||_1`` is cached as exactly 0: it is the kernel's, and
-    its rounding error would grow as exp(t w) at large t.
+    its rounding error would grow as exp(t w) at large t. A p whose unitarity
+    bound over all t exceeds ``tol_unitary`` is refused with NotUnitary.
     """
 
     def __init__(self, model, bundle, tol_unitary=1e-9):
+        _require_unitary(model.p_series, tol_unitary)
         self.model = model
         self.bundle = bundle
         self.dim = model.dim
@@ -289,6 +290,7 @@ class DynamicalMap:
 
         w, v, vinv, self.eig_cond = eigensystem(self._x)
         w = np.where(np.abs(w) <= w.size * np.finfo(float).eps * np.linalg.norm(self._x, 1), 0.0, w)
+        self._x_eig = w, v, vinv, self.eig_cond  # for analysis.spectrum_classification
         self._eig = None if vinv is None else (w, v, vinv)
 
     # -- pieces ---------------------------------------------------------
@@ -305,25 +307,22 @@ class DynamicalMap:
     def frames(self, ts):
         """p(t) at every time of ``ts`` as a (len(ts), d, d) array.
 
-        Unitarity is enforced at every node; NotUnitary names the first
-        time whose residual ||p p^dag - I||_2 exceeds ``tol_unitary``. The
-        residual's SVD is taken only where the Frobenius norm, its upper
-        bound, is above half the tolerance (or not a number).
+        The series passed its unitarity bound over all t when the map was
+        made, so a node whose ||p p^dag - I||_F exceeds ``tol_unitary`` has
+        lost its phase in evaluation, t times a frequency past float
+        precision: Overflow names the first such time.
         """
         ts = np.asarray(ts, dtype=float).reshape(-1)
         p = self.model.p_series.evaluate_many(self.model.frequencies, ts)
-        bound = np.linalg.norm(p @ p.conj().swapaxes(-1, -2) - np.eye(self.dim), axis=(-2, -1))
-        suspect = np.flatnonzero(~(bound <= 0.5 * self.tol_unitary))
-        if suspect.size:
-            drift = unitarity_residuals(p[suspect])
-            bad = np.flatnonzero(drift > self.tol_unitary)
-            if bad.size:
-                i = bad[0]
-                raise NotUnitary(f"p({ts[suspect[i]]}) unitarity residual {drift[i]:.3e} > {self.tol_unitary:.1e}")
+        drift = np.linalg.norm(p @ p.conj().swapaxes(-1, -2) - np.eye(self.dim), axis=(-2, -1))
+        if (bad := np.flatnonzero(~(drift <= self.tol_unitary))).size:
+            i = bad[0]
+            raise Overflow(f"p({ts[i]}) lost its phase in evaluation: unitarity residual {drift[i]:.3e} "
+                           f"> {self.tol_unitary:.1e}")
         return p
 
     def p_at(self, t):
-        """Evaluate the unitary series at ``t`` (unitarity enforced)."""
+        """Evaluate the unitary series at ``t`` (evaluation checked, see frames)."""
         return self.frames([t])[0]
 
     def _exp_w(self, ts):
@@ -394,7 +393,7 @@ class DynamicalMap:
         return out
 
     def lindbladian(self, t):
-        """Time-local generator L(t) as a superoperator (p(t) checked unitary)."""
+        """Time-local generator L(t) as a superoperator (p(t)'s evaluation checked, see frames)."""
         self.frames([t])
         return Superoperator(self._lindbladians(np.array([t], dtype=float))[0])
 

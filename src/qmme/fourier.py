@@ -14,7 +14,6 @@ products add each input's tail times the other's l1 norm, and the two tails' pro
 """
 
 import functools
-import math
 from types import MappingProxyType
 
 import numpy as np
@@ -28,7 +27,7 @@ _PHASE_CHUNK = 16384
 _MAX_BOX_POINTS = 10**6
 
 __all__ = ["FourierOperatorSeries", "joint_sampler", "frequency_vector", "check_rational_independence",
-           "normalize_witness", "sample_times"]
+           "normalize_witness"]
 
 
 def frequency_vector(omega):
@@ -113,7 +112,7 @@ class FourierOperatorSeries:
     tail_norm : l1 mass already known to be missing from this series, >= 0.
     """
 
-    __slots__ = ("r", "d", "trunc", "tail_norm", "_idx", "_stack", "_coeffs")
+    __slots__ = ("r", "d", "trunc", "tail_norm", "_idx", "_stack", "_coeffs", "_unitarity")
 
     def __init__(self, r, d, trunc, coeffs, tail_norm=0.0):
         if r < 1 or d < 1 or trunc < 0:
@@ -143,7 +142,7 @@ class FourierOperatorSeries:
         self._idx, self._stack = np.ascontiguousarray(idx), np.ascontiguousarray(stack)
         self._idx.setflags(write=False)
         self._stack.setflags(write=False)
-        self._coeffs = None
+        self._coeffs = self._unitarity = None
         return self
 
     @classmethod
@@ -249,7 +248,8 @@ class FourierOperatorSeries:
             raise DimensionMismatch(f"constant factor has shape {m.shape}, expected {(self.d, self.d)}")
         if not np.isfinite(m).all():
             raise Overflow("constant factor contains non-finite entries")
-        return self._from_rows(self.trunc, self._idx, self._stack @ m, self.tail_norm * float(np.linalg.norm(m)))
+        return self._from_rows(self.trunc, self._idx, self._stack @ m,
+                               self.tail_norm * float(_norms(m[None])[0]))
 
     def adjoint(self):
         """Coefficient-wise adjoint: index n maps to -n with A_n^dag (lossless)."""
@@ -294,6 +294,15 @@ class FourierOperatorSeries:
         norms = _norms(self._stack)
         kept, dropped = norms >= eps, _total(norms[norms < eps])
         return self._from_rows(self.trunc, self._idx[kept], self._stack[kept], self.tail_norm + dropped)
+
+    def unitarity_bound(self):
+        """||q||_1 for q = A A^dag - I, formed by one product in a box of twice the
+        support radius, so that no term is dropped: it bounds sup_t ||A(t) A(t)^dag - I||_F
+        over the whole torus, rounding aside. Computed once; the arrays are read-only."""
+        if self._unitarity is None:
+            square = self.truncate(max(self.trunc, 2 * self._radius())).product(self.adjoint())
+            self._unitarity = (square - self.constant(np.eye(self.d), self.r)).l1_norm()
+        return self._unitarity
 
     def l1_norm(self):
         """Sum of coefficient Frobenius norms; bounds sup_t ||A(t)||_F."""
@@ -381,17 +390,3 @@ def check_rational_independence(omega, box=12, tol=1e-9, *, _points=None):
     pts = _shells(omega.size, box) if _points is None else _points
     hits = np.flatnonzero(np.abs(pts @ omega) < threshold)
     return normalize_witness(tuple(int(v) for v in pts[hits[0]])) if hits.size else None
-
-
-def sample_times(omega):
-    """Quasi-uniform grid of 64 times on [0, 2*pi / min(omega)].
-
-    Uniform spacing with a deterministic golden-ratio stagger so the samples
-    are not commensurate with any single base frequency.
-    """
-    omega = frequency_vector(omega)
-    t_max = 2.0 * math.pi / float(np.min(omega))
-    golden = (math.sqrt(5.0) - 1.0) / 2.0
-    k = np.arange(64.0)
-    stagger = 0.5 * np.modf((k + 1.0) * golden)[0]
-    return (k + stagger) * (t_max / k.size)

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bohr import build_jump_operator_set, decompose, interaction_picture_coupling_series
-from .errors import InadmissibleModel, NotHermitian, NotPSD
+from .errors import InadmissibleModel, NotHermitian, NotPSD, Overflow
 from .linalg import Superoperator, ad_superop, conjugation_superop, hermiticity_defect, hermitize
 from .model import validate_model
 
@@ -55,15 +55,38 @@ __all__ = [
 _PAIR_CHUNK = 1 << 15
 
 
+def _exponent(a):
+    """The least e with every real and imaginary part of ``a`` below 2^e (0 for zeros alone)."""
+    return int(np.frexp(max(np.abs(a.real).max(initial=0.0), np.abs(a.imag).max(initial=0.0)))[1])
+
+
+def _ldexp(a, k):
+    """``a`` times 2^k, part by part: exact wherever the result is a normal float."""
+    out = np.empty(a.shape, dtype=complex)
+    out.real, out.imag = np.ldexp(a.real, k), np.ldexp(a.imag, k)
+    return out
+
+
 def _gram_sum(jumps, c):
     """sum conj(S_mu) (x) (c S)_mu over blocks and couplings in h_bar's eigenbasis, as
-    (d, d, d, d) [i, i', j, j']: each frequency's Gram matrix G_w at ((i_k, i_l), (j_k, j_l))."""
+    (d, d, d, d) [i, i', j, j']: each frequency's Gram matrix G_w at ((i_k, i_l), (j_k, j_l)),
+    times 2^-k, and k. The operators and c are scaled by powers of two to parts below 1,
+    exactly, so no product overflows however large they are (see _unscaled)."""
     decomp = jumps.decomp
+    ex, ec = _exponent(np.concatenate([x.reshape(-1) for x in jumps.values])), _exponent(c)
     t = np.zeros((decomp.dim,) * 4, dtype=complex)
-    per_frequency = np.split(c, np.cumsum([len(x) for x in jumps.values])[:-1])
+    per_frequency = np.split(_ldexp(c, -ec), np.cumsum([len(x) for x in jumps.values])[:-1])
     for (i, j), x, cb in zip(decomp.frequency_entries, jumps.values, per_frequency):
+        x = _ldexp(x, -ex)
         t[i[:, None], i, j[:, None], j] = x.conj().reshape(-1, i.size).T @ (cb @ x).reshape(-1, i.size)
-    return t
+    return t, 2 * ex + ec
+
+
+def _unscaled(a, k, what):
+    """``a`` times 2^k; Overflow naming ``what`` when that is past the float range."""
+    if (e := _exponent(a) + k) > 1024 and a.any():
+        raise Overflow(f"{what} is past the float range: its largest part is about 2^{e}")
+    return _ldexp(a, k)
 
 
 def _lab_superop(left, right, v):
@@ -86,7 +109,8 @@ def build_lamb_shift(jumps, bath, omega):
     """
     v = jumps.decomp.eigenvectors
     zeta = bath.zeta_many(jumps.shifted_frequencies(omega))
-    delta_h = v @ np.trace(_gram_sum(jumps, zeta), axis1=0, axis2=1) @ v.conj().T
+    gram, k = _gram_sum(jumps, zeta)
+    delta_h = _unscaled(v @ np.trace(gram, axis1=0, axis2=1) @ v.conj().T, k, "energy shift")
     defect = hermiticity_defect(delta_h)
     if defect > 1e-12:
         raise NotHermitian(f"energy shift is not Hermitian: relative defect {defect:.3e}")
@@ -112,8 +136,10 @@ def build_dissipator(jumps, bath, omega, tol_psd=1e-12):
             f"Kossakowski block at (n={tuple(jumps.fourier_index[b].tolist())}, "
             f"frequency_index={jumps.frequency_index[b]}, shifted={exc.frequency:.6g}) failed: {exc}"
         ) from exc
-    half = 0.5 * _gram_sum(jumps, h)
-    return Superoperator(_lab_superop(half, half, jumps.decomp.eigenvectors)), h, shifted
+    gram, k = _gram_sum(jumps, h)
+    half = 0.5 * gram
+    dissipator = _unscaled(_lab_superop(half, half, jumps.decomp.eigenvectors), k, "dissipator")
+    return Superoperator(dissipator), h, shifted
 
 
 def assemble_x(h_bar, delta_h, dissipator):
@@ -140,15 +166,17 @@ class GeneratorBundle:
         return self.x.dim
 
 
-def build_generator(model, validate=True, drop_tol=1e-14, tol_psd=1e-12, tol_cluster=1e-9):
+def build_generator(model, validate=True, drop_tol=1e-14, tol_psd=1e-12, tol_cluster=1e-9, *,
+                    _decomp=None):
     """Full build: decomposition, jump operators, shift, dissipator, X.
 
     With ``validate=True`` (the default) the admissibility checks run first
-    and a failing model is refused with InadmissibleModel. ``validate=False``
-    skips them: the command line passes it after running its own validation
-    with the user's tolerances, and it serves controlled experiments on
-    inadmissible models, e.g. measuring the selection-rule deviation a
-    congruence violation produces.
+    and a failing model is refused with InadmissibleModel; the build reuses
+    their decomposition of h_bar. ``validate=False`` skips them: the command
+    line passes it after running its own validation with the user's
+    tolerances, with that report's decomposition as ``_decomp``, and it serves
+    controlled experiments on inadmissible models, e.g. measuring the
+    selection-rule deviation a congruence violation produces.
     """
     if validate:
         report = validate_model(model, tol_cluster=tol_cluster)
@@ -157,7 +185,8 @@ def build_generator(model, validate=True, drop_tol=1e-14, tol_psd=1e-12, tol_clu
                 "model failed admissibility checks; refusing to build the generator",
                 report,
             )
-    decomp = decompose(hermitize(model.h_bar), tol_cluster=tol_cluster)
+        _decomp = report.decomposition
+    decomp = decompose(hermitize(model.h_bar), tol_cluster=tol_cluster) if _decomp is None else _decomp
     spectra = {}  # p transformed once per workspace size, not once per coupling
     s_hats = [
         interaction_picture_coupling_series(model.p_series, s, _spectra=spectra) for s in model.couplings

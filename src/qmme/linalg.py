@@ -25,7 +25,6 @@ __all__ = [
     "eig_hermitian",
     "eigensystem",
     "expm",
-    "unitarity_residuals",
     "trace_norm",
     "hermiticity_defect",
     "hermitize",
@@ -169,12 +168,6 @@ def expm(a):
     if not np.all(np.isfinite(out)):
         raise Overflow("matrix exponential overflowed to non-finite entries")
     return out
-
-
-def unitarity_residuals(u):
-    """2-norm of U U^dag - I for each matrix of a ``(..., d, d)`` stack."""
-    u = np.asarray(u, dtype=complex)
-    return np.linalg.norm(u @ u.conj().swapaxes(-1, -2) - np.eye(u.shape[-1]), 2, axis=(-2, -1))
 
 
 def trace_norm(a):

@@ -29,8 +29,8 @@ from .errors import (
     NotUnitary,
     Overflow,
 )
-from .fourier import FourierOperatorSeries, _shells, check_rational_independence, frequency_vector, sample_times
-from .linalg import _norms, hermiticity_defect, hermitize, unitarity_residuals
+from .fourier import FourierOperatorSeries, _shells, check_rational_independence, frequency_vector
+from .linalg import _norms, hermiticity_defect, hermitize
 
 __all__ = [
     "BathSpectrum",
@@ -111,7 +111,8 @@ class BathSpectrum:
         bad = np.flatnonzero(hermiticity_defect(g) > 1e-9)
         if bad.size:
             raise not_hermitian(f"bath {name}({float(at[bad[0]])}) is not Hermitian")
-        return 0.5 * (g + g_dag), at, np.argsort(calls)[inverse.reshape(-1)]
+        # halved before the sum, which would overflow past half the float range
+        return 0.5 * g + 0.5 * g_dag, at, np.argsort(calls)[inverse.reshape(-1)]
 
     # -- constructors --------------------------------------------------
 
@@ -254,26 +255,25 @@ class ReducedModel:
 # Hamiltonian synthesis
 # ---------------------------------------------------------------------------
 
-def _unitarity_residual(p_series, omega):
-    ts = sample_times(omega)
-    return float(np.max(unitarity_residuals(p_series.evaluate_many(omega, ts))))
+def _require_unitary(p_series, tol_unitary):
+    """NotUnitary unless p's bound over all t, ``unitarity_bound``, is at most ``tol_unitary``."""
+    if not (bound := p_series.unitarity_bound()) <= tol_unitary:
+        raise NotUnitary(f"p series unitarity bound {bound:.3e} > {tol_unitary:.1e}")
 
 
 def synthesize_hamiltonian(p_series, omega, h_bar, tol_unitary=1e-9):
     """Fourier series of H(t) = (i p'(t) + p(t) h_bar) p(t)^dag.
 
     ``p h_bar`` multiplies p's coefficients by h_bar one by one, so H costs one
-    series product. Raises NotUnitary if ``p`` drifts from unitarity on the
-    sample grid and Overflow if the tail is not finite (the coefficients'
-    norms overflow). The tail holds the product tail and the coefficients
+    series product. Raises NotUnitary if p's unitarity bound over all t
+    exceeds ``tol_unitary`` and Overflow if the tail is not finite (the
+    coefficients' norms overflow). The tail holds the product tail and the coefficients
     below ``_H_RESIDUE`` times H's l1 norm, which are dropped. The returned
     series is Hermitian-valued up to the reported tail mass.
     """
     omega = frequency_vector(omega)
     h_bar = np.asarray(h_bar, dtype=complex)
-    residual = _unitarity_residual(p_series, omega)
-    if residual > tol_unitary:
-        raise NotUnitary(f"p series unitarity residual {residual:.3e} > {tol_unitary:.1e}")
+    _require_unitary(p_series, tol_unitary)
     h_series = (1j * p_series.derivative(omega) + p_series._times(h_bar)).product(p_series.adjoint())
     h_series = h_series.drop_below(_H_RESIDUE * h_series.l1_norm())
     if not math.isfinite(h_series.tail_norm):
@@ -291,6 +291,9 @@ class ValidationReport:
 
     ``independence_witness`` and ``congruence_witness`` are None on pass;
     otherwise they carry the violating integer vector (and frequency pair).
+    ``unitarity_residual`` is p's bound over all t (``unitarity_bound``), and
+    ``decomposition`` h_bar's ``bohr.decompose`` (None when h_bar fails its
+    Hermiticity check), which a validated build reuses.
     """
 
     independence_witness: object
@@ -301,6 +304,7 @@ class ValidationReport:
     bohr_frequencies: np.ndarray
     tol_unitary: float
     tol_herm: float
+    decomposition: object = None
 
     @property
     def independence_ok(self):
@@ -367,14 +371,13 @@ def validate_model(model, box=12, tol_independence=1e-9, tol_congruence=1e-9,
     """Check the model admissibility conditions and report every verdict.
 
     Checks: rational independence of the base frequencies within the integer
-    box; unitarity of ``p`` on the sample grid and ``p(0) = I``; Hermiticity
+    box; unitarity of ``p`` at every t, by its bound, and ``p(0) = I``; Hermiticity
     of ``h_bar``; congruence freedom of the Bohr frequency set (no two
     distinct Bohr frequencies differ by a nonzero integer combination of the
     base frequencies within tolerance).
     """
     pts = _shells(model.frequencies.size, box)  # one lattice for both scans
     witness = check_rational_independence(model.frequencies, box=box, tol=tol_independence, _points=pts)
-    unit_res = _unitarity_residual(model.p_series, model.frequencies)
     p0_res = float(
         np.linalg.norm(model.p_series.evaluate(model.frequencies, 0.0) - np.eye(model.dim), 2)
     )
@@ -386,17 +389,17 @@ def validate_model(model, box=12, tol_independence=1e-9, tol_congruence=1e-9,
             bohr_freqs, model.frequencies, box=box, tol=tol_congruence, _points=pts
         )
     else:
-        bohr_freqs = np.zeros(0)
-        congruence = None
+        decomp, bohr_freqs, congruence = None, np.zeros(0), None
     return ValidationReport(
         independence_witness=witness,
-        unitarity_residual=unit_res,
+        unitarity_residual=model.p_series.unitarity_bound(),
         p0_residual=p0_res,
         hbar_hermiticity=herm,
         congruence_witness=congruence,
         bohr_frequencies=bohr_freqs,
         tol_unitary=tol_unitary,
         tol_herm=tol_herm,
+        decomposition=decomp,
     )
 
 

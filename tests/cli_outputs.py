@@ -7,12 +7,13 @@ Runs each call as a fresh ``python -m qmme`` process, once with each
 subcommands on every model, ``evolve`` and ``steady-state`` under each
 named ``--rho0``, ``certify`` at its default seed and at ``--seed 3`` (84
 calls on the six shipped models); ``evolve`` of ``qubit_driven`` from the plus
-state written to a file as a bare matrix (``--rho0 FILE``); and two calls on the seed-1, r = 3
-models of ``test_generator.scaled_r3_models``, written by the child tree:
-``build`` at d = 10 and ``evolve --rho0 plus`` at d = 6, whose master equation
-is marched above ``dynamics._STEP_MATRIX_MAX_DIM`` (87 calls in all). A LABEL
-(as printed, e.g. ``"qubit_dephasing validate"``) limits the run to the calls
-it names. Every call runs without the environment's ``QMME_*`` variables, so
+state written to a file as a bare matrix (``--rho0 FILE``); ``evolve`` and
+``certify`` of ``qubit_driven`` on ``--grid 0:1e200:3``, where p's phase is lost;
+and two calls on the seed-1, r = 3 models of ``test_generator.scaled_r3_models``,
+written by the child tree: ``build`` at d = 10 and ``evolve --rho0 plus`` at
+d = 6, whose master equation is marched above ``dynamics._STEP_MATRIX_MAX_DIM``
+(89 calls in all). A LABEL (as printed, e.g. ``"qubit_dephasing validate"``)
+limits the run to the calls it names. Every call runs without the environment's ``QMME_*`` variables, so
 trees that read them and trees that do not see the same inputs.
 
 Each call prints "identical" when exit code, stdout and stderr agree.
@@ -48,6 +49,8 @@ def calls(tmp):
         out += [(" ".join([path.stem, cmd[0], *cmd[1:]]), [cmd[0], str(path), *cmd[1:]]) for cmd in per_model]
     out.append(("qubit_driven evolve --rho0 FILE", ["evolve", str(MODELS / "qubit_driven.json"),
                                                     "--rho0", str(tmp / "plus.json")]))
+    out += [(f"qubit_driven {cmd} --grid 0:1e200:3", [cmd, str(MODELS / "qubit_driven.json"), "--grid", "0:1e200:3"])
+            for cmd in ("evolve", "certify")]
     out.append(("r3_d10 build", ["build", str(tmp / "r3_d10.json")]))
     out.append(("r3_d6 evolve --rho0 plus", ["evolve", str(tmp / "r3_d6.json"), "--rho0", "plus"]))
     return out

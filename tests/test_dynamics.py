@@ -821,44 +821,39 @@ class TestTrajectories:
             gaps = dmap.integrate_direct(rho0, ts) - dmap.evolve(rho0, ts)
             assert np.max(trace_norm(gaps)) < 1e-7
 
-    def test_non_unitary_frame_names_first_bad_time(self, q1):
-        # p(t) = 1 + a (exp(i t) - 1) is unitary at t = 0 only; the residual
-        # a (1 - cos t) stays below 1e-9 at t = 1e-3 and exceeds it from t = 0.5
+    def test_non_unitary_series_refused_at_construction(self, q1):
+        # p(t) = 1 + a (exp(i t) - 1) is unitary at t = 0 only: p p^dag - I = 2 a (1 - a) (cos t - 1) I,
+        # whose Frobenius norm peaks at t = pi on sqrt(2) 4 a (1 - a), the l1 norm of its coefficients
         model, bundle, _ = q1
         a = 1e-6
         series = FourierOperatorSeries(2, 2, 1, {(0, 0): (1 - a) * np.eye(2), (1, 0): a * np.eye(2)})
-        dmap = DynamicalMap(dataclasses.replace(model, p_series=series), bundle)
-        with pytest.raises(NotUnitary, match=r"^p\(0\.5\) unitarity residual .* > 1\.0e-09$"):
-            dmap.evolve(np.eye(2) / 2, [0.0, 1e-3, 0.5, 1.0, 2.0])
-        assert dmap.evolve(np.eye(2) / 2, [0.0, 1e-3]).shape == (2, 2, 2)
+        assert series.unitarity_bound() == pytest.approx(4.0 * math.sqrt(2.0) * a * (1 - a), rel=1e-12)
+        with pytest.raises(NotUnitary, match=r"^p series unitarity bound 5\.657e-06 > 1\.0e-09$"):
+            DynamicalMap(dataclasses.replace(model, p_series=series), bundle)
+        assert DynamicalMap(dataclasses.replace(model, p_series=series), bundle, tol_unitary=6e-6).dim == 2
 
-    def test_frobenius_screen_defers_to_the_2_norm(self, q1):
-        # E = p p^dag - I = c I at d = 2 has ||E||_2 = c and ||E||_F = sqrt(2) c:
-        # c = 0.8e-9 is above the screen's 0.5e-9 and passes the 1e-9 gate
+    def test_bound_is_the_frobenius_norm(self, q1):
+        # E = p p^dag - I = c I at d = 2 has ||E||_2 = c and ||E||_F = sqrt(2) c: the bound is the latter,
+        # so c = 0.7e-9 passes the 1e-9 gate and c = 0.8e-9 does not
         model, bundle, _ = q1
-        c = 0.8e-9
-        series = FourierOperatorSeries.constant(math.sqrt(1.0 + c) * np.eye(2), r=model.p_series.r)
-        p = DynamicalMap(dataclasses.replace(model, p_series=series), bundle).frames([0.0, 0.5])
-        drift = p @ p.conj().transpose(0, 2, 1) - np.eye(2)
-        assert np.allclose(np.linalg.norm(drift, axis=(1, 2)), math.sqrt(2.0) * c, rtol=1e-6)
-        # p(t) = 1 + a (exp(i t) - 1): residual 2 a (1 - a)(1 - cos t), 6.9e-10 at t = 0.4
-        # and 1.05e-9 at t = 0.5, both above the screen
-        a = 1.05e-9 / (2.0 * (1.0 - math.cos(0.5)))
-        series = FourierOperatorSeries(2, 2, 1, {(0, 0): (1 - a) * np.eye(2), (1, 0): a * np.eye(2)})
-        dmap = DynamicalMap(dataclasses.replace(model, p_series=series), bundle)
-        assert dmap.frames([0.0, 0.4]).shape == (2, 2, 2)
-        with pytest.raises(NotUnitary, match=r"^p\(0\.5\) unitarity residual .* > 1\.0e-09$"):
-            dmap.frames([0.0, 0.4, 0.5, 1.0])
+        for c, passes in ((0.7e-9, True), (0.8e-9, False)):
+            series = FourierOperatorSeries.constant(math.sqrt(1.0 + c) * np.eye(2), r=model.p_series.r)
+            assert series.unitarity_bound() == pytest.approx(math.sqrt(2.0) * c, rel=1e-6)
+            if passes:
+                DynamicalMap(dataclasses.replace(model, p_series=series), bundle)
+            else:
+                with pytest.raises(NotUnitary):
+                    DynamicalMap(dataclasses.replace(model, p_series=series), bundle)
 
-    def test_unitary_frames_take_no_svd(self, q3, monkeypatch):
-        _, _, dmap = q3
-        expect = dmap.frames(np.linspace(0.0, 50.0, 101))
-
-        def no_svd(u):
-            raise AssertionError("unitarity_residuals called on frames below the screen")
-
-        monkeypatch.setattr(dynamics, "unitarity_residuals", no_svd)
-        assert np.array_equal(dmap.frames(np.linspace(0.0, 50.0, 101)), expect)
+    def test_lost_phase_is_overflow(self, q2):
+        # qubit_driven passes its bound, but at t = 5e199 a phase t (n . omega) has no digit
+        # below its integer part, and the evaluated frame is not unitary
+        _, _, dmap = q2
+        assert dmap.frames(np.linspace(0.0, 1e3, 101)).shape == (101, 2, 2)
+        with pytest.raises(Overflow, match=r"^p\(5e\+199\) lost its phase in evaluation: unitarity residual "):
+            dmap.frames([0.0, 1.0, 5e199, 1e200])
+        with pytest.raises(Overflow, match=r"^p\(5e\+199\) lost its phase"):
+            dmap.evolve(np.eye(2) / 2, [0.0, 5e199])
 
     @pytest.mark.parametrize("fixture", ["q2", "q3"])
     def test_wrong_shaped_state_rejected(self, fixture, request):
@@ -941,14 +936,11 @@ class TestLindbladian:
                            for p_t, h_t in zip(p, h)])
         assert np.max(np.abs(dmap._lindbladians(ts) - expect)) <= 1e-15 * np.max(np.abs(expect))
 
-    def test_non_unitary_frame_rejected(self, q1):
-        # the frame of test_non_unitary_frame_names_first_bad_time
-        model, bundle, _ = q1
-        a = 1e-6
-        series = FourierOperatorSeries(2, 2, 1, {(0, 0): (1 - a) * np.eye(2), (1, 0): a * np.eye(2)})
-        dmap = DynamicalMap(dataclasses.replace(model, p_series=series), bundle)
-        with pytest.raises(NotUnitary, match=r"^p\(0\.5\) unitarity residual"):
-            dmap.lindbladian(0.5)
+    def test_lost_phase_rejected(self, q2):
+        # the frame of TestTrajectories::test_lost_phase_is_overflow
+        _, _, dmap = q2
+        with pytest.raises(Overflow, match=r"^p\(5e\+199\) lost its phase"):
+            dmap.lindbladian(5e199)
 
     def test_trace_annihilated(self, q3):
         _, _, dmap = q3

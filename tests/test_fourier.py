@@ -2,6 +2,7 @@ import itertools
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -26,7 +27,6 @@ from qmme.fourier import (
     frequency_vector,
     joint_sampler,
     normalize_witness,
-    sample_times,
 )
 
 
@@ -127,7 +127,7 @@ class TestSeriesAlgebra:
         s2 = random_series(rng, 2, 2, 3, 6, spread=1)
         p = s1.product(s2)
         omega = np.array([1.0, math.sqrt(2)])
-        for t in sample_times(omega):
+        for t in np.linspace(0.0, 2 * math.pi, 64):
             assert np.allclose(
                 p.evaluate(omega, t),
                 s1.evaluate(omega, t) @ s2.evaluate(omega, t),
@@ -168,6 +168,49 @@ class TestSeriesAlgebra:
         )
 
 
+BOUND_MODELS = {**{name: lambda name=name: PRESETS[name]() for name in sorted(PRESETS)},
+                **{f"scaled_r3_seed{seed}_d{d}": lambda seed=seed, i=i: scaled_r3_models(seed, dims=(2, 3, 6))[i]
+                   for seed in (1, 2, 3) for i, d in enumerate((2, 3, 6))}}
+
+
+class TestUnitarityBound:
+    """``unitarity_bound``, the l1 norm of p p^dag - I: a bound over all t."""
+
+    @pytest.mark.parametrize("name", sorted(BOUND_MODELS))
+    def test_bounds_a_dense_grid(self, name):
+        # the largest residual on 20,001 points of [0, 1000] lies below the bound, and the bound
+        # below validate_model's default tol_unitary
+        model = BOUND_MODELS[name]()
+        p = model.p_series.evaluate_many(model.frequencies, np.linspace(0.0, 1000.0, 20001))
+        residuals = np.linalg.norm(p @ p.conj().swapaxes(1, 2) - np.eye(model.dim), 2, axis=(1, 2))
+        bound = model.p_series.unitarity_bound()
+        assert residuals.max() <= bound <= 1e-9
+
+    def test_cached_value_is_a_fresh_computation(self, monkeypatch):
+        model = scaled_r3_models(2)[1]
+        p, products, product = model.p_series, [], FourierOperatorSeries.product
+        monkeypatch.setattr(FourierOperatorSeries, "product",
+                            lambda a, b, **kw: products.append(b) or product(a, b, **kw))
+        first = p.unitarity_bound()
+        assert p.unitarity_bound() == first and len(products) == 1
+        fresh = FourierOperatorSeries(p.r, p.d, p.trunc, p.coeffs, p.tail_norm)
+        assert fresh.unitarity_bound() == first and len(products) == 2
+        # the bound is what an explicit product in a box of twice the radius gives, and it
+        # drops nothing: without p's own tail, the product's tail is 0
+        p0 = FourierOperatorSeries._from_rows(p.trunc, p._idx, p._stack, 0.0)
+        square = p0.truncate(2 * p._radius()).product(p0.adjoint())
+        assert square.tail_norm == 0.0 and p0.unitarity_bound() == first
+        assert first == (square - FourierOperatorSeries.constant(np.eye(p.d), p.r)).l1_norm()
+
+    def test_exact_on_a_single_harmonic(self):
+        # p(t) = 1 + a (exp(i t) - 1): p p^dag - I = 2 a (1 - a) (cos t - 1) I peaks at t = pi
+        a = 1e-3
+        p = FourierOperatorSeries(1, 2, 1, {(0,): (1 - a) * np.eye(2), (1,): a * np.eye(2)})
+        peak = p.evaluate([1.0], math.pi)
+        assert p.unitarity_bound() == pytest.approx(np.linalg.norm(peak @ peak.conj().T - np.eye(2)), rel=1e-12)
+        assert FourierOperatorSeries.constant(np.eye(3), 2).unitarity_bound() == 0.0
+
+
 class TestConstantFactor:
     """``_times(m)``, the right product with a constant matrix, row by row."""
 
@@ -189,6 +232,14 @@ class TestConstantFactor:
         assert list(out.coeffs) == list(ref.coeffs)
         assert np.max(np.abs(out._stack - ref._stack)) <= 1e-15 * np.max(np.abs(ref._stack))
         assert abs(out.tail_norm - ref.tail_norm) <= 1e-15 * ref.tail_norm
+
+    def test_huge_factor_keeps_a_finite_tail(self, rng):
+        # ||m||_F of entries 1e200 is 4.5e200 though its squares overflow: no warning
+        s, m = self.series_and_matrix(rng, tail=1e-3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = s._times(1e200 * m)
+        assert out.tail_norm == pytest.approx(1e-3 * 1e200 * np.linalg.norm(m), rel=1e-15)
 
     def test_wrong_shape_and_non_finite(self, rng):
         s, m = self.series_and_matrix(rng)
@@ -698,21 +749,6 @@ class TestLattice:
         assert normalize_witness((-2, 1)) == (2, -1)
         assert normalize_witness((0, -3)) == (0, 3)
         assert normalize_witness((1, -5)) == (1, -5)
-
-
-class TestSampleTimes:
-    def test_grid_shape_and_range(self):
-        omega = np.array([1.0, math.sqrt(2)])
-        ts = sample_times(omega)
-        assert ts.shape == (64,)
-        assert ts[0] >= 0.0
-        assert ts[-1] < 2 * math.pi / 1.0
-        assert np.all(np.diff(ts) > 0)
-
-    def test_deterministic(self):
-        a = sample_times([2.0])
-        b = sample_times([2.0])
-        assert np.array_equal(a, b)
 
 
 def smooth_lengths(limit):

@@ -349,11 +349,12 @@ def _term_generator(model, bundle):
     return delta_h, assemble_x(model.h_bar, delta_h, Superoperator(diss)).matrix
 
 
-def scaled_r3_models(seed, dims=(2, 3)):
+def scaled_r3_models(seed, dims=(2, 3), trunc=3, amplitude=0.008):
     """The benchmark's seeded r = 3 models, one per dimension of ``dims``:
     random Hermitian h_bar (norm 1), two couplings (norm 0.5), an ohmic bath,
-    and p = exp(-i sum_j 0.008 sin(theta_j) G_j) at trunc 3 with every
-    coefficient kept. Each dimension draws from its own rng, seeded [seed, d]."""
+    and p = exp(-i sum_j a sin(theta_j) G_j), a = ``amplitude``, in the box
+    ``trunc`` with every coefficient kept. Each dimension draws from its own
+    rng, seeded [seed, d]."""
     models = []
     for d in dims:
         rng = np.random.default_rng([seed, d])
@@ -365,10 +366,10 @@ def scaled_r3_models(seed, dims=(2, 3)):
         h_bar = herm(1.0)
         couplings = [herm(0.5), herm(0.5)]
         terms = [{"profile": "sin", "index": tuple(int(i == j) for i in range(3)),
-                  "amplitude": 0.008, "matrix": herm(1.0)} for j in range(3)]
+                  "amplitude": amplitude, "matrix": herm(1.0)} for j in range(3)]
         models.append(ReducedModel(
             frequencies=np.array([1.0, math.sqrt(2.0), math.sqrt(3.0)]),
-            p_series=p_series_from_profile_terms(terms, r=3, trunc=3, drop_eps=0.0),
+            p_series=p_series_from_profile_terms(terms, r=3, trunc=trunc, drop_eps=0.0),
             h_bar=h_bar,
             couplings=couplings,
             bath=BathSpectrum.ohmic_kms(kappa=0.1, cutoff=5.0, beta=1.0, n_couplings=2),

@@ -665,6 +665,16 @@ class TestCliExitContract:
         ("huge-gamma-steady-state", 0, None),
         ("huge-gamma-certify", 0, None),
         ("huge-gamma-evolve", 3, "NoConvergence"),
+        # gamma 1e308 puts the dissipator past the float range, and coupling entries times
+        # 1e200 put X there: refused as the quantity it is, before any sum overflows
+        ("gamma-1e308-build", 3, "Overflow"),
+        *[(f"couplings-1e200-{command}", 3, "Overflow")
+          for command in ("build", "evolve", "spectrum", "steady-state", "certify")],
+        # qubit_driven passes its unitarity bound, but at t = 5e199, or with its frequencies
+        # times 1e300, a phase has no digit below its integer part: the evaluated p is not
+        # unitary, a numerical failure and not a failed physics check
+        *[(f"lost-phase-{how}-{command}", 3, "Overflow")
+          for how in ("grid", "frequencies") for command in ("evolve", "steady-state", "certify")],
         # p's phase at t = 1e308 is not finite: refused before any cosine, exp(t X) or SVD
         ("phase-overflow-evolve", 3, "Overflow"),
         ("phase-overflow-steady-state", 3, "Overflow"),
@@ -725,14 +735,26 @@ class TestCliExitContract:
             bad = tmp_path / "model.json"
             bad.write_bytes(b'\xff\xfe{"schema": "qmme-model"}')
             argv = ["validate", str(bad)]
-        elif case in ("negative-tail", "huge-frequencies", "huge-frequencies-synthesize"):
+        elif case in ("negative-tail", "huge-frequencies", "huge-frequencies-synthesize") or case.startswith(
+                ("couplings-1e200-", "lost-phase-frequencies-")):
             doc = json.loads((MODELS_DIR / "qubit_driven.json").read_text())
             if case == "negative-tail":
                 doc["p_series"]["tail_norm"] = -1.0
+            elif case.startswith("couplings-"):
+                doc["couplings"] = (1e200 * np.array(doc["couplings"])).tolist()
             else:
                 doc["frequencies"] = [w * 1e300 for w in doc["frequencies"]]
             (tmp_path / "model.json").write_text(json.dumps(doc))
-            argv = ["validate" if case == "huge-frequencies" else "synthesize", str(tmp_path / "model.json")]
+            command = case.rsplit("1e200-", 1)[-1].removeprefix("lost-phase-frequencies-")
+            argv = [{"huge-frequencies": "validate", "negative-tail": "synthesize",
+                     "huge-frequencies-synthesize": "synthesize"}.get(case, command), str(tmp_path / "model.json")]
+        elif case.startswith("lost-phase-grid-"):
+            argv = [case.removeprefix("lost-phase-grid-"), str(MODELS_DIR / "qubit_driven.json"), "--grid", "0:1e200:3"]
+        elif case == "gamma-1e308-build":
+            doc = json.loads(Path(model).read_text())
+            doc["bath"]["params"]["gamma"] = 1e308
+            (tmp_path / "model.json").write_text(json.dumps(doc))
+            argv = ["build", str(tmp_path / "model.json")]
         elif case.startswith("huge-gamma-"):
             doc = json.loads(Path(model).read_text())
             doc["bath"]["params"]["gamma"] = 1e300
@@ -768,6 +790,11 @@ class TestCliExitContract:
         assert payload["error"]["type"] == kind
         if case.startswith("grid-before-"):
             assert "--grid" in payload["error"]["message"]
+        named = {"gamma-1e308": "dissipator is past the float range", "couplings-1e200": "is past the float range",
+                 "lost-phase-grid": "p(5e+199) lost its phase", "lost-phase-frequencies": "lost its phase"}
+        for prefix, fragment in named.items():
+            if case.startswith(prefix):
+                assert fragment in payload["error"]["message"]
 
     def test_help_still_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as stop:
@@ -806,8 +833,8 @@ class TestCliExitContract:
             assert "--grid" in message["message"] and count in message["message"]
 
     def test_oversized_generator_grid_is_usage_error(self, tmp_path, capsys):
-        # p = diag(exp(-400 i theta1), exp(400 i theta1)) is exactly unitary, and validate
-        # forms no product; build's products need a workspace of radius 800, 1601^2
+        # p = diag(exp(-400 i theta1), exp(400 i theta1)) is exactly unitary; validate's
+        # unitarity bound and build's products need a workspace of radius 800, 1601^2
         # points, which is refused before allocating
         doc = model_to_dict(PRESETS["qubit_driven"]())
         doc["p_series"] = {"r": 2, "dim": 2, "trunc": 400, "tail_norm": 0.0, "coefficients": [
@@ -815,19 +842,16 @@ class TestCliExitContract:
             for k, sign in ((0.0, -1), (1.0, 1))]}
         path = tmp_path / "model.json"
         path.write_text(json.dumps(doc))
-        for command, code in (("validate", 0), ("build", 2)):
+        for command in ("validate", "build"):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 got = cli.main([command, str(path)])
             out, err = capsys.readouterr()
             assert err == "" and not caught
-            assert got == code, out
+            assert got == 2, out
             payload = json.loads(out)
-            if code == 0:
-                assert payload["passed"] is True
-            else:
-                assert payload["error"]["type"] == "DimensionMismatch"
-                assert "2563201 points" in payload["error"]["message"]
+            assert payload["error"]["type"] == "DimensionMismatch"
+            assert "2563201 points" in payload["error"]["message"]
 
 # error types that may come with exit 1: a failed physics check
 CONTRACT_TYPES = {"InadmissibleModel", "NotPSD", "NotHermitian", "NotUnitary", "SpectralViolation"}
@@ -1154,6 +1178,34 @@ class TestCliToleranceFlags:
         assert cli.main(argv + ["--tol-psd", "0.5"]) == 0 and cli.main(argv) == 0
         assert capsys.readouterr().err == ""
         assert seen == [0.5, 1e-12]
+
+
+class TestCliOneDecomposition:
+    """Each subcommand decomposes what it needs once."""
+
+    def test_one_eigendecomposition_per_steady_state(self, monkeypatch, capsys):
+        # the map's eigensystem, kernel eigenvalue exactly 0, also classifies the spectrum
+        calls, eig = [], np.linalg.eig
+        monkeypatch.setattr(np.linalg, "eig", lambda a: calls.append(np.shape(a)) or eig(a))
+        assert cli.main(["steady-state", str(MODELS_DIR / "qutrit_thermal.json")]) == 0
+        assert calls == [(9, 9)]
+        stability = json.loads(capsys.readouterr().out)["stability"]
+        assert [0.0, 0.0] in stability["eigenvalues"] and stability["k0"] == 1
+
+    def test_one_decomposition_of_h_bar_per_build(self, monkeypatch, capsys):
+        # validate's decomposition is the build's, from the command line and from
+        # build_generator(validate=True); the spy leaves the document as it was
+        from qmme import bohr
+        path, calls, decompose = str(MODELS_DIR / "qutrit_thermal.json"), [], bohr.decompose
+        assert cli.main(["build", path]) == 0
+        out = capsys.readouterr().out
+        for mod in (bohr, generator):  # the model module calls bohr.decompose, the generator its own name
+            monkeypatch.setattr(mod, "decompose", lambda *a, **k: calls.append(1) or decompose(*a, **k))
+        assert cli.main(["build", path]) == 0 and len(calls) == 1
+        assert capsys.readouterr().out == out
+        calls.clear()
+        generator.build_generator(load_model(path))
+        assert len(calls) == 1
 
 
 _NO_SCIPY_SCRIPT = """

@@ -19,7 +19,6 @@ from qmme.linalg import (
     hermiticity_defect,
     hermitize,
     trace_norm,
-    unitarity_residuals,
     vectorize,
 )
 from conftest import random_density, random_hermitian
@@ -256,12 +255,6 @@ class TestStackedSuperoperators:
             vectorize(np.zeros((2, 2, 3)))
         with pytest.raises(DimensionMismatch):
             devectorize(np.zeros((2, 5)))
-
-    def test_unitarity_residuals_match_per_matrix_norms(self, rng):
-        us = scipy.linalg.expm(-1j * np.stack([random_hermitian(rng, 3) for _ in range(5)]))
-        us[2] *= 1.001
-        loop = [np.linalg.norm(u @ u.conj().T - np.eye(3), 2) for u in us]
-        assert np.array_equal(unitarity_residuals(us), loop)
 
 
 class TestChoi:

@@ -380,8 +380,12 @@ class TestSynthesize:
         assert series.tail_norm <= ref.tail_norm
 
     def test_one_product_per_synthesis(self, monkeypatch):
+        # a fresh series forms its unitarity bound (one product) and then H; the bound is kept
         model, calls, product = PRESETS["qutrit_thermal"](), [], FourierOperatorSeries.product
         monkeypatch.setattr(FourierOperatorSeries, "product", lambda a, b, **kw: calls.append(b) or product(a, b, **kw))
+        synthesize_hamiltonian(model.p_series, model.frequencies, model.h_bar)
+        assert len(calls) == 2
+        calls.clear()
         synthesize_hamiltonian(model.p_series, model.frequencies, model.h_bar)
         assert len(calls) == 1
 
@@ -554,6 +558,29 @@ class TestValidateModel:
         assert not report.passed
         assert not report.unitarity_ok
         assert report.unitarity_residual > 0.1
+
+    def test_drift_between_samples_rejected(self):
+        # the r = 3 recipe at d = 2, trunc 4, amplitude 0.091, seed 1 passed a 64-point sample
+        # on [0, 2 pi] with 8.05e-10; its residual reaches 1.19e-9 at t = 10.3768, and the
+        # bound over all t is 2.32e-9
+        m = scaled_r3_models(1, dims=(2,), trunc=4, amplitude=0.091)[0]
+        p = m.p_series.evaluate(m.frequencies, 10.3768)
+        assert np.linalg.norm(p @ p.conj().T - np.eye(2), 2) > 1.1e-9
+        report = validate_model(m)
+        assert not report.unitarity_ok and not report.passed
+        assert report.unitarity_residual == pytest.approx(2.32e-9, rel=1e-2)
+        assert report.to_dict()["unitarity"] == {"passed": False, "residual": report.unitarity_residual,
+                                                 "p0_residual": report.p0_residual}
+        with pytest.raises(NotUnitary):
+            synthesize_hamiltonian(m.p_series, m.frequencies, m.h_bar)
+
+    def test_report_keeps_the_decomposition(self):
+        m = PRESETS["qutrit_thermal"]()
+        decomp = validate_model(m).decomposition
+        assert np.array_equal(decomp.bohr_frequencies, bohr.decompose(m.h_bar).bohr_frequencies)
+        bad = ReducedModel(frequencies=m.frequencies, p_series=m.p_series, h_bar=np.triu(m.h_bar + 1.0),
+                           couplings=m.couplings, bath=m.bath)
+        assert validate_model(bad).decomposition is None
 
     @pytest.mark.parametrize("box", [1, 5, 12])
     def test_one_lattice_serves_both_scans(self, monkeypatch, box):
