@@ -845,15 +845,34 @@ class TestTrajectories:
                 with pytest.raises(NotUnitary):
                     DynamicalMap(dataclasses.replace(model, p_series=series), bundle)
 
-    def test_lost_phase_is_overflow(self, q2):
-        # qubit_driven passes its bound, but at t = 5e199 a phase t (n . omega) has no digit
-        # below its integer part, and the evaluated frame is not unitary
+    def test_non_unitary_frame_names_first_bad_time(self, q2):
+        # qubit_driven passes its bound, but from t = 5e199 a phase t (n . omega) has no digit
+        # below its integer part, and the evaluated frame is not unitary: Overflow names 5e199
         _, _, dmap = q2
         assert dmap.frames(np.linspace(0.0, 1e3, 101)).shape == (101, 2, 2)
         with pytest.raises(Overflow, match=r"^p\(5e\+199\) lost its phase in evaluation: unitarity residual "):
             dmap.frames([0.0, 1.0, 5e199, 1e200])
         with pytest.raises(Overflow, match=r"^p\(5e\+199\) lost its phase"):
             dmap.evolve(np.eye(2) / 2, [0.0, 5e199])
+
+    def test_unitary_frames_take_no_svd(self, q3, monkeypatch):
+        # the evaluation guard is one Frobenius norm per node: no SVD and no 2-norm
+        _, _, dmap = q3
+        ts = np.linspace(0.0, 50.0, 101)
+        expect = dmap.frames(ts)
+        norm = np.linalg.norm
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("frames took an SVD")
+
+        def frobenius_only(x, ord=None, axis=None, keepdims=False):
+            assert ord in (None, "fro"), f"frames took a norm of order {ord}"
+            return norm(x, ord, axis, keepdims)
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        monkeypatch.setattr(scipy.linalg, "svd", no_svd)
+        monkeypatch.setattr(np.linalg, "norm", frobenius_only)
+        assert np.array_equal(dmap.frames(ts), expect)
 
     @pytest.mark.parametrize("fixture", ["q2", "q3"])
     def test_wrong_shaped_state_rejected(self, fixture, request):
@@ -936,8 +955,8 @@ class TestLindbladian:
                            for p_t, h_t in zip(p, h)])
         assert np.max(np.abs(dmap._lindbladians(ts) - expect)) <= 1e-15 * np.max(np.abs(expect))
 
-    def test_lost_phase_rejected(self, q2):
-        # the frame of TestTrajectories::test_lost_phase_is_overflow
+    def test_non_unitary_frame_rejected(self, q2):
+        # the frame of TestTrajectories::test_non_unitary_frame_names_first_bad_time
         _, _, dmap = q2
         with pytest.raises(Overflow, match=r"^p\(5e\+199\) lost its phase"):
             dmap.lindbladian(5e199)
