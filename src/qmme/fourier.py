@@ -265,11 +265,9 @@ class FourierOperatorSeries:
         return self._from_rows(self.trunc, self._idx, freqs[:, None, None] * self._stack, tail)
 
     def __add__(self, other):
-        self._check_compatible(other)
-        k = max(self._radius(), other._radius())
-        _check_box(self.r, 2 * k + 1, f"sum workspace of radius {k}")
-        (a, ma), (b, mb) = self._dense(k), other._dense(k)
-        return self._from_box(a + b, ma | mb, self.tail_norm + other.tail_norm, max(self.trunc, other.trunc))
+        idx, coeffs, _ = _on_union([self, other])
+        return self._from_rows(max(self.trunc, other.trunc), idx, coeffs[:, 0] + coeffs[:, 1],
+                               self.tail_norm + other.tail_norm)
 
     def __sub__(self, other):
         return self + (-1.0) * other

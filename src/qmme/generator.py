@@ -55,38 +55,23 @@ __all__ = [
 _PAIR_CHUNK = 1 << 15
 
 
-def _exponent(a):
-    """The least e with every real and imaginary part of ``a`` below 2^e (0 for zeros alone)."""
-    return int(np.frexp(max(np.abs(a.real).max(initial=0.0), np.abs(a.imag).max(initial=0.0)))[1])
-
-
-def _ldexp(a, k):
-    """``a`` times 2^k, part by part: exact wherever the result is a normal float."""
-    out = np.empty(a.shape, dtype=complex)
-    out.real, out.imag = np.ldexp(a.real, k), np.ldexp(a.imag, k)
-    return out
-
-
 def _gram_sum(jumps, c):
     """sum conj(S_mu) (x) (c S)_mu over blocks and couplings in h_bar's eigenbasis, as
-    (d, d, d, d) [i, i', j, j']: each frequency's Gram matrix G_w at ((i_k, i_l), (j_k, j_l)),
-    times 2^-k, and k. The operators and c are scaled by powers of two to parts below 1,
-    exactly, so no product overflows however large they are (see _unscaled)."""
+    (d, d, d, d) [i, i', j, j']: each frequency's Gram matrix G_w at ((i_k, i_l), (j_k, j_l))."""
     decomp = jumps.decomp
-    ex, ec = _exponent(np.concatenate([x.reshape(-1) for x in jumps.values])), _exponent(c)
     t = np.zeros((decomp.dim,) * 4, dtype=complex)
-    per_frequency = np.split(_ldexp(c, -ec), np.cumsum([len(x) for x in jumps.values])[:-1])
+    per_frequency = np.split(c, np.cumsum([len(x) for x in jumps.values])[:-1])
     for (i, j), x, cb in zip(decomp.frequency_entries, jumps.values, per_frequency):
-        x = _ldexp(x, -ex)
         t[i[:, None], i, j[:, None], j] = x.conj().reshape(-1, i.size).T @ (cb @ x).reshape(-1, i.size)
-    return t, 2 * ex + ec
+    return t
 
 
-def _unscaled(a, k, what):
-    """``a`` times 2^k; Overflow naming ``what`` when that is past the float range."""
-    if (e := _exponent(a) + k) > 1024 and a.any():
-        raise Overflow(f"{what} is past the float range: its largest part is about 2^{e}")
-    return _ldexp(a, k)
+def _finite(a, what):
+    """``a``, formed under np.errstate(over="ignore", invalid="ignore"); Overflow naming
+    ``what`` when an entry is not finite, so past the float range."""
+    if not np.isfinite(a).all():
+        raise Overflow(f"{what} is past the float range")
+    return a
 
 
 def _lab_superop(left, right, v):
@@ -109,8 +94,8 @@ def build_lamb_shift(jumps, bath, omega):
     """
     v = jumps.decomp.eigenvectors
     zeta = bath.zeta_many(jumps.shifted_frequencies(omega))
-    gram, k = _gram_sum(jumps, zeta)
-    delta_h = _unscaled(v @ np.trace(gram, axis1=0, axis2=1) @ v.conj().T, k, "energy shift")
+    with np.errstate(over="ignore", invalid="ignore"):
+        delta_h = _finite(v @ np.trace(_gram_sum(jumps, zeta), axis1=0, axis2=1) @ v.conj().T, "energy shift")
     defect = hermiticity_defect(delta_h)
     if defect > 1e-12:
         raise NotHermitian(f"energy shift is not Hermitian: relative defect {defect:.3e}")
@@ -136,16 +121,17 @@ def build_dissipator(jumps, bath, omega, tol_psd=1e-12):
             f"Kossakowski block at (n={tuple(jumps.fourier_index[b].tolist())}, "
             f"frequency_index={jumps.frequency_index[b]}, shifted={exc.frequency:.6g}) failed: {exc}"
         ) from exc
-    gram, k = _gram_sum(jumps, h)
-    half = 0.5 * gram
-    dissipator = _unscaled(_lab_superop(half, half, jumps.decomp.eigenvectors), k, "dissipator")
+    with np.errstate(over="ignore", invalid="ignore"):
+        half = 0.5 * _gram_sum(jumps, h)
+        dissipator = _finite(_lab_superop(half, half, jumps.decomp.eigenvectors), "dissipator")
     return Superoperator(dissipator), h, shifted
 
 
 def assemble_x(h_bar, delta_h, dissipator):
     """Constant generator X = -i [h_bar + delta_h, . ] + dissipator."""
-    h_eff = hermitize(np.asarray(h_bar, dtype=complex)) + hermitize(np.asarray(delta_h, dtype=complex))
-    return Superoperator(-1j * ad_superop(h_eff) + dissipator.matrix)
+    with np.errstate(over="ignore", invalid="ignore"):
+        h_eff = _finite(hermitize(h_bar) + hermitize(delta_h), "X")
+        return Superoperator(_finite(-1j * ad_superop(h_eff) + dissipator.matrix, "X"))
 
 
 @dataclass

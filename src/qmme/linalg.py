@@ -85,9 +85,11 @@ def hermiticity_defect(a):
 
 
 def hermitize(a):
-    """Nearest Hermitian matrix (A + A^dag) / 2 (of each matrix of a stack)."""
+    """Nearest Hermitian matrix (A + A^dag) / 2 (of each matrix of a stack), halved
+    before the sum: finite wherever A is, and bit for bit 0.5 (A + A^dag) wherever
+    that is finite and no half is subnormal."""
     a = np.asarray(a, dtype=complex)
-    return 0.5 * (a + a.conj().swapaxes(-1, -2))
+    return 0.5 * a + 0.5 * a.conj().swapaxes(-1, -2)
 
 
 def _norms(stack):
@@ -125,8 +127,8 @@ def eig_hermitian(h):
         w, v = np.linalg.eigh(hermitize(h))
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"eigensolver did not converge: {exc}") from exc
-    scale = max(1.0, np.linalg.norm(h))
-    residual = np.linalg.norm((v * w) @ v.conj().T - hermitize(h)) / scale
+    scale = max(1.0, float(_norms(h)[0]))
+    residual = float(_norms((v * w) @ v.conj().T - hermitize(h))[0]) / scale
     if residual > 1e-12:
         raise NoConvergence(f"eigendecomposition residual {residual:.3e} exceeds 1e-12")
     return w, v

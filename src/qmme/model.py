@@ -107,20 +107,19 @@ class BathSpectrum:
         bad = np.flatnonzero(~np.isfinite(g).all(axis=(1, 2)))
         if bad.size:
             raise Overflow(f"bath {name}({float(at[bad[0]])}) contains non-finite entries")
-        g_dag = g.conj().swapaxes(1, 2)
         bad = np.flatnonzero(hermiticity_defect(g) > 1e-9)
         if bad.size:
             raise not_hermitian(f"bath {name}({float(at[bad[0]])}) is not Hermitian")
-        # halved before the sum, which would overflow past half the float range
-        return 0.5 * g + 0.5 * g_dag, at, np.argsort(calls)[inverse.reshape(-1)]
+        return hermitize(g), at, np.argsort(calls)[inverse.reshape(-1)]
 
     # -- constructors --------------------------------------------------
 
     @classmethod
     def _diagonal(cls, profile, n_couplings, family, params):
         """Bath with h = profile(w) I over the couplings and zeta = 0."""
-        eye = np.eye(n_couplings, dtype=complex)
-        return cls(lambda ws: profile(ws)[:, None, None] * eye,
+        # placed, not multiplied: an infinite profile times the zeros off the diagonal is NaN
+        diagonal = np.eye(n_couplings, dtype=bool)
+        return cls(lambda ws: np.where(diagonal, profile(ws)[:, None, None], 0.0).astype(complex),
                    lambda ws: np.zeros((ws.size, n_couplings, n_couplings), dtype=complex),
                    n_couplings, family=family, params=params)
 

@@ -9,10 +9,12 @@ named ``--rho0``, ``certify`` at its default seed and at ``--seed 3`` (84
 calls on the six shipped models); ``evolve`` of ``qubit_driven`` from the plus
 state written to a file as a bare matrix (``--rho0 FILE``); ``evolve`` and
 ``certify`` of ``qubit_driven`` on ``--grid 0:1e200:3``, where p's phase is lost;
-and two calls on the seed-1, r = 3 models of ``test_generator.scaled_r3_models``,
+``validate`` of ``qubit_dephasing`` with ``h_bar`` times 1e300 and ``build`` of
+``qutrit_thermal`` with ``kappa`` 5e307, both written from ``models/``; and two
+calls on the seed-1, r = 3 models of ``test_generator.scaled_r3_models``,
 written by the child tree: ``build`` at d = 10 and ``evolve --rho0 plus`` at
 d = 6, whose master equation is marched above ``dynamics._STEP_MATRIX_MAX_DIM``
-(89 calls in all). A LABEL (as printed, e.g. ``"qubit_dephasing validate"``)
+(91 calls in all). A LABEL (as printed, e.g. ``"qubit_dephasing validate"``)
 limits the run to the calls it names. Every call runs without the environment's ``QMME_*`` variables, so
 trees that read them and trees that do not see the same inputs.
 
@@ -39,9 +41,9 @@ STATES = ("mixed", "basis0", "plus", "ground")
 
 
 def calls(tmp):
-    """(label, argv) of every call, models in name order; the plus state and the
-    seeded r = 3 model of dimension d are read from ``tmp`` as ``plus.json`` and
-    ``r3_d{d}.json``."""
+    """(label, argv) of every call, models in name order; the plus state, the two
+    extreme models and the seeded r = 3 model of dimension d are read from ``tmp``
+    as ``plus.json``, ``huge_hbar.json``, ``kappa_5e307.json`` and ``r3_d{d}.json``."""
     out = []
     for path in sorted(MODELS.glob("*.json")):
         per_model = [["validate"], ["synthesize"], ["build"], ["spectrum"], ["certify"], ["certify", "--seed", "3"]]
@@ -51,6 +53,8 @@ def calls(tmp):
                                                     "--rho0", str(tmp / "plus.json")]))
     out += [(f"qubit_driven {cmd} --grid 0:1e200:3", [cmd, str(MODELS / "qubit_driven.json"), "--grid", "0:1e200:3"])
             for cmd in ("evolve", "certify")]
+    out.append(("qubit_dephasing h_bar*1e300 validate", ["validate", str(tmp / "huge_hbar.json")]))
+    out.append(("qutrit_thermal kappa=5e307 build", ["build", str(tmp / "kappa_5e307.json")]))
     out.append(("r3_d10 build", ["build", str(tmp / "r3_d10.json")]))
     out.append(("r3_d6 evolve --rho0 plus", ["evolve", str(tmp / "r3_d6.json"), "--rho0", "plus"]))
     return out
@@ -132,6 +136,17 @@ def _write_scaled_models(src, out_dir):
     subprocess.run([sys.executable, "-c", code, str(Path(src).resolve()), str(TESTS), str(out_dir)], check=True)
 
 
+def _write_extreme_models(out_dir):
+    """``qubit_dephasing`` with ``h_bar`` times 1e300 and ``qutrit_thermal`` with
+    ``kappa`` 5e307, as ``out_dir/huge_hbar.json`` and ``out_dir/kappa_5e307.json``."""
+    doc = json.loads((MODELS / "qubit_dephasing.json").read_text())
+    doc["h_bar"] = [[[1e300 * part for part in entry] for entry in row] for row in doc["h_bar"]]
+    (out_dir / "huge_hbar.json").write_text(json.dumps(doc))
+    doc = json.loads((MODELS / "qutrit_thermal.json").read_text())
+    doc["bath"]["params"]["kappa"] = 5e307
+    (out_dir / "kappa_5e307.json").write_text(json.dumps(doc))
+
+
 def main(argv):
     if len(argv) < 2:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
@@ -141,6 +156,7 @@ def main(argv):
         tmp = Path(tmp)
         todo = [(label, cmd) for label, cmd in calls(tmp) if not labels or label in labels]
         (tmp / "plus.json").write_text(json.dumps([[[0.5, 0.0], [0.5, 0.0]]] * 2))
+        _write_extreme_models(tmp)
         if any(label.startswith("r3_") for label, _ in todo):
             _write_scaled_models(child_src, tmp)
         differ = 0

@@ -654,9 +654,16 @@ class TestSupportStorage:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
-        wide = FourierOperatorSeries(3, 2, 60, {(60, 0, 0): np.eye(2)})  # 121^3 points
-        with pytest.raises(DimensionMismatch, match="sum workspace"):
-            wide + wide
+        # a sum takes the union of the supports: no 121^3-point box for one term
+        wide = FourierOperatorSeries(3, 2, 60, {(60, 0, 0): np.eye(2)})
+        tracemalloc.start()
+        try:
+            total = wide + wide
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert len(total) == 1 and np.array_equal(total.coeffs[(60, 0, 0)], 2 * np.eye(2))
 
 
 class TestLattice:

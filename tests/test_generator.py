@@ -4,6 +4,7 @@ import dataclasses
 import importlib.util
 import math
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -256,6 +257,51 @@ class TestBuildGenerator:
         assert jumps.stack.shape == (len(jumps.frequency_index), 2, 3, 3)
         assert jumps.present.shape == (len(jumps.frequency_index), 2)
         assert len(jumps.frequency_index) == len(bundle.kossakowski) == len(bundle.zeta_blocks)
+
+
+class TestFloatRange:
+    """An energy shift, dissipator or X past the float range is refused by its result,
+    named, with numpy's warnings held; one that stays finite builds."""
+
+    @staticmethod
+    def diagonal_model(zeta, first=1.0):
+        # couplings diag(first, 0) and diag(0, 1) commute with h_bar and qubit_driven's frame:
+        # two jump operators at frequency 0, and delta_h = diag(first^2 zeta_00, zeta_11)
+        base = PRESETS["qubit_driven"]()
+        bath = BathSpectrum.from_callables(lambda w: 0.1 * np.eye(2), zeta_fn=lambda w: zeta, n_couplings=2)
+        return dataclasses.replace(base, couplings=[np.diag([first, 0.0]), np.diag([0.0, 1.0])], bath=bath)
+
+    @staticmethod
+    def build_silently(model):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                return build_generator(model)
+            finally:
+                assert not caught, [str(w.message) for w in caught]
+
+    @pytest.mark.parametrize("first, quantity", [(1.0, "X"), (2.0, "energy shift")])
+    def test_refused_by_name(self, first, quantity):
+        # first = 1: delta_h = diag(1e308, -1e308) is finite, its commutator entries 2e308 are not;
+        # first = 2: the shift's entry 4e308 is past the range itself
+        with pytest.raises(Overflow, match=f"^{quantity} is past the float range$"):
+            self.build_silently(self.diagonal_model(np.diag([1e308, -1e308]), first))
+
+    def test_huge_commuting_shift_builds(self):
+        # delta_h = 1e308 I commutes with every rho: its Hermitian part is taken halved first
+        bundle = self.build_silently(self.diagonal_model(1e308 * np.eye(2)))
+        assert np.isfinite(bundle.x.matrix).all()
+        assert np.allclose(bundle.delta_h.real, 1e308 * np.eye(2), rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("gamma, builds", [(8.9e307, True), (9e307, False)])
+    def test_dissipator_threshold(self, gamma, builds):
+        # qubit_dephasing's dissipator is diag(0, -2 g, -2 g, 0) at h = g: past the range at 9e307
+        model = dataclasses.replace(PRESETS["qubit_dephasing"](), bath=BathSpectrum.flat(gamma, 1))
+        if builds:
+            assert np.isfinite(self.build_silently(model).x.matrix).all()
+        else:
+            with pytest.raises(Overflow, match="^dissipator is past the float range"):
+                self.build_silently(model)
 
 
 class TestCovariance:

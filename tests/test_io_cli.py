@@ -643,6 +643,7 @@ BATH_PARAMETERS = {  # case: (model, bath parameters it sets)
     "kappa-negative": ("qutrit_thermal", {"kappa": -1.0}),
     "cutoff-zero": ("qutrit_thermal", {"cutoff": 0.0}),
     "beta-zero": ("qutrit_thermal", {"beta": 0.0}),
+    "kappa-5e307": ("qutrit_thermal", {"kappa": 5e307}),
 }
 
 
@@ -665,8 +666,11 @@ class TestCliExitContract:
         ("huge-gamma-steady-state", 0, None),
         ("huge-gamma-certify", 0, None),
         ("huge-gamma-evolve", 3, "NoConvergence"),
+        # qubit_dephasing's h_bar times 1e300: its eigendecomposition's norms raise no warning
+        ("huge-hbar-validate", 0, None),
+        ("huge-hbar-build", 0, None),
         # gamma 1e308 puts the dissipator past the float range, and coupling entries times
-        # 1e200 put X there: refused as the quantity it is, before any sum overflows
+        # 1e200 put X there: refused by its result as the quantity it is, numpy's warnings held
         ("gamma-1e308-build", 3, "Overflow"),
         *[(f"couplings-1e200-{command}", 3, "Overflow")
           for command in ("build", "evolve", "spectrum", "steady-state", "certify")],
@@ -691,6 +695,8 @@ class TestCliExitContract:
         ("kappa-negative", 2, "DimensionMismatch"),
         ("cutoff-zero", 2, "DimensionMismatch"),
         ("beta-zero", 2, "DimensionMismatch"),
+        # kappa 5e307 puts the bath's h past the float range: refused before the dissipator
+        ("kappa-5e307", 3, "Overflow"),
         ("huge-box", 2, "DimensionMismatch"),
         ("box-zero", 2, "DimensionMismatch"),
         ("box-negative", 2, "DimensionMismatch"),
@@ -755,18 +761,22 @@ class TestCliExitContract:
             doc["bath"]["params"]["gamma"] = 1e308
             (tmp_path / "model.json").write_text(json.dumps(doc))
             argv = ["build", str(tmp_path / "model.json")]
-        elif case.startswith("huge-gamma-"):
+        elif case.startswith(("huge-gamma-", "huge-hbar-")):
             doc = json.loads(Path(model).read_text())
-            doc["bath"]["params"]["gamma"] = 1e300
+            if case.startswith("huge-gamma-"):
+                doc["bath"]["params"]["gamma"] = 1e300
+            else:
+                doc["h_bar"] = (1e300 * np.array(doc["h_bar"])).tolist()
             (tmp_path / "model.json").write_text(json.dumps(doc))
-            argv = [case.removeprefix("huge-gamma-"), str(tmp_path / "model.json")]
+            argv = [case.split("-", 2)[2], str(tmp_path / "model.json")]
         elif case in BATH_PARAMETERS:
             name, value = BATH_PARAMETERS[case]
             doc = json.loads((MODELS_DIR / f"{name}.json").read_text())
             doc["bath"]["params"].update(value)
             (tmp_path / "model.json").write_text(json.dumps(doc))
-            # build evaluates the zero bath; the refusals come at load, before validate checks anything
-            argv = ["build" if case == "kappa-zero" else "validate", str(tmp_path / "model.json")]
+            # build evaluates the zero and the overflowing bath; the other refusals come at load,
+            # before validate checks anything
+            argv = ["build" if case in ("kappa-zero", "kappa-5e307") else "validate", str(tmp_path / "model.json")]
         elif case.startswith("phase-overflow-"):
             name = "qutrit_thermal_static" if case.endswith("-static") else "qubit_driven"
             command = case.removeprefix("phase-overflow-").removesuffix("-static")
@@ -791,7 +801,8 @@ class TestCliExitContract:
         if case.startswith("grid-before-"):
             assert "--grid" in payload["error"]["message"]
         named = {"gamma-1e308": "dissipator is past the float range", "couplings-1e200": "is past the float range",
-                 "lost-phase-grid": "p(5e+199) lost its phase", "lost-phase-frequencies": "lost its phase"}
+                 "lost-phase-grid": "p(5e+199) lost its phase", "lost-phase-frequencies": "lost its phase",
+                 "kappa-5e307": "contains non-finite entries"}
         for prefix, fragment in named.items():
             if case.startswith(prefix):
                 assert fragment in payload["error"]["message"]

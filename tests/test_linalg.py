@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 from qmme import linalg
-from qmme.errors import DimensionMismatch, NotHermitian, Overflow
+from qmme.errors import DimensionMismatch, NoConvergence, NotHermitian, Overflow
 from qmme.linalg import (
     Superoperator,
     ad_superop,
@@ -110,6 +110,29 @@ class TestHermitian:
         a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         h = hermitize(a)
         assert np.allclose(h, h.conj().T)
+
+    def test_hermitize_halves_before_the_sum(self, rng):
+        # the sums 2e308 and 3e308 would overflow; the halves do not
+        a = np.array([[1.5e308, 1e308 + 1e308j], [1e308 - 1e308j, -1.7e308]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(hermitize(a), a)
+        for shape in ((4, 4), (3, 2, 2), (2, 5, 5)):
+            b = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            assert np.array_equal(hermitize(b), 0.5 * (b + b.conj().swapaxes(-1, -2)))
+
+    def test_eig_hermitian_residual_checked_past_overflowing_squares(self, rng, monkeypatch):
+        # ||h||_F^2 overflows at 1e300, but the scale stays finite, so a wrong
+        # eigendecomposition is still caught by the reconstruction residual
+        h = 1e300 * random_hermitian(rng, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w, v = eig_hermitian(h)
+            assert np.linalg.norm(((v * w) @ v.conj().T - h) / 1e300) < 1e-12 * np.linalg.norm(h / 1e300)
+            eigh = np.linalg.eigh
+            monkeypatch.setattr(np.linalg, "eigh", lambda a: (lambda w, v: (w * (1 + 1e-9), v))(*eigh(a)))
+            with pytest.raises(NoConvergence, match="residual"):
+                eig_hermitian(h)
 
     def test_eig_hermitian_reconstructs(self, rng):
         h = random_hermitian(rng, 5)
