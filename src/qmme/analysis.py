@@ -179,13 +179,13 @@ class LimitCycle:
     decay_weights: np.ndarray
     _dmap: object
 
-    def states_at(self, ts):
-        """Cycle states at every time of ``ts``, p evaluated once per grid."""
+    def states_at(self, ts, frames=None):
+        """Cycle states at every time of ``ts``, p evaluated once per grid or given as ``frames``."""
         ts = np.asarray(ts, dtype=float).reshape(-1)
         d = self._dmap.dim
         weights = np.exp(np.outer(ts, self.exponents)) * self.coefficients
         base = np.tensordot(weights, np.reshape(self.mode_matrices, (-1, d, d)), axes=1)
-        p = self._dmap.frames(ts)
+        p = self._dmap.frames(ts) if frames is None else frames
         return p @ base @ p.conj().transpose(0, 2, 1)
 
     def to_dict(self):
@@ -266,7 +266,8 @@ def decay_rate_fit(dmap, cycle, rho0, ts):
     ts = np.asarray(ts, dtype=float).reshape(-1)
     if ts.size == 0:
         raise InsufficientDecay("the time grid is empty")
-    gaps = dmap.evolve(rho0, ts) - cycle.states_at(ts)
+    p = dmap.frames(ts)  # one evaluation for both trajectories
+    gaps = dmap.evolve(rho0, ts, frames=p) - cycle.states_at(ts, frames=p)
     dists = trace_norm(gaps)
 
     if float(np.min(dists)) > 1e-3:
@@ -344,9 +345,9 @@ def cptp_certificate(dmap, ts=None, n_pairs=20, seed=7, tol_choi=1e-10, tol_trac
     For each sample time: smallest Choi eigenvalue, trace-preservation defect
     of the superoperator, and a Hermiticity-preservation defect on seeded
     random inputs. Random (s, t) pairs certify the interpolating propagators.
-    Each superoperator comes from ``dmap.at`` or ``dmap.propagator``; the rows
-    are computed on their stack at once, from the seeded draws of a row-by-row
-    pass: the probes of every time row, then per pair its times and probes.
+    The superoperators come from two ``dmap.maps`` stacks, the times' and the pairs' (``at`` and
+    ``propagator`` without ``maps``); the rows are computed on their stack at once, from the seeded
+    draws of a row-by-row pass: the probes of every time row, then per pair its times and probes.
     """
     if ts is None:
         ts = np.logspace(-3, math.log10(50.0), 20)
@@ -356,25 +357,22 @@ def cptp_certificate(dmap, ts=None, n_pairs=20, seed=7, tol_choi=1e-10, tol_trac
     rng = np.random.default_rng(seed)
     d = dmap.dim
 
-    def probes():
-        return [rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for _ in range(3)]
-
-    labels = [{"t": float(t)} for t in ts]
-    maps = [dmap.at(t).matrix for t in ts]
-    inputs = [probes() for _ in ts]
+    # 3 probes a row, each drawn as its real part, then its imaginary part, in one call per batch of rows
+    draws, pairs = [rng.normal(size=(ts.size, 3, 2, d, d))], []
     horizon = float(ts[-1])
     for _ in range(int(n_pairs)):
-        a, b = sorted(rng.uniform(0.0, horizon, size=2))
-        labels.append({"s": float(a), "t": float(b)})
-        maps.append(dmap.propagator(b, a).matrix)
-        inputs.append(probes())
-
-    m = np.stack(maps)
+        pairs.append(sorted(rng.uniform(0.0, horizon, size=2)))
+        draws.append(rng.normal(size=(1, 3, 2, d, d)))
+    starts, ends = np.reshape(pairs, (-1, 2)).T
+    labels = [{"t": float(t)} for t in ts] + [{"s": float(a), "t": float(b)} for a, b in pairs]
+    m = (np.concatenate([dmap.maps(ts), dmap.maps(ends, starts)]) if hasattr(dmap, "maps")
+         else np.stack([dmap.at(t).matrix for t in ts] + [dmap.propagator(b, a).matrix for a, b in pairs]))
     min_eig, choi_herm = choi_min_eigenvalue(m)
     eye_vec = vectorize(np.eye(d))
     trace = np.max(np.abs(m.conj().swapaxes(-1, -2) @ eye_vec - eye_vec), axis=-1)
     # each row maps its probes A and A^dag
-    a = np.array(inputs)
+    z = np.concatenate(draws)
+    a = z[:, :, 0] + 1j * z[:, :, 1]
     vecs = vectorize(np.stack([a, a.conj().swapaxes(-1, -2)], axis=2))
     images = devectorize((m[:, None, None] @ vecs[..., None])[..., 0])
     fwd, bwd = images[:, :, 0], images[:, :, 1]

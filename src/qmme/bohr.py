@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NoConvergence, UnknownFrequency
 from .fourier import _on_union, _shells, frequency_vector
-from .linalg import _norms, eig_hermitian
+from .linalg import _finite, _norms, eig_hermitian
 
 __all__ = [
     "BohrDecomposition",
@@ -155,7 +155,7 @@ def check_congruence_freedom(bohr_freqs, omega, box=12, tol=1e-9, *, _points=Non
     check only inspects distinct frequency pairs.
     """
     bohr_freqs = np.asarray(bohr_freqs, dtype=float).reshape(-1)
-    omega = frequency_vector(omega)
+    omega = frequency_vector(omega, box)
     pts = _shells(omega.size, box) if _points is None else _points
     dots = pts @ omega
     order = np.argsort(dots)
@@ -176,10 +176,13 @@ def check_congruence_freedom(bohr_freqs, omega, box=12, tol=1e-9, *, _points=Non
 
 
 def interaction_picture_coupling_series(p_series, coupling, *, _spectra=None):
-    """Fourier series of p(t)^dag S p(t) for a constant coupling S: p^dag S
-    multiplies the coefficients of p^dag by S one by one, so it costs one
-    series product, whose ``_spectra`` can hold p's transform across couplings."""
-    return p_series.adjoint()._times(coupling).product(p_series, _spectra=_spectra)
+    """Fourier series of p(t)^dag S p(t) for a constant coupling S: p^dag S multiplies the coefficients
+    of p^dag by S one by one, so it costs one series product, whose ``_spectra`` can hold p's transform
+    across couplings. Formed with numpy's warnings held; Overflow names a series past the float range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        s_hat = p_series.adjoint()._times(coupling).product(p_series, _spectra=_spectra)
+    _finite(np.append(s_hat._stack, s_hat.tail_norm), "interaction-picture coupling series")
+    return s_hat
 
 
 @dataclass
@@ -236,6 +239,7 @@ class JumpOperatorSet:
         """w + n . omega for each frequency index of ``w_idx`` and Fourier index row
         of ``n``, each dot product as np.dot takes it: one (k, 1, r) @ (r, 1) product."""
         n = np.asarray(n, dtype=float).reshape(len(w_idx), 1, np.size(omega))
+        omega = frequency_vector(omega, int(np.abs(n).max(initial=0)))
         return self.decomp.bohr_frequencies[w_idx] + (n @ np.reshape(omega, (-1, 1))).reshape(-1)
 
 

@@ -334,28 +334,42 @@ class DynamicalMap:
             raise Overflow(f"exp(t X) is not finite at t = {ts[np.argmin(np.isfinite(e).all(axis=0))]}")
         return e
 
-    def expm_x(self, t):
-        """Matrix of exp(t X); Overflow where it is not finite."""
+    def _expms(self, ts):
+        """exp(t X) at every time of ``ts`` as a (len(ts), d^2, d^2) stack: one broadcast
+        eigen-expansion, or ``linalg.expm`` at each time; Overflow where it is not finite."""
         if self._eig is not None:
             _, v, vinv = self._eig
-            return (v * self._exp_w(np.array([float(t)]))[:, 0]) @ vinv
+            return (v * self._exp_w(ts).T[:, None, :]) @ vinv
         with np.errstate(over="ignore", invalid="ignore"):  # expm refuses a non-finite t X
-            return expm(float(t) * self._x)
+            return np.array([expm(t * self._x) for t in ts]).reshape((-1,) + self._x.shape)
+
+    def expm_x(self, t):
+        """Matrix of exp(t X); Overflow where it is not finite."""
+        return self._expms(np.array([float(t)]))[0]
+
+    def maps(self, ts, starts=None):
+        """sigma_t exp((t - s) X) sigma_s^{-1} for each time t of ``ts`` and start s of ``starts`` in
+        its row (sigma_t exp(t X) without ``starts``), as a (len(ts), d^2, d^2) stack: p from one
+        ``frames`` call over every time, exp from one ``_expms`` over every interval."""
+        ts = np.asarray(ts, dtype=float).reshape(-1)
+        if starts is None and (bad := np.flatnonzero(ts < 0)).size:
+            raise OrderViolation(f"map time must be nonnegative, got {ts[bad[0]]}")
+        s = np.zeros(ts.size) if starts is None else np.asarray(starts, dtype=float).reshape(-1)
+        if s.size != ts.size:
+            raise DimensionMismatch(f"{s.size} starts for {ts.size} times")
+        if (bad := np.flatnonzero(s > ts)).size:
+            raise OrderViolation(f"propagator needs s <= t, got s={s[bad[0]]} > t={ts[bad[0]]}")
+        p = self.frames(ts if starts is None else np.concatenate([ts, s]))
+        out = conjugation_superop(p[: ts.size]) @ self._expms(ts - s)
+        return out if starts is None else out @ conjugation_superop(p[ts.size :].conj().swapaxes(-1, -2))
 
     def at(self, t):
-        """The dynamical map at time t >= 0 as a superoperator."""
-        t = float(t)
-        if t < 0:
-            raise OrderViolation(f"map time must be nonnegative, got {t}")
-        return Superoperator(conjugation_superop(self.p_at(t)) @ self.expm_x(t))
+        """The dynamical map at time t >= 0 as a superoperator (the one-row ``maps``)."""
+        return Superoperator(self.maps([t])[0])
 
     def propagator(self, t, s):
-        """Two-time propagator sigma_t exp((t - s) X) sigma_s^{-1}, s <= t."""
-        t, s = float(t), float(s)
-        if s > t:
-            raise OrderViolation(f"propagator needs s <= t, got s={s} > t={t}")
-        left = conjugation_superop(self.p_at(t)) @ self.expm_x(t - s)
-        return Superoperator(left @ conjugation_superop(self.p_at(s).conj().T))
+        """Two-time propagator sigma_t exp((t - s) X) sigma_s^{-1}, s <= t (the one-row ``maps``)."""
+        return Superoperator(self.maps([t], [s])[0])
 
     def h_series(self):
         """Synthesized Hamiltonian series (cached)."""
@@ -424,15 +438,15 @@ class DynamicalMap:
             raise Overflow("state contains non-finite entries")
         return rho0
 
-    def evolve(self, rho0, ts):
-        """Product-form trajectory at the sample times, p evaluated once per grid."""
+    def evolve(self, rho0, ts, frames=None):
+        """Product-form trajectory at the sample times, p evaluated once per grid or given as ``frames``."""
         rho0, ts = self._state(rho0), _nonnegative_times(ts)
-        p = self.frames(ts)  # first: a time whose phase overflows raises before exp(t w) overflows
+        p = self.frames(ts) if frames is None else frames  # first: a lost phase raises before exp(t w) overflows
         v0 = vectorize(rho0)
         if self._eig is not None:
             _, v, vinv = self._eig
             vecs = (v @ (self._exp_w(ts) * (vinv @ v0)[:, None])).T
-        else:
+        else:  # one time at a time: a stack of d^2 x d^2 exponentials would hold len(ts) d^4 entries
             vecs = np.array([self.expm_x(t) @ v0 for t in ts], dtype=complex).reshape(ts.size, v0.size)
         return p @ devectorize(vecs) @ p.conj().transpose(0, 2, 1)
 

@@ -30,8 +30,9 @@ __all__ = ["FourierOperatorSeries", "joint_sampler", "frequency_vector", "check_
            "normalize_witness"]
 
 
-def frequency_vector(omega):
-    """Validate and return a base frequency vector: 1-d, finite, all positive."""
+def frequency_vector(omega, bound=0):
+    """Validate and return a base frequency vector: 1-d, finite, all positive, and with a finite
+    largest rate bound ||omega||_1 on the lattice |n_i| <= ``bound`` (unchecked at bound 0)."""
     omega = np.asarray(omega, dtype=float).reshape(-1)
     if omega.size == 0:
         raise DimensionMismatch("frequency vector must have at least one entry")
@@ -39,6 +40,8 @@ def frequency_vector(omega):
         raise Overflow("frequency vector contains non-finite entries")
     if np.any(omega <= 0):
         raise DimensionMismatch("frequency vector entries must be positive")
+    if bound and not np.isfinite(bound * sum(omega.tolist())):  # Python floats: inf, not a warning
+        raise Overflow(f"frequencies {omega.tolist()} have rates past the float range at |n_i| <= {bound}")
     return omega
 
 
@@ -189,7 +192,7 @@ class FourierOperatorSeries:
                 f"series shapes differ: (r={self.r}, d={self.d}) vs (r={other.r}, d={other.d})")
 
     def _frequencies(self, omega):
-        omega = frequency_vector(omega)
+        omega = frequency_vector(omega, self.trunc)
         if omega.size != self.r:
             raise DimensionMismatch(f"frequency vector length {omega.size} != r = {self.r}")
         return omega
@@ -200,7 +203,8 @@ class FourierOperatorSeries:
         return np.tensordot(np.exp(1j * (self._idx @ omega) * float(t)), self._stack, axes=(0, 0))
 
     def evaluate_many(self, omega, ts):
-        """Evaluate at every time of ``ts``; returns an array (len(ts), d, d) (see _evaluate_rows)."""
+        """Evaluate at every time of ``ts``; returns an array (len(ts), d, d) (see _evaluate_rows).
+        A value's last bit can depend on the other times in the call, as a BLAS product can."""
         ts = np.asarray(ts, dtype=float).reshape(-1)
         flat = self._stack.reshape(len(self), self.d * self.d)
         return _evaluate_rows(self._idx, flat, self._frequencies(omega), ts).reshape(ts.size, self.d, self.d)

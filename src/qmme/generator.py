@@ -35,8 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bohr import build_jump_operator_set, decompose, interaction_picture_coupling_series
-from .errors import InadmissibleModel, NotHermitian, NotPSD, Overflow
-from .linalg import Superoperator, ad_superop, conjugation_superop, hermiticity_defect, hermitize
+from .errors import InadmissibleModel, NotHermitian, NotPSD
+from .linalg import Superoperator, _finite, ad_superop, conjugation_superop, hermiticity_defect, hermitize
 from .model import validate_model
 
 __all__ = [
@@ -64,14 +64,6 @@ def _gram_sum(jumps, c):
     for (i, j), x, cb in zip(decomp.frequency_entries, jumps.values, per_frequency):
         t[i[:, None], i, j[:, None], j] = x.conj().reshape(-1, i.size).T @ (cb @ x).reshape(-1, i.size)
     return t
-
-
-def _finite(a, what):
-    """``a``, formed under np.errstate(over="ignore", invalid="ignore"); Overflow naming
-    ``what`` when an entry is not finite, so past the float range."""
-    if not np.isfinite(a).all():
-        raise Overflow(f"{what} is past the float range")
-    return a
 
 
 def _lab_superop(left, right, v):

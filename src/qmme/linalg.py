@@ -92,6 +92,14 @@ def hermitize(a):
     return 0.5 * a + 0.5 * a.conj().swapaxes(-1, -2)
 
 
+def _finite(a, what):
+    """``a``, formed under np.errstate(over="ignore", invalid="ignore"); Overflow naming
+    ``what`` when an entry is not finite, so past the float range."""
+    if not np.isfinite(a).all():
+        raise Overflow(f"{what} is past the float range")
+    return a
+
+
 def _norms(stack):
     """Frobenius norms of a stack of matrices, bit for bit those of
     ``np.linalg.norm`` (one dot product of real and of imaginary parts each)

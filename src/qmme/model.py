@@ -377,9 +377,9 @@ def validate_model(model, box=12, tol_independence=1e-9, tol_congruence=1e-9,
     """
     pts = _shells(model.frequencies.size, box)  # one lattice for both scans
     witness = check_rational_independence(model.frequencies, box=box, tol=tol_independence, _points=pts)
-    p0_res = float(
-        np.linalg.norm(model.p_series.evaluate(model.frequencies, 0.0) - np.eye(model.dim), 2)
-    )
+    # p(0) is the sum of the coefficients, contracted as evaluate contracts its phases: no frequency times 0
+    p0 = np.tensordot(np.ones(len(model.p_series)), model.p_series._stack, axes=(0, 0))
+    p0_res = float(np.linalg.norm(p0 - np.eye(model.dim), 2))
     herm = hermiticity_defect(model.h_bar)
     if herm <= tol_herm:
         decomp = _bohr.decompose(hermitize(model.h_bar), tol_cluster=tol_cluster)

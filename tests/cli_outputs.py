@@ -9,12 +9,15 @@ named ``--rho0``, ``certify`` at its default seed and at ``--seed 3`` (84
 calls on the six shipped models); ``evolve`` of ``qubit_driven`` from the plus
 state written to a file as a bare matrix (``--rho0 FILE``); ``evolve`` and
 ``certify`` of ``qubit_driven`` on ``--grid 0:1e200:3``, where p's phase is lost;
-``validate`` of ``qubit_dephasing`` with ``h_bar`` times 1e300 and ``build`` of
-``qutrit_thermal`` with ``kappa`` 5e307, both written from ``models/``; and two
+``validate`` of ``qubit_dephasing`` with ``h_bar`` times 1e300, ``build`` of
+``qutrit_thermal`` with ``kappa`` 5e307, ``validate`` and ``build`` of
+``qubit_driven`` with its frequencies times 1e307 and ``build`` of
+``qutrit_thermal`` with its couplings times 1e307, all written from
+``models/``; ``certify --pairs 5 --grid 0:40:7`` of ``qutrit_thermal``; and two
 calls on the seed-1, r = 3 models of ``test_generator.scaled_r3_models``,
 written by the child tree: ``build`` at d = 10 and ``evolve --rho0 plus`` at
 d = 6, whose master equation is marched above ``dynamics._STEP_MATRIX_MAX_DIM``
-(91 calls in all). A LABEL (as printed, e.g. ``"qubit_dephasing validate"``)
+(95 calls in all). A LABEL (as printed, e.g. ``"qubit_dephasing validate"``)
 limits the run to the calls it names. Every call runs without the environment's ``QMME_*`` variables, so
 trees that read them and trees that do not see the same inputs.
 
@@ -41,9 +44,10 @@ STATES = ("mixed", "basis0", "plus", "ground")
 
 
 def calls(tmp):
-    """(label, argv) of every call, models in name order; the plus state, the two
+    """(label, argv) of every call, models in name order; the plus state, the four
     extreme models and the seeded r = 3 model of dimension d are read from ``tmp``
-    as ``plus.json``, ``huge_hbar.json``, ``kappa_5e307.json`` and ``r3_d{d}.json``."""
+    as ``plus.json``, ``huge_hbar.json``, ``kappa_5e307.json``, ``frequencies_1e307.json``,
+    ``couplings_1e307.json`` and ``r3_d{d}.json``."""
     out = []
     for path in sorted(MODELS.glob("*.json")):
         per_model = [["validate"], ["synthesize"], ["build"], ["spectrum"], ["certify"], ["certify", "--seed", "3"]]
@@ -55,6 +59,11 @@ def calls(tmp):
             for cmd in ("evolve", "certify")]
     out.append(("qubit_dephasing h_bar*1e300 validate", ["validate", str(tmp / "huge_hbar.json")]))
     out.append(("qutrit_thermal kappa=5e307 build", ["build", str(tmp / "kappa_5e307.json")]))
+    out += [(f"qubit_driven frequencies*1e307 {cmd}", [cmd, str(tmp / "frequencies_1e307.json")])
+            for cmd in ("validate", "build")]
+    out.append(("qutrit_thermal couplings*1e307 build", ["build", str(tmp / "couplings_1e307.json")]))
+    out.append(("qutrit_thermal certify --pairs 5 --grid 0:40:7",
+                ["certify", str(MODELS / "qutrit_thermal.json"), "--pairs", "5", "--grid", "0:40:7"]))
     out.append(("r3_d10 build", ["build", str(tmp / "r3_d10.json")]))
     out.append(("r3_d6 evolve --rho0 plus", ["evolve", str(tmp / "r3_d6.json"), "--rho0", "plus"]))
     return out
@@ -137,14 +146,22 @@ def _write_scaled_models(src, out_dir):
 
 
 def _write_extreme_models(out_dir):
-    """``qubit_dephasing`` with ``h_bar`` times 1e300 and ``qutrit_thermal`` with
-    ``kappa`` 5e307, as ``out_dir/huge_hbar.json`` and ``out_dir/kappa_5e307.json``."""
+    """``qubit_dephasing`` with ``h_bar`` times 1e300, ``qutrit_thermal`` with ``kappa``
+    5e307, ``qubit_driven`` with its frequencies times 1e307 and ``qutrit_thermal`` with
+    its couplings times 1e307, as ``out_dir/huge_hbar.json``, ``out_dir/kappa_5e307.json``,
+    ``out_dir/frequencies_1e307.json`` and ``out_dir/couplings_1e307.json``."""
     doc = json.loads((MODELS / "qubit_dephasing.json").read_text())
     doc["h_bar"] = [[[1e300 * part for part in entry] for entry in row] for row in doc["h_bar"]]
     (out_dir / "huge_hbar.json").write_text(json.dumps(doc))
     doc = json.loads((MODELS / "qutrit_thermal.json").read_text())
     doc["bath"]["params"]["kappa"] = 5e307
     (out_dir / "kappa_5e307.json").write_text(json.dumps(doc))
+    doc = json.loads((MODELS / "qubit_driven.json").read_text())
+    doc["frequencies"] = [1e307 * w for w in doc["frequencies"]]
+    (out_dir / "frequencies_1e307.json").write_text(json.dumps(doc))
+    doc = json.loads((MODELS / "qutrit_thermal.json").read_text())
+    doc["couplings"] = [[[[1e307 * part for part in entry] for entry in row] for row in s] for s in doc["couplings"]]
+    (out_dir / "couplings_1e307.json").write_text(json.dumps(doc))
 
 
 def main(argv):

@@ -8,7 +8,7 @@ import scipy.linalg
 
 from conftest import random_density
 
-from qmme import analysis, linalg
+from qmme import analysis, fourier, linalg
 from qmme.analysis import (
     cptp_certificate,
     decay_rate_fit,
@@ -67,8 +67,19 @@ class _BareMap:
         self.dim, self.at, self.propagator = dmap.dim, dmap.at, dmap.propagator
 
 
+def _spy_series_evaluations(monkeypatch):
+    """The number of times of each ``fourier._evaluate_rows`` call from here on, in call order."""
+    sizes, rows = [], fourier._evaluate_rows
+    monkeypatch.setattr(fourier, "_evaluate_rows", lambda idx, flat, omega, ts: sizes.append(ts.size)
+                        or rows(idx, flat, omega, ts))
+    return sizes
+
+
 def _row_by_row_certificate(dmap, ts=None, n_pairs=20, seed=7):
-    """The certificate one row at a time: the reference for the stacked rows."""
+    """The certificate one row at a time: the reference for the stacked rows. The seeded draws
+    come in the row-by-row order (the probes of every time row, then per pair its times and
+    probes), and the superoperators from the map's two ``maps`` stacks, the times' and the
+    pairs', or from ``at`` and ``propagator`` for a map without ``maps``."""
     if ts is None:
         ts = np.logspace(-3, math.log10(50.0), 20)
     ts = np.asarray(ts, dtype=float).reshape(-1)
@@ -76,28 +87,39 @@ def _row_by_row_certificate(dmap, ts=None, n_pairs=20, seed=7):
     d = dmap.dim
     eye_vec = vectorize(np.eye(d))
 
-    def _row(label, superop):
+    def _probes():
+        return [rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for _ in range(3)]
+
+    def _row(label, superop, probes):
         c = choi_of(superop)
         choi_herm = float(np.linalg.norm(c - c.conj().T))
         min_eig = float(np.linalg.eigvalsh(hermitize(c))[0])
         trace_defect = float(
-            np.max(np.abs(superop.matrix.conj().T @ eye_vec - eye_vec))
+            np.max(np.abs(superop.conj().T @ eye_vec - eye_vec))
         )
         herm_defect = 0.0
-        for _ in range(3):
-            a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-            fwd = devectorize(superop.matrix @ vectorize(a))
-            bwd = devectorize(superop.matrix @ vectorize(a.conj().T))
+        for a in probes:
+            fwd = devectorize(superop @ vectorize(a))
+            bwd = devectorize(superop @ vectorize(a.conj().T))
             herm_defect = max(herm_defect, float(np.linalg.norm(bwd - fwd.conj().T)))
         return dict(label, choi_min_eig=min_eig, trace_defect=trace_defect,
                     hermiticity_defect=herm_defect, choi_hermiticity=choi_herm)
 
-    time_rows = [_row({"t": float(t)}, dmap.at(t)) for t in ts]
-    pair_rows = []
+    time_probes = [_probes() for _ in ts]
+    pairs, pair_probes = [], []
     horizon = float(ts[-1])
     for _ in range(int(n_pairs)):
-        a, b = sorted(rng.uniform(0.0, horizon, size=2))
-        pair_rows.append(_row({"s": float(a), "t": float(b)}, dmap.propagator(b, a)))
+        pairs.append(sorted(rng.uniform(0.0, horizon, size=2)))
+        pair_probes.append(_probes())
+    if hasattr(dmap, "maps"):
+        starts, ends = np.reshape(pairs, (-1, 2)).T
+        time_maps, pair_maps = dmap.maps(ts), dmap.maps(ends, starts)
+    else:
+        time_maps = [dmap.at(t).matrix for t in ts]
+        pair_maps = [dmap.propagator(b, a).matrix for a, b in pairs]
+    time_rows = [_row({"t": float(t)}, m, probes) for t, m, probes in zip(ts, time_maps, time_probes)]
+    pair_rows = [_row({"s": float(a), "t": float(b)}, m, probes)
+                 for (a, b), m, probes in zip(pairs, pair_maps, pair_probes)]
     return time_rows, pair_rows
 
 
@@ -315,10 +337,23 @@ class TestDecayFit:
         clean = decay_rate_fit(dmap, cycle, rho0, ts)
         noise = 1e-16 * np.random.default_rng(5).standard_normal((ts.size, 2, 2))
         evolve = dmap.evolve
-        monkeypatch.setattr(dmap, "evolve", lambda rho, times: evolve(rho, times) + noise)
+        monkeypatch.setattr(dmap, "evolve", lambda rho, times, **kw: evolve(rho, times, **kw) + noise)
         noisy = decay_rate_fit(dmap, cycle, rho0, ts)
         assert clean.relative_error < 1e-8
         assert abs(noisy.fitted_rate - clean.fitted_rate) < 1e-8
+
+    def test_one_series_evaluation(self, q2, monkeypatch):
+        # the trajectory and the cycle share one evaluation of p, with the bits of two
+        _, _, dmap = q2
+        rho0, ts = np.diag([1.0, 0.0]).astype(complex), np.linspace(0.0, 120.0, 500)
+        cycle = limit_cycle(dmap, rho0)
+        gaps = trace_norm(dmap.evolve(rho0, ts) - cycle.states_at(ts))
+        sizes = _spy_series_evaluations(monkeypatch)
+        fit = decay_rate_fit(dmap, cycle, rho0, ts)
+        assert sizes == [500]
+        i0, i1 = fit.window
+        slope = np.polyfit(ts[i0 : i1 + 1], np.log(gaps[i0 : i1 + 1]), 1)[0]
+        assert repr(fit.fitted_rate) == repr(float(-slope))
 
     def test_to_dict(self):
         _, _, dmap = two_rate_qubit()
@@ -382,6 +417,13 @@ class TestCptpCertificate:
             cert = cptp_certificate(m, ts=ts, n_pairs=4, seed=3)
             assert repr((cert.time_rows, cert.pair_rows)) == repr(
                 _row_by_row_certificate(m, ts=ts, n_pairs=4, seed=3))
+
+    def test_two_series_evaluations(self, q3, monkeypatch):
+        # the time rows and the pair rows each take p from one frames call
+        _, _, dmap = q3
+        sizes = _spy_series_evaluations(monkeypatch)
+        cptp_certificate(dmap)
+        assert sizes == [20, 40]
 
     def test_no_pairs(self, q3):
         _, _, dmap = q3

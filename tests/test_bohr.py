@@ -15,7 +15,7 @@ from qmme.bohr import (
     decompose,
     interaction_picture_coupling_series,
 )
-from qmme.errors import DimensionMismatch, NotHermitian, UnknownFrequency
+from qmme.errors import DimensionMismatch, NotHermitian, Overflow, UnknownFrequency
 from qmme.fourier import FourierOperatorSeries, check_rational_independence, normalize_witness
 from qmme.linalg import _norms, eig_hermitian
 from qmme.model import p_series_from_generator
@@ -439,6 +439,14 @@ class TestJumpOperatorSet:
             assert jset.shifted_frequency(n, w_idx, omega) == pytest.approx(expect, abs=1e-15)
         per_block = [jset.shifted_frequency(n, w_idx, omega) for w_idx, n in block_keys(jset)]
         assert jset.shifted_frequencies(omega).tolist() == per_block
+
+    def test_shifted_frequencies_past_the_float_range(self):
+        # |n| ||omega||_1 past the float range is refused by name, not returned as inf with a warning
+        _, jset = self.build()
+        radius = int(np.abs(jset.fourier_index).max())
+        jset.shifted_frequencies(np.array([np.finfo(float).max / radius]))
+        with pytest.raises(Overflow, match=rf"have rates past the float range at \|n_i\| <= {radius}"):
+            jset.shifted_frequencies(np.array([np.finfo(float).max / (radius - 0.5)]))
 
     def test_per_coupling_completeness(self):
         decomp, jset = self.build()

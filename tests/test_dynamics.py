@@ -748,6 +748,58 @@ class TestMapBasics:
         assert shim.evolve(rho0, []).shape == (0, 2, 2)
 
 
+class TestStackedMaps:
+    """``maps`` stacks the map and its two-time propagators; ``at`` and ``propagator`` are its one-row case."""
+
+    fixtures = pytest.mark.parametrize("fixture", ["q1", "q2", "q2_periodic", "q3", "q3_static"])
+
+    @fixtures
+    def test_one_row_is_at_and_propagator(self, fixture, request):
+        _, _, dmap = request.getfixturevalue(fixture)
+        for t, s in ((0.0, 0.0), (0.7, 0.2), (13.5, 4.1), (50.0, 49.9)):
+            assert np.array_equal(dmap.at(t).matrix, dmap.maps([t])[0])
+            assert np.array_equal(dmap.propagator(t, s).matrix, dmap.maps([t], [s])[0])
+
+    @fixtures
+    def test_rows_match_row_by_row(self, fixture, request):
+        # p at one time and p in a batch may differ in the last bit: _evaluate_rows takes phases @ flat
+        # by another BLAS path for one row (3.3e-16 on qutrit_thermal at the certificate's default times)
+        _, _, dmap = request.getfixturevalue(fixture)
+        ts = np.logspace(-3, math.log10(50.0), 20)
+        starts = np.sort(np.random.default_rng(3).uniform(0.0, 50.0, size=(ts.size, 2)), axis=1)
+        for stack, one in ((dmap.maps(ts), [dmap.at(t) for t in ts]),
+                           (dmap.maps(starts[:, 1], starts[:, 0]), [dmap.propagator(t, s) for s, t in starts])):
+            assert stack.shape == (ts.size, dmap.dim**2, dmap.dim**2)
+            for row, superop in zip(stack, one):
+                assert np.linalg.norm(row - superop.matrix, 2) <= 1e-14 * np.linalg.norm(superop.matrix, 2)
+
+    def test_batched_exponential_is_bit_identical(self, q3):
+        _, _, dmap = q3
+        ts = np.logspace(-3, math.log10(50.0), 20)
+        for t, e in zip(ts, dmap._expms(ts)):
+            assert np.array_equal(e, dmap.expm_x(t))
+
+    def test_order_violation_names_the_first_bad_row(self, q1):
+        _, _, dmap = q1
+        with pytest.raises(OrderViolation, match="map time must be nonnegative, got -0.5"):
+            dmap.maps([0.3, -0.5, -1.0])
+        with pytest.raises(OrderViolation, match="propagator needs s <= t, got s=2.0 > t=1.0"):
+            dmap.maps([3.0, 1.0, 0.5], [0.5, 2.0, 4.0])
+        # a propagator's times may be negative, as before
+        assert dmap.maps([-0.5], [-1.0]).shape == (1, 4, 4)
+        with pytest.raises(DimensionMismatch, match="1 starts for 2 times"):
+            dmap.maps([1.0, 2.0], [0.5])
+
+    def test_dense_exponential_fallback(self, q3, monkeypatch):
+        model, bundle, dmap = q3
+        monkeypatch.setattr(linalg, "_COND_LIMIT", 1.0)
+        shim = DynamicalMap(model, bundle)
+        ts, starts = np.array([0.0, 0.4, 2.6, 9.0]), np.array([0.0, 0.1, 2.6, 3.5])
+        assert np.max(np.abs(shim.maps(ts, starts) - dmap.maps(ts, starts))) < 1e-12
+        assert np.array_equal(shim.maps(ts[1:2])[0], shim.at(0.4).matrix)
+        assert shim.maps([]).shape == shim.maps([], []).shape == (0, 9, 9)
+
+
 class TestTrajectories:
     def test_trace_holds_at_large_times(self, q3_static):
         # X's kernel eigenvalue is cached as exactly 0: its rounding error of about 1e-16, taken

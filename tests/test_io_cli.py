@@ -679,6 +679,12 @@ class TestCliExitContract:
         # unitary, a numerical failure and not a failed physics check
         *[(f"lost-phase-{how}-{command}", 3, "Overflow")
           for how in ("grid", "frequencies") for command in ("evolve", "steady-state", "certify")],
+        # qubit_driven's frequencies times 1e307 put the lattice rates past the float range, box ||omega||_1
+        # for the scans and trunc ||omega||_1 for the series: refused by name before any phase is formed
+        *[(f"frequencies-1e307-{command}", 3, "Overflow") for command in
+          ("validate", "synthesize", "build", "evolve", "spectrum", "steady-state", "certify")],
+        # coupling entries times 1e307 put the interaction-picture coupling series past the float range
+        *[(f"couplings-1e307-{name}", 3, "Overflow") for name in ("qubit_driven", "qutrit_thermal")],
         # p's phase at t = 1e308 is not finite: refused before any cosine, exp(t X) or SVD
         ("phase-overflow-evolve", 3, "Overflow"),
         ("phase-overflow-steady-state", 3, "Overflow"),
@@ -754,6 +760,12 @@ class TestCliExitContract:
             command = case.rsplit("1e200-", 1)[-1].removeprefix("lost-phase-frequencies-")
             argv = [{"huge-frequencies": "validate", "negative-tail": "synthesize",
                      "huge-frequencies-synthesize": "synthesize"}.get(case, command), str(tmp_path / "model.json")]
+        elif case.startswith(("frequencies-1e307-", "couplings-1e307-")):
+            scaled, what = case.split("-1e307-")
+            doc = json.loads((MODELS_DIR / f"{'qubit_driven' if scaled == 'frequencies' else what}.json").read_text())
+            doc[scaled] = (1e307 * np.array(doc[scaled])).tolist()
+            (tmp_path / "model.json").write_text(json.dumps(doc))
+            argv = [what if scaled == "frequencies" else "build", str(tmp_path / "model.json")]
         elif case.startswith("lost-phase-grid-"):
             argv = [case.removeprefix("lost-phase-grid-"), str(MODELS_DIR / "qubit_driven.json"), "--grid", "0:1e200:3"]
         elif case == "gamma-1e308-build":
@@ -802,7 +814,9 @@ class TestCliExitContract:
             assert "--grid" in payload["error"]["message"]
         named = {"gamma-1e308": "dissipator is past the float range", "couplings-1e200": "is past the float range",
                  "lost-phase-grid": "p(5e+199) lost its phase", "lost-phase-frequencies": "lost its phase",
-                 "kappa-5e307": "contains non-finite entries"}
+                 "kappa-5e307": "contains non-finite entries",
+                 "frequencies-1e307": "have rates past the float range at |n_i| <=",
+                 "couplings-1e307": "interaction-picture coupling series is past the float range"}
         for prefix, fragment in named.items():
             if case.startswith(prefix):
                 assert fragment in payload["error"]["message"]
